@@ -194,7 +194,8 @@ def cmd_enumerate(args):
 
 def cmd_verify(args):
     measure, doc = _load_measure(args.steps)
-    cone = _parse_cone(args.cone, measure.dim)
+    # the enumeration confines walks to the orthant, so every route uses it
+    cone = cones.orthant(measure.dim)
     start = tuple(int(v) for v in _parse_point(args.start))
     mc_n = args.mc_n if args.mc_n is not None else min(args.n, 60)
     report = {
@@ -202,7 +203,7 @@ def cmd_verify(args):
         "config": {"steps_file": args.steps, "steps": doc["steps"],
                    "weights": _floats(measure.weights), "start": list(start),
                    "n": args.n, "mc_n": mc_n, "seed": args.seed,
-                   "trials": args.trials, "cone": args.cone,
+                   "trials": args.trials, "cone": "orthant",
                    "threads": args.threads},
     }
 
@@ -270,20 +271,22 @@ def cmd_check(args):
         "h2prime": {"proper": h2.proper,
                     "witness": None if h2.witness is None else _floats(h2.witness)},
     }
+    report["h3"] = None
+    report["find_delta"] = None
     if measure.is_lattice():
-        h3 = steps_mod.check_h3(measure.steps, args.depth)
-        report["h3"] = {"ok": h3.ok,
-                        "path": None if h3.path is None else [list(s) for s in h3.path],
-                        "exhausted": h3.exhausted}
+        # H3'' is the orthant's hypothesis; on another cone the delta search
+        # at delta = 0 asks the same question
+        if cone.kind == cones.ORTHANT:
+            h3 = steps_mod.check_h3(measure.steps, args.depth)
+            report["h3"] = {"ok": h3.ok,
+                            "path": None if h3.path is None else [list(s) for s in h3.path],
+                            "exhausted": h3.exhausted}
         fd = counting.find_delta(measure.steps, cone, n_max=args.depth)
         report["find_delta"] = {
             "found": fd.found, "delta": fd.delta, "n0": fd.n0,
             "path": None if fd.path is None else [list(s) for s in fd.path],
             "h2_witness": None if fd.h2_witness is None else _floats(fd.h2_witness),
         }
-    else:
-        report["h3"] = None
-        report["find_delta"] = None
     _emit(report, args.json)
     return EXIT_OK if h2.proper else EXIT_HYPOTHESIS
 
@@ -392,7 +395,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True, help="enumeration horizon")
     p.add_argument("--mc-n", type=int, default=None, help="Monte Carlo horizon (default min(n, 60))")
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--cone", default="orthant")
     common(p)
     p.set_defaults(func=cmd_verify)
 

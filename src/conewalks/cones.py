@@ -138,6 +138,17 @@ def dual(cone):
     return Cone(cone.dim, GENERATED, cone.vectors)
 
 
+def _ray_matrix(cone, what):
+    """Rows r_i with cone = {sum_i t_i r_i : t >= 0}: the identity for an
+    orthant, the rays of a generated cone; `what` names the caller in the
+    error raised for any other kind."""
+    if cone.kind == ORTHANT:
+        return np.eye(cone.dim)
+    if cone.kind == GENERATED:
+        return cone.vectors
+    raise UnsupportedConeError(f"{what} needs an orthant or generated cone, got {cone.kind}")
+
+
 def _single_normal(cone):
     """The normal vector when the cone is a half-space in disguise, else None."""
     if cone.kind == HALFSPACE:
@@ -191,6 +202,14 @@ def moreau_decompose(cone, a):
     return p_cone, p_polar
 
 
+def _inequality_interior_point(A):
+    """A point x with A x >= 1, or None when there is none (an LP)."""
+    m, d = A.shape
+    # A(p - q) - s = 1 with p, q, s >= 0
+    y = nonneg_solution(np.hstack([A, -A, -np.eye(m)]), np.ones(m))
+    return None if y is None else y[:d] - y[d:2 * d]
+
+
 def has_interior(cone):
     """Whether the cone has non-empty interior.
 
@@ -201,11 +220,7 @@ def has_interior(cone):
     if cone.kind in (ORTHANT, HALFSPACE):
         return True
     if cone.kind == INEQUALITIES:
-        A = cone.vectors
-        m, d = A.shape
-        # A(p - q) - s = 1 with p, q, s >= 0
-        M = np.hstack([A, -A, -np.eye(m)])
-        return nonneg_solution(M, np.ones(m)) is not None
+        return _inequality_interior_point(cone.vectors) is not None
     sv = np.linalg.svd(cone.vectors, compute_uv=False)
     rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
     return rank == cone.dim
@@ -248,16 +263,14 @@ def interior_vector(cone):
         return np.ones(cone.dim)
     if cone.kind == HALFSPACE:
         return cone.vectors.copy()
-    if not has_interior(cone):
-        raise ConeError("cone has empty interior")
     if cone.kind == INEQUALITIES:
-        A = cone.vectors
-        m, d = A.shape
-        M = np.hstack([A, -A, -np.eye(m)])
-        y = nonneg_solution(M, np.ones(m))
-        return y[:d] - y[d:2 * d]
-    # generated, full rank: a positive combination of spanning rays is interior
-    return cone.vectors.sum(axis=0)
+        v = _inequality_interior_point(cone.vectors)
+    else:
+        # generated, full rank: a positive combination of spanning rays is interior
+        v = cone.vectors.sum(axis=0) if has_interior(cone) else None
+    if v is None:
+        raise ConeError("cone has empty interior")
+    return v
 
 
 def contains_shifted(cone, v, delta, x, tol=DEFAULT_TOL):

@@ -9,15 +9,19 @@ a per-layer max renormalization whose accumulated logarithm keeps thousands
 of layers in range.
 
 The same machinery provides the per-endpoint layer (for the change-of-measure
-identity check), n-th-root rate extrapolation from the count series, and the
-breadth-first search certifying a shift delta for which every orthant start
-obeys the rate limit.
+identity check) and n-th-root rate extrapolation from the count series. The
+module also holds the delta search: breadth-first lattice searches, one per
+grid shift, for a walk from the origin that stays in the cone shifted inward
+by delta and ends in its interior, which certifies that every start in the
+shifted cone obeys the rate limit. When the smallest shift fails, the H2'
+half-space witness is looked for before any other shift is tried: a witness
+u in K* keeps every reachable point in {<u, .> <= 0}, away from the interior,
+so a found witness ends the search.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +54,6 @@ class CountSeries:
     n_max: int
     mode: str
     values: tuple
-    model_id: str
 
     def log_value(self, n):
         """log of the n-th total, or None when the total is zero."""
@@ -188,12 +191,6 @@ class _LayerDP:
         return items
 
 
-def _model_id(steps, weights, start, mode):
-    wpart = "uniform-unit" if weights is None else [float(w) for w in weights]
-    return (f"steps={steps.tolist()};weights={wpart};cone=orthant;"
-            f"start={[int(v) for v in start]};mode={mode}")
-
-
 def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):
     """Totals of length-n orthant-confined walks for n = 0,...,n_max.
 
@@ -229,7 +226,6 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):
         n_max=n_max,
         mode=mode,
         values=tuple(values),
-        model_id=_model_id(steps, weights, start, mode),
     )
 
 
@@ -353,6 +349,8 @@ def find_delta(steps, cone, v=None, delta_grid=None, n_max=None):
     success witnesses that every start in the delta-shifted cone obeys the
     rate limit; exhaustion over the grid is reported as a value, together
     with the half-space witness when the step set is improper.
+    The witness is looked for once the smallest shift fails, and a found
+    witness skips the other shifts (see the module docstring).
     """
     steps = _as_lattice_steps(steps)
     d = steps.shape[1]
@@ -365,36 +363,23 @@ def find_delta(steps, cone, v=None, delta_grid=None, n_max=None):
         delta_grid = tuple(float(k) for k in range(11))
     if n_max is None:
         n_max = steps_mod.default_h3_depth(steps)
-
-    for delta in sorted(delta_grid):
-        origin = (0,) * d
-        parents = {origin: None}
-        frontier = deque([(origin, 0)])
-        while frontier:
-            point, depth = frontier.popleft()
-            if depth == n_max:
-                continue
-            base = np.array(point, dtype=np.int64)
-            for si, s in enumerate(steps):
-                nxt = base + s
-                key = tuple(int(x) for x in nxt)
-                if key in parents:
-                    continue
-                # state must stay in K - delta*v, i.e. nxt + delta*v in K
-                if not cones.contains(cone, nxt + delta * v):
-                    continue
-                parents[key] = (point, si)
-                if cones.strictly_contains(cone, nxt.astype(float)):
-                    path = []
-                    cur = key
-                    while parents[cur] is not None:
-                        prev, idx = parents[cur]
-                        path.append(tuple(int(x) for x in steps[idx]))
-                        cur = prev
-                    path.reverse()
-                    return FindDeltaResult(found=True, delta=float(delta),
-                                           n0=depth + 1, path=tuple(path))
-                frontier.append((key, depth + 1))
-
-    witness = steps_mod.halfspace_witness(steps_mod.from_step_set(steps), cones.dual(cone))
+    grid = sorted(delta_grid)
+    if not grid:
+        raise ValueError("delta_grid must hold at least one shift")
+    dual = cones.dual(cone)
+    # The witness LP needs the rays of K*, which an inequality description
+    # (the dual of a generated cone) does not give.
+    witness_lp = dual.kind != cones.INEQUALITIES
+    witness = None
+    for i, delta in enumerate(grid):
+        path, _ = steps_mod._interior_path(steps, cone, delta * v, n_max)
+        if path is not None:
+            return FindDeltaResult(found=True, delta=float(delta), n0=len(path), path=path)
+        if i == 0 and witness_lp:
+            witness = steps_mod.halfspace_witness(steps_mod.from_step_set(steps), dual)
+            if witness is not None:
+                break
+    if not witness_lp:
+        # every shift failed: this raises UnsupportedConeError
+        witness = steps_mod.halfspace_witness(steps_mod.from_step_set(steps), dual)
     return FindDeltaResult(found=False, h2_witness=witness)

@@ -17,8 +17,6 @@ from scipy.optimize import linprog
 
 from . import cones, steps as steps_mod
 
-MAX_EXPONENT = 700.0
-
 # Absolute tolerance classifying a step as lying on the hyperplane u-perp;
 # exact for lattice inputs.
 BOUNDARY_TOL = 1e-12
@@ -64,7 +62,7 @@ def _checked_point(model, x):
 
 def _finite_exponents(model, x):
     dots = model.measure.steps @ x
-    if dots.size and float(np.abs(dots).max()) > MAX_EXPONENT:
+    if dots.size and float(np.abs(dots).max()) > steps_mod.MAX_EXPONENT:
         raise OverflowError("Laplace exponent exceeds the overflow guard (700)")
     return dots
 
@@ -75,7 +73,7 @@ def value(model, x):
         dots = _finite_exponents(model, x)
         return float(model.measure.weights @ np.exp(dots))
     expo = 0.5 * float(x @ x) + float(x @ model.drift)
-    if expo > MAX_EXPONENT:
+    if expo > steps_mod.MAX_EXPONENT:
         raise OverflowError("Laplace exponent exceeds the overflow guard (700)")
     return float(np.exp(expo))
 
@@ -143,17 +141,10 @@ def has_global_min_on_cone(model, cone):
     if not steps_mod.check_h1(m):
         raise ValueError("global-minimum test requires a full-dimensional support (H1)")
     S = m.steps
-    k, d = S.shape
-    if cone.kind == cones.ORTHANT:
-        G = S
-        r = d
-    elif cone.kind == cones.GENERATED:
-        G = S @ cone.vectors.T
-        r = cone.vectors.shape[0]
-    else:
-        raise cones.UnsupportedConeError(
-            f"global-minimum test needs an orthant or generated cone, got {cone.kind}"
-        )
+    k = S.shape[0]
+    R = cones._ray_matrix(cone, "global-minimum test")
+    G = S @ R.T
+    r = R.shape[0]
     # min gamma s.t. G t <= gamma, t >= 0, sum t = 1
     c = np.zeros(r + 1)
     c[-1] = 1.0

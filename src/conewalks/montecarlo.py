@@ -24,7 +24,6 @@ class SimConfig:
     seed: int = 0
     trials: int = 10000
     n: int = 100
-    tilt: tuple | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -180,7 +179,7 @@ def band_decay_fit(m, start, cone, v, alpha, horizons, config):
     decay zero.
     """
     horizons = sorted(horizons)
-    cfg = SimConfig(seed=config.seed, trials=config.trials, n=horizons[-1], tilt=config.tilt)
+    cfg = SimConfig(seed=config.seed, trials=config.trials, n=horizons[-1])
     result = band_survival(m, start, cone, v, alpha, cfg, checkpoints=horizons)
     pts = [(k, est) for k, est, _ in result.series if k in set(horizons)]
     if any(est <= 0.0 for _, est in pts):

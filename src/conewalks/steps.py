@@ -144,40 +144,26 @@ def halfspace_witness(m, cone):
     """A direction u != 0 in `cone` with <u, s> <= 0 for every step, or None.
 
     `cone` plays the role of the dual cone K*; it must be an orthant or a
-    generated cone (which is what dualizing the supported walk cones yields).
+    generated cone (which is what dualizing the supported walk cones yields),
+    the orthant entering as the cone generated by the unit vectors.
     The search is a phase-1 feasibility LP over the cone's parametrization,
     normalized so the parameters sum to one; the returned witness is scaled
     to unit l1 norm.
     """
     S = m.steps
-    k, d = S.shape
-    if cone.kind == cones.ORTHANT:
-        # u >= 0, sum u = 1, S u <= 0
-        M = np.zeros((k + 1, d + k))
-        M[:k, :d] = S
-        M[:k, d:] = np.eye(k)
-        M[k, :d] = 1.0
-        b = np.zeros(k + 1)
-        b[k] = 1.0
-        y = nonneg_solution(M, b)
-        u = None if y is None else y[:d]
-    elif cone.kind == cones.GENERATED:
-        R = cone.vectors
-        r = R.shape[0]
-        # u = R^T t with t >= 0, sum t = 1, S u <= 0; valid because the dual
-        # cone of a solid cone is pointed, so R^T t = 0 forces t = 0.
-        M = np.zeros((k + 1, r + k))
-        M[:k, :r] = S @ R.T
-        M[:k, r:] = np.eye(k)
-        M[k, :r] = 1.0
-        b = np.zeros(k + 1)
-        b[k] = 1.0
-        y = nonneg_solution(M, b)
-        u = None if y is None else R.T @ y[:r]
-    else:
-        raise cones.UnsupportedConeError(
-            f"half-space witness search needs an orthant or generated cone, got {cone.kind}"
-        )
+    k = S.shape[0]
+    R = cones._ray_matrix(cone, "half-space witness search")
+    r = R.shape[0]
+    # u = R^T t with t >= 0, sum t = 1, S u <= 0; valid because the dual
+    # cone of a solid cone is pointed, so R^T t = 0 forces t = 0.
+    M = np.zeros((k + 1, r + k))
+    M[:k, :r] = S @ R.T
+    M[:k, r:] = np.eye(k)
+    M[k, :r] = 1.0
+    b = np.zeros(k + 1)
+    b[k] = 1.0
+    y = nonneg_solution(M, b)
+    u = None if y is None else R.T @ y[:r]
     if u is None:
         return None
     l1 = float(np.abs(u).sum())
@@ -212,6 +198,44 @@ def default_h3_depth(steps):
     return max(1, 2 * d * max_l1)
 
 
+def _interior_path(steps, cone, shift, max_depth):
+    """Breadth-first lattice search for a walk from the origin whose states y
+    keep y + shift in the cone and whose last state is in the cone's interior.
+
+    Returns the walk's steps (None when there is none) and whether the depth
+    cap cut the search off.
+    """
+    if max_depth < 1:
+        raise ValueError("search depth must be >= 1")
+    origin = (0,) * steps.shape[1]
+    parents = {origin: None}
+    frontier = deque([(origin, 0)])
+    truncated = False
+    while frontier:
+        point, depth = frontier.popleft()
+        if depth == max_depth:
+            truncated = True
+            continue
+        base = np.array(point, dtype=np.int64)
+        for si, s in enumerate(steps):
+            nxt = base + s
+            key = tuple(int(v) for v in nxt)
+            if key in parents or not cones.contains(cone, nxt + shift):
+                continue
+            parents[key] = (point, si)
+            if cones.strictly_contains(cone, nxt.astype(float)):
+                path = []
+                cur = key
+                while parents[cur] is not None:
+                    prev, idx = parents[cur]
+                    path.append(tuple(int(v) for v in steps[idx]))
+                    cur = prev
+                path.reverse()
+                return tuple(path), truncated
+            frontier.append((key, depth + 1))
+    return None, truncated
+
+
 def check_h3(steps, search_depth=None):
     """Search for a lattice path from the origin staying in Q that reaches
     the open orthant.
@@ -225,38 +249,9 @@ def check_h3(steps, search_depth=None):
     steps = steps.astype(np.int64)
     if search_depth is None:
         search_depth = default_h3_depth(steps)
-    if search_depth < 1:
-        raise ValueError("search_depth must be >= 1")
     d = steps.shape[1]
-    origin = (0,) * d
-    parents = {origin: None}
-    frontier = deque([(origin, 0)])
-    truncated = False
-    while frontier:
-        point, depth = frontier.popleft()
-        if depth == search_depth:
-            truncated = True
-            continue
-        base = np.array(point, dtype=np.int64)
-        for si, s in enumerate(steps):
-            nxt = base + s
-            if np.any(nxt < 0):
-                continue
-            key = tuple(int(v) for v in nxt)
-            if key in parents:
-                continue
-            parents[key] = (point, si)
-            if all(v > 0 for v in key):
-                path = []
-                cur = key
-                while parents[cur] is not None:
-                    prev, idx = parents[cur]
-                    path.append(tuple(int(v) for v in steps[idx]))
-                    cur = prev
-                path.reverse()
-                return H3Result(ok=True, path=tuple(path), exhausted=True)
-            frontier.append((key, depth + 1))
-    return H3Result(ok=False, path=None, exhausted=not truncated)
+    path, truncated = _interior_path(steps, cones.orthant(d), np.zeros(d), search_depth)
+    return H3Result(ok=path is not None, path=path, exhausted=not truncated)
 
 
 def tilt(m, z):

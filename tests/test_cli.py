@@ -116,6 +116,13 @@ class TestVerify:
         assert abs(rates[(2, 2)] - (2 / 3) * math.cos(math.pi / 6)) <= 5e-3
         assert rates[(1, 1)] < rates[(2, 2)] < rates[(3, 3)]
 
+    def test_cone_flag_refused(self, capsys, step_file):
+        # the enumeration is orthant-only, so verify takes no other cone
+        path = step_file("five.json", 2, NSEW_SW)
+        code, out, err = run(capsys, "verify", "--steps", path, "--start", "1,1",
+                             "--n", "300", "--cone", "halfspace:1,1", "--json")
+        assert code == 1 and out == "" and "--cone" in err
+
 
 class TestCheck:
     def test_proper_model(self, capsys, step_file):
@@ -134,6 +141,14 @@ class TestCheck:
         assert doc["h2prime"]["witness"] == [0.5, 0.5]
         assert not doc["h3"]["ok"]
         assert not doc["find_delta"]["found"]
+
+    def test_other_cone_reports_no_h3(self, capsys, step_file):
+        path = step_file("nsew.json", 2, NSEW)
+        code, doc, _ = run_json(capsys, "check", "--steps", path, "--cone", "halfspace:1,-1")
+        assert code == 0
+        assert doc["h3"] is None
+        # (0, -1) enters the open half-space {x1 - x2 > 0} in one step
+        assert doc["find_delta"]["found"] and doc["find_delta"]["path"] == [[0, -1]]
 
 
 class TestHalfspace:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conewalks as cw
 from conewalks import counting
@@ -259,3 +260,30 @@ class TestFindDelta:
                 assert np.all(pos + res.delta * np.ones(2) >= -1e-12)
             assert np.all(pos > 0)
             assert res.n0 == len(res.path)
+
+
+def _small_step_sets(d):
+    vectors = [v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]
+    return st.lists(st.sampled_from(vectors), min_size=1, max_size=6, unique=True)
+
+
+INEQUALITY_CONE = {2: [[2, -1], [-1, 2]], 3: [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]}
+
+
+class TestFindDeltaProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3]).flatmap(_small_step_sets))
+    def test_h2prime_witness_and_h3_agree(self, steps):
+        d = len(steps[0])
+        m = cw.from_step_set(steps)
+        for cone in (cw.orthant(d), cw.halfspace([1.0] * d), cw.inequalities(INEQUALITY_CONE[d])):
+            h2 = cw.check_h2prime(m, cone)
+            if not h2.proper:
+                res = cw.find_delta(steps, cone)
+                assert not res.found
+                assert np.array_equal(res.h2_witness, h2.witness)
+        h3 = cw.check_h3(steps)
+        res = cw.find_delta(steps, cw.orthant(d))
+        assert h3.ok == (res.found and res.delta == 0.0)
+        if h3.ok:
+            assert res.path == h3.path
