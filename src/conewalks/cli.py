@@ -371,7 +371,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0,
                        help="seed for any randomness (default 0, never entropy)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for component parallelism (default 1)")
+                       help="accepted for forward compatibility and echoed in reports; "
+                            "the implementation is single-threaded (default 1)")
 
     p = sub.add_parser("rate", help="rate certificate from dual-cone minimization")
     p.add_argument("--steps", required=True, help="JSON step file")

@@ -1,17 +1,23 @@
 """Seeded Monte Carlo estimation of cone non-exit probabilities.
 
-Randomness comes from a counter-based Philox stream keyed on the seed, with
-trajectory t consuming the fixed positions (step k, trial t) of that stream:
+Randomness comes from a counter-based Philox stream keyed on the seed. Step k
+draws all T = config.trials uniforms at once, so the draw of (step k, trial t)
+sits at stream position (k-1)*T + t whether or not trial t is still inside:
 results are a pure function of (seed, model, start, config) and cannot depend
-on how trials would be scheduled. The tilted estimator simulates under the
-exponentially changed measure at the rate minimizer and reweights back, which
-is unbiased for the original survival probability and much tighter when the
-drift points out of the cone.
+on how trials would be scheduled. Only walkers still inside the cone move; a
+walker that leaves keeps its exit position. A statistic receives the full
+(T, d) position array and the `alive` mask; the rows of dead walkers are
+stale, frozen at exit, so a statistic must mask them.
+
+The tilted estimator simulates under the exponentially changed measure at the
+rate minimizer and reweights back, which is unbiased for the original
+survival probability and much tighter when the drift points out of the cone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +32,12 @@ class SimConfig:
     n: int = 100
 
     def __post_init__(self):
+        for name in ("seed", "trials", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError("seed must be in 0..2**128 - 1, the Philox key range")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.n < 1:
@@ -41,9 +53,22 @@ class SimResult:
     seed: int
 
 
-def _row_membership(cone, pos):
+def _row_membership(cone, pos, trials):
+    """Which rows of `pos`, walkers out of `trials`, lie in the cone.
+
+    The orthant is tested one coordinate at a time. The matrix products of
+    the other cones round a row the same way for any number of rows but one:
+    numpy takes a single row through another BLAS routine, which can put a
+    boundary point on the other side, so a lone survivor is tested as two
+    copies, as it was among all the trials.
+    """
     if cone.kind == cones.ORTHANT:
-        return (pos >= 0).all(axis=1)
+        inside = pos[:, 0] >= 0
+        for c in range(1, cone.dim):
+            inside &= pos[:, c] >= 0
+        return inside
+    if pos.shape[0] == 1 < trials:
+        return _row_membership(cone, np.repeat(pos, 2, axis=0), trials)[:1]
     if cone.kind == cones.HALFSPACE:
         return pos @ cone.vectors >= 0
     if cone.kind == cones.INEQUALITIES:
@@ -64,24 +89,44 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
     """Drive the walk ensemble and evaluate `statistic` at each checkpoint."""
     steps_mod._require_probability(m, "simulation")
     start = np.asarray(start)
+    if start.shape != (m.dim,):
+        raise ValueError(f"start must have length {m.dim}, got shape {start.shape}")
+    if not cones.contains(cone, start):
+        raise ValueError("start lies outside the cone")
+    wanted = set(checkpoints)
+    if not all(isinstance(k, numbers.Integral) and 1 <= k <= config.n for k in wanted):
+        raise ValueError(f"checkpoints must be integers in 1..{config.n}")
     lattice = m.is_lattice() and np.all(start == np.round(start))
     if lattice:
         steps = m.steps.astype(np.int64)
-        pos = np.tile(start.astype(np.int64), (config.trials, 1))
+        start = start.astype(np.int64)
     else:
         steps = m.steps
-        pos = np.tile(start.astype(float), (config.trials, 1))
+        start = start.astype(float)
+    trials = config.trials
+    pos = np.tile(start, (trials, 1))
+    live = np.arange(trials)  # trial numbers of the walkers still inside
+    live_pos = pos.copy()
     cumw = np.cumsum(m.weights)
+    last = steps.shape[0] - 1
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    alive = np.ones(config.trials, dtype=bool)
-    wanted = set(checkpoints)
     out = {}
     for k in range(1, config.n + 1):
-        u = rng.random(config.trials)
-        idx = np.minimum(np.searchsorted(cumw, u, side="right"), steps.shape[0] - 1)
-        pos = pos + steps[idx]
-        alive &= _row_membership(cone, pos)
+        u = rng.random(trials)
+        if live.size < trials:
+            u = u.take(live)
+        idx = np.searchsorted(cumw, u, side="right")
+        np.minimum(idx, last, out=idx)
+        live_pos += steps.take(idx, axis=0)
+        inside = _row_membership(cone, live_pos, trials)
+        if not inside.all():
+            pos[live[~inside]] = live_pos[~inside]
+            live = live[inside]
+            live_pos = live_pos[inside]
         if k in wanted:
+            pos[live] = live_pos
+            alive = np.zeros(trials, dtype=bool)
+            alive[live] = True
             out[k] = statistic(k, pos, alive)
     return out
 
@@ -178,7 +223,9 @@ def band_decay_fit(m, start, cone, v, alpha, horizons, config):
     to one is the non-exponential-decay signature. Any zero estimate reports
     decay zero.
     """
-    horizons = sorted(horizons)
+    horizons = sorted(set(horizons))
+    if len(horizons) < 2 or horizons[0] < 1:
+        raise ValueError("band_decay_fit needs at least two distinct positive horizons")
     cfg = SimConfig(seed=config.seed, trials=config.trials, n=horizons[-1])
     result = band_survival(m, start, cone, v, alpha, cfg, checkpoints=horizons)
     pts = [(k, est) for k, est, _ in result.series if k in set(horizons)]

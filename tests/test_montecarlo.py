@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conewalks as cw
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
+ENSWS = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)]
+D3_DRIFT_OUT = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)]
 Q2 = cw.orthant(2)
 
 
@@ -153,3 +157,150 @@ class TestConfigValidation:
         m = cw.counting_measure(NSEW)
         with pytest.raises(ValueError):
             cw.simulate_survival(m, (0, 0), Q2, cw.SimConfig(seed=0, trials=10, n=5))
+
+    @pytest.mark.parametrize("field", [{"trials": 10.0}, {"n": 5.5}, {"trials": "10"},
+                                       {"seed": 1.5}, {"seed": -1}, {"seed": 2**128}, {"n": True}])
+    def test_non_integer_or_out_of_range_config_rejected(self, field):
+        kwargs = {"seed": 0, "trials": 10, "n": 5, **field}
+        with pytest.raises(ValueError):
+            cw.SimConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = cw.SimConfig(seed=np.int64(3), trials=np.int32(10), n=np.int64(5))
+        res = cw.simulate_survival(cw.from_step_set(NSEW), (1, 1), Q2, cfg)
+        assert res == cw.simulate_survival(cw.from_step_set(NSEW), (1, 1), Q2,
+                                           cw.SimConfig(seed=3, trials=10, n=5))
+
+    @pytest.mark.parametrize("start, cone", [((-1, 3), Q2), ((-1, 0), cw.halfspace((1, 1))),
+                                             ((0, 3), cw.inequalities([[2, -1], [-1, 2]]))])
+    def test_start_outside_cone_rejected(self, start, cone):
+        m = cw.from_step_set([(1, 0), (0, 1)])
+        cfg = cw.SimConfig(seed=0, trials=100, n=5)
+        with pytest.raises(ValueError, match="outside the cone"):
+            cw.simulate_survival(m, start, cone, cfg)
+        with pytest.raises(ValueError, match="outside the cone"):
+            cw.band_survival(m, start, cone, (1, -1), 4.0, cfg)
+
+    def test_start_outside_cone_rejected_by_tilted(self):
+        m = cw.from_step_set(ENSWS)
+        cert = cw.minimize_on_dual(cw.FiniteLaplace(m), Q2)
+        with pytest.raises(ValueError, match="outside the cone"):
+            cw.tilted_survival(m, cert, (1, -1), Q2, cw.SimConfig(seed=0, trials=100, n=5))
+
+    @pytest.mark.parametrize("start", [(1,), (1, 1, 1), 1])
+    def test_start_of_wrong_length_rejected(self, start):
+        m = cw.from_step_set(NSEW)
+        with pytest.raises(ValueError, match="length 2"):
+            cw.simulate_survival(m, start, Q2, cw.SimConfig(seed=0, trials=10, n=5))
+
+    @pytest.mark.parametrize("checkpoints", [(0, 5), (6,), (-1,), (2.5,)])
+    def test_checkpoint_outside_horizon_rejected(self, checkpoints):
+        m = cw.from_step_set([(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="checkpoints"):
+            cw.band_survival(m, (0, 0), Q2, (1, -1), 4.0, cw.SimConfig(seed=0, trials=10, n=5),
+                             checkpoints=checkpoints)
+
+    @pytest.mark.parametrize("horizons", [(0, 100), (100,), (100, 100), (), (-100, 100)])
+    def test_band_decay_fit_needs_two_positive_horizons(self, horizons):
+        m = cw.from_step_set([(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="horizons"):
+            cw.band_decay_fit(m, (0, 0), Q2, (1, -1), 4.0, horizons,
+                              cw.SimConfig(seed=0, trials=10, n=5))
+
+
+
+def _hex(res):
+    return res.estimate.hex(), res.stderr.hex()
+
+
+def _tilted_hex(steps, weights, start, config):
+    m = cw.probability_measure(steps, weights) if weights else cw.from_step_set(steps)
+    cone = cw.orthant(len(steps[0]))
+    cert = cw.minimize_on_dual(cw.FiniteLaplace(m), cone)
+    return _hex(cw.tilted_survival(m, cert, start, cone, config))
+
+
+class TestGoldenStream:
+    """Seeded outputs pinned bit for bit: draw (step k, trial t) is Philox
+    stream position k*T + t, so any change to the stream or to the order of
+    float operations on a walker shows up here."""
+
+    def test_band_decay_fit(self):
+        m = cw.from_step_set([(1, 0), (0, 1)])
+        fit = cw.band_decay_fit(m, (0, 0), Q2, (1, -1), 1.0, range(100, 801, 100),
+                                cw.SimConfig(seed=3, trials=2000, n=800))
+        assert fit.per_step_decay.hex() == "0x1.fff60a1e772c8p-1"
+        assert [(k, e.hex(), s.hex()) for k, e, s in fit.series] == [
+            (100, "0x1.80c49ba5e353fp-1", "0x1.3cb7863b3899ap-7"),
+            (200, "0x1.722d0e5604189p-1", "0x1.47fbe31dfeb4ap-7"),
+            (300, "0x1.57ced916872b0p-1", "0x1.5837f0f22c341p-7"),
+            (400, "0x1.74bc6a7ef9db2p-1", "0x1.4621d7d5419ccp-7"),
+            (500, "0x1.6c083126e978dp-1", "0x1.4c389c679da6ap-7"),
+            (600, "0x1.64189374bc6a8p-1", "0x1.5146b7f6fe37dp-7"),
+            (700, "0x1.604189374bc6ap-1", "0x1.538f10caa61cfp-7"),
+            (800, "0x1.67ae147ae147bp-1", "0x1.4f0ce95d1ea4cp-7"),
+        ]
+
+    def test_tilted_most_walkers_die(self):
+        got = _tilted_hex(ENSWS, None, (1, 1), cw.SimConfig(seed=5, trials=4000, n=60))
+        assert got == ("0x1.839d6f9428c0dp-12", "0x1.0e5c56d1bac6ep-15")
+
+    def test_tilted_1d(self):
+        got = _tilted_hex([(1,), (-1,)], [0.25, 0.75], (3,), cw.SimConfig(seed=1, trials=4000, n=40))
+        assert got == ("0x1.637f4c23f6c3cp-11", "0x1.f4c64ac216265p-16")
+
+    def test_tilted_3d(self):
+        got = _tilted_hex(D3_DRIFT_OUT, None, (1, 1, 1), cw.SimConfig(seed=2, trials=3000, n=30))
+        assert got == ("0x1.af843dbc145ffp-8", "0x1.ce6d7227c915fp-12")
+
+    def test_plain_halfspace_float_start(self):
+        res = cw.simulate_survival(cw.from_step_set(ENSWS), (1.5, 0.25), cw.halfspace((0.3, 0.7)),
+                                   cw.SimConfig(seed=4, trials=3000, n=25))
+        assert _hex(res) == ("0x1.8ead65b7a3284p-6", "0x1.70c8f4bec3261p-9")
+
+    def test_plain_inequalities_float_start(self):
+        cone = cw.inequalities([[2, -1], [-1, 2]])
+        res = cw.simulate_survival(cw.from_step_set(ENSWS), (1.5, 1.25), cone,
+                                   cw.SimConfig(seed=6, trials=3000, n=6))
+        assert _hex(res) == ("0x1.89374bc6a7efap-6", "0x1.6e501ac6589c8p-9")
+
+    @pytest.mark.parametrize("seed, trials, pinned", [
+        (11, 5, ("0x1.999999999999ap-3", "0x1.999999999999ap-3")),
+        (93, 8, ("0x0.0p+0", "0x0.0p+0")),
+    ])
+    def test_lone_walker_on_non_integer_boundary(self, seed, trials, pinned):
+        # walkers on the line x + y = 0 of a non-integer normal are judged by
+        # the sign of a rounding error; the last walker alive must be judged
+        # as it was among all T rows
+        res = cw.simulate_survival(cw.from_step_set(NSEW), (1, 1), cw.halfspace((0.1, 0.1)),
+                                   cw.SimConfig(seed=seed, trials=trials, n=40))
+        assert _hex(res) == pinned
+
+
+@st.composite
+def _walk_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    vectors = [v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]
+    steps = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=6, unique=True))
+    coord = st.one_of(st.integers(0, 3), st.floats(0.0, 3.0, allow_nan=False))
+    start = tuple(draw(st.lists(coord, min_size=d, max_size=d)))
+    perm = draw(st.permutations(range(d)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return steps, start, perm, seed
+
+
+class TestSimulationProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_walk_cases())
+    def test_orthant_path_and_coordinate_permutation(self, case):
+        steps, start, perm, seed = case
+        d = len(start)
+        cfg = cw.SimConfig(seed=seed, trials=300, n=20)
+        res = cw.simulate_survival(cw.from_step_set(steps), start, cw.orthant(d), cfg)
+        # the per-coordinate orthant test against the generic inequality one
+        generic = cw.simulate_survival(cw.from_step_set(steps), start, cw.inequalities(np.eye(d)), cfg)
+        assert _hex(generic) == _hex(res)
+        # the orthant is symmetric under permuting coordinates
+        permuted = cw.simulate_survival(cw.from_step_set([[s[i] for i in perm] for s in steps]),
+                                        [start[i] for i in perm], cw.orthant(d), cfg)
+        assert _hex(permuted) == _hex(res)
