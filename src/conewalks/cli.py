@@ -232,9 +232,10 @@ def cmd_verify(args):
         _emit(report, args.json)
         return EXIT_NONCONVERGENCE
 
-    dp_rate = dp_extrapolated(start, args.n)
-    series_mc = counting.count_walks(measure.steps, start, mc_n, weights=measure.weights)
-    dp_survival = series_mc.float_value(mc_n)
+    # one DP run to the larger horizon serves both (prefix refuses a negative one)
+    series = counting.count_walks(measure.steps, start, max(args.n, mc_n), weights=measure.weights)
+    dp_rate = counting.estimate_rate(series.prefix(args.n)).extrapolated
+    dp_survival = series.prefix(mc_n).float_value(mc_n)
     config = montecarlo.SimConfig(seed=args.seed, trials=args.trials, n=mc_n)
     mc = montecarlo.tilted_survival(measure, cert, start, cone, config)
     rate_gap = abs(dp_rate - cert.rho)

@@ -8,6 +8,17 @@ kept: exact arbitrary-precision integers for unit weights, and doubles with
 a per-layer max renormalization whose accumulated logarithm keeps thousands
 of layers in range.
 
+No layer allocates a box of its own: each new box is a C-ordered view of one
+of two buffers that the DP owns and uses in turn, zeroed and filled in place;
+a buffer is replaced only when a box outgrows it, and both are freed with the
+DP. Only a step with a weight other than 1 makes a temporary, for its
+product. The float results are fixed to the bit by one order of operations
+in every layer: the step contributions are added cell by cell in step order
+(a unit weight adds the cell unscaled, as 1.0 * x == x), the box is trimmed
+to its nonzero cells, the layer is divided by its maximum, and cells below
+FLOAT_TRIM are zeroed; the total is the pairwise sum over the trimmed box,
+whose memory layout is that of a freshly allocated box.
+
 The same machinery provides the per-endpoint layer (for the change-of-measure
 identity check) and n-th-root rate extrapolation from the count series. The
 module also holds the delta search: breadth-first lattice searches, one per
@@ -65,6 +76,13 @@ class CountSeries:
             return None
         return math.log(mantissa) + scale
 
+    def prefix(self, n):
+        """The series cut at horizon n: layer k depends only on the first k
+        steps, so this equals the series counted to n."""
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"horizon {n} outside 0..{self.n_max}")
+        return CountSeries(start=self.start, n_max=n, mode=self.mode, values=self.values[:n + 1])
+
     def float_value(self, n):
         lv = self.log_value(n)
         if lv is None:
@@ -76,7 +94,9 @@ class CountSeries:
 
 def _as_lattice_steps(steps):
     steps = np.atleast_2d(np.asarray(steps))
-    if np.any(steps != np.round(steps)):
+    if steps.ndim != 2 or 0 in steps.shape:
+        raise ValueError("need at least one step, each a vector of length >= 1")
+    if not np.all(np.isfinite(steps)) or np.any(steps != np.round(steps)):
         raise ValueError("enumeration needs integer lattice steps")
     return steps.astype(np.int64)
 
@@ -95,22 +115,54 @@ def _as_orthant_start(start, dim, cone):
     return start
 
 
+def _dp_inputs(steps, start, n, weights, exact, cone):
+    """Checked steps, start and weights (None in exact mode) for a layer DP
+    run to horizon ``n``; every malformed input raises ValueError."""
+    steps = _as_lattice_steps(steps)
+    k, d = steps.shape
+    start = _as_orthant_start(start, d, cone)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"horizon must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"horizon must be >= 0, got {n}")
+    cap = MAX_HORIZON.get(d, MAX_HORIZON_HIGH_DIM)
+    if n > cap:
+        raise ValueError(f"horizon {n} above the dimension-{d} cap {cap}")
+    if exact:
+        if weights is not None:
+            raise ValueError("exact mode counts walks and requires unit weights")
+        if n > MAX_HORIZON_EXACT:
+            raise ValueError(f"exact mode capped at n <= {MAX_HORIZON_EXACT}")
+        return steps, start, None
+    w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (k,) or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise ValueError("need one positive finite weight per step")
+    return steps, start, w
+
+
 class _LayerDP:
-    """Orthant-confined layer recurrence on an adaptive bounding box."""
+    """Orthant-confined layer recurrence on an adaptive bounding box.
+
+    The box of each new layer lives in one of two buffers owned by the DP,
+    used in turn so a layer is never written over the one it is read from.
+    """
 
     def __init__(self, steps, weights, start, exact, trim_threshold=FLOAT_TRIM):
-        self.steps = steps
         self.exact = exact
         self.d = steps.shape[1]
-        self.weights = [1] * steps.shape[0] if exact else weights
         self.trim_threshold = trim_threshold
-        self.lo = start.copy()
+        self.step_min = [int(v) for v in steps.min(axis=0)]
+        self.step_max = [int(v) for v in steps.max(axis=0)]
+        # (shift, weight) per step in step order; weight None adds unscaled
+        weights = [1.0] * len(steps) if exact else weights
+        self.plan = [(tuple(int(v) for v in s), None if w == 1.0 else float(w))
+                     for s, w in zip(steps, weights)]
+        dtype = object if exact else float
+        self._buffers = [np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)]
+        self.lo = [int(v) for v in start]
         self.log_scale = 0.0
-        if exact:
-            self.layer = np.empty((1,) * self.d, dtype=object)
-            self.layer[(0,) * self.d] = 1
-        else:
-            self.layer = np.ones((1,) * self.d, dtype=float)
+        self.layer = np.empty((1,) * self.d, dtype=dtype)
+        self.layer.fill(1)
 
     @property
     def dead(self):
@@ -121,32 +173,44 @@ class _LayerDP:
             return int(self.layer.sum()) if self.layer.size else 0
         return (float(self.layer.sum()) if self.layer.size else 0.0, self.log_scale)
 
+    def _fresh(self, shape):
+        """A zeroed C-ordered array of ``shape`` in the buffer not read last."""
+        size = math.prod(shape)
+        if self._buffers[0].size < size:
+            self._buffers[0] = None  # freed before its successor is allocated
+            self._buffers[0] = np.empty(size, dtype=self.layer.dtype)
+        buf = self._buffers.pop(0)
+        self._buffers.append(buf)
+        new = buf[:size].reshape(shape)
+        new.fill(0)
+        return new
+
     def advance(self):
         if self.dead:
             return
         lo, layer = self.lo, self.layer
-        hi = lo + np.array(layer.shape, dtype=np.int64) - 1
-        new_lo = np.maximum(lo + self.steps.min(axis=0), 0)
-        new_hi = hi + self.steps.max(axis=0)
-        if np.any(new_hi < new_lo):
+        old_shape = layer.shape
+        new_lo = [max(a + m, 0) for a, m in zip(lo, self.step_min)]
+        shape = tuple(a + n - b + m for a, n, b, m in zip(lo, old_shape, new_lo, self.step_max))
+        if min(shape) <= 0:
             self._kill()
             return
-        shape = tuple(int(v) for v in (new_hi - new_lo + 1))
-        if self.exact:
-            new = np.zeros(shape, dtype=object)
-        else:
-            new = np.zeros(shape, dtype=float)
-        for s, w in zip(self.steps, self.weights):
-            d_lo = np.maximum(new_lo, lo + s)
-            d_hi = np.minimum(new_hi, hi + s)
-            if np.any(d_lo > d_hi):
-                continue
-            dst = tuple(slice(int(a - b), int(c - b + 1)) for a, c, b in zip(d_lo, d_hi, new_lo))
-            src = tuple(slice(int(a - e - b), int(c - e - b + 1)) for a, c, e, b in zip(d_lo, d_hi, s, lo))
-            if self.exact:
-                new[dst] += layer[src]
+        new = self._fresh(shape)
+        for shift, w in self.plan:
+            dst, src = [], []
+            for a, n, b, s in zip(lo, old_shape, new_lo, shift):
+                # cells y - s of the old box with y >= 0 land on y
+                cut = max(-(a + s), 0)
+                if cut >= n:
+                    break
+                dst.append(slice(a + s + cut - b, a + s + n - b))
+                src.append(slice(cut, n))
             else:
-                new[dst] += w * layer[src]
+                view = new[tuple(dst)]
+                if w is None:
+                    view += layer[tuple(src)]
+                else:
+                    view += w * layer[tuple(src)]
         self.lo, self.layer = new_lo, new
         self._trim()
         if not self.exact and not self.dead:
@@ -155,26 +219,30 @@ class _LayerDP:
                 self.layer /= mx
                 self.log_scale += math.log(mx)
                 if self.trim_threshold > 0.0:
-                    self.layer[self.layer < self.trim_threshold] = 0.0
+                    np.copyto(self.layer, 0.0, where=self.layer < self.trim_threshold)
 
     def _kill(self):
         self.layer = np.zeros((0,) * self.d, dtype=self.layer.dtype)
 
     def _trim(self):
-        if self.exact:
-            mask = self.layer != 0
-        else:
-            mask = self.layer > 0.0
-        if not mask.any():
-            self._kill()
-            return
-        slices = []
+        """Shrink the box to its nonzero cells, reading inward from each face."""
+        layer = self.layer
         for ax in range(self.d):
-            proj = mask.any(axis=tuple(i for i in range(self.d) if i != ax))
-            idx = np.where(proj)[0]
-            slices.append(slice(int(idx[0]), int(idx[-1] + 1)))
-            self.lo[ax] += int(idx[0])
-        self.layer = self.layer[tuple(slices)]
+            def occupied(i):
+                # cells are never negative, so a positive maximum means a nonzero cell
+                return layer[(slice(None),) * ax + (slice(i, i + 1),)].max() > 0
+
+            first, last = 0, layer.shape[ax] - 1
+            while first <= last and not occupied(first):
+                first += 1
+            if first > last:
+                self._kill()
+                return
+            while not occupied(last):
+                last -= 1
+            layer = layer[(slice(None),) * ax + (slice(first, last + 1),)]
+            self.lo[ax] += first
+        self.layer = layer
 
     def endpoint_items(self):
         """(lattice point, mass) pairs of the current layer."""
@@ -182,7 +250,7 @@ class _LayerDP:
         if self.dead:
             return items
         for idx in np.argwhere(self.layer != 0 if self.exact else self.layer > 0.0):
-            point = tuple(int(v) for v in (self.lo + idx))
+            point = tuple(a + int(i) for a, i in zip(self.lo, idx))
             v = self.layer[tuple(idx)]
             if self.exact:
                 items.append((point, int(v)))
@@ -197,25 +265,9 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):
     Unit weights (``weights=None``) count walks; probability weights turn the
     totals into survival probabilities. Exact mode demands unit weights.
     """
-    steps = _as_lattice_steps(steps)
-    start = _as_orthant_start(start, steps.shape[1], cone)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     if mode not in (EXACT, LOG_SCALED):
         raise ValueError(f"unknown mode {mode!r}")
-    cap = MAX_HORIZON.get(steps.shape[1], MAX_HORIZON_HIGH_DIM)
-    if n_max > cap:
-        raise ValueError(f"horizon {n_max} above the dimension-{steps.shape[1]} cap {cap}")
-    if mode == EXACT:
-        if weights is not None:
-            raise ValueError("exact mode counts walks and requires unit weights")
-        if n_max > MAX_HORIZON_EXACT:
-            raise ValueError(f"exact mode capped at n <= {MAX_HORIZON_EXACT}")
-        w = None
-    else:
-        w = np.ones(steps.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-        if w.shape != (steps.shape[0],) or np.any(w <= 0.0):
-            raise ValueError("need one positive weight per step")
+    steps, start, w = _dp_inputs(steps, start, n_max, weights, mode == EXACT, cone)
     dp = _LayerDP(steps, w, start, exact=(mode == EXACT))
     values = [dp.total()]
     for _ in range(n_max):
@@ -231,10 +283,8 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):
 
 def end_point_counts(steps, start, cone, n, weights=None):
     """The n-th layer itself: lattice endpoint -> count (or weighted mass)."""
-    steps = _as_lattice_steps(steps)
-    start = _as_orthant_start(start, steps.shape[1], cone)
     exact = weights is None
-    w = None if exact else np.asarray(weights, dtype=float)
+    steps, start, w = _dp_inputs(steps, start, n, weights, exact, cone)
     # no threshold trim here: endpoint masses are compared cell by cell
     dp = _LayerDP(steps, w, start, exact=exact, trim_threshold=0.0)
     for _ in range(n):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conewalks import cli
+from conewalks import cli, counting
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 NSEW_SW = [(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)]
@@ -115,6 +115,31 @@ class TestVerify:
         assert abs(rates[(1, 1)] - math.sqrt(2) / 3) <= 5e-3
         assert abs(rates[(2, 2)] - (2 / 3) * math.cos(math.pi / 6)) <= 5e-3
         assert rates[(1, 1)] < rates[(2, 2)] < rates[(3, 3)]
+
+    @pytest.mark.parametrize("n, mc_n", [(300, 60), (50, 80)])
+    def test_one_dp_run_serves_both_horizons(self, capsys, step_file, monkeypatch, n, mc_n):
+        horizons = []
+        count_walks = counting.count_walks
+
+        def recorded(steps, start, n_max, **kwargs):
+            horizons.append(n_max)
+            return count_walks(steps, start, n_max, **kwargs)
+
+        monkeypatch.setattr(counting, "count_walks", recorded)
+        path = step_file("five.json", 2, NSEW_SW)
+        code, doc, _ = run_json(capsys, "verify", "--steps", path, "--start", "1,1",
+                                "--n", str(n), "--mc-n", str(mc_n), "--trials", "2000")
+        assert code == 0 and horizons == [max(n, mc_n)]
+        weights = np.full(5, 0.2)
+        rate = counting.estimate_rate(count_walks(NSEW_SW, (1, 1), n, weights=weights))
+        survival = count_walks(NSEW_SW, (1, 1), mc_n, weights=weights).float_value(mc_n)
+        assert doc["dp"] == {"extrapolated_rate": rate.extrapolated, "survival_at_mc_n": survival}
+
+    def test_negative_mc_horizon_exits_1(self, capsys, step_file):
+        path = step_file("five.json", 2, NSEW_SW)
+        code, out, err = run(capsys, "verify", "--steps", path, "--start", "1,1",
+                             "--n", "100", "--mc-n", "-3", "--json")
+        assert code == 1 and out == "" and "horizon" in err
 
     def test_cone_flag_refused(self, capsys, step_file):
         # the enumeration is orthant-only, so verify takes no other cone

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -12,6 +13,8 @@ NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 NSEW_SW = [(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)]
 HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
 HS_WEIGHTS = np.array([1 / 3, 1 / 3, 1 / 3])
+S5 = [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1)]
+D3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 
 
 def brute_totals(steps, start, n, weights=None):
@@ -91,6 +94,15 @@ class TestCountWalks:
         with pytest.raises(ValueError):
             cw.count_walks([(0.5, 1.0)], (0, 0), 3)
 
+    def test_prefix_is_the_shorter_series(self):
+        weights = np.full(5, 0.2)
+        long = cw.count_walks(NSEW_SW, (1, 1), 90, weights=weights)
+        short = cw.count_walks(NSEW_SW, (1, 1), 40, weights=weights)
+        assert (long.prefix(40).n_max, long.prefix(40).values) == (40, short.values)
+        for n in (-1, 91):
+            with pytest.raises(ValueError):
+                long.prefix(n)
+
     def test_exact_mode_requires_unit_weights(self):
         with pytest.raises(ValueError):
             cw.count_walks(NSEW, (0, 0), 3, weights=np.full(4, 0.25), mode="exact")
@@ -128,6 +140,93 @@ class TestCountWalks:
                 prev = cur
 
 
+# Inputs both DP entry points must refuse: (steps, weights, n, message).
+BAD_DP_INPUTS = {
+    "nan weight": (NSEW_SW, [0.2, 0.2, np.nan, 0.2, 0.2], 5, "weight"),
+    "inf weight": (NSEW_SW, [0.2, 0.2, np.inf, 0.2, 0.2], 5, "weight"),
+    "negative weight": (HALFSPACE_MODEL, [0.5, 0.5, -0.1], 5, "weight"),
+    "zero weight": (HALFSPACE_MODEL, [0.5, 0.5, 0.0], 5, "weight"),
+    "too few weights": (HALFSPACE_MODEL, [0.5, 0.5], 5, "weight"),
+    "too many weights": (HALFSPACE_MODEL, [0.2, 0.2, 0.2, 0.4], 5, "weight"),
+    "negative horizon": (NSEW, None, -2, "horizon"),
+    "bool horizon": (NSEW, None, True, "horizon"),
+    "float horizon": (NSEW, None, 3.0, "horizon"),
+    "horizon over the cap": (NSEW, None, 10**6, "cap"),
+    "3-D horizon over its cap": (D3, None, 121, "cap"),
+    "no steps": ([], None, 3, "at least one step"),
+    "steps of length 0": ([[], []], None, 3, "at least one step"),
+    "infinite step": ([(np.inf, 0.0), (0.0, 1.0)], None, 3, "lattice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DP_INPUTS))
+def test_bad_dp_inputs_raise(case):
+    steps, weights, n, message = BAD_DP_INPUTS[case]
+    start = (1,) * (len(steps[0]) if len(steps) and len(steps[0]) else 2)
+    with pytest.raises(ValueError, match=message):
+        cw.count_walks(steps, start, n, weights=weights)
+    with pytest.raises(ValueError, match=message):
+        cw.end_point_counts(steps, start, None, n, weights=weights)
+
+
+def test_exact_endpoint_layer_capped():
+    cw.end_point_counts([(1, 0), (0, 1)], (0, 0), None, counting.MAX_HORIZON_EXACT)
+    with pytest.raises(ValueError):
+        cw.end_point_counts([(1, 0), (0, 1)], (0, 0), None, counting.MAX_HORIZON_EXACT + 1)
+
+
+@st.composite
+def _dp_cases(draw):
+    """A step set from {-1,0,1}^d (d = 1-3), a start near the apex and a short horizon."""
+    d = draw(st.integers(1, 3))
+    vectors = [v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]
+    steps = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=6, unique=True))
+    start = tuple(draw(st.lists(st.integers(0, 2), min_size=d, max_size=d)))
+    return steps, start, draw(st.integers(0, 12))
+
+
+class TestDPProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_dp_cases())
+    def test_exact_and_log_modes_agree(self, case):
+        steps, start, n = case
+        exact = cw.count_walks(steps, start, n, mode="exact")
+        logs = cw.count_walks(steps, start, n, mode="log_scaled")
+        for m in range(n + 1):
+            le, ll = exact.log_value(m), logs.log_value(m)
+            if le is None:
+                assert ll is None
+            else:
+                assert abs(le - ll) <= 1e-12 * max(1.0, abs(le))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_dp_cases(), st.randoms(use_true_random=False))
+    def test_counts_invariant_under_step_order_and_axis_permutation(self, case, rnd):
+        steps, start, n = case
+        d = len(start)
+        order = rnd.sample(range(len(steps)), len(steps))
+        axes = rnd.sample(range(d), d)
+        moved = [tuple(steps[i][a] for a in axes) for i in order]
+        base = cw.count_walks(steps, start, n, mode="exact").values
+        assert cw.count_walks(moved, tuple(start[a] for a in axes), n, mode="exact").values == base
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_dp_cases(), st.booleans())
+    def test_box_is_tight_after_every_step(self, case, exact):
+        # unit weights and n <= 12 keep every cell above FLOAT_TRIM of the
+        # maximum (at most 6^12 walks), so the float box is tight as well
+        steps, start, n = case
+        steps, start, w = counting._dp_inputs(steps, start, n, None, exact, None)
+        dp = counting._LayerDP(steps, w, start, exact=exact)
+        for _ in range(n):
+            dp.advance()
+            if dp.dead:
+                break
+            for ax in range(dp.d):
+                cut = np.moveaxis(dp.layer, ax, 0)
+                assert np.any(cut[0] != 0) and np.any(cut[-1] != 0)
+
+
 class TestEndpointCounts:
     def test_binomial_paths(self):
         counts = cw.end_point_counts([(0, 1), (1, 0)], (0, 0), None, 2)
@@ -142,6 +241,66 @@ class TestEndpointCounts:
             series = cw.count_walks(steps, (1, 1), 6, mode="exact")
             layer = cw.end_point_counts(steps, (1, 1), None, 6)
             assert sum(layer.values()) == series.values[6]
+
+
+HS_STEPS = cw.families.HALFSPACE_STEPS
+
+
+def _hs_weights(p):
+    return tuple(cw.families.halfspace_weights(p))
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _log_digest(series):
+    """SHA-256 of float.hex of every log_value ('-' for a zero total)."""
+    return _sha256(",".join("-" if (lv := series.log_value(n)) is None else lv.hex()
+                            for n in range(series.n_max + 1)))
+
+
+class TestGoldenLayers:
+    """DP outputs pinned bit for bit. The order of float operations in a
+    layer is fixed (step adds in step order, trim, max-normalisation, cut
+    below FLOAT_TRIM), and the total is summed over the trimmed box; any
+    change to that order shows up here."""
+
+    @pytest.mark.parametrize("steps, start, n, weights, digest, last", [
+        (S5, (0, 0), 1200, None,
+         "662764e538169d2ca46bfbc9fa3d30ba023218cdd63a82ede2cfb30bc70f0cec", "0x1.e281d2bbbc759p+10"),
+        (D3, (0, 0, 0), 120, None,
+         "c93768fa9c7fbadbfefc18ad1cb0de9035970b5f4999c9a87fd2a5c207f0d3e8", "0x1.44a43c38d35a1p+7"),
+        (D3, (0, 0, 0), 120, (0.1, 0.2, 0.3, 0.4),
+         "b97dc71a86579ba6ea43754151dd6e57045cd9dc7d599c15e502dda81784372d", "-0x1.301bd2f69c52dp+4"),
+        ([(1,), (-1,)], (0,), 2000, (0.25, 0.75),
+         "c7f536a48494f8bb1c2594cb52545e7dfae6afd0542264a3464238a15d25fe06", "-0x1.2985e9cc1a8a7p+8"),
+        (HS_STEPS, (1, 1), 1500, _hs_weights(1 / 3),
+         "4e7dc93254b824cec5039b3e7954d905d425ea07a4901389a82a145a9cf9c707", "-0x1.1a03b70d34d32p+10"),
+        (HS_STEPS, (1, 1), 1500, _hs_weights(0.4),
+         "090f01f62f93fe708c6f278c6f7ed455320a1f9e011568e40d4837a3051b16bc", "-0x1.418653159ad0dp+10"),
+        (HS_STEPS, (1, 1), 1500, _hs_weights(0.3),
+         "a2c47a03b61b7297a0929e9eb9c11633411d2ba18d372dcc2908776e0047c4dc", "-0x1.07b7dbfa19f83p+10"),
+    ], ids=["s5", "d3", "d3-weighted", "d1", "halfspace-1/3", "halfspace-0.4", "halfspace-0.3"])
+    def test_log_values(self, steps, start, n, weights, digest, last):
+        series = cw.count_walks(steps, start, n, weights=weights)
+        assert series.log_value(n).hex() == last
+        assert _log_digest(series) == digest
+
+    def test_exact_counts(self):
+        series = cw.count_walks(S5, (0, 0), 150, mode="exact")
+        assert _sha256(",".join(str(v) for v in series.values)) == (
+            "7da92e0c0bc226a35bd31bd829fce3cb43c64f2a6b1c77cd52f38d3582858ddd")
+
+    def test_end_point_counts(self):
+        masses = cw.end_point_counts(NSEW_SW, (1, 1), None, 25, weights=[0.2] * 5)
+        counts = cw.end_point_counts(NSEW_SW, (1, 1), None, 25)
+        assert len(masses) == len(counts) == 377
+        assert sum(counts.values()) == 4012701354324432
+        assert _sha256(",".join(f"{p}:{v.hex()}" for p, v in sorted(masses.items()))) == (
+            "643278714675251ff10cad4be7f77347ac1e3772bffbcc3249be40dba1c41131")
+        assert _sha256(",".join(f"{p}:{v}" for p, v in sorted(counts.items()))) == (
+            "5a0d12a23df949a9d912cf77811471a4cec4b1196df21350a4c790a11df86f20")
 
 
 class TestEstimateRate:
