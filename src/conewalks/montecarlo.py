@@ -9,6 +9,16 @@ walker that leaves keeps its exit position. A statistic receives the full
 (T, d) position array and the `alive` mask; the rows of dead walkers are
 stale, frozen at exit, so a statistic must mask them.
 
+Steps are chosen from the raw 64-bit Philox words, not from doubles. numpy's
+uniform double is `(raw >> 11) * 2**-53`, so `u >= c` holds exactly when
+`raw >= ceil(c * 2**53) << 11`; the step index is the number of such integer
+thresholds a word reaches, one per cumulative weight below 1, which is what
+`searchsorted(cumsum(weights), u, side="right")` clipped to the last step
+gives. On the orthant only the coordinates that some step decreases, or that
+start negative within the membership tolerance, are tested: a nonnegative
+coordinate plus a nonnegative step stays nonnegative, in int64 and in floats.
+Lattice walks run in int64 unless |start| + n |step| could reach 2**63.
+
 The tilted estimator simulates under the exponentially changed measure at the
 rate minimizer and reweights back, which is unbiased for the original
 survival probability and much tighter when the drift points out of the cone.
@@ -53,22 +63,23 @@ class SimResult:
     seed: int
 
 
-def _row_membership(cone, pos, trials):
+def _row_membership(cone, pos, trials, coords):
     """Which rows of `pos`, walkers out of `trials`, lie in the cone.
 
-    The orthant is tested one coordinate at a time. The matrix products of
-    the other cones round a row the same way for any number of rows but one:
-    numpy takes a single row through another BLAS routine, which can put a
-    boundary point on the other side, so a lone survivor is tested as two
-    copies, as it was among all the trials.
+    The orthant is tested one coordinate at a time, on the non-empty list
+    `coords` only; the other cones ignore it. Their matrix products round a
+    row the same way for any number of rows but one: numpy takes a single row
+    through another BLAS routine, which can put a boundary point on the other
+    side, so a lone survivor is tested as two copies, as it was among all the
+    trials.
     """
     if cone.kind == cones.ORTHANT:
-        inside = pos[:, 0] >= 0
-        for c in range(1, cone.dim):
+        inside = pos[:, coords[0]] >= 0
+        for c in coords[1:]:
             inside &= pos[:, c] >= 0
         return inside
     if pos.shape[0] == 1 < trials:
-        return _row_membership(cone, np.repeat(pos, 2, axis=0), trials)[:1]
+        return _row_membership(cone, np.repeat(pos, 2, axis=0), trials, coords)[:1]
     if cone.kind == cones.HALFSPACE:
         return pos @ cone.vectors >= 0
     if cone.kind == cones.INEQUALITIES:
@@ -85,6 +96,23 @@ def _mean_stderr(samples):
     return est, float(samples.std(ddof=1) / math.sqrt(samples.size))
 
 
+def _step_thresholds(weights):
+    """The uint64 words at or above which the step index goes up by one.
+
+    A cumulative weight at or above 1 is never reached and gets no threshold.
+    """
+    cumw = np.cumsum(weights)[:-1].tolist()
+    return np.array([math.ceil(c * 2**53) << 11 for c in cumw if c < 1.0], dtype=np.uint64)
+
+
+def _choose_steps(raw, thresholds):
+    """The step index of each raw word: how many thresholds it reaches."""
+    idx = np.zeros(raw.size, dtype=np.intp)
+    for t in thresholds:
+        idx += raw >= t
+    return idx
+
+
 def _simulate(m, start, cone, config, checkpoints, statistic):
     """Drive the walk ensemble and evaluate `statistic` at each checkpoint."""
     steps_mod._require_probability(m, "simulation")
@@ -96,33 +124,37 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
     wanted = set(checkpoints)
     if not all(isinstance(k, numbers.Integral) and 1 <= k <= config.n for k in wanted):
         raise ValueError(f"checkpoints must be integers in 1..{config.n}")
-    lattice = m.is_lattice() and np.all(start == np.round(start))
+    top_start, top_step = np.abs(start).max(), np.abs(m.steps).max()
+    lattice = (m.is_lattice() and np.all(start == np.round(start))
+               and np.isfinite(top_start) and np.isfinite(top_step)
+               # no coordinate can wrap in int64 before n steps
+               and int(top_start) + config.n * int(top_step) < 2**63)
     if lattice:
         steps = m.steps.astype(np.int64)
         start = start.astype(np.int64)
     else:
         steps = m.steps
         start = start.astype(float)
+    coords = np.flatnonzero((steps.min(axis=0) < 0) | (start < 0)).tolist()
+    can_exit = cone.kind != cones.ORTHANT or bool(coords)
     trials = config.trials
     pos = np.tile(start, (trials, 1))
     live = np.arange(trials)  # trial numbers of the walkers still inside
     live_pos = pos.copy()
-    cumw = np.cumsum(m.weights)
-    last = steps.shape[0] - 1
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    thresholds = _step_thresholds(m.weights)
+    bitgen = np.random.Philox(key=config.seed)
     out = {}
     for k in range(1, config.n + 1):
-        u = rng.random(trials)
+        raw = bitgen.random_raw(trials)
         if live.size < trials:
-            u = u.take(live)
-        idx = np.searchsorted(cumw, u, side="right")
-        np.minimum(idx, last, out=idx)
-        live_pos += steps.take(idx, axis=0)
-        inside = _row_membership(cone, live_pos, trials)
-        if not inside.all():
-            pos[live[~inside]] = live_pos[~inside]
-            live = live[inside]
-            live_pos = live_pos[inside]
+            raw = raw.take(live)
+        live_pos += steps.take(_choose_steps(raw, thresholds), axis=0)
+        if can_exit:
+            inside = _row_membership(cone, live_pos, trials, coords)
+            if not inside.all():
+                pos[live[~inside]] = live_pos[~inside]
+                live = live[inside]
+                live_pos = live_pos[inside]
         if k in wanted:
             pos[live] = live_pos
             alive = np.zeros(trials, dtype=bool)

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conewalks as cw
+from conewalks import montecarlo as mc
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
 ENSWS = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)]
 D3_DRIFT_OUT = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, -1)]
+NBHD_3D = [v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)]
 Q2 = cw.orthant(2)
 
 
@@ -41,6 +43,14 @@ class TestPlainSurvival:
         res = cw.simulate_survival(m, (1, 1), Q2, cw.SimConfig(seed=3, trials=200000, n=8))
         assert res.stderr > 0.0
         assert abs(res.estimate - truth) <= 4.0 * res.stderr
+
+    @pytest.mark.parametrize("up", [2**62, 1e19])
+    def test_huge_lattice_steps_do_not_wrap(self, up):
+        # a walk survives exactly when its first step is up; int64 would wrap
+        # 2**62 after two up-steps and cast 1e19 to -2**63
+        m = cw.probability_measure([(up,), (-1,)], [0.5, 0.5])
+        res = cw.simulate_survival(m, (0,), cw.orthant(1), cw.SimConfig(seed=0, trials=4000, n=20))
+        assert abs(res.estimate - 0.5) <= 4.0 * res.stderr
 
     def test_bit_identical_reproducibility(self):
         m = cw.probability_measure([(1,), (-1,)], [0.25, 0.75])
@@ -132,6 +142,23 @@ class TestBandSurvival:
         fit = cw.band_decay_fit(m, (0, 0), Q2, (1, -1), 4.0, range(100, 401, 100),
                                 cw.SimConfig(seed=0, trials=20000, n=400))
         assert fit.per_step_decay >= 0.99
+
+    def test_band_statistic_matches_exact_law(self):
+        # {(1,0),(0,1)} never leaves the orthant, so the band probability at
+        # k is the endpoint mass of |x - y| <= sqrt(k), about 0.7 at alpha = 1
+        m = cw.from_step_set([(1, 0), (0, 1)])
+        horizons = (50, 100, 200, 400)
+        exact = {}
+        for k in horizons:
+            ends = cw.end_point_counts(m.steps, (0, 0), Q2, k, weights=m.weights)
+            exact[k] = sum(p for (x, y), p in ends.items() if abs(x - y) <= math.sqrt(k))
+        trials = 4096
+        for seed in range(5):
+            fit = cw.band_decay_fit(m, (0, 0), Q2, (1, -1), 1.0, horizons,
+                                    cw.SimConfig(seed=seed, trials=trials, n=400))
+            for k, est, _ in fit.series:
+                p = exact[k]
+                assert abs(trials * est - trials * p) <= 6.0 * math.sqrt(trials * p * (1 - p)) + 1
 
     def test_alpha_default_scale(self):
         m = cw.from_step_set([(1, 0), (0, 1)])
@@ -264,6 +291,34 @@ class TestGoldenStream:
                                    cw.SimConfig(seed=6, trials=3000, n=6))
         assert _hex(res) == ("0x1.89374bc6a7efap-6", "0x1.6e501ac6589c8p-9")
 
+    def test_plain_3d_neighbourhood_unequal_weights(self):
+        w = np.arange(1.0, 27.0)
+        w[5] = 1e-9
+        m = cw.probability_measure(NBHD_3D, w / w.sum())
+        res = cw.simulate_survival(m, (1, 1, 1), cw.orthant(3), cw.SimConfig(seed=7, trials=3000, n=20))
+        assert _hex(res) == ("0x1.1ba5e353f7ceep-2", "0x1.0bc682fac3c4bp-7")
+
+    def test_plain_only_one_coordinate_can_fall(self):
+        m = cw.from_step_set([(1, 0), (0, 1), (0, -1)])
+        res = cw.simulate_survival(m, (0, 2), Q2, cw.SimConfig(seed=8, trials=3000, n=50))
+        assert _hex(res) == ("0x1.a32846ff513ccp-2", "0x1.263832c50ce0fp-7")
+
+    def test_plain_start_negative_within_tolerance(self):
+        # no step decreases y, but y starts at -1e-13: a walker whose first
+        # step leaves y there is outside, as with every coordinate tested
+        m = cw.from_step_set([(1, 0), (0, 1), (-1, 1)])
+        res = cw.simulate_survival(m, (2.0, -1e-13), Q2, cw.SimConfig(seed=12, trials=3000, n=10))
+        assert _hex(res) == ("0x1.c5f92c5f92c60p-2", "0x1.2940766cd091ep-7")
+
+    def test_plain_cumulative_weight_reaches_one_early(self):
+        m = cw.probability_measure([(1,), (-1,), (-5,)], [0.5, 0.5, 1e-13])
+        res = cw.simulate_survival(m, (3,), cw.orthant(1), cw.SimConfig(seed=9, trials=3000, n=30))
+        assert _hex(res) == ("0x1.17619f0fb38a9p-1", "0x1.29edd01203d60p-7")
+
+    def test_tilted_20000_walkers(self):
+        got = _tilted_hex(ENSWS, None, (2, 1), cw.SimConfig(seed=10, trials=20000, n=50))
+        assert got == ("0x1.cfab72dd5133ap-10", "0x1.cee6114929746p-15")
+
     @pytest.mark.parametrize("seed, trials, pinned", [
         (11, 5, ("0x1.999999999999ap-3", "0x1.999999999999ap-3")),
         (93, 8, ("0x0.0p+0", "0x0.0p+0")),
@@ -275,6 +330,66 @@ class TestGoldenStream:
         res = cw.simulate_survival(cw.from_step_set(NSEW), (1, 1), cw.halfspace((0.1, 0.1)),
                                    cw.SimConfig(seed=seed, trials=trials, n=40))
         assert _hex(res) == pinned
+
+
+def _searchsorted_steps(raw, weights):
+    """The step rule on doubles that the raw-word thresholds replace."""
+    u = (raw >> np.uint64(11)) * 2**-53
+    idx = np.searchsorted(np.cumsum(weights), u, side="right")
+    return np.minimum(idx, len(weights) - 1)
+
+
+def _unequal_26():
+    w = np.arange(1.0, 27.0)
+    w[5] = 1e-9
+    return w / w.sum()
+
+
+SELECTION_LAWS = [
+    [1.0],
+    [0.5, 0.5],
+    [1 / 7] * 7,
+    [1 / 26] * 26,
+    list(_unequal_26()),
+    [1e-12, 0.5 - 1e-12, 0.5],
+    [0.5, 0.5, 1e-13],
+    [0.25, 0.75],
+]
+SELECTION_IDS = ["1", "2", "7", "26", "26-unequal", "1e-12-first", "sum-1-early", "quarter"]
+
+
+class TestStepSelection:
+    @pytest.mark.parametrize("weights", SELECTION_LAWS, ids=SELECTION_IDS)
+    def test_thresholds_match_searchsorted_on_boundary_words(self, weights):
+        top = 2**64 - 1
+        thresholds = mc._step_thresholds(np.array(weights))
+        words = {0, top}
+        for t in thresholds.tolist():
+            words.update(t + d for d in (-2048, -1, 0, 1, 2048))
+        # the words around each cumulative weight, found without the thresholds
+        for c in np.cumsum(weights).tolist():
+            base = int(c * 2**53)
+            words.update(((base + j) << 11) + low for j in (-1, 0, 1, 2) for low in (0, 2047))
+        raw = np.array(sorted(w for w in words if 0 <= w <= top), dtype=np.uint64)
+        got = mc._choose_steps(raw, thresholds)
+        assert got.tolist() == _searchsorted_steps(raw, weights).tolist()
+        assert got.max() <= len(weights) - 1
+
+    @pytest.mark.parametrize("weights", SELECTION_LAWS, ids=SELECTION_IDS)
+    def test_thresholds_match_searchsorted_on_random_words(self, weights):
+        raw = np.random.Philox(key=len(weights)).random_raw(50000)
+        got = mc._choose_steps(raw, mc._step_thresholds(np.array(weights)))
+        assert got.tolist() == _searchsorted_steps(raw, weights).tolist()
+
+    @pytest.mark.parametrize("key", [0, 1, 2**64 + 3, 2**128 - 1])
+    def test_generator_double_is_the_top_53_bits_of_the_raw_word(self, key):
+        # the selection rule rests on this identity of numpy's Philox stream
+        gen = np.random.Generator(np.random.Philox(key=key))
+        bits = np.random.Philox(key=key)
+        for trials in (1000, 7, 4096):
+            u = gen.random(trials)
+            raw = bits.random_raw(trials)
+            assert u.tobytes() == ((raw >> np.uint64(11)) * 2**-53).tobytes()
 
 
 @st.composite
