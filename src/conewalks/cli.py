@@ -4,7 +4,8 @@ Every command echoes its full resolved configuration, so a report alone
 suffices to reproduce the run; with ``--json`` the output is a schema-stable
 document that is byte-identical across repeated runs. Exit codes: 0 success,
 1 input error, 2 hypothesis failure (the report carries the witness),
-3 numerical non-convergence.
+3 numerical non-convergence, or a failed `verify` check (status
+"check-failed"; the report keeps every figure).
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ def _parse_point(text, what="start"):
         raise InputError(f"bad {what} {text!r}: expected comma-separated numbers")
 
 
+def _parse_lattice_point(text):
+    """A lattice start in int64; a fractional or non-finite coordinate is
+    refused, never rounded."""
+    point = _parse_point(text)
+    if not all(abs(v) < 2.0**63 and v == int(v) for v in point):
+        raise InputError(f"bad start {text!r}: expected comma-separated integers below 2**63")
+    return tuple(int(v) for v in point)
+
+
 def _emit(report, as_json):
     if as_json:
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -159,7 +169,7 @@ def _series_rows(series, estimate):
 
 def cmd_enumerate(args):
     measure, doc = _load_measure(args.steps)
-    start = tuple(int(v) for v in _parse_point(args.start))
+    start = _parse_lattice_point(args.start)
     weights = None if "weights" not in doc or doc["weights"] is None else measure.weights
     mode = counting.EXACT if args.mode == "exact" else counting.LOG_SCALED
     try:
@@ -196,7 +206,7 @@ def cmd_verify(args):
     measure, doc = _load_measure(args.steps)
     # the enumeration confines walks to the orthant, so every route uses it
     cone = cones.orthant(measure.dim)
-    start = tuple(int(v) for v in _parse_point(args.start))
+    start = _parse_lattice_point(args.start)
     mc_n = args.mc_n if args.mc_n is not None else min(args.n, 60)
     report = {
         "command": "verify",
@@ -241,11 +251,7 @@ def cmd_verify(args):
     rate_gap = abs(dp_rate - cert.rho)
     mc_gap = abs(mc.estimate - dp_survival)
     mc_band = MC_SIGMA * mc.stderr
-    report["status"] = "ok"
-    report["certificate"] = cert.to_dict()
-    report["dp"] = {"extrapolated_rate": dp_rate, "survival_at_mc_n": dp_survival}
-    report["mc"] = {"tilted_estimate": mc.estimate, "stderr": mc.stderr}
-    report["checks"] = {
+    checks = {
         "rate_tolerance": RATE_TOL,
         "rate_gap": rate_gap,
         "rate_pass": bool(rate_gap <= RATE_TOL),
@@ -253,8 +259,14 @@ def cmd_verify(args):
         "mc_gap": mc_gap,
         "mc_pass": bool(mc_gap <= mc_band),
     }
+    passed = checks["rate_pass"] and checks["mc_pass"]
+    report["status"] = "ok" if passed else "check-failed"
+    report["certificate"] = cert.to_dict()
+    report["dp"] = {"extrapolated_rate": dp_rate, "survival_at_mc_n": dp_survival}
+    report["mc"] = {"tilted_estimate": mc.estimate, "stderr": mc.stderr}
+    report["checks"] = checks
     _emit(report, args.json)
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_NONCONVERGENCE
 
 
 def cmd_check(args):
@@ -296,7 +308,7 @@ def cmd_halfspace(args):
     if args.start is None:
         start = (args.N, args.N)
     else:
-        start = tuple(int(v) for v in _parse_point(args.start))
+        start = _parse_lattice_point(args.start)
     try:
         check = families.halfspace_verify(args.p, args.N, start, args.n)
     except ValueError as exc:

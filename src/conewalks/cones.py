@@ -7,15 +7,22 @@ A cone is kept in whichever of the four descriptions it was built from:
 * ``generated``     -- {sum_i t_i r_i : t >= 0} for finitely many rays r_i
 * ``inequalities``  -- {x : <a_i, x> >= 0 for all i}
 
-Duality maps each representation to another one by pure transcription, so no
-facet enumeration is ever performed. Projections are implemented only for the
-kinds the rate formulas need (orthant, half-space, single ray); everything
-else raises ``UnsupportedConeError``.
+Every cone also carries the two descriptions the rate formulas read, derived
+once from its kind: ``normals``, the rows a_i with K = {x : A x >= 0}, which
+membership, the KKT residual and the Monte Carlo test use; and ``rays``, the
+rows r_i with K = {R^T t : t >= 0}, which parametrize a dual cone for the
+solver and the LPs. The orthant has both (the identity), a half-space and an
+inequality cone only normals, a generated cone only rays. Duality swaps the
+two: the rays of K* are the normals of K, so dualizing is pure transcription
+and no facet enumeration is ever performed. Projections are implemented only
+for the cones the rate formulas need (orthant, half-space, single ray);
+everything else raises ``UnsupportedConeError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,11 +56,27 @@ class Cone:
 
     ``vectors`` holds the defining data: the half-space normal as shape (d,),
     rays or inequality normals as shape (k, d), and None for the orthant.
+    ``normals`` and ``rays`` are the two derived descriptions, shape (k, d),
+    or None where the kind gives no such description without enumeration.
     """
 
     dim: int
     kind: str
     vectors: np.ndarray | None = None
+    normals: np.ndarray | None = field(init=False)
+    rays: np.ndarray | None = field(init=False)
+
+    def __post_init__(self):
+        normals = rays = None
+        if self.kind == ORTHANT:
+            normals = rays = np.eye(self.dim)
+            normals.flags.writeable = False
+        elif self.kind == GENERATED:
+            rays = self.vectors
+        else:
+            normals = self.vectors.reshape(-1, self.dim)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "rays", rays)
 
     def __repr__(self):
         if self.kind == ORTHANT:
@@ -61,14 +84,20 @@ class Cone:
         return f"Cone({self.kind}, dim={self.dim}, vectors={self.vectors.tolist()})"
 
 
+def _finite(a, what):
+    if not np.isfinite(a).all():
+        raise ConeError(f"{what} must be finite, got {a.tolist()}")
+    return a
+
+
 def orthant(dim):
-    if dim < 1:
-        raise ConeError("cone dimension must be >= 1")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ConeError(f"cone dimension must be an integer >= 1, got {dim!r}")
     return Cone(int(dim), ORTHANT)
 
 
 def halfspace(u):
-    u = np.asarray(u, dtype=float)
+    u = _finite(np.asarray(u, dtype=float), "half-space normal")
     if u.ndim != 1 or u.shape[0] < 1:
         raise ConeError("half-space normal must be a vector")
     if not np.any(u != 0.0):
@@ -77,7 +106,7 @@ def halfspace(u):
 
 
 def generated(rays):
-    R = np.atleast_2d(np.asarray(rays, dtype=float))
+    R = _finite(np.atleast_2d(np.asarray(rays, dtype=float)), "every ray")
     if R.shape[0] < 1:
         raise ConeError("generated cone needs at least one ray")
     if np.any(~np.any(R != 0.0, axis=1)):
@@ -86,7 +115,7 @@ def generated(rays):
 
 
 def inequalities(normals):
-    A = np.atleast_2d(np.asarray(normals, dtype=float))
+    A = _finite(np.atleast_2d(np.asarray(normals, dtype=float)), "every inequality normal")
     if A.shape[0] < 1:
         raise ConeError("inequality cone needs at least one normal")
     if np.any(~np.any(A != 0.0, axis=1)):
@@ -98,7 +127,7 @@ def _check_dim(cone, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (cone.dim,):
         raise ConeError(f"expected a vector of length {cone.dim}, got shape {x.shape}")
-    return x
+    return _finite(x, "point")
 
 
 def contains(cone, x, tol=DEFAULT_TOL):
@@ -108,54 +137,36 @@ def contains(cone, x, tol=DEFAULT_TOL):
     if cone.kind == ORTHANT:
         thr = max(tol * max(1.0, xnorm), ABS_FLOOR)
         return bool(np.all(x >= -thr))
-    if cone.kind == HALFSPACE:
-        u = cone.vectors
-        thr = max(tol * float(np.linalg.norm(u)) * xnorm, ABS_FLOOR)
-        return bool(u @ x >= -thr)
-    if cone.kind == INEQUALITIES:
-        A = cone.vectors
-        rownorms = np.linalg.norm(A, axis=1)
-        thr = np.maximum(tol * rownorms * xnorm, ABS_FLOOR)
-        return bool(np.all(A @ x >= -thr))
+    A = cone.normals
+    if A is not None:
+        thr = np.maximum(tol * np.linalg.norm(A, axis=1) * xnorm, ABS_FLOOR)
+        return bool((A @ x >= -thr).all())
     # generated: feasibility of x = R^T t, t >= 0
-    residual, _ = l1_fit(cone.vectors.T, x)
+    residual, _ = l1_fit(cone.rays.T, x)
     return residual <= max(tol * max(1.0, xnorm), ABS_FLOOR)
+
+
+_DUAL_KIND = {HALFSPACE: GENERATED, GENERATED: INEQUALITIES, INEQUALITIES: GENERATED}
 
 
 def dual(cone):
     """The dual cone K* = {z : <x, z> >= 0 for all x in K}.
 
-    Each representation transcribes directly: the orthant is self-dual, a
-    half-space dualizes to the ray on its normal, and generated/inequalities
-    swap roles with the same vector list.
+    The orthant is self-dual; otherwise the normals of K become the rays of
+    K* and the rays of K its normals, with the same vector list.
     """
     if cone.kind == ORTHANT:
         return cone
-    if cone.kind == HALFSPACE:
-        return Cone(cone.dim, GENERATED, cone.vectors.reshape(1, -1))
-    if cone.kind == GENERATED:
-        return Cone(cone.dim, INEQUALITIES, cone.vectors)
-    return Cone(cone.dim, GENERATED, cone.vectors)
+    vectors = cone.normals if cone.normals is not None else cone.rays
+    return Cone(cone.dim, _DUAL_KIND[cone.kind], vectors)
 
 
-def _ray_matrix(cone, what):
-    """Rows r_i with cone = {sum_i t_i r_i : t >= 0}: the identity for an
-    orthant, the rays of a generated cone; `what` names the caller in the
-    error raised for any other kind."""
-    if cone.kind == ORTHANT:
-        return np.eye(cone.dim)
-    if cone.kind == GENERATED:
-        return cone.vectors
-    raise UnsupportedConeError(f"{what} needs an orthant or generated cone, got {cone.kind}")
-
-
-def _single_normal(cone):
-    """The normal vector when the cone is a half-space in disguise, else None."""
-    if cone.kind == HALFSPACE:
-        return cone.vectors
-    if cone.kind == INEQUALITIES and cone.vectors.shape[0] == 1:
-        return cone.vectors[0]
-    return None
+def _rays(cone, what):
+    """The cone's rays; `what` names the caller in the error raised for a
+    cone described by inequalities only."""
+    if cone.rays is None:
+        raise UnsupportedConeError(f"{what} needs an orthant or generated cone, got {cone.kind}")
+    return cone.rays
 
 
 def project(cone, a):
@@ -163,18 +174,18 @@ def project(cone, a):
     a = _check_dim(cone, a)
     if cone.kind == ORTHANT:
         return np.maximum(a, 0.0)
-    u = _single_normal(cone)
-    if u is not None:
+    if cone.normals is not None and len(cone.normals) == 1:
+        u = cone.normals[0]
         s = u @ a
         if s >= 0.0:
             return a.copy()
         return a - (s / (u @ u)) * u
-    if cone.kind == GENERATED and cone.vectors.shape[0] == 1:
-        u = cone.vectors[0]
+    if cone.rays is not None and len(cone.rays) == 1:
+        u = cone.rays[0]
         t = max(0.0, (u @ a) / (u @ u))
         return t * u
     raise UnsupportedConeError(
-        f"projection onto a {cone.kind} cone with {0 if cone.vectors is None else len(cone.vectors)} "
+        f"projection onto a {cone.kind} cone with {len(cone.vectors)} "
         "defining vectors is not supported"
     )
 
@@ -230,15 +241,9 @@ def strictly_contains(cone, x):
     """Whether x lies in the topological interior of the cone."""
     x = _check_dim(cone, x)
     scale = max(1.0, float(np.linalg.norm(x)))
-    if cone.kind == ORTHANT:
-        return bool(np.all(x > ABS_FLOOR * scale))
-    if cone.kind == HALFSPACE:
-        u = cone.vectors
-        return bool(u @ x > ABS_FLOOR * float(np.linalg.norm(u)) * scale)
-    if cone.kind == INEQUALITIES:
-        A = cone.vectors
-        rownorms = np.linalg.norm(A, axis=1)
-        return bool(np.all(A @ x > ABS_FLOOR * rownorms * scale))
+    A = cone.normals
+    if A is not None:
+        return bool((A @ x > ABS_FLOOR * np.linalg.norm(A, axis=1) * scale).all())
     # generated cone: interior needs full-dimensionality plus slack in every
     # axis direction; tested by perturbed memberships.
     if not has_interior(cone):

@@ -419,7 +419,7 @@ def find_delta(steps, cone, v=None, delta_grid=None, n_max=None):
     dual = cones.dual(cone)
     # The witness LP needs the rays of K*, which an inequality description
     # (the dual of a generated cone) does not give.
-    witness_lp = dual.kind != cones.INEQUALITIES
+    witness_lp = dual.rays is not None
     witness = None
     for i, delta in enumerate(grid):
         path, _ = steps_mod._interior_path(steps, cone, delta * v, n_max)

@@ -142,7 +142,7 @@ def has_global_min_on_cone(model, cone):
         raise ValueError("global-minimum test requires a full-dimensional support (H1)")
     S = m.steps
     k = S.shape[0]
-    R = cones._ray_matrix(cone, "global-minimum test")
+    R = cones._rays(cone, "global-minimum test")
     G = S @ R.T
     r = R.shape[0]
     # min gamma s.t. G t <= gamma, t >= 0, sum t = 1

@@ -80,13 +80,7 @@ def _row_membership(cone, pos, trials, coords):
         return inside
     if pos.shape[0] == 1 < trials:
         return _row_membership(cone, np.repeat(pos, 2, axis=0), trials, coords)[:1]
-    if cone.kind == cones.HALFSPACE:
-        return pos @ cone.vectors >= 0
-    if cone.kind == cones.INEQUALITIES:
-        return (pos @ cone.vectors.T >= 0).all(axis=1)
-    raise cones.UnsupportedConeError(
-        f"simulation supports orthant/half-space/inequality cones, got {cone.kind}"
-    )
+    return (pos @ cone.normals.T >= 0).all(axis=1)
 
 
 def _mean_stderr(samples):
@@ -119,14 +113,19 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
     start = np.asarray(start)
     if start.shape != (m.dim,):
         raise ValueError(f"start must have length {m.dim}, got shape {start.shape}")
-    if not cones.contains(cone, start):
+    A = cone.normals
+    if A is None:
+        raise cones.UnsupportedConeError("simulation needs the normals a generated cone lacks")
+    # an absolute tolerance: a far start must not excuse a coordinate outside
+    x = cones._check_dim(cone, start)
+    if np.any(A @ x < -cones.DEFAULT_TOL * np.linalg.norm(A, axis=1)):
         raise ValueError("start lies outside the cone")
     wanted = set(checkpoints)
     if not all(isinstance(k, numbers.Integral) and 1 <= k <= config.n for k in wanted):
         raise ValueError(f"checkpoints must be integers in 1..{config.n}")
     top_start, top_step = np.abs(start).max(), np.abs(m.steps).max()
     lattice = (m.is_lattice() and np.all(start == np.round(start))
-               and np.isfinite(top_start) and np.isfinite(top_step)
+               and np.isfinite(top_step)
                # no coordinate can wrap in int64 before n steps
                and int(top_start) + config.n * int(top_step) < 2**63)
     if lattice:

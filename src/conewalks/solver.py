@@ -258,29 +258,19 @@ def _default_init(model, dual_cone):
         dx = np.zeros(dim)
     if dual_cone.kind == cones.ORTHANT:
         return np.maximum(dx, 0.0)
-    if dual_cone.kind == cones.GENERATED:
-        R = dual_cone.vectors
-        if R.shape[0] == 1:
-            u = R[0]
-            return np.array([max(0.0, float(u @ dx) / float(u @ u))])
-        try:
-            t, *_ = np.linalg.lstsq(R.T, dx, rcond=None)
-            return np.maximum(t, 0.0)
-        except np.linalg.LinAlgError:
-            return np.zeros(R.shape[0])
-    return np.zeros(dim)
+    R = dual_cone.rays
+    try:
+        t, *_ = np.linalg.lstsq(R.T, dx, rcond=None)
+        return np.maximum(t, 0.0)
+    except np.linalg.LinAlgError:
+        return np.zeros(R.shape[0])
 
 
 def _membership_violation(cone, y):
-    """How far y is from the cone, measured on its inequality description."""
-    check = cones.dual(cones.dual(cone))
-    if check.kind == cones.ORTHANT:
-        return max(0.0, -float(y.min()))
-    if check.kind == cones.INEQUALITIES:
-        A = check.vectors
-        slack = (A @ y) / np.linalg.norm(A, axis=1)
-        return max(0.0, -float(slack.min()))
-    raise cones.UnsupportedConeError(f"no inequality description for kind {check.kind}")
+    """How far y is from the cone, measured on its normals."""
+    A = cone.normals
+    slack = (A @ y) / np.linalg.norm(A, axis=1)
+    return max(0.0, -float(slack.min()))
 
 
 def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None):
@@ -304,31 +294,26 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0
         # Gaussian transform: full-dimensional and coercive on every cone.
         flags = HypothesisFlags(h1=True, h2prime=True)
 
+    R = cones._rays(dual_cone, "minimization over the dual cone")
     if dual_cone.kind == cones.ORTHANT:
         start = _default_init(model, dual_cone) if x0 is None else np.asarray(x0, dtype=float)
         x_star, iterations, _ = _minimize_orthant(model, model.dim, tol, max_iter, start)
         active = tuple(int(i) for i in np.where(x_star <= ACTIVE_EPS)[0])
-    elif dual_cone.kind == cones.GENERATED:
-        R = dual_cone.vectors
-        if R.shape[0] == 1:
-            t0 = None
-            if x0 is not None:
-                x0 = np.asarray(x0, dtype=float)
-                t0 = float(x0 @ R[0]) / float(R[0] @ R[0])
-            x_star, t, iterations, _ = _minimize_ray(model, R[0], tol, max_iter, t0)
-            active = (0,) if t <= ACTIVE_EPS else ()
-        else:
-            if x0 is not None:
-                t0, *_ = np.linalg.lstsq(R.T, np.asarray(x0, dtype=float), rcond=None)
-                t0 = np.maximum(t0, 0.0)
-            else:
-                t0 = _default_init(model, dual_cone)
-            x_star, t, iterations, _ = _minimize_rays(model, R, tol, max_iter, t0)
-            active = tuple(int(i) for i in np.where(t <= ACTIVE_EPS)[0])
+    elif R.shape[0] == 1:
+        t0 = None
+        if x0 is not None:
+            x0 = np.asarray(x0, dtype=float)
+            t0 = float(x0 @ R[0]) / float(R[0] @ R[0])
+        x_star, t, iterations, _ = _minimize_ray(model, R[0], tol, max_iter, t0)
+        active = (0,) if t <= ACTIVE_EPS else ()
     else:
-        raise cones.UnsupportedConeError(
-            f"minimization over a dual cone of kind {dual_cone.kind} is not supported"
-        )
+        if x0 is not None:
+            t0, *_ = np.linalg.lstsq(R.T, np.asarray(x0, dtype=float), rcond=None)
+            t0 = np.maximum(t0, 0.0)
+        else:
+            t0 = _default_init(model, dual_cone)
+        x_star, t, iterations, _ = _minimize_rays(model, R, tol, max_iter, t0)
+        active = tuple(int(i) for i in np.where(t <= ACTIVE_EPS)[0])
 
     rho = laplace.value(model, x_star)
     grad = laplace.gradient(model, x_star)

@@ -152,7 +152,7 @@ def halfspace_witness(m, cone):
     """
     S = m.steps
     k = S.shape[0]
-    R = cones._ray_matrix(cone, "half-space witness search")
+    R = cones._rays(cone, "half-space witness search")
     r = R.shape[0]
     # u = R^T t with t >= 0, sum t = 1, S u <= 0; valid because the dual
     # cone of a solid cone is pointed, so R^T t = 0 forces t = 0.

@@ -129,7 +129,9 @@ class TestVerify:
         path = step_file("five.json", 2, NSEW_SW)
         code, doc, _ = run_json(capsys, "verify", "--steps", path, "--start", "1,1",
                                 "--n", str(n), "--mc-n", str(mc_n), "--trials", "2000")
-        assert code == 0 and horizons == [max(n, mc_n)]
+        # at n = 50 the extrapolated DP rate is still outside the rate tolerance
+        assert (code, doc["status"]) == {300: (0, "ok"), 50: (3, "check-failed")}[n]
+        assert horizons == [max(n, mc_n)]
         weights = np.full(5, 0.2)
         rate = counting.estimate_rate(count_walks(NSEW_SW, (1, 1), n, weights=weights))
         survival = count_walks(NSEW_SW, (1, 1), mc_n, weights=weights).float_value(mc_n)
@@ -141,12 +143,44 @@ class TestVerify:
                              "--n", "100", "--mc-n", "-3", "--json")
         assert code == 1 and out == "" and "horizon" in err
 
+    def test_failed_check_shows_in_status_and_exit_code(self, capsys, step_file):
+        path = step_file("five.json", 2, NSEW_SW)
+        code, doc, _ = run_json(capsys, "verify", "--steps", path, "--start", "1,1",
+                                "--n", "8", "--mc-n", "8", "--trials", "50")
+        assert code == 3 and doc["status"] == "check-failed"
+        assert not doc["checks"]["rate_pass"]
+        # every figure of a passing report is still there
+        assert {"config", "certificate", "dp", "mc", "checks"} <= set(doc)
+        assert set(doc["checks"]) == {"rate_tolerance", "rate_gap", "rate_pass",
+                                      "mc_band", "mc_gap", "mc_pass"}
+
     def test_cone_flag_refused(self, capsys, step_file):
         # the enumeration is orthant-only, so verify takes no other cone
         path = step_file("five.json", 2, NSEW_SW)
         code, out, err = run(capsys, "verify", "--steps", path, "--start", "1,1",
                              "--n", "300", "--cone", "halfspace:1,1", "--json")
         assert code == 1 and out == "" and "--cone" in err
+
+
+class TestLatticeStart:
+    @pytest.mark.parametrize("command", ["enumerate", "verify", "halfspace"])
+    @pytest.mark.parametrize("start", ["1.7,1", "inf,1", "nan,1", "1e20,1"])
+    def test_non_integer_start_exits_1(self, capsys, step_file, command, start):
+        path = step_file("nsew.json", 2, NSEW)
+        argv = {"enumerate": ["enumerate", "--steps", path, "--n", "5"],
+                "verify": ["verify", "--steps", path, "--n", "5", "--trials", "10"],
+                "halfspace": ["halfspace", "--p", "0.5", "--N", "1", "--n", "20"]}[command]
+        code, out, err = run(capsys, *argv, "--start", start, "--json")
+        assert code == 1 and out == "" and "integers" in err
+
+    def test_integral_float_start_accepted(self, capsys, step_file):
+        path = step_file("nsew.json", 2, NSEW)
+        code, doc, _ = run_json(capsys, "enumerate", "--steps", path, "--start", "1.0,1",
+                                "--n", "3", "--mode", "exact")
+        assert code == 0 and doc["config"]["start"] == [1, 1]
+        code, doc, _ = run_json(capsys, "halfspace", "--p", "0.5", "--N", "1", "--n", "20",
+                                "--start", "1.0,1.0")
+        assert code == 0 and doc["config"]["start"] == [1, 1]
 
 
 class TestCheck:
@@ -203,6 +237,10 @@ class TestBrownian:
         assert code == 0
         assert abs(doc["closed_form"] - math.exp(-8.0)) <= 1e-12
 
+    def test_non_finite_drift_exits_1(self, capsys):
+        code, out, err = run(capsys, "brownian", "--drift=nan,1", "--json")
+        assert code == 1 and out == "" and "finite" in err
+
     def test_unsupported_cone_kind_exits_1(self, capsys):
         code, _, err = run(capsys, "brownian", "--drift", "1,1",
                            "--cone", "rays:[[1,0],[1,1]]")
@@ -250,6 +288,14 @@ class TestDeterminism:
             code, doc, _ = run_json(capsys, "rate", "--steps", nsew, "--cone", cone)
             assert code == 0, cone
             assert doc["status"] == "ok"
+
+    @pytest.mark.parametrize("command", ["rate", "check"])
+    @pytest.mark.parametrize("cone", ["halfspace:nan,1", "ineq:[[NaN,1],[0,1]]",
+                                      "rays:[[1,0],[NaN,1]]", "halfspace:inf,1"])
+    def test_non_finite_cone_exits_1(self, capsys, step_file, command, cone):
+        nsew = step_file("nsew.json", 2, NSEW)
+        code, out, err = run(capsys, command, "--steps", nsew, "--cone", cone, "--json")
+        assert code == 1 and out == "" and "finite" in err
 
     def test_bad_cone_literal_exits_1(self, capsys, step_file):
         nsew = step_file("nsew.json", 2, NSEW)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import conewalks as cw
+
+
+def _same(a, b):
+    """Equal descriptions: both absent, or the same array bit for bit."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _random_cone_point(rng, cone):
@@ -34,6 +42,60 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(cw.ConeError):
             cw.contains(cw.orthant(2), [1.0, 2.0, 3.0])
+
+
+class TestFiniteData:
+    @pytest.mark.parametrize("build", [
+        lambda: cw.halfspace([np.nan, 1.0]),
+        lambda: cw.halfspace([np.inf, 1.0]),
+        lambda: cw.inequalities([[np.nan, 1.0], [0.0, 1.0]]),
+        lambda: cw.generated([[1.0, 0.0], [np.nan, 1.0]]),
+        lambda: cw.generated([[1.0, 0.0], [-np.inf, 1.0]]),
+    ], ids=["halfspace-nan", "halfspace-inf", "ineq-nan", "rays-nan", "rays-inf"])
+    def test_non_finite_vectors_refused(self, build):
+        with pytest.raises(cw.ConeError, match="finite"):
+            build()
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, 0, -1, True, "2", None])
+    def test_orthant_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(cw.ConeError, match="integer >= 1"):
+            cw.orthant(dim)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert cw.orthant(np.int64(3)).dim == 3
+
+    @pytest.mark.parametrize("x", [[np.inf, 1.0], [np.nan, 1.0], [1.0, -np.inf]])
+    def test_non_finite_point_refused(self, x):
+        for cone in (cw.orthant(2), cw.halfspace([1.0, 1.0]), cw.generated([[1.0, 0.0], [1.0, 1.0]])):
+            with pytest.raises(cw.ConeError, match="finite"):
+                cw.contains(cone, x)
+
+
+class TestDescriptions:
+    def test_each_kind(self):
+        orth = cw.orthant(3)
+        assert np.array_equal(orth.normals, np.eye(3)) and orth.rays is orth.normals
+        h = cw.halfspace([2.0, -1.0])
+        assert np.array_equal(h.normals, [[2.0, -1.0]]) and h.rays is None
+        A = [[1.0, 0.0], [1.0, 2.0]]
+        ineq = cw.inequalities(A)
+        assert np.array_equal(ineq.normals, A) and ineq.rays is None
+        gen = cw.generated(A)
+        assert gen.normals is None and np.array_equal(gen.rays, A)
+
+    def test_dual_swaps_the_descriptions(self):
+        for cone in (cw.halfspace([2.0, -1.0]), cw.inequalities([[1.0, 0.0], [1.0, 2.0]]),
+                     cw.generated([[1.0, 0.0], [1.0, 2.0]])):
+            d = cw.dual(cone)
+            assert _same(d.rays, cone.normals) and _same(d.normals, cone.rays)
+
+    def test_orthant_identity_is_read_only(self):
+        with pytest.raises(ValueError):
+            cw.orthant(2).normals[0, 1] = 1.0
+
+    def test_rays_refused_for_inequality_cones(self):
+        with pytest.raises(cw.UnsupportedConeError, match="orthant or generated"):
+            cw.cones._rays(cw.halfspace([1.0, 1.0]), "a test")
 
 
 class TestDual:
@@ -163,3 +225,77 @@ class TestInterior:
                      cw.generated([[1.0, 0.0], [1.0, 1.0]])):
             v = cw.interior_vector(cone)
             assert cw.strictly_contains(cone, v)
+
+
+NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
+ENSWS = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)]
+_coord = st.integers(-3, 3) | st.floats(-3.0, 3.0, allow_nan=False, width=32)
+
+
+@st.composite
+def _halfspace_cases(draw):
+    d = draw(st.integers(2, 3))
+    u = draw(st.lists(_coord, min_size=d, max_size=d).filter(lambda v: any(v)))
+    x = draw(st.lists(_coord, min_size=d, max_size=d))
+    steps = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d), min_size=d + 1, max_size=6,
+                          unique=True).filter(lambda s: any(any(v) for v in s)))
+    return u, x, steps, draw(st.integers(0, 2**32 - 1))
+
+
+def _mc_hex(res):
+    return res.estimate.hex(), res.stderr.hex()
+
+
+class TestHalfspaceIsOneInequality:
+    """halfspace(u) and inequalities([u]) share one code path in every
+    routine, so every result must agree bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_halfspace_cases())
+    # NSEW from (1, 1) below the line x + y = 0 of a non-integer normal: at
+    # seed 11 one walker of five is alive at n = 40, judged alone
+    @example(([0.1, 0.1], [1.0, 1.0], NSEW, 11))
+    @example(([1, 1], [1.0, 0.5], ENSWS, 3))
+    def test_same_results(self, case):
+        u, x, steps, seed = case
+        h, ineq = cw.halfspace(u), cw.inequalities([u])
+        assert _same(h.normals, ineq.normals) and _same(h.rays, ineq.rays)
+        assert cw.contains(h, x) == cw.contains(ineq, x)
+        assert cw.strictly_contains(h, x) == cw.strictly_contains(ineq, x)
+        assert cw.project(h, x).tobytes() == cw.project(ineq, x).tobytes()
+
+        m = cw.from_step_set(steps)
+        if not cw.check_h1(m):
+            return
+        model = cw.FiniteLaplace(m)
+        try:
+            cert = cw.minimize_on_dual(model, h)
+        except cw.ImproperModelError as exc:
+            with pytest.raises(cw.ImproperModelError) as other:
+                cw.minimize_on_dual(model, ineq)
+            assert other.value.witness.tobytes() == exc.witness.tobytes()
+            return
+        assert cw.minimize_on_dual(model, ineq).to_dict() == cert.to_dict()
+
+        start = cw.project(h, x)
+        cfg = cw.SimConfig(seed=seed, trials=5, n=40)
+        assert (_mc_hex(cw.simulate_survival(m, start, h, cfg))
+                == _mc_hex(cw.simulate_survival(m, start, ineq, cfg)))
+        assert (_mc_hex(cw.tilted_survival(m, cert, start, h, cfg))
+                == _mc_hex(cw.tilted_survival(m, cert, start, ineq, cfg)))
+
+    def test_lone_survivor_example_keeps_one_walker(self):
+        res = cw.simulate_survival(cw.from_step_set(NSEW), (1.0, 1.0), cw.halfspace((0.1, 0.1)),
+                                   cw.SimConfig(seed=11, trials=5, n=40))
+        assert res.estimate == 0.2
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["orthant", "halfspace", "generated", "inequalities"]),
+           st.lists(st.lists(_coord, min_size=2, max_size=2).filter(lambda v: any(v)),
+                    min_size=1, max_size=3))
+    def test_double_dual_keeps_both_descriptions(self, kind, vectors):
+        cone = {"orthant": lambda: cw.orthant(2), "halfspace": lambda: cw.halfspace(vectors[0]),
+                "generated": lambda: cw.generated(vectors),
+                "inequalities": lambda: cw.inequalities(vectors)}[kind]()
+        double = cw.dual(cw.dual(cone))
+        assert _same(double.normals, cone.normals) and _same(double.rays, cone.rays)

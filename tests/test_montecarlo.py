@@ -208,6 +208,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="outside the cone"):
             cw.band_survival(m, start, cone, (1, -1), 4.0, cfg)
 
+    @pytest.mark.parametrize("start", [(1e6, -1e-4), (np.inf, -1.0), (np.nan, 1.0)])
+    def test_far_or_non_finite_start_rejected(self, start):
+        # the start tolerance is absolute: a large first coordinate does not
+        # excuse a second one well outside
+        with pytest.raises(ValueError):
+            cw.simulate_survival(cw.from_step_set(NSEW), start, Q2, cw.SimConfig(seed=0, trials=10, n=5))
+
+    def test_generated_cone_refused(self):
+        with pytest.raises(cw.UnsupportedConeError, match="simulation"):
+            cw.simulate_survival(cw.from_step_set(NSEW), (1, 1), cw.generated([[1, 0], [1, 1]]),
+                                 cw.SimConfig(seed=0, trials=10, n=5))
+
     def test_start_outside_cone_rejected_by_tilted(self):
         m = cw.from_step_set(ENSWS)
         cert = cw.minimize_on_dual(cw.FiniteLaplace(m), Q2)
