@@ -107,8 +107,15 @@ def _as_orthant_start(start, dim, cone):
     start = np.asarray(start)
     if start.shape != (dim,):
         raise ValueError(f"start must have length {dim}")
-    if np.any(start != np.round(start)):
-        raise ValueError("start must be a lattice point")
+    if start.dtype.kind != "i":
+        # floats, and Python ints beyond int64, which numpy keeps as objects
+        try:
+            coords = start.astype(float) if start.dtype.kind in "buifO" else None
+        except (TypeError, ValueError):
+            coords = None
+        if coords is None or not np.all((coords == np.round(coords)) & (np.abs(coords) < 2.0**63)):
+            raise ValueError("start must be a lattice point with coordinates below 2**63")
+        start = coords
     start = start.astype(np.int64)
     if np.any(start < 0):
         raise ValueError("start lies outside the orthant")

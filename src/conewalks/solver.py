@@ -7,6 +7,13 @@ paths cover the dual-cone representations that arise: coordinatewise
 projected Newton on the orthant, safeguarded one-dimensional Newton on a
 single ray, and projected gradient in the nonnegative ray-coefficient
 parametrization for multi-ray generated cones.
+
+The hyperplane scan solves its one-dimensional ray problems, one per grid
+direction, in a single batched form of the single-ray Newton. It then
+re-solves with the scalar single-ray solver every direction whose batched
+value lies within SCAN_MARGIN of the batched minimum, and every direction
+the batch left undecided, so its minimum, argmin direction and exceptions
+are exactly those of the scalar solver run on every direction.
 """
 
 from __future__ import annotations
@@ -26,6 +33,14 @@ ACTIVE_EPS = 1e-12
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
+
+# The batched ray solve runs the iteration of _minimize_ray to the same
+# tolerance, so on one direction the two values differ by rounding only
+# (about 1e-16 relative). Re-solving every direction within this margin of
+# the batched minimum therefore hands the scalar solver its own argmin and
+# all of that value's exact ties. A lane whose exponent comes within the
+# margin of the overflow guard is left for the scalar solver to decide.
+SCAN_MARGIN = 1e-9
 
 
 class ImproperModelError(ValueError):
@@ -195,6 +210,65 @@ def _minimize_ray(model, u, tol, max_iter, t0=None):
             tn = 0.5 * (lo + hi)
         t = tn
     raise NonConvergenceError("no convergence on the ray", [t * u])
+
+
+def _ray_minima(model, U, tol, max_iter):
+    """_minimize_ray from t0 = None on every row of U at once, one lane each.
+
+    Returns the minimizing ray parameters t and a mask of the lanes decided
+    here. A lane is left undecided, with t = 0, when its exponent nears the
+    overflow guard, when 200 doublings find no bracket or when its Newton
+    budget runs out: the cases where _minimize_ray raises.
+    """
+    S, w = model.measure.steps, model.measure.weights
+    P = U @ S.T
+    t = np.zeros(len(U))
+    decided = np.ones(len(U), dtype=bool)
+    safe_exponent = steps_mod.MAX_EXPONENT * (1.0 - SCAN_MARGIN)
+
+    def slopes(lanes, at):
+        """phi' and phi'' of the lanes at their points, and which lanes keep
+        their exponents clear of the overflow guard."""
+        PL = P[lanes]
+        E = at[:, None] * PL
+        safe = np.abs(E).max(axis=1) <= safe_exponent
+        wp = w * np.exp(np.where(safe[:, None], E, 0.0)) * PL
+        return wp.sum(axis=1), (wp * PL).sum(axis=1), safe
+
+    lanes = np.flatnonzero(U @ (w @ S) < 0.0)  # phi'(0) < 0
+    hi = np.ones(lanes.size)
+    open_ = np.ones(lanes.size, dtype=bool)
+    for _ in range(200):
+        if not open_.any():
+            break
+        dp, _, safe = slopes(lanes[open_], hi[open_])
+        decided[lanes[open_][~safe]] = False
+        below = safe & (dp <= 0.0)
+        hi[open_] *= np.where(below, 2.0, 1.0)
+        open_[open_] = below
+    decided[lanes[open_]] = False
+    keep = decided[lanes]
+    lanes, hi = lanes[keep], hi[keep]
+    lo = np.zeros(lanes.size)
+    unorm = np.linalg.norm(U[lanes], axis=1)
+    at = 0.5 * hi
+    for _ in range(max_iter):
+        if not lanes.size:
+            break
+        dp, d2, safe = slopes(lanes, at)
+        done = safe & (np.abs(dp) / unorm <= tol)
+        t[lanes[done]] = at[done]
+        decided[lanes[~safe]] = False
+        keep = safe & ~done
+        lanes, lo, hi, at, dp, d2, unorm = (
+            a[keep] for a in (lanes, lo, hi, at, dp, d2, unorm))
+        up = dp > 0.0
+        hi = np.where(up, at, hi)
+        lo = np.where(up, lo, at)
+        tn = at - dp / d2
+        at = np.where((lo < tn) & (tn < hi), tn, 0.5 * (lo + hi))
+    decided[lanes] = False
+    return t, decided
 
 
 def _minimize_rays(model, R, tol, max_iter, t0):
@@ -381,6 +455,9 @@ def hyperplane_scan(steps, angular_grid=721):
     reproduces the growth constant up to grid resolution; the argmin
     direction identifies the binding hyperplane.
     """
+    if (isinstance(angular_grid, bool) or not isinstance(angular_grid, (int, np.integer))
+            or angular_grid < 1):
+        raise ValueError(f"angular grid must be an integer >= 1, got {angular_grid!r}")
     m = steps_mod.from_step_set(steps)
     if not steps_mod.check_h1(m):
         raise ValueError("step set violates H1: support lies in a hyperplane")
@@ -390,8 +467,11 @@ def hyperplane_scan(steps, angular_grid=721):
     model = laplace.FiniteLaplace(m)
     size = m.support_size
     directions = _scan_directions(m.dim, angular_grid)
+    t, decided = _ray_minima(model, directions, 1e-12, DEFAULT_MAX_ITER)
+    batched = size * (np.exp(t[:, None] * (directions @ m.steps.T)) @ m.weights)
+    cut = batched[decided].min(initial=np.inf) * (1.0 + SCAN_MARGIN)
     best = None
-    for u in directions:
+    for u in directions[~decided | (batched <= cut)]:
         x_min, _, _, _ = _minimize_ray(model, u, 1e-12, DEFAULT_MAX_ITER)
         val = size * laplace.value(model, x_min)
         if best is None or val < best[0]:

@@ -261,6 +261,13 @@ class TestScan:
         code, doc, _ = run_json(capsys, "scan", "--steps", path, "--grid", "51")
         assert code == 2 and doc["status"] == "improper"
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_exits_1(self, capsys, step_file, grid):
+        path = step_file("five.json", 2, NSEW_SW)
+        code, out, err = run(capsys, "scan", "--steps", path, "--grid", grid, "--json")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "angular grid" in err
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys, step_file):

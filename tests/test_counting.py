@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,23 @@ BAD_DP_INPUTS = {
     "steps of length 0": ([[], []], None, 3, "at least one step"),
     "infinite step": ([(np.inf, 0.0), (0.0, 1.0)], None, 3, "lattice"),
 }
+
+
+@pytest.mark.parametrize("start", [(10**20, 1), (2**63, 1), (np.inf, 1), (np.nan, 1),
+                                   (1.5, 1), ("1", 1), (None, 1)])
+def test_start_not_an_int64_lattice_point_raises(start):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lattice point"):
+            cw.count_walks(NSEW, start, 3)
+        with pytest.raises(ValueError, match="lattice point"):
+            cw.end_point_counts(NSEW, start, None, 3)
+
+
+def test_integral_float_and_unsigned_starts_accepted():
+    base = cw.count_walks(NSEW, (2, 1), 6, mode="exact").values
+    for start in ((2.0, 1.0), np.array([2, 1], dtype=np.uint8), (np.int64(2), 1)):
+        assert cw.count_walks(NSEW, start, 6, mode="exact").values == base
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DP_INPUTS))

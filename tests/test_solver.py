@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conewalks as cw
+from conewalks import laplace, solver, steps as steps_mod
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 NSEW_SW = [(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)]
@@ -184,6 +188,88 @@ class TestHyperplaneScan:
         scan = cw.hyperplane_scan(steps, 3600)
         assert scan.k_min >= growth.k_s - 1e-9
         assert scan.k_min - growth.k_s <= 5e-3
+
+    @pytest.mark.parametrize("grid", [0, -3, 2.0, True, "51", None])
+    @pytest.mark.parametrize("steps", [NSEW_SW, [(1,), (-1,)]])
+    def test_grid_not_a_positive_integer_raises(self, steps, grid):
+        with pytest.raises(ValueError, match="angular grid"):
+            cw.hyperplane_scan(steps, grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        assert cw.hyperplane_scan(NSEW_SW, np.int64(51)).k_min == cw.hyperplane_scan(NSEW_SW, 51).k_min
+
+
+def scalar_scan(steps, angular_grid):
+    """The per-direction scan: one _minimize_ray per grid direction, the first
+    strict minimum winning. The batched scan must reproduce it bit for bit."""
+    m = cw.from_step_set(steps)
+    if not cw.check_h1(m):
+        raise ValueError("step set violates H1: support lies in a hyperplane")
+    witness = steps_mod.halfspace_witness(m, cw.orthant(m.dim))
+    if witness is not None:
+        raise cw.ImproperModelError(witness)
+    model = cw.FiniteLaplace(m)
+    directions = solver._scan_directions(m.dim, angular_grid)
+    best = None
+    for u in directions:
+        x_min, _, _, _ = solver._minimize_ray(model, u, 1e-12, solver.DEFAULT_MAX_ITER)
+        val = m.support_size * laplace.value(model, x_min)
+        if best is None or val < best[0]:
+            best = (val, u)
+    return solver.ScanResult(k_min=best[0], direction=best[1], grid_size=len(directions))
+
+
+def scan_outcome(scan, steps, grid):
+    """Bits of the minimum and direction, grid size, or exception type and message."""
+    try:
+        res = scan(steps, grid)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return res.k_min.hex(), res.direction.tobytes(), res.grid_size
+
+
+@st.composite
+def scan_cases(draw):
+    """A step set from {-1,0,1}^d (d = 1-3) and a scan grid."""
+    d = draw(st.integers(1, 3))
+    vectors = [v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]
+    steps = draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=8, unique=True))
+    return steps, draw(st.sampled_from([1, 2, 51, 721, 2001]))
+
+
+class TestScanMatchesScalar:
+    """The batched scan re-solves only near-minimal directions; its result and
+    exceptions must be those of the scalar per-direction scan, bit for bit."""
+
+    @pytest.mark.parametrize("steps, grid", [
+        ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1), (1, -1), (-1, 1)], 2001),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], 2001),
+        (NSEW, 2001),
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (-1, -1, -1)], 721),
+        (HALFSPACE_MODEL, 51),
+        # batched and scalar values differ in the last bit at the argmin, or
+        # order tied directions differently
+        ([(-1, -1), (-1, 1), (0, -1), (1, 0)], 2),
+        ([(-3, -1), (-3, 2), (-2, -1), (-2, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, -1),
+          (2, 3), (3, -2), (3, 0)], 51),
+        # exponents past the overflow guard: the scalar solver raises, on the
+        # first direction and on a later one
+        ([(-1000, 0), (1, 0), (0, 1), (0, -1)], 51),
+        ([(0, -1000), (1, 0), (-1, 0), (0, 1)], 51),
+    ])
+    def test_examples(self, steps, grid):
+        assert scan_outcome(cw.hyperplane_scan, steps, grid) == scan_outcome(scalar_scan, steps, grid)
+
+    def test_all_tied_directions_keep_the_first(self):
+        # NSEW has zero drift: every direction has its ray minimum 4 at t = 0
+        scan = cw.hyperplane_scan(NSEW, 2001)
+        assert scan.k_min == 4.0 and scan.direction.tolist() == [1.0, 0.0]
+
+    @given(scan_cases())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_random_step_sets(self, case):
+        steps, grid = case
+        assert scan_outcome(cw.hyperplane_scan, steps, grid) == scan_outcome(scalar_scan, steps, grid)
 
 
 class TestBrownianRate:
