@@ -57,7 +57,9 @@ class Cone:
     ``vectors`` holds the defining data: the half-space normal as shape (d,),
     rays or inequality normals as shape (k, d), and None for the orthant.
     ``normals`` and ``rays`` are the two derived descriptions, shape (k, d),
-    or None where the kind gives no such description without enumeration.
+    or None where the kind gives no such description without enumeration;
+    ``normal_norms`` holds the Euclidean norm of each normal (None without
+    normals), which scales the membership tolerances.
     """
 
     dim: int
@@ -65,6 +67,7 @@ class Cone:
     vectors: np.ndarray | None = None
     normals: np.ndarray | None = field(init=False)
     rays: np.ndarray | None = field(init=False)
+    normal_norms: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         normals = rays = None
@@ -77,6 +80,11 @@ class Cone:
             normals = self.vectors.reshape(-1, self.dim)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "rays", rays)
+        norms = None
+        if normals is not None:
+            norms = np.linalg.norm(normals, axis=1)
+            norms.flags.writeable = False
+        object.__setattr__(self, "normal_norms", norms)
 
     def __repr__(self):
         if self.kind == ORTHANT:
@@ -139,7 +147,7 @@ def contains(cone, x, tol=DEFAULT_TOL):
         return bool(np.all(x >= -thr))
     A = cone.normals
     if A is not None:
-        thr = np.maximum(tol * np.linalg.norm(A, axis=1) * xnorm, ABS_FLOOR)
+        thr = np.maximum(tol * cone.normal_norms * xnorm, ABS_FLOOR)
         return bool((A @ x >= -thr).all())
     # generated: feasibility of x = R^T t, t >= 0
     residual, _ = l1_fit(cone.rays.T, x)
@@ -243,7 +251,7 @@ def strictly_contains(cone, x):
     scale = max(1.0, float(np.linalg.norm(x)))
     A = cone.normals
     if A is not None:
-        return bool((A @ x > ABS_FLOOR * np.linalg.norm(A, axis=1) * scale).all())
+        return bool((A @ x > ABS_FLOOR * cone.normal_norms * scale).all())
     # generated cone: interior needs full-dimensionality plus slack in every
     # axis direction; tested by perturbed memberships.
     if not has_interior(cone):

@@ -8,16 +8,35 @@ kept: exact arbitrary-precision integers for unit weights, and doubles with
 a per-layer max renormalization whose accumulated logarithm keeps thousands
 of layers in range.
 
-No layer allocates a box of its own: each new box is a C-ordered view of one
-of two buffers that the DP owns and uses in turn, zeroed and filled in place;
-a buffer is replaced only when a box outgrows it, and both are freed with the
-DP. Only a step with a weight other than 1 makes a temporary, for its
-product. The float results are fixed to the bit by one order of operations
-in every layer: the step contributions are added cell by cell in step order
-(a unit weight adds the cell unscaled, as 1.0 * x == x), the box is trimmed
-to its nonzero cells, the layer is divided by its maximum, and cells below
-FLOAT_TRIM are zeroed; the total is the pairwise sum over the trimmed box,
-whose memory layout is that of a freshly allocated box.
+Each layer lives in one of two flat buffers that the DP owns and uses in
+turn. A box is stored row-major with padded rows: axis 0 is not padded, and
+every axis k >= 1 has a padded extent E_k of at least the box's extent plus
+the step span max_k - min_k, the pad cells being zero. A step s then moves
+every cell by one flat offset, o = sum_k (lo_k + s_k - newlo_k) * stride_k,
+so its contributions are one contiguous 1-D add, dst[o+g0 : o+g1] +=
+src[g0 : g1] over the box's flat range, clipped at the buffer's start. A
+real cell receives exactly the contributions of the box-by-box recurrence,
+in step order, plus zeros from pad cells. A cell the orthant cuts lands in a
+pad cell, as a row has at least as many pad cells as the cut is deep, or
+before the buffer; the pads of each cut axis are zeroed after the adds.
+When a box outgrows its padding or its buffer, it is copied into the idle
+buffer with two spans of padding; a buffer is replaced only when too small,
+and freed before its successor is allocated, so at most two layer-sized
+arrays are alive. Only a step with a weight other than 1 makes temporaries,
+for its product, PRODUCT_BLOCK cells at a time.
+
+The float results are fixed to the bit by one order of operations in every
+layer: the step contributions are added cell by cell in step order (a unit
+weight adds the cell unscaled, as 1.0 * x == x), the box is trimmed to its
+nonzero cells, the layer is divided by its maximum, and cells below
+FLOAT_TRIM are zeroed; the last three run over the flat range from the
+trimmed box's first cell to its last, where every other cell is zero. The
+total is the pairwise sum over the trimmed box, whose rounding depends on
+the strides: the box is copied into the idle buffer where a freshly
+allocated unpadded C-ordered box would hold it, and summed there. Weights
+above 1 are divided by their maximum once, its logarithm added to the scale
+per layer, so large finite weights cannot overflow; weights up to 1 are used
+as given.
 
 The same machinery provides the per-endpoint layer (for the change-of-measure
 identity check) and n-th-root rate extrapolation from the count series. The
@@ -45,6 +64,9 @@ LOG_SCALED = "log_scaled"
 # Relative mass below which a cell is dropped when re-trimming a float layer;
 # keeps boxes tight at an error many orders below every reported tolerance.
 FLOAT_TRIM = 1e-30
+
+# Cells per product temporary of a weighted step add.
+PRODUCT_BLOCK = 1 << 15
 
 # Cost caps: the DP touches O(n^d) lattice cells per layer in the worst case.
 MAX_HORIZON_EXACT = 200
@@ -148,108 +170,165 @@ def _dp_inputs(steps, start, n, weights, exact, cone):
 
 
 class _LayerDP:
-    """Orthant-confined layer recurrence on an adaptive bounding box.
+    """Orthant-confined layer recurrence on an adaptive bounding box, laid out
+    in two padded flat buffers (see the module docstring).
 
-    The box of each new layer lives in one of two buffers owned by the DP,
-    used in turn so a layer is never written over the one it is read from.
+    ``layer`` is the current box, trimmed to its nonzero cells, as a view of
+    ``_buffers[0]`` with padded strides ``_strides``; ``lo`` is its lowest
+    lattice point, and ``_first``/``_end`` bound its flat range. Every cell
+    of that range outside the box is zero. ``_box`` and ``_cut`` are the
+    untrimmed box the layer was cut from and the layer's place in it: they
+    give the unpadded strides and offsets at which ``total`` sums it. The
+    other buffer is idle: the next layer is written there, and the total is
+    summed there.
     """
 
     def __init__(self, steps, weights, start, exact, trim_threshold=FLOAT_TRIM):
         self.exact = exact
-        self.d = steps.shape[1]
+        self.d = d = steps.shape[1]
         self.trim_threshold = trim_threshold
         self.step_min = [int(v) for v in steps.min(axis=0)]
         self.step_max = [int(v) for v in steps.max(axis=0)]
-        # (shift, weight) per step in step order; weight None adds unscaled
+        self.span = [b - a for a, b in zip(self.step_min, self.step_max)]
         weights = [1.0] * len(steps) if exact else weights
-        self.plan = [(tuple(int(v) for v in s), None if w == 1.0 else float(w))
-                     for s, w in zip(steps, weights)]
-        dtype = object if exact else float
-        self._buffers = [np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)]
+        # weights above 1 are divided by their maximum, whose log each layer
+        # adds to log_scale; weights <= 1 cannot overflow and are kept as given
+        w_max = max(weights)
+        self.log_weight = math.log(w_max) if w_max > 1.0 else 0.0
+        if w_max > 1.0:
+            weights = [w / w_max for w in weights]
+        # shift and weight per step in step order; weight None adds unscaled
+        self.shifts = [tuple(int(v) for v in s) for s in steps]
+        self.weights = [None if w == 1.0 else float(w) for w in weights]
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
-        self.layer = np.empty((1,) * self.d, dtype=dtype)
-        self.layer.fill(1)
+        self.layer = np.ones((1,) * d, dtype=object if exact else float)
+        self._box, self._cut = [1] * d, [0] * d
+        self._buffers = [np.empty(0, dtype=self.layer.dtype)] * 2
+        self._relayout(1)
 
     @property
     def dead(self):
         return self.layer.size == 0
 
     def total(self):
+        if self.dead:
+            return 0 if self.exact else (0.0, self.log_scale)
         if self.exact:
-            return int(self.layer.sum()) if self.layer.size else 0
-        return (float(self.layer.sum()) if self.layer.size else 0.0, self.log_scale)
+            return int(self.layer.sum())  # integer sums are exact in any order
+        layer = self.layer
+        if self._extents != self._box[1:]:
+            # the pairwise sum's rounding depends on the strides, so sum the
+            # layer where a C-ordered unpadded box would hold it
+            box = self._buffers[1][:math.prod(self._box)].reshape(self._box)
+            layer = box[tuple(slice(c, c + k) for c, k in zip(self._cut, layer.shape))]
+            layer[...] = self.layer
+        return (float(layer.sum()), self.log_scale)
 
-    def _fresh(self, shape):
-        """A zeroed C-ordered array of ``shape`` in the buffer not read last."""
-        size = math.prod(shape)
-        if self._buffers[0].size < size:
-            self._buffers[0] = None  # freed before its successor is allocated
-            self._buffers[0] = np.empty(size, dtype=self.layer.dtype)
-        buf = self._buffers.pop(0)
-        self._buffers.append(buf)
-        new = buf[:size].reshape(shape)
-        new.fill(0)
-        return new
+    def _relayout(self, rows):
+        """Copy the layer to the start of the idle buffer, padding each axis
+        k >= 1 to the layer's extent plus two step spans, with room for
+        ``rows`` rows in both buffers. A buffer is freed before a larger one
+        replaces it, so no more than two layer-sized arrays are ever alive."""
+        n = self.layer.shape
+        # the widest layer (on axes k >= 1) that still has a span of padding
+        self._room = [k + s for k, s in zip(n[1:], self.span[1:])]
+        self._extents = [k + s for k, s in zip(self._room, self.span[1:])]
+        self._strides = [math.prod(self._extents[k:]) for k in range(self.d)]
+        self._plan = [(sum(s * st for s, st in zip(shift, self._strides)), w)
+                      for shift, w in zip(self.shifts, self.weights)]
+        size = rows * self._strides[0]
+        grow = self._buffers[1].size < size
+        if grow:
+            # a float buffer's spare rows stay unmapped until a box reaches them
+            self._buffers[1] = None
+            self._buffers[1] = np.empty(size + size // 4, dtype=self.layer.dtype)
+        padded = self._buffers[1][:n[0] * self._strides[0]].reshape(n[0], *self._extents)
+        padded.fill(0)
+        index = (slice(None),) + tuple(slice(0, k) for k in n[1:])
+        padded[index] = self.layer
+        self.layer = padded[index]
+        self._first = 0
+        self._end = sum((k - 1) * st for k, st in zip(n, self._strides)) + 1
+        self._buffers.reverse()
+        if grow:
+            self._buffers[1] = None
+            self._buffers[1] = np.empty_like(self._buffers[0])
 
     def advance(self):
         if self.dead:
             return
-        lo, layer = self.lo, self.layer
-        old_shape = layer.shape
+        lo, n = self.lo, self.layer.shape
         new_lo = [max(a + m, 0) for a, m in zip(lo, self.step_min)]
-        shape = tuple(a + n - b + m for a, n, b, m in zip(lo, old_shape, new_lo, self.step_max))
-        if min(shape) <= 0:
+        box = [a + k - b + m for a, k, b, m in zip(lo, n, new_lo, self.step_max)]
+        if min(box) <= 0:
             self._kill()
             return
-        new = self._fresh(shape)
-        for shift, w in self.plan:
-            dst, src = [], []
-            for a, n, b, s in zip(lo, old_shape, new_lo, shift):
-                # cells y - s of the old box with y >= 0 land on y
-                cut = max(-(a + s), 0)
-                if cut >= n:
-                    break
-                dst.append(slice(a + s + cut - b, a + s + n - b))
-                src.append(slice(cut, n))
+        if (box[0] * self._strides[0] > self._buffers[1].size
+                or any(k > r for k, r in zip(n[1:], self._room))):
+            self._relayout(box[0])
+        src, dst = self._buffers
+        first, end = self._first, self._end
+        rows = box[0] * self._strides[0]
+        dst[:rows].fill(0)
+        # the layer's cell f lands on the new box's cell f + base + offset,
+        # where the new box starts at the start of dst
+        base = sum((a - b) * st for a, b, st in zip(lo, new_lo, self._strides)) - first
+        for offset, w in self._plan:
+            offset += base
+            g0 = max(first, -offset)
+            if w is None:
+                if g0 < end:
+                    dst[g0 + offset:end + offset] += src[g0:end]
             else:
-                view = new[tuple(dst)]
-                if w is None:
-                    view += layer[tuple(src)]
-                else:
-                    view += w * layer[tuple(src)]
-        self.lo, self.layer = new_lo, new
-        self._trim()
+                # the product is formed a block at a time, so no temporary
+                # is layer-sized and each stays in cache
+                for a in range(g0, end, PRODUCT_BLOCK):
+                    b = min(a + PRODUCT_BLOCK, end)
+                    dst[a + offset:b + offset] += w * src[a:b]
+        padded = dst[:rows].reshape(box[0], *self._extents)
+        for k in range(1, self.d):
+            if lo[k] + self.step_min[k] < 0:
+                # cells the orthant cuts on axis k landed in its pads
+                padded[(slice(None),) * k + (slice(box[k], None),)] = 0
+        self._buffers.reverse()
+        self.lo, self._box = new_lo, box
+        self._trim(padded[(slice(None),) + tuple(slice(0, k) for k in box[1:])])
         if not self.exact and not self.dead:
-            mx = float(self.layer.max())
+            cells = dst[self._first:self._end]
+            mx = float(cells.max())
             if mx > 0.0:
-                self.layer /= mx
+                cells /= mx
                 self.log_scale += math.log(mx)
                 if self.trim_threshold > 0.0:
-                    np.copyto(self.layer, 0.0, where=self.layer < self.trim_threshold)
+                    np.copyto(cells, 0.0, where=cells < self.trim_threshold)
+                if self.log_weight:
+                    self.log_scale += self.log_weight
 
     def _kill(self):
         self.layer = np.zeros((0,) * self.d, dtype=self.layer.dtype)
 
-    def _trim(self):
-        """Shrink the box to its nonzero cells, reading inward from each face."""
-        layer = self.layer
-        for ax in range(self.d):
-            def occupied(i):
-                # cells are never negative, so a positive maximum means a nonzero cell
-                return layer[(slice(None),) * ax + (slice(i, i + 1),)].max() > 0
-
+    def _trim(self, layer):
+        """Make the layer the nonzero cells of ``layer``, a new box at the
+        start of the buffer, reading inward from each face."""
+        occupied = np.count_nonzero
+        first_cell = last_cell = 0
+        for ax, stride in enumerate(self._strides):
+            head = (slice(None),) * ax
             first, last = 0, layer.shape[ax] - 1
-            while first <= last and not occupied(first):
+            while first <= last and not occupied(layer[head + (first,)]):
                 first += 1
             if first > last:
                 self._kill()
                 return
-            while not occupied(last):
+            while not occupied(layer[head + (last,)]):
                 last -= 1
-            layer = layer[(slice(None),) * ax + (slice(first, last + 1),)]
+            layer = layer[head + (slice(first, last + 1),)]
             self.lo[ax] += first
-        self.layer = layer
+            self._cut[ax] = first
+            first_cell += first * stride
+            last_cell += last * stride
+        self.layer, self._first, self._end = layer, first_cell, last_cell + 1
 
     def endpoint_items(self):
         """(lattice point, mass) pairs of the current layer."""

@@ -118,7 +118,7 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
         raise cones.UnsupportedConeError("simulation needs the normals a generated cone lacks")
     # an absolute tolerance: a far start must not excuse a coordinate outside
     x = cones._check_dim(cone, start)
-    if np.any(A @ x < -cones.DEFAULT_TOL * np.linalg.norm(A, axis=1)):
+    if np.any(A @ x < -cones.DEFAULT_TOL * cone.normal_norms):
         raise ValueError("start lies outside the cone")
     wanted = set(checkpoints)
     if not all(isinstance(k, numbers.Integral) and 1 <= k <= config.n for k in wanted):

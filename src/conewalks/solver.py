@@ -343,7 +343,7 @@ def _default_init(model, dual_cone):
 def _membership_violation(cone, y):
     """How far y is from the cone, measured on its normals."""
     A = cone.normals
-    slack = (A @ y) / np.linalg.norm(A, axis=1)
+    slack = (A @ y) / cone.normal_norms
     return max(0.0, -float(slack.min()))
 
 

@@ -89,6 +89,16 @@ class TestDescriptions:
             d = cw.dual(cone)
             assert _same(d.rays, cone.normals) and _same(d.normals, cone.rays)
 
+    def test_normal_norms_derived_once(self):
+        for cone in (cw.orthant(3), cw.halfspace([2.0, -1.0]),
+                     cw.inequalities([[1.0, 0.0], [1.0, 2.0]]), cw.generated([[1.0, 0.0], [1.0, 2.0]])):
+            if cone.normals is None:
+                assert cone.normal_norms is None
+                continue
+            assert _same(cone.normal_norms, np.linalg.norm(cone.normals, axis=1))
+            with pytest.raises(ValueError):
+                cone.normal_norms[0] = 2.0
+
     def test_orthant_identity_is_read_only(self):
         with pytest.raises(ValueError):
             cw.orthant(2).normals[0, 1] = 1.0

@@ -187,6 +187,19 @@ def test_bad_dp_inputs_raise(case):
         cw.end_point_counts(steps, start, None, n, weights=weights)
 
 
+def test_large_finite_weights_scale_out():
+    # the weights are divided by their maximum and its log is added back per
+    # layer, so 1e308 weights neither overflow nor lose the unit-weight layers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = cw.count_walks([(1,), (-1,)], (0,), 5, weights=[1e308] * 2)
+    unit = cw.count_walks([(1,), (-1,)], (0,), 5)
+    for n in range(6):
+        want = unit.log_value(n) + n * math.log(1e308)
+        assert math.isfinite(big.log_value(n))
+        assert abs(big.log_value(n) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_exact_endpoint_layer_capped():
     cw.end_point_counts([(1, 0), (0, 1)], (0, 0), None, counting.MAX_HORIZON_EXACT)
     with pytest.raises(ValueError):
@@ -319,6 +332,197 @@ class TestGoldenLayers:
             "643278714675251ff10cad4be7f77347ac1e3772bffbcc3249be40dba1c41131")
         assert _sha256(",".join(f"{p}:{v}" for p, v in sorted(counts.items()))) == (
             "5a0d12a23df949a9d912cf77811471a4cec4b1196df21350a4c790a11df86f20")
+
+
+class _BoxLayerDP:
+    """The layer DP on unpadded boxes, kept as the reference of the flat
+    layout: each new layer is a zeroed C-ordered box (in one of two buffers
+    used in turn) and each step is one strided N-D slice add."""
+
+    def __init__(self, steps, weights, start, exact, trim_threshold=counting.FLOAT_TRIM):
+        self.exact = exact
+        self.d = steps.shape[1]
+        self.trim_threshold = trim_threshold
+        self.step_min = [int(v) for v in steps.min(axis=0)]
+        self.step_max = [int(v) for v in steps.max(axis=0)]
+        # (shift, weight) per step in step order; weight None adds unscaled
+        weights = [1.0] * len(steps) if exact else weights
+        self.plan = [(tuple(int(v) for v in s), None if w == 1.0 else float(w))
+                     for s, w in zip(steps, weights)]
+        dtype = object if exact else float
+        self._buffers = [np.empty(0, dtype=dtype), np.empty(0, dtype=dtype)]
+        self.lo = [int(v) for v in start]
+        self.log_scale = 0.0
+        self.layer = np.empty((1,) * self.d, dtype=dtype)
+        self.layer.fill(1)
+
+    @property
+    def dead(self):
+        return self.layer.size == 0
+
+    def total(self):
+        if self.exact:
+            return int(self.layer.sum()) if self.layer.size else 0
+        return (float(self.layer.sum()) if self.layer.size else 0.0, self.log_scale)
+
+    def _fresh(self, shape):
+        """A zeroed C-ordered array of ``shape`` in the buffer not read last."""
+        size = math.prod(shape)
+        if self._buffers[0].size < size:
+            self._buffers[0] = None  # freed before its successor is allocated
+            self._buffers[0] = np.empty(size, dtype=self.layer.dtype)
+        buf = self._buffers.pop(0)
+        self._buffers.append(buf)
+        new = buf[:size].reshape(shape)
+        new.fill(0)
+        return new
+
+    def advance(self):
+        if self.dead:
+            return
+        lo, layer = self.lo, self.layer
+        old_shape = layer.shape
+        new_lo = [max(a + m, 0) for a, m in zip(lo, self.step_min)]
+        shape = tuple(a + n - b + m for a, n, b, m in zip(lo, old_shape, new_lo, self.step_max))
+        if min(shape) <= 0:
+            self._kill()
+            return
+        new = self._fresh(shape)
+        for shift, w in self.plan:
+            dst, src = [], []
+            for a, n, b, s in zip(lo, old_shape, new_lo, shift):
+                # cells y - s of the old box with y >= 0 land on y
+                cut = max(-(a + s), 0)
+                if cut >= n:
+                    break
+                dst.append(slice(a + s + cut - b, a + s + n - b))
+                src.append(slice(cut, n))
+            else:
+                view = new[tuple(dst)]
+                if w is None:
+                    view += layer[tuple(src)]
+                else:
+                    view += w * layer[tuple(src)]
+        self.lo, self.layer = new_lo, new
+        self._trim()
+        if not self.exact and not self.dead:
+            mx = float(self.layer.max())
+            if mx > 0.0:
+                self.layer /= mx
+                self.log_scale += math.log(mx)
+                if self.trim_threshold > 0.0:
+                    np.copyto(self.layer, 0.0, where=self.layer < self.trim_threshold)
+
+    def _kill(self):
+        self.layer = np.zeros((0,) * self.d, dtype=self.layer.dtype)
+
+    def _trim(self):
+        """Shrink the box to its nonzero cells, reading inward from each face."""
+        layer = self.layer
+        for ax in range(self.d):
+            def occupied(i):
+                # cells are never negative, so a positive maximum means a nonzero cell
+                return layer[(slice(None),) * ax + (slice(i, i + 1),)].max() > 0
+
+            first, last = 0, layer.shape[ax] - 1
+            while first <= last and not occupied(first):
+                first += 1
+            if first > last:
+                self._kill()
+                return
+            while not occupied(last):
+                last -= 1
+            layer = layer[(slice(None),) * ax + (slice(first, last + 1),)]
+            self.lo[ax] += first
+        self.layer = layer
+
+    def endpoint_items(self):
+        """(lattice point, mass) pairs of the current layer."""
+        items = []
+        if self.dead:
+            return items
+        for idx in np.argwhere(self.layer != 0 if self.exact else self.layer > 0.0):
+            point = tuple(a + int(i) for a, i in zip(self.lo, idx))
+            v = self.layer[tuple(idx)]
+            if self.exact:
+                items.append((point, int(v)))
+            else:
+                items.append((point, float(v) * math.exp(self.log_scale)))
+        return items
+def _layouts_agree(steps, start, n, weights, exact, trim):
+    """Run the flat-layout DP and the box-layout reference side by side and
+    compare every layer bit for bit; returns the flat DP."""
+    steps, start, w = counting._dp_inputs(steps, start, n, weights, exact, None)
+    flat = counting._LayerDP(steps, w, start, exact=exact, trim_threshold=trim)
+    ref = _BoxLayerDP(steps, w, start, exact=exact, trim_threshold=trim)
+    for k in range(n + 1):
+        if k:
+            flat.advance()
+            ref.advance()
+        got, want = flat.total(), ref.total()
+        if exact:
+            assert got == want, k
+        else:
+            assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex()), k
+        assert flat.lo == ref.lo, k
+        assert flat.layer.shape == ref.layer.shape, k
+        assert flat.endpoint_items() == ref.endpoint_items(), k
+    return flat
+
+
+@st.composite
+def _layout_cases(draw):
+    """Steps from {-2..2}^d (d = 1-3), a start in 0..3, n <= 40 (16 in 3-D),
+    exact or float mode, weights in (0, 1] with exact 1.0 among them, and the
+    FLOAT_TRIM cut on or off."""
+    # hypothesis leans to its simplest draws, here 2-D and the longest walks
+    d = draw(st.sampled_from([2, 3, 1]))
+    vectors = list(itertools.product(range(-2, 3), repeat=d))
+    steps = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=5, unique=True))
+    start = tuple(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    n_max = 40 if d < 3 else 16
+    n = n_max - draw(st.integers(0, n_max))
+    exact = draw(st.booleans())
+    weights = None
+    if not exact and draw(st.booleans()):
+        weight = st.one_of(st.just(1.0), st.floats(1e-3, 1.0, exclude_min=True))
+        weights = draw(st.lists(weight, min_size=len(steps), max_size=len(steps)))
+    trim = draw(st.sampled_from([counting.FLOAT_TRIM, 0.0]))
+    return steps, start, n, weights, exact, trim
+
+
+class TestFlatLayoutMatchesBoxLayout:
+    """The padded flat layout changes no bit: totals, boxes and endpoint
+    masses after every step equal those of the box-layout reference."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(_layout_cases())
+    def test_random_cases(self, case):
+        _layouts_agree(*case)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("steps, start, n", [
+        ([(2, 0), (0, 2), (-1, -1), (1, 2)], (0, 3), 40),
+        ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (-1, -1, -1)], (1, 0, 2), 14),
+    ], ids=["2d", "3d"])
+    def test_box_outgrows_its_padding(self, steps, start, n, exact):
+        # boxes that widen by two cells a step on every axis outrun the
+        # padding of each layout, so the layers are laid out anew many times
+        steps_arr, start_arr, w = counting._dp_inputs(steps, start, n, None, exact, None)
+        dp = counting._LayerDP(steps_arr, w, start_arr, exact=exact)
+        layouts = set()
+        for _ in range(n):
+            dp.advance()
+            layouts.add(tuple(dp._extents))
+        assert len(layouts) >= 4
+        _layouts_agree(steps, start, n, None, exact, counting.FLOAT_TRIM)
+
+    @pytest.mark.parametrize("block", [counting.PRODUCT_BLOCK, 7])
+    def test_weights_and_no_trim(self, block, monkeypatch):
+        # a 7-cell block splits each weighted product into many pieces
+        monkeypatch.setattr(counting, "PRODUCT_BLOCK", block)
+        _layouts_agree(S5, (0, 2), 40, (1.0, 0.3, 0.5, 1.0, 0.05), False, 0.0)
+        _layouts_agree(D3, (0, 1, 0), 16, (0.1, 1.0, 0.3, 0.4), False, counting.FLOAT_TRIM)
 
 
 class TestEstimateRate:
