@@ -36,7 +36,8 @@ the strides: the box is copied into the idle buffer where a freshly
 allocated unpadded C-ordered box would hold it, and summed there. Weights
 above 1 are divided by their maximum once, its logarithm added to the scale
 per layer, so large finite weights cannot overflow; weights up to 1 are used
-as given.
+as given. Weights too far apart for that division, a quotient below the
+smallest normal double, are refused.
 
 The same machinery provides the per-endpoint layer (for the change-of-measure
 identity check) and n-th-root rate extrapolation from the count series. The
@@ -166,6 +167,10 @@ def _dp_inputs(steps, start, n, weights, exact, cone):
     w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (k,) or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("need one positive finite weight per step")
+    if w.max() > 1.0 and np.any(w / w.max() < np.finfo(float).tiny):
+        # the DP divides weights above 1 by their maximum (see _LayerDP)
+        raise ValueError("weights more than the double range apart: the smallest "
+                         "would underflow when divided by the largest")
     return steps, start, w
 
 
@@ -228,8 +233,9 @@ class _LayerDP:
     def _relayout(self, rows):
         """Copy the layer to the start of the idle buffer, padding each axis
         k >= 1 to the layer's extent plus two step spans, with room for
-        ``rows`` rows in both buffers. A buffer is freed before a larger one
-        replaces it, so no more than two layer-sized arrays are ever alive."""
+        ``rows`` rows, and for the layer's own, in both buffers. A buffer is
+        freed before a larger one replaces it, so no more than two layer-sized
+        arrays are ever alive."""
         n = self.layer.shape
         # the widest layer (on axes k >= 1) that still has a span of padding
         self._room = [k + s for k, s in zip(n[1:], self.span[1:])]
@@ -237,7 +243,9 @@ class _LayerDP:
         self._strides = [math.prod(self._extents[k:]) for k in range(self.d)]
         self._plan = [(sum(s * st for s, st in zip(shift, self._strides)), w)
                       for shift, w in zip(self.shifts, self.weights)]
-        size = rows * self._strides[0]
+        # a layer pressed against the wall on axis 0 may have more rows than
+        # the box it advances to
+        size = max(rows, n[0]) * self._strides[0]
         grow = self._buffers[1].size < size
         if grow:
             # a float buffer's spare rows stay unmapped until a box reaches them

@@ -149,6 +149,9 @@ BAD_DP_INPUTS = {
     "zero weight": (HALFSPACE_MODEL, [0.5, 0.5, 0.0], 5, "weight"),
     "too few weights": (HALFSPACE_MODEL, [0.5, 0.5], 5, "weight"),
     "too many weights": (HALFSPACE_MODEL, [0.2, 0.2, 0.2, 0.4], 5, "weight"),
+    # divided by the largest, the smallest weight would underflow to 0
+    "weight quotient underflows to 0": ([(-1,), (1,)], [1e308, 1e-20], 1, "double range"),
+    "weight quotient subnormal": ([(-1,), (1,)], [1e300, 1e-10], 1, "double range"),
     "negative horizon": (NSEW, None, -2, "horizon"),
     "bool horizon": (NSEW, None, True, "horizon"),
     "float horizon": (NSEW, None, 3.0, "horizon"),
@@ -198,6 +201,13 @@ def test_large_finite_weights_scale_out():
         want = unit.log_value(n) + n * math.log(1e308)
         assert math.isfinite(big.log_value(n))
         assert abs(big.log_value(n) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_weights_at_the_double_range_apart_scale_out():
+    # the quotient by the largest weight is still a normal double
+    tiny = np.finfo(float).tiny
+    series = cw.count_walks([(-1,), (1,)], (0,), 1, weights=[2.0, 2.0 * tiny])
+    assert abs(series.log_value(1) - math.log(2.0 * tiny)) <= 1e-12 * abs(math.log(tiny))
 
 
 def test_exact_endpoint_layer_capped():
@@ -472,14 +482,19 @@ def _layouts_agree(steps, start, n, weights, exact, trim):
 
 @st.composite
 def _layout_cases(draw):
-    """Steps from {-2..2}^d (d = 1-3), a start in 0..3, n <= 40 (16 in 3-D),
+    """Steps from {-2..2}^d (d = 1-3), a start in 0..3 or 4..30, n <= 40 (16 in 3-D),
     exact or float mode, weights in (0, 1] with exact 1.0 among them, and the
     FLOAT_TRIM cut on or off."""
     # hypothesis leans to its simplest draws, here 2-D and the longest walks
     d = draw(st.sampled_from([2, 3, 1]))
     vectors = list(itertools.product(range(-2, 3), repeat=d))
+    if d > 1 and draw(st.booleans()):
+        # every step lowers axis 0: the layer is pushed onto that wall
+        vectors = [v for v in vectors if v[0] < 0]
     steps = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=5, unique=True))
-    start = tuple(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    # starts away from the apex let a wide layer meet the wall it walks toward
+    coordinate = st.one_of(st.integers(0, 3), st.integers(4, 30))
+    start = tuple(draw(st.lists(coordinate, min_size=d, max_size=d)))
     n_max = 40 if d < 3 else 16
     n = n_max - draw(st.integers(0, n_max))
     exact = draw(st.booleans())
@@ -495,7 +510,7 @@ class TestFlatLayoutMatchesBoxLayout:
     """The padded flat layout changes no bit: totals, boxes and endpoint
     masses after every step equal those of the box-layout reference."""
 
-    @settings(max_examples=250, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_layout_cases())
     def test_random_cases(self, case):
         _layouts_agree(*case)
@@ -515,6 +530,17 @@ class TestFlatLayoutMatchesBoxLayout:
             dp.advance()
             layouts.add(tuple(dp._extents))
         assert len(layouts) >= 4
+        _layouts_agree(steps, start, n, None, exact, counting.FLOAT_TRIM)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("steps, start, n", [
+        ([(-1, 1), (-1, -1), (-2, 0)], (7, 10), 8),
+        ([(-1, 1), (-2, -1), (-2, 0), (-1, -2)], (18, 7), 40),
+        ([(-1, 2, -1), (-2, -1, 2), (-1, 0, 0)], (20, 2, 2), 14),
+    ], ids=["2d", "2d-long", "3d"])
+    def test_layer_against_the_wall_outgrows_its_padding(self, steps, start, n, exact):
+        # every step lowers axis 0, so a layer on the wall there has more rows
+        # than the box it advances to, while its rows outgrow their padding
         _layouts_agree(steps, start, n, None, exact, counting.FLOAT_TRIM)
 
     @pytest.mark.parametrize("block", [counting.PRODUCT_BLOCK, 7])
