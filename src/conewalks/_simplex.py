@@ -1,4 +1,5 @@
-"""Small dense simplex routines backing the feasibility checks.
+"""Small dense simplex routines backing the feasibility checks and the
+global-minimum test.
 
 The linear programs in this package are tiny (at most a few dozen rows:
 cone facets plus step vectors), so a plain dense tableau with Bland's

@@ -6,6 +6,11 @@ L(x) = sum_s w_s e^{<x,s>} and the analytic identity-covariance Gaussian
 L(x) = e^{|x|^2/2 + <x,a>} used for the Brownian comparison. Arguments whose
 exponents exceed 700 are rejected outright so downstream certificates are
 never built from saturated arithmetic.
+
+Whether the minimum exists on a cone is decided by one min-max LP over the
+cone's rays, solved by the package's dense simplex (`_simplex.simplex_min`)
+from an explicit feasible basis; it is a different LP from the phase-1
+feasibility problem of `steps.halfspace_witness`, so the two cross-check.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import cones, steps as steps_mod
+from ._simplex import simplex_min
 
 # Absolute tolerance classifying a step as lying on the hyperplane u-perp;
 # exact for lattice inputs.
@@ -126,35 +131,50 @@ def classify_direction(model, u, x=None):
     return DirectionBehavior(diverges=False, limit=limit)
 
 
+def _min_max_value(G):
+    """gamma* = min over t >= 0, sum t = 1 of max_i (G t)_i.
+
+    In standard form the variables are (t, z, slack) >= 0 with gamma = z + lb
+    and lb = min(G), a lower bound on every (G t)_i; the rows are
+    G t - z + slack = lb and sum t = 1. The start basis is t = e_0, with z
+    basic on the row argmax G[:, 0] and each slack on its own other row:
+    z = max G[:, 0] - lb and slack_i = max G[:, 0] - G[i, 0], all >= 0, so
+    no phase 1 is needed.
+    """
+    k, r = G.shape
+    lb = float(G.min())
+    M = np.zeros((k + 1, r + 1 + k))
+    M[:k, :r] = G
+    M[:k, r] = -1.0
+    M[:k, r + 1:] = np.eye(k)
+    M[k, :r] = 1.0
+    b = np.full(k + 1, lb)
+    b[k] = 1.0
+    c = np.zeros(r + 1 + k)
+    c[r] = 1.0
+    basis = list(range(r + 1, r + 1 + k)) + [0]
+    basis[int(np.argmax(G[:, 0]))] = r
+    status, _, z = simplex_min(c, M, b, basis)
+    if status != "optimal":
+        raise RuntimeError(f"direction LP failed: {status}")
+    return z + lb
+
+
 def has_global_min_on_cone(model, cone):
     """Whether L attains a global minimum on the closed convex cone.
 
     For an all-exponential-moments law this holds exactly when no nonzero
     direction u of the cone keeps the whole support in the half-space
-    {<u, .> <= 0}. Decided by minimizing max_s <u, s> over the normalized
-    cone parametrization (an LP, solved independently of the phase-1 route
-    used by the hypothesis checker so the two can cross-validate).
+    {<u, .> <= 0}. With the cone's rays R and the steps S, the test is
+    gamma* = min max_s <s, R^T t> over t >= 0, sum t = 1 (`_min_max_value`
+    on G = S R^T), and the minimum exists when gamma* > 1e-9. The LP runs on
+    the dense simplex from an explicit feasible start basis; it differs from
+    the phase-1 LP of the hypothesis checker, so the two can cross-validate.
     """
     if isinstance(model, GaussianLaplace):
         raise TypeError("global-minimum dichotomy applies to finite-support transforms")
     m = model.measure
     if not steps_mod.check_h1(m):
         raise ValueError("global-minimum test requires a full-dimensional support (H1)")
-    S = m.steps
-    k = S.shape[0]
     R = cones._rays(cone, "global-minimum test")
-    G = S @ R.T
-    r = R.shape[0]
-    # min gamma s.t. G t <= gamma, t >= 0, sum t = 1
-    c = np.zeros(r + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([G, -np.ones((k, 1))])
-    a_eq = np.zeros((1, r + 1))
-    a_eq[0, :r] = 1.0
-    res = linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * r + [(None, None)], method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"direction LP failed: {res.message}")
-    return float(res.fun) > 1e-9
+    return _min_max_value(m.steps @ R.T) > 1e-9

@@ -181,8 +181,13 @@ def _minimize_ray(model, u, tol, max_iter, t0=None):
     iterations = 1
     if phi_prime(0.0) >= 0.0:
         return np.zeros_like(u), 0.0, iterations, [np.zeros_like(u)]
-    # bracket a sign change of phi'
+    # bracket a sign change of phi', from no further out than the overflow
+    # guard allows: a start whose exponents trip it moves in to just inside
     hi = 1.0 if t0 is None or t0 <= 0.0 else float(t0)
+    if isinstance(model, laplace.FiniteLaplace):
+        S = model.measure.steps
+        if float(np.abs(S @ (hi * u)).max()) > steps_mod.MAX_EXPONENT:
+            hi = steps_mod.MAX_EXPONENT * (1.0 - SCAN_MARGIN) / float(np.abs(S @ u).max())
     for _ in range(200):
         iterations += 1
         try:
@@ -443,7 +448,8 @@ def _scan_directions(dim, angular_grid):
             (np.sin(pp) * np.sin(tt)).ravel(),
             np.cos(pp).ravel(),
         ])
-        return u
+        # the phi = 0 row is `side` copies of (0, 0, 1): keep the first
+        return np.delete(u, np.s_[1:side], axis=0)
     raise ValueError("hyperplane scan supports dimensions 1 to 3")
 
 

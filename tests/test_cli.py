@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,3 +312,27 @@ class TestDeterminism:
         nsew = step_file("nsew.json", 2, NSEW)
         code, _, err = run(capsys, "rate", "--steps", nsew, "--cone", "wedge:1,2")
         assert code == 1 and "cone literal" in err
+
+
+IMPORT_GUARD = """
+import sys
+import conewalks as cw
+from conewalks import cli
+assert cli.main(["check", "--steps", sys.argv[1], "--json"]) == 0
+m = cw.from_step_set([(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)])
+assert cw.has_global_min_on_cone(cw.FiniteLaplace(m), cw.orthant(2))
+loaded = sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_library_loads_no_scipy(step_file):
+    # scipy is a test and benchmark dependency only; importing it would add
+    # about half a second to every command
+    path = step_file("five.json", 2, NSEW_SW)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, path], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

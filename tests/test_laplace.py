@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 import conewalks as cw
+from conewalks import laplace
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
@@ -169,6 +174,74 @@ class TestGlobalMinimumDichotomy:
     def test_gaussian_rejected(self):
         with pytest.raises(TypeError):
             cw.has_global_min_on_cone(cw.GaussianLaplace([1.0]), cw.orthant(1))
+
+
+def highs_min_max(G):
+    """The global-minimum LP as HiGHS solves it, kept as the reference:
+    min gamma s.t. G t <= gamma, t >= 0, sum t = 1."""
+    k, r = G.shape
+    c = np.zeros(r + 1)
+    c[-1] = 1.0
+    a_ub = np.hstack([G, -np.ones((k, 1))])
+    a_eq = np.zeros((1, r + 1))
+    a_eq[0, :r] = 1.0
+    res = linprog(
+        c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=[1.0],
+        bounds=[(0, None)] * r + [(None, None)], method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+# inequality cones whose duals are generated by several rays
+INEQ = {2: [(2, -1), (-1, 2)], 3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]}
+
+
+def dual_cones(d):
+    """The orthant's dual and, from d = 2, the duals of the half-space u = 1
+    and an inequality cone."""
+    out = [cw.dual(cw.orthant(d))]
+    if d >= 2:
+        out += [cw.dual(cw.halfspace(np.ones(d))), cw.dual(cw.inequalities(INEQ[d]))]
+    return out
+
+
+def highs_mismatches(steps):
+    """The (dual cone, simplex gamma, HiGHS gamma) cases of a step set where
+    the two LP values differ by more than 1e-9 or the verdicts differ."""
+    m = cw.from_step_set(steps)
+    h1 = cw.check_h1(m)
+    bad = []
+    for dual in dual_cones(m.dim):
+        G = m.steps @ dual.rays.T
+        gamma, fun = laplace._min_max_value(G), highs_min_max(G)
+        # the public test refuses a support without H1; its LP still runs
+        verdict = cw.has_global_min_on_cone(cw.FiniteLaplace(m), dual) if h1 else gamma > 1e-9
+        if abs(gamma - fun) > 1e-9 or verdict != (fun > 1e-9):
+            bad.append((dual.rays.tolist(), gamma, fun))
+    return bad
+
+
+@st.composite
+def small_step_sets(draw):
+    """Steps from {-1,0,1}^d for d = 1-3, or from {-3..3}^2."""
+    d, span = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (2, 3)]))
+    vectors = [v for v in itertools.product(range(-span, span + 1), repeat=d) if any(v)]
+    return draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=8, unique=True))
+
+
+class TestGlobalMinMatchesHighs:
+    """The simplex route of has_global_min_on_cone against the HiGHS LP it
+    replaced: the same value to 1e-9 and the same verdict."""
+
+    def test_corpora(self, proper_2d_corpus, proper_3d_corpus, improper_2d_corpus):
+        corpus = proper_2d_corpus + proper_3d_corpus + improper_2d_corpus
+        assert [bad for steps in corpus for bad in highs_mismatches(steps)] == []
+
+    @given(small_step_sets())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_step_sets(self, steps):
+        assert highs_mismatches(steps) == []
 
 
 class TestConvexityAndTiltIdentities:

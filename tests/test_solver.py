@@ -189,6 +189,31 @@ class TestHyperplaneScan:
         assert scan.k_min >= growth.k_s - 1e-9
         assert scan.k_min - growth.k_s <= 5e-3
 
+    def test_3d_grid_has_no_repeated_direction(self):
+        steps = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (-1, -1, -1)]
+        directions = solver._scan_directions(3, 2001)
+        assert len(directions) == len(np.unique(directions, axis=0)) == 1981
+        scan = cw.hyperplane_scan(steps, 2001)
+        assert scan.grid_size == 1981
+        # the minimum and direction of the 45 x 45 grid with its 44 repeats
+        # of (0, 0, 1), bit for bit
+        assert scan.k_min.hex() == "0x1.aa43e7589618ep+2"
+        assert scan.direction.tobytes().hex() == (
+            "a76917692d96e23fa66917692d96e23f9ebb39421540e23f")
+
+    def test_steps_past_the_overflow_guard(self):
+        # |<s, u>| = 1000 cos(theta) at t = 1: the ray bracket must start
+        # inside the guard, where the minimum (t near 0.007) lies
+        steps = [(-1000, 0), (1, 0), (0, 1), (0, -1)]
+        scan = cw.hyperplane_scan(steps, 51)
+        assert abs(scan.k_min - cw.growth_constant(steps).k_s) <= 1e-3
+
+    def test_ray_bracket_start_kept_inside_the_guard(self):
+        model = cw.FiniteLaplace(cw.from_step_set([(-1000, 0), (1, 0), (0, 1), (0, -1)]))
+        x, t, _, _ = solver._minimize_ray(model, np.array([1.0, 0.0]), 1e-12, 100, t0=5.0)
+        assert 0.0 < t < 0.01
+        assert abs(float(cw.gradient(model, x)[0])) <= 1e-12
+
     @pytest.mark.parametrize("grid", [0, -3, 2.0, True, "51", None])
     @pytest.mark.parametrize("steps", [NSEW_SW, [(1,), (-1,)]])
     def test_grid_not_a_positive_integer_raises(self, steps, grid):
@@ -252,8 +277,9 @@ class TestScanMatchesScalar:
         ([(-1, -1), (-1, 1), (0, -1), (1, 0)], 2),
         ([(-3, -1), (-3, 2), (-2, -1), (-2, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, -1),
           (2, 3), (3, -2), (3, 0)], 51),
-        # exponents past the overflow guard: the scalar solver raises, on the
-        # first direction and on a later one
+        # exponents past the overflow guard at t = 1, on the first direction
+        # and on a later one: the batch leaves these lanes undecided and the
+        # scalar solver starts its bracket inside the guard
         ([(-1000, 0), (1, 0), (0, 1), (0, -1)], 51),
         ([(0, -1000), (1, 0), (-1, 0), (0, 1)], 51),
     ])
