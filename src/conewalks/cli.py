@@ -2,10 +2,14 @@
 
 Every command echoes its full resolved configuration, so a report alone
 suffices to reproduce the run; with ``--json`` the output is a schema-stable
-document that is byte-identical across repeated runs. Exit codes: 0 success,
-1 input error, 2 hypothesis failure (the report carries the witness),
-3 numerical non-convergence, or a failed `verify` check (status
-"check-failed"; the report keeps every figure).
+document that is byte-identical across repeated runs. Each ``cmd_*`` fills in
+the report that ``main`` hands it and returns an exit code; ``main`` alone
+maps library errors to exit codes and prints the report. Exit codes:
+0 success; 1 input error (a message on stderr, no report); 2 hypothesis
+failure (status "improper" with the witness; `verify` reports "inapplicable"
+with per-start rates); 3 numerical non-convergence (status
+"non-convergence" with the message and the config) or a failed `verify`
+check (status "check-failed"; the report keeps every figure).
 """
 
 from __future__ import annotations
@@ -37,14 +41,7 @@ class _Parser(argparse.ArgumentParser):
     # reserved for hypothesis failures and non-convergence
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_INPUT, message)
-
-
-class SystemExit_(Exception):
-    def __init__(self, code, message):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+        raise InputError(message)
 
 
 def _load_measure(path):
@@ -124,31 +121,16 @@ def _floats(vec):
     return [float(v) for v in np.asarray(vec).ravel()]
 
 
-def cmd_rate(args):
+def cmd_rate(args, report):
     measure, doc = _load_measure(args.steps)
     cone = _parse_cone(args.cone, measure.dim)
-    report = {
-        "command": "rate",
-        "config": {"steps_file": args.steps, "steps": doc["steps"],
-                   "weights": _floats(measure.weights), "dim": measure.dim,
-                   "cone": args.cone, "tol": args.tol, "threads": args.threads,
-                   "seed": args.seed},
-    }
-    try:
-        cert = solver.minimize_on_dual(laplace.FiniteLaplace(measure), cone, tol=args.tol)
-    except solver.ImproperModelError as exc:
-        report["status"] = "improper"
-        report["witness"] = _floats(exc.witness)
-        _emit(report, args.json)
-        return EXIT_HYPOTHESIS
-    except solver.NonConvergenceError as exc:
-        report["status"] = "non-convergence"
-        report["message"] = str(exc)
-        _emit(report, args.json)
-        return EXIT_NONCONVERGENCE
+    report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
+                        "weights": _floats(measure.weights), "dim": measure.dim,
+                        "cone": args.cone, "tol": args.tol, "threads": args.threads,
+                        "seed": args.seed}
+    cert = solver.minimize_on_dual(laplace.FiniteLaplace(measure), cone, tol=args.tol)
     report["status"] = "ok"
     report["certificate"] = cert.to_dict()
-    _emit(report, args.json)
     return EXIT_OK
 
 
@@ -167,15 +149,16 @@ def _series_rows(series, estimate):
     return rows
 
 
-def cmd_enumerate(args):
+def cmd_enumerate(args, report):
     measure, doc = _load_measure(args.steps)
     start = _parse_lattice_point(args.start)
     weights = None if "weights" not in doc or doc["weights"] is None else measure.weights
     mode = counting.EXACT if args.mode == "exact" else counting.LOG_SCALED
-    try:
-        series = counting.count_walks(measure.steps, start, args.n, weights=weights, mode=mode)
-    except (ValueError, cones.UnsupportedConeError) as exc:
-        raise InputError(str(exc))
+    report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
+                        "weights": None if weights is None else _floats(weights),
+                        "start": list(start), "n": args.n, "mode": args.mode,
+                        "csv": args.csv, "threads": args.threads, "seed": args.seed}
+    series = counting.count_walks(measure.steps, start, args.n, weights=weights, mode=mode)
     estimate = counting.estimate_rate(series)
     rows = _series_rows(series, estimate)
     if args.csv:
@@ -184,38 +167,27 @@ def cmd_enumerate(args):
             for n, value, ratio, extrap in rows:
                 fh.write(f"{n},{'' if value is None else value},"
                          f"{'' if ratio is None else ratio},{extrap}\n")
-    report = {
-        "command": "enumerate",
-        "config": {"steps_file": args.steps, "steps": doc["steps"],
-                   "weights": None if weights is None else _floats(weights),
-                   "start": list(start), "n": args.n, "mode": args.mode,
-                   "csv": args.csv, "threads": args.threads, "seed": args.seed},
-        "status": "ok",
-        "values": [None if (v := series.log_value(n)) is None else
-                   (series.values[n] if series.mode == counting.EXACT else v)
-                   for n in range(series.n_max + 1)],
-        "value_kind": "exact_count" if series.mode == counting.EXACT else "log_value",
-        "estimate": {"raw_ratio": estimate.raw_ratio, "period": estimate.period,
-                     "extrapolated": estimate.extrapolated},
-    }
-    _emit(report, args.json)
+    report["status"] = "ok"
+    report["values"] = [None if (v := series.log_value(n)) is None else
+                        (series.values[n] if series.mode == counting.EXACT else v)
+                        for n in range(series.n_max + 1)]
+    report["value_kind"] = "exact_count" if series.mode == counting.EXACT else "log_value"
+    report["estimate"] = {"raw_ratio": estimate.raw_ratio, "period": estimate.period,
+                          "extrapolated": estimate.extrapolated}
     return EXIT_OK
 
 
-def cmd_verify(args):
+def cmd_verify(args, report):
     measure, doc = _load_measure(args.steps)
     # the enumeration confines walks to the orthant, so every route uses it
     cone = cones.orthant(measure.dim)
     start = _parse_lattice_point(args.start)
     mc_n = args.mc_n if args.mc_n is not None else min(args.n, 60)
-    report = {
-        "command": "verify",
-        "config": {"steps_file": args.steps, "steps": doc["steps"],
-                   "weights": _floats(measure.weights), "start": list(start),
-                   "n": args.n, "mc_n": mc_n, "seed": args.seed,
-                   "trials": args.trials, "cone": "orthant",
-                   "threads": args.threads},
-    }
+    report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
+                        "weights": _floats(measure.weights), "start": list(start),
+                        "n": args.n, "mc_n": mc_n, "seed": args.seed,
+                        "trials": args.trials, "cone": "orthant",
+                        "threads": args.threads}
 
     def dp_extrapolated(x, horizon):
         series = counting.count_walks(measure.steps, x, horizon, weights=measure.weights)
@@ -234,13 +206,7 @@ def cmd_verify(args):
             {"start": [int(v) for v in x], "extrapolated": dp_extrapolated(x, args.n)}
             for x in starts
         ]
-        _emit(report, args.json)
         return EXIT_HYPOTHESIS
-    except solver.NonConvergenceError as exc:
-        report["status"] = "non-convergence"
-        report["message"] = str(exc)
-        _emit(report, args.json)
-        return EXIT_NONCONVERGENCE
 
     # one DP run to the larger horizon serves both (prefix refuses a negative one)
     series = counting.count_walks(measure.steps, start, max(args.n, mc_n), weights=measure.weights)
@@ -265,25 +231,21 @@ def cmd_verify(args):
     report["dp"] = {"extrapolated_rate": dp_rate, "survival_at_mc_n": dp_survival}
     report["mc"] = {"tilted_estimate": mc.estimate, "stderr": mc.stderr}
     report["checks"] = checks
-    _emit(report, args.json)
     return EXIT_OK if passed else EXIT_NONCONVERGENCE
 
 
-def cmd_check(args):
+def cmd_check(args, report):
     measure, doc = _load_measure(args.steps)
     cone = _parse_cone(args.cone, measure.dim)
+    report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
+                        "weights": _floats(measure.weights), "cone": args.cone,
+                        "depth": args.depth, "threads": args.threads, "seed": args.seed}
     h2 = steps_mod.check_h2prime(measure, cone)
-    report = {
-        "command": "check",
-        "config": {"steps_file": args.steps, "steps": doc["steps"],
-                   "weights": _floats(measure.weights), "cone": args.cone,
-                   "depth": args.depth, "threads": args.threads, "seed": args.seed},
-        "status": "ok" if h2.proper else "improper",
-        "h1": steps_mod.check_h1(measure),
-        "h1_via_covariance": steps_mod.check_h1_via_covariance(measure),
-        "h2prime": {"proper": h2.proper,
-                    "witness": None if h2.witness is None else _floats(h2.witness)},
-    }
+    report["status"] = "ok" if h2.proper else "improper"
+    report["h1"] = steps_mod.check_h1(measure)
+    report["h1_via_covariance"] = steps_mod.check_h1_via_covariance(measure)
+    report["h2prime"] = {"proper": h2.proper,
+                         "witness": None if h2.witness is None else _floats(h2.witness)}
     report["h3"] = None
     report["find_delta"] = None
     if measure.is_lattice():
@@ -300,77 +262,52 @@ def cmd_check(args):
             "path": None if fd.path is None else [list(s) for s in fd.path],
             "h2_witness": None if fd.h2_witness is None else _floats(fd.h2_witness),
         }
-    _emit(report, args.json)
     return EXIT_OK if h2.proper else EXIT_HYPOTHESIS
 
 
-def cmd_halfspace(args):
+def cmd_halfspace(args, report):
     if args.start is None:
         start = (args.N, args.N)
     else:
         start = _parse_lattice_point(args.start)
-    try:
-        check = families.halfspace_verify(args.p, args.N, start, args.n)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    report = {
-        "command": "halfspace",
-        "config": {"p": args.p, "N": args.N, "n": args.n, "start": list(start),
-                   "threads": args.threads, "seed": args.seed},
-        "status": "ok",
-        "closed_form": check.closed_form,
-        "dp_estimate": check.dp_estimate,
-        "abs_error": check.abs_error,
-        "alt_start": list(check.alt_start),
-        "alt_estimate": check.alt_estimate,
-    }
-    _emit(report, args.json)
+    report["config"] = {"p": args.p, "N": args.N, "n": args.n, "start": list(start),
+                        "threads": args.threads, "seed": args.seed}
+    check = families.halfspace_verify(args.p, args.N, start, args.n)
+    report["status"] = "ok"
+    report["closed_form"] = check.closed_form
+    report["dp_estimate"] = check.dp_estimate
+    report["abs_error"] = check.abs_error
+    report["alt_start"] = list(check.alt_start)
+    report["alt_estimate"] = check.alt_estimate
     return EXIT_OK
 
 
-def cmd_brownian(args):
+def cmd_brownian(args, report):
     drift = np.array(_parse_point(args.drift, "drift"))
     cone = _parse_cone(args.cone, drift.shape[0])
-    try:
-        closed = solver.brownian_rate(drift, cone)
-    except cones.UnsupportedConeError as exc:
-        raise InputError(str(exc))
+    report["config"] = {"drift": _floats(drift), "cone": args.cone,
+                        "threads": args.threads, "seed": args.seed}
+    closed = solver.brownian_rate(drift, cone)
     cert = solver.minimize_on_dual(laplace.GaussianLaplace(drift), cone)
-    report = {
-        "command": "brownian",
-        "config": {"drift": _floats(drift), "cone": args.cone,
-                   "threads": args.threads, "seed": args.seed},
-        "status": "ok",
-        "closed_form": closed,
-        "solver_rho": cert.rho,
-        "abs_diff": abs(closed - cert.rho),
-        "x_star": _floats(cert.x_star),
-    }
-    _emit(report, args.json)
+    report["status"] = "ok"
+    report["closed_form"] = closed
+    report["solver_rho"] = cert.rho
+    report["abs_diff"] = abs(closed - cert.rho)
+    report["x_star"] = _floats(cert.x_star)
     return EXIT_OK
 
 
-def cmd_scan(args):
+def cmd_scan(args, report):
     measure, doc = _load_measure(args.steps)
-    report = {
-        "command": "scan",
-        "config": {"steps_file": args.steps, "steps": doc["steps"],
-                   "grid": args.grid, "threads": args.threads, "seed": args.seed},
-    }
-    try:
-        growth = solver.growth_constant(measure.steps)
-        scan = solver.hyperplane_scan(measure.steps, args.grid)
-    except solver.ImproperModelError as exc:
-        report["status"] = "improper"
-        report["witness"] = _floats(exc.witness)
-        _emit(report, args.json)
-        return EXIT_HYPOTHESIS
+    report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
+                        "grid": args.grid, "threads": args.threads, "seed": args.seed}
+    growth = solver.growth_constant(measure.steps)
+    scan = solver.hyperplane_scan(measure.steps, args.grid)
     report["status"] = "ok"
     report["growth_constant"] = growth.k_s
     report["scan_minimum"] = scan.k_min
     report["gap"] = scan.k_min - growth.k_s
     report["argmin_direction"] = _floats(scan.direction)
-    _emit(report, args.json)
     return EXIT_OK
 
 
@@ -443,19 +380,26 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    report = {}
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit_ as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
-    except InputError as exc:
+        args = build_parser().parse_args(argv)
+        report["command"] = args.subcommand
+        code = args.func(args, report)
+    except solver.ImproperModelError as exc:
+        report["status"] = "improper"
+        report["witness"] = _floats(exc.witness)
+        code = EXIT_HYPOTHESIS
+    except solver.NonConvergenceError as exc:
+        report["status"] = "non-convergence"
+        report["message"] = str(exc)
+        code = EXIT_NONCONVERGENCE
+    except (ValueError, OSError) as exc:
+        # InputError, ConeError, every other refused input and a --csv path
+        # that cannot be written: no report
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (cones.ConeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    _emit(report, args.json)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,8 +22,11 @@ before the buffer; the pads of each cut axis are zeroed after the adds.
 When a box outgrows its padding or its buffer, it is copied into the idle
 buffer with two spans of padding; a buffer is replaced only when too small,
 and freed before its successor is allocated, so at most two layer-sized
-arrays are alive. Only a step with a weight other than 1 makes temporaries,
-for its product, PRODUCT_BLOCK cells at a time.
+arrays are alive. A float buffer of MAPPED_BYTES or more is a private
+anonymous mapping, unmapped when it is freed, so the DP's resident size does
+not depend on the state of malloc's heap or on the host's free huge pages.
+Only a step with a weight other than 1 makes temporaries, for its product,
+PRODUCT_BLOCK cells at a time.
 
 The float results are fixed to the bit by one order of operations in every
 layer: the step contributions are added cell by cell in step order (a unit
@@ -53,6 +56,7 @@ so a found witness ends the search.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +77,28 @@ PRODUCT_BLOCK = 1 << 15
 MAX_HORIZON_EXACT = 200
 MAX_HORIZON = {1: 2000, 2: 2000, 3: 120}
 MAX_HORIZON_HIGH_DIM = 60
+
+# Float DP buffers of at least this many bytes get a mapping of their own.
+MAPPED_BYTES = 1 << 18
+
+
+def _buffer(size, dtype):
+    """A 1-D buffer of ``size`` cells for the layer DP, which writes a cell
+    before it reads it.
+
+    numpy takes a large array from malloc, which after the first large free
+    keeps arrays of up to that size on its heap, and advises huge pages for
+    it: what stays resident then depends on the heap's layout and on the
+    host, and the peak resident size of a series of DPs varied by up to 4 MB
+    from one run of the same calls to the next. A mapping of its own holds
+    the same bytes and returns them to the system when the buffer is freed.
+    Smaller buffers, which the heap reuses without a system call or a page
+    fault, and object buffers, which hold references, stay numpy's.
+    """
+    nbytes = size * np.dtype(dtype).itemsize
+    if dtype == object or nbytes < MAPPED_BYTES:
+        return np.empty(size, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype, count=size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +276,7 @@ class _LayerDP:
         if grow:
             # a float buffer's spare rows stay unmapped until a box reaches them
             self._buffers[1] = None
-            self._buffers[1] = np.empty(size + size // 4, dtype=self.layer.dtype)
+            self._buffers[1] = _buffer(size + size // 4, self.layer.dtype)
         padded = self._buffers[1][:n[0] * self._strides[0]].reshape(n[0], *self._extents)
         padded.fill(0)
         index = (slice(None),) + tuple(slice(0, k) for k in n[1:])
@@ -261,7 +287,7 @@ class _LayerDP:
         self._buffers.reverse()
         if grow:
             self._buffers[1] = None
-            self._buffers[1] = np.empty_like(self._buffers[0])
+            self._buffers[1] = _buffer(self._buffers[0].size, self.layer.dtype)
 
     def advance(self):
         if self.dead:

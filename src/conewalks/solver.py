@@ -184,10 +184,18 @@ def _minimize_ray(model, u, tol, max_iter, t0=None):
     # bracket a sign change of phi', from no further out than the overflow
     # guard allows: a start whose exponents trip it moves in to just inside
     hi = 1.0 if t0 is None or t0 <= 0.0 else float(t0)
+    safe_exponent = steps_mod.MAX_EXPONENT * (1.0 - SCAN_MARGIN)
     if isinstance(model, laplace.FiniteLaplace):
         S = model.measure.steps
         if float(np.abs(S @ (hi * u)).max()) > steps_mod.MAX_EXPONENT:
-            hi = steps_mod.MAX_EXPONENT * (1.0 - SCAN_MARGIN) / float(np.abs(S @ u).max())
+            hi = safe_exponent / float(np.abs(S @ u).max())
+    else:
+        x = hi * u
+        if 0.5 * float(x @ x) + float(x @ model.drift) > steps_mod.MAX_EXPONENT:
+            # the positive root of q t^2 + b t = safe_exponent, where the
+            # left side is the Gaussian exponent at t u and b = <u, a> < 0
+            q, b = 0.5 * unorm**2, float(u @ model.drift)
+            hi = (-b + np.sqrt(b * b + 4.0 * q * safe_exponent)) / (2.0 * q)
     for _ in range(200):
         iterations += 1
         try:
@@ -220,10 +228,12 @@ def _minimize_ray(model, u, tol, max_iter, t0=None):
 def _ray_minima(model, U, tol, max_iter):
     """_minimize_ray from t0 = None on every row of U at once, one lane each.
 
-    Returns the minimizing ray parameters t and a mask of the lanes decided
-    here. A lane is left undecided, with t = 0, when its exponent nears the
-    overflow guard, when 200 doublings find no bracket or when its Newton
-    budget runs out: the cases where _minimize_ray raises.
+    Each lane's bracket starts at t = 1, or just inside the overflow guard
+    when its exponents pass it there, as _minimize_ray's does. Returns the
+    minimizing ray parameters t and a mask of the lanes decided here. A lane
+    is left undecided, with t = 0, when its exponent nears the overflow
+    guard, when 200 doublings find no bracket or when its Newton budget runs
+    out: the cases where _minimize_ray raises.
     """
     S, w = model.measure.steps, model.measure.weights
     P = U @ S.T
@@ -238,10 +248,13 @@ def _ray_minima(model, U, tol, max_iter):
         E = at[:, None] * PL
         safe = np.abs(E).max(axis=1) <= safe_exponent
         wp = w * np.exp(np.where(safe[:, None], E, 0.0)) * PL
-        return wp.sum(axis=1), (wp * PL).sum(axis=1), safe
+        # phi'' may pass the largest double: inf sends the lane to bisection,
+        # as it sends the scalar solver
+        with np.errstate(over="ignore"):
+            return wp.sum(axis=1), (wp * PL).sum(axis=1), safe
 
     lanes = np.flatnonzero(U @ (w @ S) < 0.0)  # phi'(0) < 0
-    hi = np.ones(lanes.size)
+    hi = np.minimum(1.0, safe_exponent / np.abs(P[lanes]).max(axis=1))
     open_ = np.ones(lanes.size, dtype=bool)
     for _ in range(200):
         if not open_.any():

@@ -52,6 +52,8 @@ def _validate(steps, weights, mode):
     k, d = steps.shape
     if k == 0:
         raise ValueError("step set must be non-empty")
+    if not np.all(np.isfinite(steps)):
+        raise ValueError("steps must be finite")
     seen = set()
     for row in steps:
         key = tuple(row.tolist())
@@ -61,6 +63,8 @@ def _validate(steps, weights, mode):
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (k,):
         raise ValueError("need one weight per step")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
     if np.any(weights <= 0.0):
         raise ValueError("weights must be strictly positive")
     if mode == PROBABILITY and abs(weights.sum() - 1.0) > 1e-12:

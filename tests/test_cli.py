@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conewalks import cli, counting
+from conewalks import cli, counting, solver
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 NSEW_SW = [(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)]
@@ -24,6 +26,15 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports conewalks from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestRate:
@@ -83,6 +94,12 @@ class TestEnumerate:
         assert doc["value_kind"] == "log_value"
         assert abs(doc["estimate"]["extrapolated"] - math.sqrt(2) / 3) <= 5e-3
         assert doc["estimate"]["period"] == 2
+
+    def test_unwritable_csv_exits_1(self, capsys, step_file, tmp_path):
+        path = step_file("nsew.json", 2, NSEW)
+        code, out, err = run(capsys, "enumerate", "--steps", path, "--start", "1,1", "--n", "5",
+                             "--csv", str(tmp_path / "missing" / "series.csv"), "--json")
+        assert code == 1 and out == "" and "series.csv" in err
 
     def test_start_outside_cone_exits_1(self, capsys, step_file):
         path = step_file("nsew.json", 2, NSEW)
@@ -245,6 +262,13 @@ class TestBrownian:
         code, out, err = run(capsys, "brownian", "--drift=nan,1", "--json")
         assert code == 1 and out == "" and "finite" in err
 
+    def test_dual_ray_far_out(self, capsys):
+        # 0.5 t^2 |u|^2 = 5000 at t = 1; the minimum lies at t = 0.01
+        code, doc, _ = run_json(capsys, "brownian", "--drift=-1,0", "--cone", "halfspace:100,0")
+        assert code == 0 and doc["status"] == "ok"
+        assert abs(doc["closed_form"] - math.exp(-0.5)) <= 1e-15
+        assert doc["abs_diff"] <= 1e-15
+
     def test_unsupported_cone_kind_exits_1(self, capsys):
         code, _, err = run(capsys, "brownian", "--drift", "1,1",
                            "--cone", "rays:[[1,0],[1,1]]")
@@ -265,12 +289,78 @@ class TestScan:
         code, doc, _ = run_json(capsys, "scan", "--steps", path, "--grid", "51")
         assert code == 2 and doc["status"] == "improper"
 
+    def test_steps_past_the_overflow_guard_are_batched(self, capsys, step_file):
+        # 366 of the 721 directions pass the guard at t = 1; the batch must
+        # decide them, since the scalar solver needs about 15 ms for each
+        path = step_file("far.json", 2, [(1000, 2), (-500, 2), (-1000, 1)])
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            code, doc, _ = run_json(capsys, "scan", "--steps", path)
+            seconds.append(time.perf_counter() - t0)
+        assert code == 0 and doc["gap"] == 0.0
+        assert doc["scan_minimum"].hex() == "0x1.78e2ef2a7f78ep+1"
+        assert doc["argmin_direction"] == [1.0, 0.0]
+        assert min(seconds) < 0.2
+
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_grid_below_one_exits_1(self, capsys, step_file, grid):
         path = step_file("five.json", 2, NSEW_SW)
         code, out, err = run(capsys, "scan", "--steps", path, "--grid", grid, "--json")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "angular grid" in err
+
+
+class TestExitContract:
+    """`cli.main` alone maps library errors to exit codes and prints the
+    report, so every command follows one error path."""
+
+    @pytest.mark.parametrize("command, target", [
+        ("rate", "minimize_on_dual"), ("verify", "minimize_on_dual"),
+        ("scan", "hyperplane_scan"), ("brownian", "minimize_on_dual")])
+    def test_non_convergence_exits_3_with_config(self, capsys, step_file, monkeypatch,
+                                                 command, target):
+        def stalled(*args, **kwargs):
+            raise solver.NonConvergenceError("stalled", [])
+
+        monkeypatch.setattr(solver, target, stalled)
+        path = step_file("five.json", 2, NSEW_SW)
+        argv = {"rate": ["rate", "--steps", path],
+                "verify": ["verify", "--steps", path, "--start", "1,1", "--n", "20"],
+                "scan": ["scan", "--steps", path, "--grid", "51"],
+                "brownian": ["brownian", "--drift=-1,-1"]}[command]
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 3 and err == ""
+        assert set(doc) == {"command", "config", "status", "message"}
+        assert doc["command"] == command and doc["config"]
+        assert doc["status"] == "non-convergence" and doc["message"] == "stalled"
+
+    @pytest.mark.parametrize("command", ["rate", "check", "verify", "scan"])
+    @pytest.mark.parametrize("steps, weights", [
+        ([(1, 0), (0, 1), (-1, -1)], [math.nan, 0.5, 0.5]),
+        ([(math.inf, 0), (0, 1), (-1, -1)], None),
+    ])
+    def test_non_finite_step_file_exits_1(self, capsys, step_file, command, steps, weights):
+        # NaN weights pass the positivity and sum checks; an infinite step
+        # made `check` print numpy RuntimeWarnings
+        path = step_file("bad.json", 2, steps, weights=weights)
+        argv = {"rate": ["rate"], "check": ["check"], "scan": ["scan", "--grid", "51"],
+                "verify": ["verify", "--start", "1,1", "--n", "20"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--steps", path, "--json")
+        assert code == 1 and out == "" and "finite" in err
+
+
+def test_module_entry_point_reports_non_convergence(step_file):
+    # {E,N,W,S,SW} scaled by 1e9 has the rate of the unscaled set, but the
+    # orthant Newton cannot reach its absolute gradient tolerance there
+    path = step_file("five_1e9.json", 2, [(1e9 * a, 1e9 * b) for a, b in NSEW_SW])
+    proc = run_python("-m", "conewalks.cli", "scan", "--steps", path, "--grid", "51", "--json")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "non-convergence" and doc["config"]["grid"] == 51
 
 
 class TestDeterminism:
@@ -330,9 +420,5 @@ def test_library_loads_no_scipy(step_file):
     # scipy is a test and benchmark dependency only; importing it would add
     # about half a second to every command
     path = step_file("five.json", 2, NSEW_SW)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, path], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", IMPORT_GUARD, path)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import mmap
 import warnings
 
 import numpy as np
@@ -542,6 +543,24 @@ class TestFlatLayoutMatchesBoxLayout:
         # every step lowers axis 0, so a layer on the wall there has more rows
         # than the box it advances to, while its rows outgrow their padding
         _layouts_agree(steps, start, n, None, exact, counting.FLOAT_TRIM)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_large_float_buffers_are_mappings_of_their_own(self, exact, monkeypatch):
+        # a large float buffer never comes from malloc's heap; a small one
+        # and an object buffer do
+        monkeypatch.setattr(counting, "MAPPED_BYTES", 4096)
+        steps_arr, start_arr, w = counting._dp_inputs(S5, (0, 0), 30, None, exact, None)
+        dp = counting._LayerDP(steps_arr, w, start_arr, exact=exact)
+        kinds = set()
+        for _ in range(30):
+            dp.advance()
+            for buf in dp._buffers:
+                mapped = isinstance(getattr(buf.base, "obj", None), mmap.mmap)
+                assert mapped == (not exact and buf.nbytes >= 4096)
+                assert buf.flags.writeable and buf.dtype == (object if exact else float)
+                kinds.add(mapped)
+        assert kinds == ({False} if exact else {False, True})
+        _layouts_agree(S5, (0, 0), 30, None, exact, counting.FLOAT_TRIM)
 
     @pytest.mark.parametrize("block", [counting.PRODUCT_BLOCK, 7])
     def test_weights_and_no_trim(self, block, monkeypatch):

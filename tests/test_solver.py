@@ -214,6 +214,24 @@ class TestHyperplaneScan:
         assert 0.0 < t < 0.01
         assert abs(float(cw.gradient(model, x)[0])) <= 1e-12
 
+    def test_batch_decides_lanes_past_the_guard(self):
+        # exponents pass the guard at t = 1 on 366 of the 721 directions;
+        # each lane's bracket starts inside it, so the batch decides them all
+        model = cw.FiniteLaplace(cw.from_step_set([(1000, 2), (-500, 2), (-1000, 1)]))
+        _, decided = solver._ray_minima(model, solver._scan_directions(2, 721), 1e-12,
+                                        solver.DEFAULT_MAX_ITER)
+        assert decided.all()
+
+    @pytest.mark.parametrize("t0", [None, 5.0])
+    def test_gaussian_ray_bracket_kept_inside_the_guard(self, t0):
+        # 0.5 t^2 |u|^2 = 5000 at t = 1, the minimum at t = 0.01
+        model = cw.GaussianLaplace([-1.0, 0.0])
+        _, t, _, _ = solver._minimize_ray(model, np.array([100.0, 0.0]), 1e-12,
+                                          solver.DEFAULT_MAX_ITER, t0=t0)
+        assert abs(t - 0.01) <= 1e-15
+        cert = cw.minimize_on_dual(model, cw.halfspace([100.0, 0.0]))
+        assert abs(cert.rho - cw.brownian_rate([-1.0, 0.0], cw.halfspace([100.0, 0.0]))) <= 1e-15
+
     @pytest.mark.parametrize("grid", [0, -3, 2.0, True, "51", None])
     @pytest.mark.parametrize("steps", [NSEW_SW, [(1,), (-1,)]])
     def test_grid_not_a_positive_integer_raises(self, steps, grid):
@@ -278,8 +296,8 @@ class TestScanMatchesScalar:
         ([(-3, -1), (-3, 2), (-2, -1), (-2, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, -1),
           (2, 3), (3, -2), (3, 0)], 51),
         # exponents past the overflow guard at t = 1, on the first direction
-        # and on a later one: the batch leaves these lanes undecided and the
-        # scalar solver starts its bracket inside the guard
+        # and on a later one: the batch and the scalar solver both start
+        # their brackets inside the guard
         ([(-1000, 0), (1, 0), (0, 1), (0, -1)], 51),
         ([(0, -1000), (1, 0), (-1, 0), (0, 1)], 51),
     ])

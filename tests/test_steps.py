@@ -30,6 +30,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cw.probability_measure([(1,), (-1,)], [1.25, -0.25])
 
+    @pytest.mark.parametrize("steps, weights", [
+        ([(np.nan, 0), (0, 1), (-1, -1)], None),
+        ([(np.inf, 0), (0, 1), (-1, -1)], None),
+        ([(1, 0), (0, 1), (-1, -1)], [np.nan, 0.5, 0.5]),
+        ([(1, 0), (0, 1), (-1, -1)], [np.inf, 0.5, 0.5]),
+    ])
+    def test_non_finite_rejected(self, steps, weights):
+        # NaN passes both the positivity and the sum check
+        with pytest.raises(ValueError, match="finite"):
+            if weights is None:
+                cw.from_step_set(steps)
+            else:
+                cw.probability_measure(steps, weights)
+
     def test_counting_mode_blocks_moments(self):
         m = cw.counting_measure(NSEW)
         with pytest.raises(ValueError):
