@@ -160,11 +160,10 @@ def cmd_enumerate(args, report):
                         "csv": args.csv, "threads": args.threads, "seed": args.seed}
     series = counting.count_walks(measure.steps, start, args.n, weights=weights, mode=mode)
     estimate = counting.estimate_rate(series)
-    rows = _series_rows(series, estimate)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("n,count_or_logprob,ratio,extrapolated_rate\n")
-            for n, value, ratio, extrap in rows:
+            for n, value, ratio, extrap in _series_rows(series, estimate):
                 fh.write(f"{n},{'' if value is None else value},"
                          f"{'' if ratio is None else ratio},{extrap}\n")
     report["status"] = "ok"

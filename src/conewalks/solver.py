@@ -2,18 +2,16 @@
 
 The minimizer x* yields the exponential decay rate rho = L(x*) of the cone
 non-exit probability, certified by first-order conditions: the gradient at
-x* must lie back in the original cone and be orthogonal to x*. Three solver
-paths cover the dual-cone representations that arise: coordinatewise
-projected Newton on the orthant, safeguarded one-dimensional Newton on a
-single ray, and projected gradient in the nonnegative ray-coefficient
-parametrization for multi-ray generated cones.
+x* must lie back in the original cone and be orthogonal to x*. Three solvers
+cover the dual-cone representations that arise: coordinatewise projected
+Newton on the orthant, projected gradient in the nonnegative ray-coefficient
+parametrization for multi-ray generated cones, and one batched ray solver
+for min_{t >= 0} L(t u) on many directions u at once.
 
-The hyperplane scan solves its one-dimensional ray problems, one per grid
-direction, in a single batched form of the single-ray Newton. It then
-re-solves with the scalar single-ray solver every direction whose batched
-value lies within SCAN_MARGIN of the batched minimum, and every direction
-the batch left undecided, so its minimum, argmin direction and exceptions
-are exactly those of the scalar solver run on every direction.
+The ray solver serves the single-ray dual cone of a half-space, as a batch of
+one, and the hyperplane scan, as a batch of every grid direction. Each
+direction is solved in a lane of its own whose bits do not depend on the
+other lanes, so the scan equals the loop of one-direction solves.
 """
 
 from __future__ import annotations
@@ -34,13 +32,15 @@ ACTIVE_EPS = 1e-12
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 
-# The batched ray solve runs the iteration of _minimize_ray to the same
-# tolerance, so on one direction the two values differ by rounding only
-# (about 1e-16 relative). Re-solving every direction within this margin of
-# the batched minimum therefore hands the scalar solver its own argmin and
-# all of that value's exact ties. A lane whose exponent comes within the
-# margin of the overflow guard is left for the scalar solver to decide.
-SCAN_MARGIN = 1e-9
+# A ray bracket starts at t = 1, or, where the lane's exponents pass the
+# overflow guard there, at the t that puts its largest exponent this fraction
+# inside the guard, so that rounding cannot push the start past it.
+BRACKET_MARGIN = 1e-9
+
+# The hyperplane scan holds about (angular grid) x (steps) exponents in each
+# of its work arrays, 8 bytes each; a grid that needs more is refused before
+# anything is allocated. (A 1-D scan has one direction whatever the grid.)
+SCAN_MAX_EXPONENTS = 1 << 22
 
 
 class ImproperModelError(ValueError):
@@ -140,12 +140,12 @@ def _armijo_projected(model, x, f, g, d, project):
     return None
 
 
-def _minimize_orthant(model, dim, tol, max_iter, x0):
+def _minimize_orthant(model, tol, max_iter, x0):
     project = lambda v: np.maximum(v, 0.0)
     x = project(np.asarray(x0, dtype=float))
     f = _value_or_none(model, x)
     if f is None:
-        x = np.zeros(dim)
+        x = np.zeros(model.dim)
         f = laplace.value(model, x)
     trace = [x.copy()]
     for it in range(1, max_iter + 1):
@@ -167,105 +167,59 @@ def _minimize_orthant(model, dim, tol, max_iter, x0):
     raise NonConvergenceError(f"no convergence after {max_iter} iterations", trace)
 
 
-def _minimize_ray(model, u, tol, max_iter, t0=None):
-    """min L(t u) over t >= 0 by safeguarded Newton on the derivative."""
-    u = np.asarray(u, dtype=float)
-
-    def phi_prime(t):
-        return float(laplace.gradient(model, t * u) @ u)
-
-    def phi_second(t):
-        return float(u @ laplace.hessian(model, t * u) @ u)
-
-    unorm = float(np.linalg.norm(u))
-    iterations = 1
-    if phi_prime(0.0) >= 0.0:
-        return np.zeros_like(u), 0.0, iterations, [np.zeros_like(u)]
-    # bracket a sign change of phi', from no further out than the overflow
-    # guard allows: a start whose exponents trip it moves in to just inside
-    hi = 1.0 if t0 is None or t0 <= 0.0 else float(t0)
-    safe_exponent = steps_mod.MAX_EXPONENT * (1.0 - SCAN_MARGIN)
-    if isinstance(model, laplace.FiniteLaplace):
-        S = model.measure.steps
-        if float(np.abs(S @ (hi * u)).max()) > steps_mod.MAX_EXPONENT:
-            hi = safe_exponent / float(np.abs(S @ u).max())
-    else:
-        x = hi * u
-        if 0.5 * float(x @ x) + float(x @ model.drift) > steps_mod.MAX_EXPONENT:
-            # the positive root of q t^2 + b t = safe_exponent, where the
-            # left side is the Gaussian exponent at t u and b = <u, a> < 0
-            q, b = 0.5 * unorm**2, float(u @ model.drift)
-            hi = (-b + np.sqrt(b * b + 4.0 * q * safe_exponent)) / (2.0 * q)
-    for _ in range(200):
-        iterations += 1
-        try:
-            if phi_prime(hi) > 0.0:
-                break
-        except OverflowError:
-            raise NonConvergenceError("ray bracketing overflowed", [hi])
-        hi *= 2.0
-    else:
-        raise NonConvergenceError("failed to bracket the ray minimum", [hi])
-    lo = 0.0
-    t = 0.5 * (lo + hi)
-    for it in range(max_iter):
-        iterations += 1
-        dp = phi_prime(t)
-        # |phi'(t)| / |u| is the projected-gradient norm along the ray
-        if abs(dp) / unorm <= tol:
-            return t * u, t, iterations, [t * u]
-        if dp > 0.0:
-            hi = t
-        else:
-            lo = t
-        tn = t - dp / phi_second(t)
-        if not (lo < tn < hi):
-            tn = 0.5 * (lo + hi)
-        t = tn
-    raise NonConvergenceError("no convergence on the ray", [t * u])
-
-
 def _ray_minima(model, U, tol, max_iter):
-    """_minimize_ray from t0 = None on every row of U at once, one lane each.
+    """min over t >= 0 of phi(t) = L(t u) for every row u of U, one lane each.
 
-    Each lane's bracket starts at t = 1, or just inside the overflow guard
-    when its exponents pass it there, as _minimize_ray's does. Returns the
-    minimizing ray parameters t and a mask of the lanes decided here. A lane
-    is left undecided, with t = 0, when its exponent nears the overflow
-    guard, when 200 doublings find no bracket or when its Newton budget runs
-    out: the cases where _minimize_ray raises.
+    A Gaussian lane has the explicit minimum t = max(0, -<u, a>) / |u|^2. A
+    finite lane with phi'(0) >= 0 has t = 0. Any other lane brackets a sign
+    change of phi', from t = 1 or from just inside the overflow guard (see
+    BRACKET_MARGIN), doubling until phi' > 0, then runs safeguarded Newton on
+    phi' inside the bracket until |phi'| / |u| <= tol. The exponents t <u, s>
+    are formed row by row (einsum, not BLAS), so a lane has the same bits
+    alone or in any batch.
+
+    Returns the minimizing t, a mask of the converged lanes and the number
+    of evaluations of phi' in each lane, the one at t = 0 included. A lane is
+    left unconverged, with t = 0, when its exponents pass the guard of
+    laplace.value, when 200 doublings find no bracket or when max_iter Newton
+    steps do not reach tol.
     """
+    n = len(U)
+    if isinstance(model, laplace.GaussianLaplace):
+        t = np.maximum(0.0, -np.einsum("ij,j->i", U, model.drift)) / np.einsum("ij,ij->i", U, U)
+        return t, np.ones(n, dtype=bool), np.ones(n, dtype=int)
     S, w = model.measure.steps, model.measure.weights
-    P = U @ S.T
-    t = np.zeros(len(U))
-    decided = np.ones(len(U), dtype=bool)
-    safe_exponent = steps_mod.MAX_EXPONENT * (1.0 - SCAN_MARGIN)
+    P = np.einsum("ij,kj->ik", U, S)
+    t = np.zeros(n)
+    converged = np.ones(n, dtype=bool)
+    iterations = np.ones(n, dtype=int)
 
     def slopes(lanes, at):
         """phi' and phi'' of the lanes at their points, and which lanes keep
-        their exponents clear of the overflow guard."""
+        their exponents within the overflow guard."""
+        iterations[lanes] += 1
         PL = P[lanes]
         E = at[:, None] * PL
-        safe = np.abs(E).max(axis=1) <= safe_exponent
+        safe = np.abs(E).max(axis=1) <= steps_mod.MAX_EXPONENT
         wp = w * np.exp(np.where(safe[:, None], E, 0.0)) * PL
-        # phi'' may pass the largest double: inf sends the lane to bisection,
-        # as it sends the scalar solver
+        # phi'' may pass the largest double: inf sends the lane to bisection
         with np.errstate(over="ignore"):
             return wp.sum(axis=1), (wp * PL).sum(axis=1), safe
 
-    lanes = np.flatnonzero(U @ (w @ S) < 0.0)  # phi'(0) < 0
-    hi = np.minimum(1.0, safe_exponent / np.abs(P[lanes]).max(axis=1))
+    lanes = np.flatnonzero(np.einsum("ij,j->i", U, w @ S) < 0.0)  # phi'(0) < 0
+    start = steps_mod.MAX_EXPONENT * (1.0 - BRACKET_MARGIN)
+    hi = np.minimum(1.0, start / np.abs(P[lanes]).max(axis=1))
     open_ = np.ones(lanes.size, dtype=bool)
     for _ in range(200):
         if not open_.any():
             break
         dp, _, safe = slopes(lanes[open_], hi[open_])
-        decided[lanes[open_][~safe]] = False
+        converged[lanes[open_][~safe]] = False
         below = safe & (dp <= 0.0)
         hi[open_] *= np.where(below, 2.0, 1.0)
         open_[open_] = below
-    decided[lanes[open_]] = False
-    keep = decided[lanes]
+    converged[lanes[open_]] = False
+    keep = converged[lanes]
     lanes, hi = lanes[keep], hi[keep]
     lo = np.zeros(lanes.size)
     unorm = np.linalg.norm(U[lanes], axis=1)
@@ -276,7 +230,7 @@ def _ray_minima(model, U, tol, max_iter):
         dp, d2, safe = slopes(lanes, at)
         done = safe & (np.abs(dp) / unorm <= tol)
         t[lanes[done]] = at[done]
-        decided[lanes[~safe]] = False
+        converged[lanes[~safe]] = False
         keep = safe & ~done
         lanes, lo, hi, at, dp, d2, unorm = (
             a[keep] for a in (lanes, lo, hi, at, dp, d2, unorm))
@@ -285,8 +239,12 @@ def _ray_minima(model, U, tol, max_iter):
         lo = np.where(up, lo, at)
         tn = at - dp / d2
         at = np.where((lo < tn) & (tn < hi), tn, 0.5 * (lo + hi))
-    decided[lanes] = False
-    return t, decided
+    converged[lanes] = False
+    return t, converged, iterations
+
+
+def _unconverged_ray(u):
+    return NonConvergenceError(f"no convergence on the ray along {u.tolist()}", [])
 
 
 def _minimize_rays(model, R, tol, max_iter, t0):
@@ -365,7 +323,7 @@ def _membership_violation(cone, y):
     return max(0.0, -float(slack.min()))
 
 
-def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None):
+def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Minimize the Laplace transform over the dual of the confining cone.
 
     Returns a RateCertificate holding the minimizer, the rate rho = L(x*),
@@ -374,38 +332,28 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0
     cannot exist, and NonConvergenceError past the iteration budget.
     """
     dual_cone = cones.dual(cone)
+    # a Gaussian transform is full-dimensional and coercive on every cone
     if isinstance(model, laplace.FiniteLaplace):
-        h1 = steps_mod.check_h1(model.measure)
-        if not h1:
+        if not steps_mod.check_h1(model.measure):
             raise ValueError("measure violates H1: support lies in a hyperplane")
         witness = steps_mod.halfspace_witness(model.measure, dual_cone)
         if witness is not None:
             raise ImproperModelError(witness)
-        flags = HypothesisFlags(h1=True, h2prime=True)
-    else:
-        # Gaussian transform: full-dimensional and coercive on every cone.
-        flags = HypothesisFlags(h1=True, h2prime=True)
 
+    # t: the coefficients of x* on the dual cone's rays (on the orthant, x*)
     R = cones._rays(dual_cone, "minimization over the dual cone")
     if dual_cone.kind == cones.ORTHANT:
-        start = _default_init(model, dual_cone) if x0 is None else np.asarray(x0, dtype=float)
-        x_star, iterations, _ = _minimize_orthant(model, model.dim, tol, max_iter, start)
-        active = tuple(int(i) for i in np.where(x_star <= ACTIVE_EPS)[0])
+        start = _default_init(model, dual_cone)
+        x_star, iterations, _ = _minimize_orthant(model, tol, max_iter, start)
+        t = x_star
     elif R.shape[0] == 1:
-        t0 = None
-        if x0 is not None:
-            x0 = np.asarray(x0, dtype=float)
-            t0 = float(x0 @ R[0]) / float(R[0] @ R[0])
-        x_star, t, iterations, _ = _minimize_ray(model, R[0], tol, max_iter, t0)
-        active = (0,) if t <= ACTIVE_EPS else ()
+        t, converged, counts = _ray_minima(model, R, tol, max_iter)
+        if not converged[0]:
+            raise _unconverged_ray(R[0])
+        x_star, iterations = t[0] * R[0], int(counts[0])
     else:
-        if x0 is not None:
-            t0, *_ = np.linalg.lstsq(R.T, np.asarray(x0, dtype=float), rcond=None)
-            t0 = np.maximum(t0, 0.0)
-        else:
-            t0 = _default_init(model, dual_cone)
-        x_star, t, iterations, _ = _minimize_rays(model, R, tol, max_iter, t0)
-        active = tuple(int(i) for i in np.where(t <= ACTIVE_EPS)[0])
+        start = _default_init(model, dual_cone)
+        x_star, t, iterations, _ = _minimize_rays(model, R, tol, max_iter, start)
 
     rho = laplace.value(model, x_star)
     grad = laplace.gradient(model, x_star)
@@ -415,9 +363,9 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0
         grad=grad,
         kkt_membership_residual=_membership_violation(cone, grad),
         kkt_orthogonality=float(grad @ x_star),
-        active_set=active,
+        active_set=tuple(int(i) for i in np.flatnonzero(t <= ACTIVE_EPS)),
         iterations=iterations,
-        hypothesis_flags=flags,
+        hypothesis_flags=HypothesisFlags(h1=True, h2prime=True),
     )
 
 
@@ -478,24 +426,25 @@ def hyperplane_scan(steps, angular_grid=721):
             or angular_grid < 1):
         raise ValueError(f"angular grid must be an integer >= 1, got {angular_grid!r}")
     m = steps_mod.from_step_set(steps)
+    if m.dim > 1 and angular_grid * m.support_size > SCAN_MAX_EXPONENTS:
+        raise ValueError(f"angular grid {angular_grid} with {m.support_size} steps passes "
+                         f"the scan budget of {SCAN_MAX_EXPONENTS} exponents")
     if not steps_mod.check_h1(m):
         raise ValueError("step set violates H1: support lies in a hyperplane")
     witness = steps_mod.halfspace_witness(m, cones.orthant(m.dim))
     if witness is not None:
         raise ImproperModelError(witness)
     model = laplace.FiniteLaplace(m)
-    size = m.support_size
     directions = _scan_directions(m.dim, angular_grid)
-    t, decided = _ray_minima(model, directions, 1e-12, DEFAULT_MAX_ITER)
-    batched = size * (np.exp(t[:, None] * (directions @ m.steps.T)) @ m.weights)
-    cut = batched[decided].min(initial=np.inf) * (1.0 + SCAN_MARGIN)
-    best = None
-    for u in directions[~decided | (batched <= cut)]:
-        x_min, _, _, _ = _minimize_ray(model, u, 1e-12, DEFAULT_MAX_ITER)
-        val = size * laplace.value(model, x_min)
-        if best is None or val < best[0]:
-            best = (val, u)
-    return ScanResult(k_min=best[0], direction=best[1], grid_size=len(directions))
+    t, converged, _ = _ray_minima(model, directions, 1e-12, DEFAULT_MAX_ITER)
+    if not converged.all():
+        raise _unconverged_ray(directions[np.argmin(converged)])
+    # rank the lanes by their values in lane arithmetic; the first minimal
+    # lane wins and reports its value from the transform itself
+    P = np.einsum("ij,kj->ik", directions, m.steps)
+    j = int(np.argmin(np.einsum("ij,j->i", np.exp(t[:, None] * P), m.weights)))
+    k_min = m.support_size * laplace.value(model, t[j] * directions[j])
+    return ScanResult(k_min=k_min, direction=directions[j], grid_size=len(directions))
 
 
 def brownian_rate(a, cone):

@@ -351,6 +351,13 @@ class TestExitContract:
             code, out, err = run(capsys, *argv, "--steps", path, "--json")
         assert code == 1 and out == "" and "finite" in err
 
+    def test_scan_grid_past_the_budget_exits_1(self, capsys, step_file):
+        # refused before the scan allocates its 10^15 x 5 exponents
+        path = step_file("five.json", 2, NSEW_SW)
+        code, out, err = run(capsys, "scan", "--steps", path, "--grid", "1000000000000000",
+                             "--json")
+        assert code == 1 and out == "" and "scan budget" in err
+
 
 def test_module_entry_point_reports_non_convergence(step_file):
     # {E,N,W,S,SW} scaled by 1e9 has the rate of the unscaled set, but the

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import conewalks as cw
 from conewalks import laplace, solver, steps as steps_mod
@@ -69,6 +69,13 @@ class TestMinimizeOnDual:
         assert abs(cert.x_star[1] - 0.5 * np.log(3.0)) <= 1e-7
         assert abs(cert.x_star[0]) == 0.0
 
+    def test_ray_budget_exhausted_raises(self):
+        # drift (0, -1/3) leaves the upper half-plane, so the ray minimum lies
+        # past t = 0 and one Newton step from mid-bracket does not reach it
+        m = cw.probability_measure(NSEW, [1 / 6, 3 / 6, 1 / 6, 1 / 6])
+        with pytest.raises(cw.NonConvergenceError):
+            cw.minimize_on_dual(cw.FiniteLaplace(m), cw.halfspace([0.0, 1.0]), max_iter=1)
+
     def test_inequality_cone_agrees_with_orthant(self):
         # the orthant written as an inequality cone goes down the multi-ray
         # projected-gradient path and must land on the same minimum
@@ -123,8 +130,9 @@ class TestSolverRobustness:
             base = cw.minimize_on_dual(model, cw.orthant(2))
             for _ in range(10):
                 x0 = np.abs(rng.normal(size=2)) * 2.0
-                cert = cw.minimize_on_dual(model, cw.orthant(2), x0=x0)
-                assert abs(cert.rho - base.rho) <= 1e-9
+                x, _, _ = solver._minimize_orthant(model, solver.DEFAULT_TOL,
+                                                   solver.DEFAULT_MAX_ITER, x0)
+                assert abs(cw.value(model, x) - base.rho) <= 1e-9
 
     def test_upper_bound_dominance(self, proper_2d_corpus):
         rng = np.random.default_rng(22)
@@ -209,28 +217,33 @@ class TestHyperplaneScan:
         assert abs(scan.k_min - cw.growth_constant(steps).k_s) <= 1e-3
 
     def test_ray_bracket_start_kept_inside_the_guard(self):
+        # the exponent -1000 t passes the guard at t = 1
         model = cw.FiniteLaplace(cw.from_step_set([(-1000, 0), (1, 0), (0, 1), (0, -1)]))
-        x, t, _, _ = solver._minimize_ray(model, np.array([1.0, 0.0]), 1e-12, 100, t0=5.0)
-        assert 0.0 < t < 0.01
-        assert abs(float(cw.gradient(model, x)[0])) <= 1e-12
+        t, converged, _ = solver._ray_minima(model, np.array([[1.0, 0.0]]), 1e-12, 100)
+        assert converged[0] and 0.0 < t[0] < 0.01
+        assert abs(float(cw.gradient(model, [t[0], 0.0])[0])) <= 1e-12
 
     def test_batch_decides_lanes_past_the_guard(self):
         # exponents pass the guard at t = 1 on 366 of the 721 directions;
         # each lane's bracket starts inside it, so the batch decides them all
         model = cw.FiniteLaplace(cw.from_step_set([(1000, 2), (-500, 2), (-1000, 1)]))
-        _, decided = solver._ray_minima(model, solver._scan_directions(2, 721), 1e-12,
-                                        solver.DEFAULT_MAX_ITER)
-        assert decided.all()
+        _, converged, _ = solver._ray_minima(model, solver._scan_directions(2, 721), 1e-12,
+                                             solver.DEFAULT_MAX_ITER)
+        assert converged.all()
 
-    @pytest.mark.parametrize("t0", [None, 5.0])
-    def test_gaussian_ray_bracket_kept_inside_the_guard(self, t0):
+    def test_gaussian_ray_bracket_kept_inside_the_guard(self):
         # 0.5 t^2 |u|^2 = 5000 at t = 1, the minimum at t = 0.01
         model = cw.GaussianLaplace([-1.0, 0.0])
-        _, t, _, _ = solver._minimize_ray(model, np.array([100.0, 0.0]), 1e-12,
-                                          solver.DEFAULT_MAX_ITER, t0=t0)
-        assert abs(t - 0.01) <= 1e-15
+        t, converged, _ = solver._ray_minima(model, np.array([[100.0, 0.0]]), 1e-12,
+                                             solver.DEFAULT_MAX_ITER)
+        assert converged[0] and abs(t[0] - 0.01) <= 1e-15
         cert = cw.minimize_on_dual(model, cw.halfspace([100.0, 0.0]))
         assert abs(cert.rho - cw.brownian_rate([-1.0, 0.0], cw.halfspace([100.0, 0.0]))) <= 1e-15
+
+    def test_grid_past_the_budget_refused_before_allocating(self):
+        # 10^15 directions would need 8 PB per array
+        with pytest.raises(ValueError, match="scan budget"):
+            cw.hyperplane_scan(NSEW_SW, 10 ** 15)
 
     @pytest.mark.parametrize("grid", [0, -3, 2.0, True, "51", None])
     @pytest.mark.parametrize("steps", [NSEW_SW, [(1,), (-1,)]])
@@ -243,8 +256,9 @@ class TestHyperplaneScan:
 
 
 def scalar_scan(steps, angular_grid):
-    """The per-direction scan: one _minimize_ray per grid direction, the first
-    strict minimum winning. The batched scan must reproduce it bit for bit."""
+    """The per-direction scan: one one-row _ray_minima call per grid
+    direction, ranked by its value in lane arithmetic, the first strict
+    minimum winning. The batched scan must reproduce it bit for bit."""
     m = cw.from_step_set(steps)
     if not cw.check_h1(m):
         raise ValueError("step set violates H1: support lies in a hyperplane")
@@ -255,11 +269,14 @@ def scalar_scan(steps, angular_grid):
     directions = solver._scan_directions(m.dim, angular_grid)
     best = None
     for u in directions:
-        x_min, _, _, _ = solver._minimize_ray(model, u, 1e-12, solver.DEFAULT_MAX_ITER)
-        val = m.support_size * laplace.value(model, x_min)
-        if best is None or val < best[0]:
-            best = (val, u)
-    return solver.ScanResult(k_min=best[0], direction=best[1], grid_size=len(directions))
+        (t,), (converged,), _ = solver._ray_minima(model, u[None], 1e-12, solver.DEFAULT_MAX_ITER)
+        if not converged:
+            raise solver._unconverged_ray(u)
+        rank = np.einsum("ij,j->i", np.exp(t * np.einsum("ij,kj->ik", u[None], m.steps)),
+                         m.weights)[0]
+        if best is None or rank < best[0]:
+            best = (rank, u, m.support_size * laplace.value(model, t * u))
+    return solver.ScanResult(k_min=best[2], direction=best[1], grid_size=len(directions))
 
 
 def scan_outcome(scan, steps, grid):
@@ -280,9 +297,32 @@ def scan_cases(draw):
     return steps, draw(st.sampled_from([1, 2, 51, 721, 2001]))
 
 
+@st.composite
+def weighted_ray_cases(draw):
+    """A weighted step set from {-3..3}^d (d = 2, 3) and scan directions."""
+    d = draw(st.integers(2, 3))
+    vectors = [v for v in itertools.product(range(-3, 4), repeat=d) if any(v)]
+    steps = draw(st.lists(st.sampled_from(vectors), min_size=3, max_size=11, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(steps), max_size=len(steps)))
+    m = cw.probability_measure(steps, np.array(weights) / sum(weights))
+    return cw.FiniteLaplace(m), solver._scan_directions(d, 101)
+
+
+class TestRayLanes:
+    @given(weighted_ray_cases())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_lane_bits_do_not_depend_on_the_batch(self, case):
+        # a BLAS product U @ S^T would let a lane's bits depend on the batch
+        model, U = case
+        t, converged, iterations = solver._ray_minima(model, U, 1e-12, solver.DEFAULT_MAX_ITER)
+        for i, u in enumerate(U):
+            one = solver._ray_minima(model, u[None], 1e-12, solver.DEFAULT_MAX_ITER)
+            assert (one[0][0], one[1][0], one[2][0]) == (t[i], converged[i], iterations[i])
+
+
 class TestScanMatchesScalar:
-    """The batched scan re-solves only near-minimal directions; its result and
-    exceptions must be those of the scalar per-direction scan, bit for bit."""
+    """The scan solves every direction in one batch; its result and exceptions
+    must be those of the loop of one-direction solves, bit for bit."""
 
     @pytest.mark.parametrize("steps, grid", [
         ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1), (1, -1), (-1, 1)], 2001),
@@ -290,14 +330,13 @@ class TestScanMatchesScalar:
         (NSEW, 2001),
         ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (-1, -1, -1)], 721),
         (HALFSPACE_MODEL, 51),
-        # batched and scalar values differ in the last bit at the argmin, or
-        # order tied directions differently
+        # near-ties: directions whose ray minima differ in the last bit at
+        # the argmin, or tie there, so the rank order must be the loop's
         ([(-1, -1), (-1, 1), (0, -1), (1, 0)], 2),
         ([(-3, -1), (-3, 2), (-2, -1), (-2, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, -1),
           (2, 3), (3, -2), (3, 0)], 51),
         # exponents past the overflow guard at t = 1, on the first direction
-        # and on a later one: the batch and the scalar solver both start
-        # their brackets inside the guard
+        # and on a later one: every lane starts its bracket inside the guard
         ([(-1000, 0), (1, 0), (0, 1), (0, -1)], 51),
         ([(0, -1000), (1, 0), (-1, 0), (0, 1)], 51),
     ])
@@ -314,6 +353,51 @@ class TestScanMatchesScalar:
     def test_random_step_sets(self, case):
         steps, grid = case
         assert scan_outcome(cw.hyperplane_scan, steps, grid) == scan_outcome(scalar_scan, steps, grid)
+
+
+SMALL_2D = [v for v in itertools.product(range(-2, 3), repeat=2) if any(v)]
+
+
+@st.composite
+def halfspace_cases(draw):
+    """A step set from {-2..2}^2, a unit normal of a half-space the set is
+    proper for, and the steps in another order."""
+    steps = draw(st.lists(st.sampled_from(SMALL_2D), min_size=3, max_size=8, unique=True))
+    theta = draw(st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+    normal = np.array([np.cos(theta), np.sin(theta)])
+    m = cw.from_step_set(steps)
+    assume(cw.check_h1(m))
+    assume(steps_mod.halfspace_witness(m, cw.dual(cw.halfspace(normal))) is None)
+    return steps, normal, draw(st.permutations(steps))
+
+
+def halfspace_rho(steps, normal):
+    model = cw.FiniteLaplace(cw.from_step_set(steps))
+    return cw.minimize_on_dual(model, cw.halfspace(normal)).rho
+
+
+class TestHalfspaceInvariance:
+    """A half-space's dual is one ray: scaling its normal gives the same cone,
+    and reordering the steps the same law, so rho must not move."""
+
+    @given(halfspace_cases(), st.floats(1e-3, 1e3))
+    # exponents reach 1313 at t = 1 along this normal; the bracket starts
+    # just inside the guard, which a lane must be allowed to reach
+    @example(([(2, -2), (-1, -1), (2, 0), (0, -1)],
+              np.array([-656.8374851700607, -92.27952885816245]),
+              [(0, -1), (2, 0), (-1, -1), (2, -2)]), 1e-3)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_normal_scale(self, case, c):
+        steps, normal, _ = case
+        base = halfspace_rho(steps, normal)
+        assert abs(halfspace_rho(steps, c * normal) - base) <= 1e-12 * base
+
+    @given(halfspace_cases())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_step_order(self, case):
+        steps, normal, shuffled = case
+        base = halfspace_rho(steps, normal)
+        assert abs(halfspace_rho(shuffled, normal) - base) <= 1e-12 * base
 
 
 class TestBrownianRate:
