@@ -4,29 +4,46 @@ The layer recurrence g_n(y) = sum_s w_s g_{n-1}(y - s), restricted to the
 orthant, is evaluated on the bounding box of the current layer's support, so
 models whose reachable set stays small (such as the half-space family) cost
 almost nothing regardless of the horizon. Two value representations are
-kept: exact arbitrary-precision integers for unit weights, and doubles with
-a per-layer max renormalization whose accumulated logarithm keeps thousands
-of layers in range.
+kept: exact multi-precision integers on uint64 limbs for unit weights, and
+doubles with a per-layer max renormalization whose accumulated logarithm
+keeps thousands of layers in range.
 
-Each layer lives in one of two flat buffers that the DP owns and uses in
-turn. A box is stored row-major with padded rows: axis 0 is not padded, and
-every axis k >= 1 has a padded extent E_k of at least the box's extent plus
-the step span max_k - min_k, the pad cells being zero. A step s then moves
-every cell by one flat offset, o = sum_k (lo_k + s_k - newlo_k) * stride_k,
-so its contributions are one contiguous 1-D add, dst[o+g0 : o+g1] +=
-src[g0 : g1] over the box's flat range, clipped at the buffer's start. A
-real cell receives exactly the contributions of the box-by-box recurrence,
-in step order, plus zeros from pad cells. A cell the orthant cuts lands in a
-pad cell, as a row has at least as many pad cells as the cut is deep, or
-before the buffer; the pads of each cut axis are zeroed after the adds.
-When a box outgrows its padding or its buffer, it is copied into the idle
-buffer with two spans of padding; a buffer is replaced only when too small,
-and freed before its successor is allocated, so at most two layer-sized
-arrays are alive. A float buffer of MAPPED_BYTES or more is a private
-anonymous mapping, unmapped when it is freed, so the DP's resident size does
-not depend on the state of malloc's heap or on the host's free huge pages.
-Only a step with a weight other than 1 makes temporaries, for its product,
-PRODUCT_BLOCK cells at a time.
+Each layer lives in one of two buffers that the DP owns and uses in turn: a
+float layer in a 1-D buffer of doubles, and an exact layer in a buffer of
+shape (limbs, cells) that holds each cell as a multi-precision integer in
+radix 2^r, limb j on row j (Knuth, TAOCP vol. 2, 4.3.1). A box is stored
+row-major along the cells with padded rows: axis 0 is not padded, and every
+axis k >= 1 has a padded extent E_k of at least the box's extent plus the
+step span max_k - min_k, the pad cells being zero. A step s then moves every
+cell by one flat offset, o = sum_k (lo_k + s_k - newlo_k) * stride_k, so its
+contributions are one contiguous add on each limb row, dst[..., o+g0 : o+g1]
++= src[..., g0 : g1] over the box's flat range, clipped at the buffer's
+start. The first step that moves any cell writes them instead of adding them
+to zeros, and only the new box's cells before and after its range are zeroed
+(0.0 + x == x and 0 + n == n, so no bit changes). A real cell receives
+exactly the contributions of the box-by-box recurrence, in step order, plus
+zeros from pad cells. A cell the orthant cuts lands in a pad cell, as a row
+has at least as many pad cells as the cut is deep, or before the buffer; the
+pads of each cut axis are zeroed after the adds. When a box outgrows its
+padding, its buffer or its limbs, it is copied into the idle buffer with two
+spans of padding; a buffer is replaced only when too small, and freed before
+its successor is allocated, so at most two layer-sized arrays are alive. A
+buffer of MAPPED_BYTES or more is a private anonymous mapping, unmapped when
+it is freed, so the DP's resident size does not depend on the state of
+malloc's heap or on the host's free huge pages. A step with a weight other
+than 1 forms its product PRODUCT_BLOCK cells at a time in one block the DP
+owns.
+
+Exact counts use radix 2^r with r = 63 - bit_length(|S|), so |S| 2^r < 2^63.
+Layer k holds L = ceil(bit_length(|S|^k) / r) limbs: |S|^k bounds every
+cell, so no cell reaches 2^(rL) and the top limb never carries. After the
+adds and the trim, one carry pass over the flat range, on all limbs at once,
+moves the bits of each limb from r upward into the next (``>>``, ``&=``,
+``+=``). Limbs are thus not normalized, but stay below 2^r + 2|S|: the next
+layer's |S| adds stay below |S| (2^r + 2|S|) < 2^64 for any |S| < 2^31, and
+carry at most 2|S| - 1. A total sums each limb's low and high 32-bit halves
+over the flat range, each sum below 2^64 while the range has fewer than 2^32
+cells, and forms the count from them in Python ints.
 
 The float results are fixed to the bit by one order of operations in every
 layer: the step contributions are added cell by cell in step order (a unit
@@ -35,12 +52,16 @@ nonzero cells, the layer is divided by its maximum, and cells below
 FLOAT_TRIM are zeroed; the last three run over the flat range from the
 trimmed box's first cell to its last, where every other cell is zero. The
 total is the pairwise sum over the trimmed box, whose rounding depends on
-the strides: the box is copied into the idle buffer where a freshly
-allocated unpadded C-ordered box would hold it, and summed there. Weights
-above 1 are divided by their maximum once, its logarithm added to the scale
-per layer, so large finite weights cannot overflow; weights up to 1 are used
-as given. Weights too far apart for that division, a quotient below the
-smallest normal double, are refused.
+the strides only where numpy merges an axis k >= 1 into the axis before it,
+which it can do only where the box spans the whole of that axis of its
+array; in the padded layout that needs the box to span its untrimmed box on
+that axis too. Only then is the box copied into the idle buffer where a
+freshly allocated unpadded C-ordered box would hold it, and summed there;
+otherwise it is summed where it is. Weights above 1 are divided by their
+maximum once, its logarithm added to the scale per layer, so large finite
+weights cannot overflow; weights up to 1 are used as given. Weights too far
+apart for that division, a quotient below the smallest normal double, are
+refused.
 
 The same machinery provides the per-endpoint layer (for the change-of-measure
 identity check) and n-th-root rate extrapolation from the count series. The
@@ -70,7 +91,7 @@ LOG_SCALED = "log_scaled"
 # keeps boxes tight at an error many orders below every reported tolerance.
 FLOAT_TRIM = 1e-30
 
-# Cells per product temporary of a weighted step add.
+# Cells in the product block of a weighted step add.
 PRODUCT_BLOCK = 1 << 15
 
 # Cost caps: the DP touches O(n^d) lattice cells per layer in the worst case.
@@ -78,13 +99,13 @@ MAX_HORIZON_EXACT = 200
 MAX_HORIZON = {1: 2000, 2: 2000, 3: 120}
 MAX_HORIZON_HIGH_DIM = 60
 
-# Float DP buffers of at least this many bytes get a mapping of their own.
+# DP buffers of at least this many bytes get a mapping of their own.
 MAPPED_BYTES = 1 << 18
 
 
-def _buffer(size, dtype):
-    """A 1-D buffer of ``size`` cells for the layer DP, which writes a cell
-    before it reads it.
+def _buffer(shape, dtype):
+    """A buffer of ``shape`` for the layer DP, which writes a cell before it
+    reads it.
 
     numpy takes a large array from malloc, which after the first large free
     keeps arrays of up to that size on its heap, and advises huge pages for
@@ -93,12 +114,12 @@ def _buffer(size, dtype):
     from one run of the same calls to the next. A mapping of its own holds
     the same bytes and returns them to the system when the buffer is freed.
     Smaller buffers, which the heap reuses without a system call or a page
-    fault, and object buffers, which hold references, stay numpy's.
+    fault, stay numpy's.
     """
-    nbytes = size * np.dtype(dtype).itemsize
-    if dtype == object or nbytes < MAPPED_BYTES:
-        return np.empty(size, dtype=dtype)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype, count=size)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes < MAPPED_BYTES:
+        return np.empty(shape, dtype=dtype)
+    return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, nbytes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,16 +223,22 @@ def _dp_inputs(steps, start, n, weights, exact, cone):
 
 class _LayerDP:
     """Orthant-confined layer recurrence on an adaptive bounding box, laid out
-    in two padded flat buffers (see the module docstring).
+    in two padded buffers (see the module docstring): 1-D in float mode, and
+    in exact mode of shape (limbs, cells).
 
-    ``layer`` is the current box, trimmed to its nonzero cells, as a view of
-    ``_buffers[0]`` with padded strides ``_strides``; ``lo`` is its lowest
-    lattice point, and ``_first``/``_end`` bound its flat range. Every cell
-    of that range outside the box is zero. ``_box`` and ``_cut`` are the
+    ``_view`` is the current box, trimmed to its nonzero cells, as a view of
+    ``_buffers[0]`` with padded strides ``_strides``: the float cells, or in
+    exact mode the ``_limbs`` active limbs of each cell on a leading axis.
+    ``layer`` is shaped like the box: ``_view`` itself, or in exact mode its
+    lowest limb. ``lo`` is the box's lowest lattice point, and
+    ``_first``/``_end`` bound its flat range; every cell of that range
+    outside the box is zero in every limb. ``_box`` and ``_cut`` are the
     untrimmed box the layer was cut from and the layer's place in it: they
-    give the unpadded strides and offsets at which ``total`` sums it. The
-    other buffer is idle: the next layer is written there, and the total is
-    summed there.
+    give the unpadded strides and offsets at which ``total`` sums a float
+    layer when it must. The other buffer is idle: the next layer is written
+    there, and the carry and the totals use it as scratch. In exact mode
+    ``_bound`` is |S|^k at layer k, which bounds every cell, and ``_radix``
+    is r.
     """
 
     def __init__(self, steps, weights, start, exact, trim_threshold=FLOAT_TRIM):
@@ -231,37 +258,59 @@ class _LayerDP:
         # shift and weight per step in step order; weight None adds unscaled
         self.shifts = [tuple(int(v) for v in s) for s in steps]
         self.weights = [None if w == 1.0 else float(w) for w in weights]
+        self._product = None
+        if any(w is not None for w in self.weights):
+            self._product = np.empty(PRODUCT_BLOCK)
+        self._radix = 63 - len(steps).bit_length()
+        self._bound = 1
+        self._limbs = 1
+        # the index of the limb axis, which only exact views have
+        self._lead = (slice(None),) if exact else ()
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
-        self.layer = np.ones((1,) * d, dtype=object if exact else float)
+        dtype = np.uint64 if exact else float
+        self._set_view(np.ones((1,) * (len(self._lead) + d), dtype=dtype))
         self._box, self._cut = [1] * d, [0] * d
-        self._buffers = [np.empty(0, dtype=self.layer.dtype)] * 2
-        self._relayout(1)
+        self._buffers = [np.empty((1, 0) if exact else (0,), dtype=dtype)] * 2
+        self._relayout(1, 1)
 
     @property
     def dead(self):
         return self.layer.size == 0
 
+    def _set_view(self, view):
+        self._view = view
+        self.layer = view[0] if self.exact else view
+
     def total(self):
         if self.dead:
             return 0 if self.exact else (0.0, self.log_scale)
         if self.exact:
-            return int(self.layer.sum())  # integer sums are exact in any order
+            # each limb's 32-bit halves sum exactly in uint64 over < 2^32 cells
+            first, end = self._first, self._end
+            assert end - first < 1 << 32
+            cells, scratch = (b[:self._limbs, first:end] for b in self._buffers)
+            low = np.bitwise_and(cells, 0xFFFFFFFF, out=scratch).sum(axis=1).tolist()
+            high = np.right_shift(cells, 32, out=scratch).sum(axis=1).tolist()
+            return sum((a + (b << 32)) << (self._radix * j)
+                       for j, (a, b) in enumerate(zip(low, high)))
         layer = self.layer
-        if self._extents != self._box[1:]:
-            # the pairwise sum's rounding depends on the strides, so sum the
-            # layer where a C-ordered unpadded box would hold it
+        if self._extents != self._box[1:] and any(
+                k == b for k, b in zip(layer.shape[1:], self._box[1:])):
+            # numpy merges an axis spanning its whole box into the one before
+            # it, and the pairwise sum's rounding follows the merged strides:
+            # sum the layer where a C-ordered unpadded box would hold it
             box = self._buffers[1][:math.prod(self._box)].reshape(self._box)
             layer = box[tuple(slice(c, c + k) for c, k in zip(self._cut, layer.shape))]
             layer[...] = self.layer
         return (float(layer.sum()), self.log_scale)
 
-    def _relayout(self, rows):
+    def _relayout(self, rows, limbs):
         """Copy the layer to the start of the idle buffer, padding each axis
-        k >= 1 to the layer's extent plus two step spans, with room for
-        ``rows`` rows, and for the layer's own, in both buffers. A buffer is
-        freed before a larger one replaces it, so no more than two layer-sized
-        arrays are ever alive."""
+        k >= 1 to the layer's extent plus two step spans, with room in both
+        buffers for ``rows`` rows (and for the layer's own) of ``limbs``
+        limbs. A buffer is freed before a larger one replaces it, so no more
+        than two layer-sized arrays are ever alive."""
         n = self.layer.shape
         # the widest layer (on axes k >= 1) that still has a span of padding
         self._room = [k + s for k, s in zip(n[1:], self.span[1:])]
@@ -272,22 +321,28 @@ class _LayerDP:
         # a layer pressed against the wall on axis 0 may have more rows than
         # the box it advances to
         size = max(rows, n[0]) * self._strides[0]
-        grow = self._buffers[1].size < size
+        shape = self._buffers[1].shape
+        want = (shape[-1] if shape[-1] >= size else size + size // 4,)
+        if self.exact:
+            want = (shape[0] if shape[0] >= limbs else 2 * limbs,) + want
+        grow = want != shape
         if grow:
-            # a float buffer's spare rows stay unmapped until a box reaches them
+            # spare rows and limbs stay unmapped until a box reaches them
             self._buffers[1] = None
-            self._buffers[1] = _buffer(size + size // 4, self.layer.dtype)
-        padded = self._buffers[1][:n[0] * self._strides[0]].reshape(n[0], *self._extents)
+            self._buffers[1] = _buffer(want, self.layer.dtype)
+        idle = self._buffers[1][:self._limbs] if self.exact else self._buffers[1]
+        padded = idle[..., :n[0] * self._strides[0]].reshape(
+            *idle.shape[:-1], n[0], *self._extents)
         padded.fill(0)
-        index = (slice(None),) + tuple(slice(0, k) for k in n[1:])
-        padded[index] = self.layer
-        self.layer = padded[index]
+        index = self._lead + (slice(None),) + tuple(slice(0, k) for k in n[1:])
+        padded[index] = self._view
+        self._set_view(padded[index])
         self._first = 0
         self._end = sum((k - 1) * st for k, st in zip(n, self._strides)) + 1
         self._buffers.reverse()
         if grow:
             self._buffers[1] = None
-            self._buffers[1] = _buffer(self._buffers[0].size, self.layer.dtype)
+            self._buffers[1] = _buffer(want, self.layer.dtype)
 
     def advance(self):
         if self.dead:
@@ -298,85 +353,121 @@ class _LayerDP:
         if min(box) <= 0:
             self._kill()
             return
-        if (box[0] * self._strides[0] > self._buffers[1].size
+        held = limbs = self._limbs
+        if self.exact:
+            self._bound *= len(self.shifts)
+            limbs = -(-self._bound.bit_length() // self._radix)
+        if (box[0] * self._strides[0] > self._buffers[1].shape[-1]
+                or self.exact and limbs > len(self._buffers[1])
                 or any(k > r for k, r in zip(n[1:], self._room))):
-            self._relayout(box[0])
+            self._relayout(box[0], limbs)
         src, dst = self._buffers
+        old, new = (src[:held], dst[:held]) if self.exact else (src, dst)
         first, end = self._first, self._end
         rows = box[0] * self._strides[0]
-        dst[:rows].fill(0)
         # the layer's cell f lands on the new box's cell f + base + offset,
         # where the new box starts at the start of dst
         base = sum((a - b) * st for a, b, st in zip(lo, new_lo, self._strides)) - first
+        fresh = True
         for offset, w in self._plan:
             offset += base
             g0 = max(first, -offset)
-            if w is None:
-                if g0 < end:
-                    dst[g0 + offset:end + offset] += src[g0:end]
+            if g0 >= end:
+                continue
+            if fresh:
+                # writing the first step's cells saves a pass that zeroes them
+                fresh = False
+                new[..., :g0 + offset] = 0
+                new[..., end + offset:rows] = 0
+                if w is None:
+                    new[..., g0 + offset:end + offset] = old[..., g0:end]
+                else:
+                    for a in range(g0, end, PRODUCT_BLOCK):
+                        b = min(a + PRODUCT_BLOCK, end)
+                        np.multiply(old[a:b], w, out=new[a + offset:b + offset])
+            elif w is None:
+                new[..., g0 + offset:end + offset] += old[..., g0:end]
             else:
-                # the product is formed a block at a time, so no temporary
-                # is layer-sized and each stays in cache
+                # the product is formed a block at a time in one block of
+                # its own, so no temporary is layer-sized and each stays in cache
                 for a in range(g0, end, PRODUCT_BLOCK):
                     b = min(a + PRODUCT_BLOCK, end)
-                    dst[a + offset:b + offset] += w * src[a:b]
-        padded = dst[:rows].reshape(box[0], *self._extents)
+                    new[a + offset:b + offset] += np.multiply(
+                        old[a:b], w, out=self._product[:b - a])
+        if fresh:
+            new[..., :rows] = 0
+        if self.exact:
+            if limbs > held:
+                dst[held:limbs, :rows] = 0
+            self._limbs = limbs
+            dst = dst[:limbs]
+        padded = dst[..., :rows].reshape(*dst.shape[:-1], box[0], *self._extents)
         for k in range(1, self.d):
             if lo[k] + self.step_min[k] < 0:
                 # cells the orthant cuts on axis k landed in its pads
-                padded[(slice(None),) * k + (slice(box[k], None),)] = 0
+                padded[self._lead + (slice(None),) * k + (slice(box[k], None),)] = 0
         self._buffers.reverse()
         self.lo, self._box = new_lo, box
-        self._trim(padded[(slice(None),) + tuple(slice(0, k) for k in box[1:])])
-        if not self.exact and not self.dead:
-            cells = dst[self._first:self._end]
-            mx = float(cells.max())
-            if mx > 0.0:
-                cells /= mx
-                self.log_scale += math.log(mx)
-                if self.trim_threshold > 0.0:
-                    np.copyto(cells, 0.0, where=cells < self.trim_threshold)
-                if self.log_weight:
-                    self.log_scale += self.log_weight
+        self._trim(padded[self._lead + (slice(None),) + tuple(slice(0, k) for k in box[1:])])
+        if self.dead:
+            return
+        cells = dst[..., self._first:self._end]
+        if self.exact:
+            if limbs > 1:
+                # one carry pass; the top limb has nothing to carry
+                carry = np.right_shift(cells[:-1], self._radix,
+                                       out=src[:limbs - 1, self._first:self._end])
+                cells[:-1] &= (1 << self._radix) - 1
+                cells[1:] += carry
+            return
+        mx = float(cells.max())
+        if mx > 0.0:
+            cells /= mx
+            self.log_scale += math.log(mx)
+            if self.trim_threshold > 0.0:
+                np.copyto(cells, 0.0, where=cells < self.trim_threshold)
+            if self.log_weight:
+                self.log_scale += self.log_weight
 
     def _kill(self):
-        self.layer = np.zeros((0,) * self.d, dtype=self.layer.dtype)
+        self._set_view(self._view[self._lead + (slice(0, 0),) * self.d])
 
-    def _trim(self, layer):
-        """Make the layer the nonzero cells of ``layer``, a new box at the
+    def _trim(self, view):
+        """Make the layer the nonzero cells of ``view``, a new box at the
         start of the buffer, reading inward from each face."""
         occupied = np.count_nonzero
         first_cell = last_cell = 0
         for ax, stride in enumerate(self._strides):
-            head = (slice(None),) * ax
-            first, last = 0, layer.shape[ax] - 1
-            while first <= last and not occupied(layer[head + (first,)]):
+            head = self._lead + (slice(None),) * ax
+            first, last = 0, view.shape[ax - self.d] - 1
+            while first <= last and not occupied(view[head + (first,)]):
                 first += 1
             if first > last:
                 self._kill()
                 return
-            while not occupied(layer[head + (last,)]):
+            while not occupied(view[head + (last,)]):
                 last -= 1
-            layer = layer[head + (slice(first, last + 1),)]
+            view = view[head + (slice(first, last + 1),)]
             self.lo[ax] += first
             self._cut[ax] = first
             first_cell += first * stride
             last_cell += last * stride
-        self.layer, self._first, self._end = layer, first_cell, last_cell + 1
+        self._set_view(view)
+        self._first, self._end = first_cell, last_cell + 1
 
     def endpoint_items(self):
         """(lattice point, mass) pairs of the current layer."""
-        items = []
         if self.dead:
-            return items
-        for idx in np.argwhere(self.layer != 0 if self.exact else self.layer > 0.0):
-            point = tuple(a + int(i) for a, i in zip(self.lo, idx))
-            v = self.layer[tuple(idx)]
-            if self.exact:
-                items.append((point, int(v)))
-            else:
-                items.append((point, float(v) * math.exp(self.log_scale)))
-        return items
+            return []
+        if self.exact:
+            cells = np.argwhere(np.any(self._view, axis=0))
+            limbs = self._view[(slice(None),) + tuple(cells.T)].T.tolist()
+            values = [sum(v << (self._radix * j) for j, v in enumerate(cell)) for cell in limbs]
+        else:
+            cells = np.argwhere(self.layer > 0.0)
+            scale = math.exp(self.log_scale)
+            values = [v * scale for v in self.layer[tuple(cells.T)].tolist()]
+        return [(tuple(p), v) for p, v in zip((cells + self.lo).tolist(), values)]
 
 
 def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):

@@ -545,9 +545,9 @@ class TestFlatLayoutMatchesBoxLayout:
         _layouts_agree(steps, start, n, None, exact, counting.FLOAT_TRIM)
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_large_float_buffers_are_mappings_of_their_own(self, exact, monkeypatch):
-        # a large float buffer never comes from malloc's heap; a small one
-        # and an object buffer do
+    def test_large_buffers_are_mappings_of_their_own(self, exact, monkeypatch):
+        # a large buffer, float or uint64 limbs, never comes from malloc's
+        # heap; a small one does
         monkeypatch.setattr(counting, "MAPPED_BYTES", 4096)
         steps_arr, start_arr, w = counting._dp_inputs(S5, (0, 0), 30, None, exact, None)
         dp = counting._LayerDP(steps_arr, w, start_arr, exact=exact)
@@ -555,11 +555,11 @@ class TestFlatLayoutMatchesBoxLayout:
         for _ in range(30):
             dp.advance()
             for buf in dp._buffers:
-                mapped = isinstance(getattr(buf.base, "obj", None), mmap.mmap)
-                assert mapped == (not exact and buf.nbytes >= 4096)
-                assert buf.flags.writeable and buf.dtype == (object if exact else float)
+                mapped = isinstance(buf.base, mmap.mmap)
+                assert mapped == (buf.nbytes >= 4096)
+                assert buf.flags.writeable and buf.dtype == (np.uint64 if exact else float)
                 kinds.add(mapped)
-        assert kinds == ({False} if exact else {False, True})
+        assert kinds == {False, True}
         _layouts_agree(S5, (0, 0), 30, None, exact, counting.FLOAT_TRIM)
 
     @pytest.mark.parametrize("block", [counting.PRODUCT_BLOCK, 7])
@@ -568,6 +568,105 @@ class TestFlatLayoutMatchesBoxLayout:
         monkeypatch.setattr(counting, "PRODUCT_BLOCK", block)
         _layouts_agree(S5, (0, 2), 40, (1.0, 0.3, 0.5, 1.0, 0.05), False, 0.0)
         _layouts_agree(D3, (0, 1, 0), 16, (0.1, 1.0, 0.3, 0.4), False, counting.FLOAT_TRIM)
+
+
+STEPS_25 = list(itertools.product(range(-2, 3), repeat=2))
+
+
+def _box_reference(steps, start, n):
+    """The object-dtype box-layout reference run exactly to n: its totals for
+    0..n and its endpoint counts at n."""
+    steps, start, _ = counting._dp_inputs(steps, start, n, None, True, None)
+    ref = _BoxLayerDP(steps, None, start, exact=True)
+    totals = [ref.total()]
+    for _ in range(n):
+        ref.advance()
+        totals.append(ref.total())
+    return totals, dict(ref.endpoint_items())
+
+
+class TestExactLimbs:
+    """Exact counts on uint64 limbs equal the object-dtype box-layout
+    reference, past 2^64 and 2^128 and across limb boundaries."""
+
+    def test_25_steps(self):
+        # r = 58, so 25^40 takes four limbs
+        dp = _layouts_agree(STEPS_25, (1, 2), 40, None, True, counting.FLOAT_TRIM)
+        assert dp._limbs == 4
+
+    def test_1d_counts_pass_2_64_and_2_128(self):
+        steps = [(-1,), (0,), (1,), (2,)]
+        series = cw.count_walks(steps, (0,), 120, mode="exact")
+        totals, layer = _box_reference(steps, (0,), 120)
+        assert list(series.values) == totals
+        assert any(2**64 < v < 2**128 for v in totals) and totals[-1] > 2**128
+        assert cw.end_point_counts(steps, (0,), None, 120) == layer
+
+    def test_3d(self):
+        # r = 60, so 4^36 takes two limbs
+        series = cw.count_walks(D3, (1, 0, 2), 36, mode="exact")
+        totals, layer = _box_reference(D3, (1, 0, 2), 36)
+        assert list(series.values) == totals and totals[-1] > 2**60
+        assert cw.end_point_counts(D3, (1, 0, 2), None, 36) == layer
+
+    def test_end_point_counts(self):
+        counts = cw.end_point_counts(STEPS_25, (0, 3), None, 30)
+        assert counts == _box_reference(STEPS_25, (0, 3), 30)[1]
+        assert max(counts.values()) > 2**64
+
+    @pytest.mark.parametrize("copies", [8, 31, 64, 1000])
+    def test_counts_at_the_bound(self, copies):
+        # every walk ends on the one cell, so its count is |S|^n, the bound
+        # the limbs are sized by; 8^n = 2^(3n) fills its limbs exactly
+        # (r = 59) at n = 59, 118 and 177, and 64^n (r = 56) at every n = 28k
+        series = cw.count_walks([(0,)] * copies, (0,), 200, mode="exact")
+        assert series.values == tuple(copies**k for k in range(201))
+
+    def test_values_are_python_ints(self):
+        series = cw.count_walks(S5, (0, 0), 60, mode="exact")
+        counts = cw.end_point_counts(S5, (0, 0), None, 60)
+        assert all(type(v) is int for v in series.values)
+        assert all(type(v) is int and all(type(c) is int for c in p) for p, v in counts.items())
+        assert sum(counts.values()) == series.values[60] > 2**64
+
+
+def _sub_box(rng):
+    """A box of 1-3 axes and up to about 40,000 cells, a sub-box of it that
+    often holds most of it and spans some axes whole, and pads for the box's
+    axes k >= 1."""
+    d = int(rng.integers(1, 4))
+    side = {1: 20000, 2: 200, 3: 34}[d]
+    box = [int(v) for v in rng.integers(1, side + 1, d)]
+    cut = [0 if rng.random() < 0.3 else int(rng.integers(0, min(4, k))) for k in box]
+    shape = [k - c - int(rng.integers(0, (k - c + 1) // 2)) for k, c in zip(box, cut)]
+    pads = [int(v) for v in rng.integers(0, 5, d - 1)]
+    return box, cut, shape, pads
+
+
+class TestPaddedSum:
+    """A float layer's total is summed in the padded layout unless its box
+    spans the whole untrimmed box on some axis k >= 1: only there can numpy
+    merge axes, which changes the pairwise sum's rounding."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_padded_sum_is_the_unpadded_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        box, cut, shape, pads = _sub_box(rng)
+        values = rng.random(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        index = tuple(slice(c, c + k) for c, k in zip(cut, shape))
+        padded = np.zeros([box[0]] + [k + p for k, p in zip(box[1:], pads)])
+        unpadded = np.zeros(box)
+        padded[index] = unpadded[index] = values
+        if not any(k == b for k, b in zip(shape[1:], box[1:])):
+            assert padded[index].sum().hex() == unpadded[index].sum().hex()
+
+    def test_a_whole_axis_is_summed_unpadded(self):
+        # the rows span the box, so numpy sums the unpadded box as one run
+        values = np.random.default_rng(1).random((40, 250))
+        padded = np.zeros((40, 252))
+        padded[:, :250] = values
+        assert padded[:, :250].sum().hex() != values.sum().hex()
 
 
 class TestEstimateRate:
