@@ -7,6 +7,13 @@ L(x) = e^{|x|^2/2 + <x,a>} used for the Brownian comparison. Arguments whose
 exponents exceed 700 are rejected outright so downstream certificates are
 never built from saturated arithmetic.
 
+Value, gradient and Hessian at a point come from one evaluation, `_terms`:
+one e = exp(S x) (one L(x) for the Gaussian), from which w @ e, (w e) @ S
+and ((w e) S)^T S are formed on request. The public functions wrap it; the
+solvers keep it per trial point, so an iterate forms its exponentials once.
+Terms read later have the bits of a fresh evaluation, since the same S x
+gives the same e.
+
 Whether the minimum exists on a cone is decided by one min-max LP over the
 cone's rays, solved by the package's dense simplex (`_simplex.simplex_min`)
 from an explicit feasible basis; it is a different LP from the phase-1
@@ -25,6 +32,8 @@ from ._simplex import simplex_min
 # Absolute tolerance classifying a step as lying on the hyperplane u-perp;
 # exact for lattice inputs.
 BOUNDARY_TOL = 1e-12
+
+_OVERFLOW = "Laplace exponent exceeds the overflow guard (700)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,40 +74,80 @@ def _checked_point(model, x):
     return x
 
 
-def _finite_exponents(model, x):
+def _exponents(model, x):
+    """S x for a finite model, or None when an exponent passes the overflow
+    guard."""
     dots = model.measure.steps @ x
     if dots.size and float(np.abs(dots).max()) > steps_mod.MAX_EXPONENT:
-        raise OverflowError("Laplace exponent exceeds the overflow guard (700)")
+        return None
     return dots
 
 
-def value(model, x):
-    x = _checked_point(model, x)
+class _FiniteTerms:
+    """L, grad L and the Hessian at one point from one e = exp(S x)."""
+
+    __slots__ = ("measure", "e", "value")
+
+    def __init__(self, measure, e):
+        self.measure, self.e = measure, e
+        self.value = float(measure.weights @ e)
+
+    def gradient(self):
+        return (self.measure.weights * self.e) @ self.measure.steps
+
+    def hessian(self):
+        w = self.measure.weights * self.e
+        return (w[:, None] * self.measure.steps).T @ self.measure.steps
+
+
+class _GaussianTerms:
+    """L, grad L and the Hessian at one point from the one value L(x)."""
+
+    __slots__ = ("g", "value")
+
+    def __init__(self, g, value):
+        self.g, self.value = g, value
+
+    def gradient(self):
+        return self.g * self.value
+
+    def hessian(self):
+        return (np.eye(self.g.shape[0]) + np.outer(self.g, self.g)) * self.value
+
+
+def _terms(model, x):
+    """The transform at a float point x of the model's dimension: value now,
+    gradient and Hessian on request, all from one exponential. None when an
+    exponent passes the overflow guard. The solvers call this for each
+    trial point and read the accepted one's derivatives at their next iterate.
+    """
     if isinstance(model, FiniteLaplace):
-        dots = _finite_exponents(model, x)
-        return float(model.measure.weights @ np.exp(dots))
+        dots = _exponents(model, x)
+        return None if dots is None else _FiniteTerms(model.measure, np.exp(dots))
     expo = 0.5 * float(x @ x) + float(x @ model.drift)
     if expo > steps_mod.MAX_EXPONENT:
-        raise OverflowError("Laplace exponent exceeds the overflow guard (700)")
-    return float(np.exp(expo))
+        return None
+    return _GaussianTerms(x + model.drift, float(np.exp(expo)))
+
+
+def _checked_terms(model, x):
+    """`_terms` at a caller's point, raising OverflowError past the guard."""
+    terms = _terms(model, _checked_point(model, x))
+    if terms is None:
+        raise OverflowError(_OVERFLOW)
+    return terms
+
+
+def value(model, x):
+    return _checked_terms(model, x).value
 
 
 def gradient(model, x):
-    x = _checked_point(model, x)
-    if isinstance(model, FiniteLaplace):
-        dots = _finite_exponents(model, x)
-        return (model.measure.weights * np.exp(dots)) @ model.measure.steps
-    return (x + model.drift) * value(model, x)
+    return _checked_terms(model, x).gradient()
 
 
 def hessian(model, x):
-    x = _checked_point(model, x)
-    if isinstance(model, FiniteLaplace):
-        dots = _finite_exponents(model, x)
-        w = model.measure.weights * np.exp(dots)
-        return (w[:, None] * model.measure.steps).T @ model.measure.steps
-    g = x + model.drift
-    return (np.eye(model.dim) + np.outer(g, g)) * value(model, x)
+    return _checked_terms(model, x).hessian()
 
 
 @dataclass(frozen=True)
@@ -126,7 +175,9 @@ def classify_direction(model, u, x=None):
     if float(dots.max()) > BOUNDARY_TOL:
         return DirectionBehavior(diverges=True)
     on_boundary = np.abs(dots) <= BOUNDARY_TOL
-    xdots = _finite_exponents(model, x)
+    xdots = _exponents(model, x)
+    if xdots is None:
+        raise OverflowError(_OVERFLOW)
     limit = float(np.sum(model.measure.weights[on_boundary] * np.exp(xdots[on_boundary])))
     return DirectionBehavior(diverges=False, limit=limit)
 

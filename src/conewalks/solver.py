@@ -2,11 +2,19 @@
 
 The minimizer x* yields the exponential decay rate rho = L(x*) of the cone
 non-exit probability, certified by first-order conditions: the gradient at
-x* must lie back in the original cone and be orthogonal to x*. Three solvers
-cover the dual-cone representations that arise: coordinatewise projected
+x* must lie back in the original cone and be orthogonal to x*. Each
+dual-cone representation that arises has its solver: coordinatewise projected
 Newton on the orthant, projected gradient in the nonnegative ray-coefficient
 parametrization for multi-ray generated cones, and one batched ray solver
 for min_{t >= 0} L(t u) on many directions u at once.
+
+The orthant and multi-ray loops evaluate the exponentials exp(S x) once per
+point: the line search keeps the terms (`laplace._terms`) of the trial it
+accepts, and the next iterate reads its gradient and Hessian from them
+instead of forming S x again. That gives the bits of evaluating the point
+afresh, because every number that feeds a result comes from the same numpy
+call on the same operands: S @ (R^T t), never (S R^T) t; np.linalg.eigvalsh;
+w @ e for the value.
 
 The ray solver serves the single-ray dual cone of a half-space, as a batch of
 one, and the hyperplane scan, as a batch of every grid direction. Each
@@ -98,13 +106,6 @@ class RateCertificate:
         }
 
 
-def _value_or_none(model, x):
-    try:
-        return laplace.value(model, x)
-    except OverflowError:
-        return None
-
-
 def _newton_direction(H, g, free):
     """Newton step on the free variables, gradient step on the rest."""
     d = -g.copy()
@@ -125,17 +126,18 @@ def _newton_direction(H, g, free):
 
 
 def _armijo_projected(model, x, f, g, d, project):
-    """Backtracking along the projected arc; returns (x_new, f_new) or None."""
+    """Backtracking along the projected arc; returns (x_new, terms at x_new)
+    or None."""
     alpha = 1.0
     for _ in range(80):
         xn = project(x + alpha * d)
-        fn = _value_or_none(model, xn)
-        if fn is not None:
+        at = laplace._terms(model, xn)
+        if at is not None:
             gain = float(g @ (xn - x))
-            if fn <= f + ARMIJO_SLOPE * gain and (gain < 0.0 or fn <= f):
+            if at.value <= f + ARMIJO_SLOPE * gain and (gain < 0.0 or at.value <= f):
                 if np.array_equal(xn, x):
                     return None
-                return xn, fn
+                return xn, at
         alpha *= ARMIJO_FACTOR
     return None
 
@@ -143,26 +145,25 @@ def _armijo_projected(model, x, f, g, d, project):
 def _minimize_orthant(model, tol, max_iter, x0):
     project = lambda v: np.maximum(v, 0.0)
     x = project(np.asarray(x0, dtype=float))
-    f = _value_or_none(model, x)
-    if f is None:
+    at = laplace._terms(model, x)
+    if at is None:
         x = np.zeros(model.dim)
-        f = laplace.value(model, x)
+        at = laplace._terms(model, x)
     trace = [x.copy()]
     for it in range(1, max_iter + 1):
-        g = laplace.gradient(model, x)
+        g = at.gradient()
         pg = np.where(x > ACTIVE_EPS, g, np.minimum(g, 0.0))
         if float(np.linalg.norm(pg)) <= tol:
             return x, it, trace
-        H = laplace.hessian(model, x)
         free = (x > ACTIVE_EPS) | (g < 0.0)
-        d = _newton_direction(H, g, free)
-        result = _armijo_projected(model, x, f, g, d, project)
+        d = _newton_direction(at.hessian(), g, free)
+        result = _armijo_projected(model, x, at.value, g, d, project)
         if result is None:
             # Newton direction stalled; try a plain projected gradient step
-            result = _armijo_projected(model, x, f, g, -g, project)
+            result = _armijo_projected(model, x, at.value, g, -g, project)
             if result is None:
                 raise NonConvergenceError("line search stalled on the orthant", trace)
-        x, f = result
+        x, at = result
         trace.append(x.copy())
     raise NonConvergenceError(f"no convergence after {max_iter} iterations", trace)
 
@@ -201,9 +202,10 @@ def _ray_minima(model, U, tol, max_iter):
         PL = P[lanes]
         E = at[:, None] * PL
         safe = np.abs(E).max(axis=1) <= steps_mod.MAX_EXPONENT
-        wp = w * np.exp(np.where(safe[:, None], E, 0.0)) * PL
-        # phi'' may pass the largest double: inf sends the lane to bisection
+        # phi' and phi'' may pass the largest double: inf sends the lane to
+        # bisection
         with np.errstate(over="ignore"):
+            wp = w * np.exp(np.where(safe[:, None], E, 0.0)) * PL
             return wp.sum(axis=1), (wp * PL).sum(axis=1), safe
 
     lanes = np.flatnonzero(np.einsum("ij,j->i", U, w @ S) < 0.0)  # phi'(0) < 0
@@ -257,19 +259,20 @@ def _minimize_rays(model, R, tol, max_iter, t0):
     without consulting function values.
     """
     t = np.maximum(np.asarray(t0, dtype=float), 0.0)
-    f = _value_or_none(model, R.T @ t)
-    if f is None:
+    x = R.T @ t
+    at = laplace._terms(model, x)
+    if at is None:
         t = np.zeros(R.shape[0])
-        f = laplace.value(model, np.zeros(R.shape[1]))
+        x = R.T @ t
+        at = laplace._terms(model, x)
     alpha = 1.0
     trace = [t.copy()]
     for it in range(1, max_iter + 1):
-        x = R.T @ t
-        g = R @ laplace.gradient(model, x)
+        g = R @ at.gradient()
         pg = np.where(t > ACTIVE_EPS, g, np.minimum(g, 0.0))
         if float(np.linalg.norm(pg)) <= tol:
             return x, t, it, trace
-        curv = np.linalg.eigvalsh(R @ laplace.hessian(model, x) @ R.T)[-1]
+        curv = np.linalg.eigvalsh(R @ at.hessian() @ R.T)[-1]
         alpha_safe = 1.0 / max(curv, 1e-300)
         alpha = max(alpha * 2.0, alpha_safe)
         moved = False
@@ -277,18 +280,20 @@ def _minimize_rays(model, R, tol, max_iter, t0):
             if alpha < 0.25 * alpha_safe:
                 break
             tn = np.maximum(t - alpha * g, 0.0)
-            fn = _value_or_none(model, R.T @ tn)
-            if fn is not None and fn <= f + ARMIJO_SLOPE * float(g @ (tn - t)):
+            xn = R.T @ tn
+            an = laplace._terms(model, xn)
+            if an is not None and an.value <= at.value + ARMIJO_SLOPE * float(g @ (tn - t)):
                 moved = True
                 break
             alpha *= ARMIJO_FACTOR
         if not moved:
             alpha = alpha_safe
             tn = np.maximum(t - alpha * g, 0.0)
-            fn = _value_or_none(model, R.T @ tn)
-            if fn is None or np.array_equal(tn, t):
+            xn = R.T @ tn
+            an = laplace._terms(model, xn)
+            if an is None or np.array_equal(tn, t):
                 raise NonConvergenceError("projected gradient stalled", trace)
-        t, f = tn, fn
+        t, x, at = tn, xn, an
         trace.append(t.copy())
     raise NonConvergenceError(f"no convergence after {max_iter} iterations", trace)
 
@@ -300,11 +305,11 @@ def _default_init(model, dual_cone):
     any failure here silently falls back to the apex.
     """
     dim = model.dim
+    at0 = laplace._terms(model, np.zeros(dim))  # exponents 0: inside the guard
+    g0, H0 = at0.gradient(), at0.hessian()
     try:
-        g0 = laplace.gradient(model, np.zeros(dim))
-        H0 = laplace.hessian(model, np.zeros(dim))
         dx = np.linalg.solve(H0 + HESSIAN_REG * max(np.trace(H0), 1.0) * np.eye(dim), -g0)
-    except (np.linalg.LinAlgError, OverflowError):
+    except np.linalg.LinAlgError:
         dx = np.zeros(dim)
     if dual_cone.kind == cones.ORTHANT:
         return np.maximum(dx, 0.0)
@@ -329,8 +334,13 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     Returns a RateCertificate holding the minimizer, the rate rho = L(x*),
     and the first-order residuals (gradient back in the cone, orthogonal to
     x*). Raises ImproperModelError with a witness direction when the minimum
-    cannot exist, and NonConvergenceError past the iteration budget.
+    cannot exist, and NonConvergenceError past the iteration budget; a tol
+    that is not a finite number > 0 or a max_iter < 1 is a ValueError.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     dual_cone = cones.dual(cone)
     # a Gaussian transform is full-dimensional and coercive on every cone
     if isinstance(model, laplace.FiniteLaplace):
@@ -355,11 +365,11 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         start = _default_init(model, dual_cone)
         x_star, t, iterations, _ = _minimize_rays(model, R, tol, max_iter, start)
 
-    rho = laplace.value(model, x_star)
-    grad = laplace.gradient(model, x_star)
+    at = laplace._checked_terms(model, x_star)
+    grad = at.gradient()
     return RateCertificate(
         x_star=x_star,
-        rho=rho,
+        rho=at.value,
         grad=grad,
         kkt_membership_residual=_membership_violation(cone, grad),
         kkt_orthogonality=float(grad @ x_star),

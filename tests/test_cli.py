@@ -60,6 +60,14 @@ class TestRate:
         assert doc["status"] == "improper"
         assert doc["witness"] == [0.5, 0.5]
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+    def test_tol_not_a_finite_positive_number_exits_1(self, capsys, step_file, tol):
+        # each ran the whole iteration budget and exited 3 with no convergence
+        path = step_file("five.json", 2, NSEW_SW)
+        code, out, err = run(capsys, "rate", "--steps", path, "--cone", "ineq:[[2,-1],[-1,2]]",
+                             f"--tol={tol}", "--json")
+        assert code == 1 and out == "" and "tol must be a finite number > 0" in err
+
     def test_malformed_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

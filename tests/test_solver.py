@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import conewalks as cw
 from conewalks import laplace, solver, steps as steps_mod
+
+import reference_minimizers as ref
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 NSEW_SW = [(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)]
@@ -75,6 +78,18 @@ class TestMinimizeOnDual:
         m = cw.probability_measure(NSEW, [1 / 6, 3 / 6, 1 / 6, 1 / 6])
         with pytest.raises(cw.NonConvergenceError):
             cw.minimize_on_dual(cw.FiniteLaplace(m), cw.halfspace([0.0, 1.0]), max_iter=1)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_tol_not_a_finite_positive_number_raises(self, tol):
+        model = cw.FiniteLaplace(cw.from_step_set(NSEW_SW))
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            cw.minimize_on_dual(model, cw.inequalities([[2, -1], [-1, 2]]), tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_raises(self, max_iter):
+        model = cw.FiniteLaplace(cw.from_step_set(NSEW_SW))
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            cw.minimize_on_dual(model, cw.orthant(2), max_iter=max_iter)
 
     def test_inequality_cone_agrees_with_orthant(self):
         # the orthant written as an inequality cone goes down the multi-ray
@@ -239,6 +254,16 @@ class TestHyperplaneScan:
         assert converged[0] and abs(t[0] - 0.01) <= 1e-15
         cert = cw.minimize_on_dual(model, cw.halfspace([100.0, 0.0]))
         assert abs(cert.rho - cw.brownian_rate([-1.0, 0.0], cw.halfspace([100.0, 0.0]))) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9])
+    def test_scaled_steps_overflow_without_warnings(self, scale):
+        # phi' = sum w e^{t <u, s>} <u, s> passes the largest double inside
+        # the guard; the lane is left unconverged and nothing warns
+        steps = [(scale * a, scale * b) for a, b in NSEW_SW]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cw.NonConvergenceError, match="no convergence on the ray"):
+                cw.hyperplane_scan(steps, 51)
 
     def test_grid_past_the_budget_refused_before_allocating(self):
         # 10^15 directions would need 8 PB per array
@@ -433,3 +458,123 @@ class TestUpperBound:
         model = cw.FiniteLaplace(cw.from_step_set(NSEW))
         with pytest.raises(ValueError):
             cw.upper_bound_at(model, cw.orthant(2), [-1.0, 0.5])
+
+
+INEQ_ROWS = {2: [(2, -1), (-1, 2)], 3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]}
+# the inequality-cone corpus set that takes the projected-gradient loop 2475
+# iterations, the most of the certification corpora
+SLOWEST_RAYS = [(-1, 0, -1), (0, -1, -1), (0, 0, -1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
+
+
+@st.composite
+def minimizer_cases(draw):
+    """A finite or Gaussian model in d = 1-3, the orthant or an inequality
+    cone (d = 2, 3), an iteration budget and a start: the solver's own
+    (None) or a nonnegative point of the dual cone's coordinates."""
+    d = draw(st.integers(1, 3))
+    cone = draw(st.sampled_from(["orthant", "ineq"])) if d > 1 else "orthant"
+    kind = draw(st.sampled_from(["lattice", "real", "gaussian"]))
+    coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+    if kind == "gaussian":
+        model = ("gaussian", draw(st.lists(coord, min_size=d, max_size=d)))
+    else:
+        if kind == "lattice":
+            vector = st.sampled_from([v for v in itertools.product(range(-2, 3), repeat=d) if any(v)])
+        else:
+            vector = st.tuples(*[coord] * d)
+        steps = draw(st.lists(vector, min_size=2, max_size=8, unique=True))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(steps), max_size=len(steps)))
+        model = ("finite", steps, weights)
+    rays = d if cone == "orthant" else len(cw.dual(cw.inequalities(INEQ_ROWS[d])).rays)
+    start = draw(st.none() | st.lists(st.floats(0.0, 400.0), min_size=rays, max_size=rays))
+    return model, cone, draw(st.sampled_from([1, 3, 40, 400])), start
+
+
+def build_case(model, cone):
+    if model[0] == "gaussian":
+        law = cw.GaussianLaplace(model[1])
+    else:
+        _, steps, weights = model
+        law = cw.FiniteLaplace(cw.probability_measure(steps, np.array(weights) / sum(weights)))
+    return law, (cw.orthant(law.dim) if cone == "orthant" else cw.inequalities(INEQ_ROWS[law.dim]))
+
+
+def bits(value):
+    """A comparable image of a result, exact to the bit for arrays and floats."""
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, (np.ndarray, float)):
+        return np.asarray(value, dtype=float).tobytes()
+    return value
+
+
+def certificate(law, cone, tol, max_iter):
+    cert = cw.minimize_on_dual(law, cone, tol, max_iter)
+    return cert.x_star, cert.rho, cert.grad, cert.iterations, cert.active_set
+
+
+def outcome(fn, *args):
+    """The bits of fn's result, or its exception: type, message and, for a
+    non-convergence, the length of its iterate trace."""
+    try:
+        return bits(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc), len(getattr(exc, "trace", ()))
+
+
+class TestSharedTermsMatchReference:
+    """The minimizers evaluate exp(S x) once per point and read the accepted
+    trial's terms at the next iterate; every result must keep the bits of
+    the frozen one-exponential-per-call loops in reference_minimizers.py."""
+
+    @given(minimizer_cases())
+    @example((("finite", SLOWEST_RAYS, [1.0] * 6), "ineq", solver.DEFAULT_MAX_ITER, None))
+    @example((("finite", NSEW_SW, [1.0] * 5), "ineq", solver.DEFAULT_MAX_ITER, None))
+    @example((("finite", [(-1000, 0), (1, 0), (0, 1), (0, -1)], [1.0] * 4), "orthant",
+              solver.DEFAULT_MAX_ITER, [1.0, 1.0]))
+    @example((("gaussian", [0.18393728253711747, -0.37069182622019753]), "ineq", 400, None))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_minimizers(self, case):
+        model, cone, max_iter, start = case
+        law, cone = build_case(model, cone)
+        dual = cw.dual(cone)
+        tol = solver.DEFAULT_TOL
+        assert bits(solver._default_init(law, dual)) == bits(ref.default_init(law, dual))
+        if start is None:
+            start = ref.default_init(law, dual)
+        start = np.array(start, dtype=float)
+        # from a start where L is near the overflow guard, both loops square
+        # a gradient past the largest double in its norm (inf, no descent)
+        with np.errstate(over="ignore"):
+            if dual.kind == cw.cones.ORTHANT:
+                new = outcome(solver._minimize_orthant, law, tol, max_iter, start)
+                old = outcome(ref.minimize_orthant, law, tol, max_iter, start)
+            else:
+                new = outcome(solver._minimize_rays, law, dual.rays, tol, max_iter, start)
+                old = outcome(ref.minimize_rays, law, dual.rays, tol, max_iter, start)
+            assert new == old
+            new = outcome(certificate, law, cone, tol, max_iter)
+            if new[0] in (cw.ImproperModelError, ValueError):
+                return  # refused by the hypothesis checks the reference leaves out
+            assert new == outcome(ref.minimize_on_dual, law, cone, tol, max_iter)
+
+    @given(minimizer_cases(), st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           st.floats(-1.0, 1.0))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_line_search_and_evaluations(self, case, direction, scale):
+        model, _, _, start = case
+        law, _ = build_case(model, "orthant")
+        # coordinates up to 400 in size: some points pass the overflow guard
+        x = np.resize(np.array(start or [0.5], dtype=float), law.dim) * scale
+        for fn in ("value", "gradient", "hessian"):
+            assert outcome(getattr(cw, fn), law, x) == outcome(getattr(ref, fn), law, x)
+        x = np.maximum(x, 0.0)
+        f = ref._value_or_none(law, x)
+        if f is None:
+            return
+        g, d = ref.gradient(law, x), np.array(direction[:law.dim])
+        project = lambda v: np.maximum(v, 0.0)
+        new = solver._armijo_projected(law, x, f, g, d, project)
+        if new is not None:
+            new = new[0], new[1].value
+        assert bits(new) == bits(ref.armijo_projected(law, x, f, g, d, project))
