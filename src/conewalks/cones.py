@@ -7,26 +7,27 @@ A cone is kept in whichever of the four descriptions it was built from:
 * ``generated``     -- {sum_i t_i r_i : t >= 0} for finitely many rays r_i
 * ``inequalities``  -- {x : <a_i, x> >= 0 for all i}
 
-Every cone also carries the two descriptions the rate formulas read, derived
-once from its kind: ``normals``, the rows a_i with K = {x : A x >= 0}, which
-membership, the KKT residual and the Monte Carlo test use; and ``rays``, the
-rows r_i with K = {R^T t : t >= 0}, which parametrize a dual cone for the
-solver and the LPs. The orthant has both (the identity), a half-space and an
-inequality cone only normals, a generated cone only rays. Duality swaps the
-two: the rays of K* are the normals of K, so dualizing is pure transcription
-and no facet enumeration is ever performed. Projections are implemented only
-for the cones the rate formulas need (orthant, half-space, single ray);
-everything else raises ``UnsupportedConeError``.
+Every cone carries the two descriptions the rate formulas read: ``normals``,
+the rows a_i with K = {x : A x >= 0} (membership, the KKT residual, the Monte
+Carlo test), and ``rays``, the rows r_i with K = {R^T t : t >= 0} (a dual
+cone's parametrization for the solver and the LPs). The one a cone was built
+from is kept as given, the orthant's identity serving as both; the other is
+derived on first read by facet enumeration, in closed form for d <= 3
+(`_generators`), and refused with ``UnsupportedConeError`` above. Dualizing
+swaps the two and transcribes the given vectors, so dual(dual(K)) is K.
+Projections exist only for the cones the rate formulas need (orthant,
+half-space, single ray); everything else raises ``UnsupportedConeError``.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._simplex import l1_fit, nonneg_solution
+from ._simplex import nonneg_solution
 
 ORTHANT = "orthant"
 HALFSPACE = "halfspace"
@@ -38,7 +39,7 @@ INEQUALITIES = "inequalities"
 ABS_FLOOR = 1e-12
 DEFAULT_TOL = 1e-9
 
-# Relative singular-value threshold for the rank test of generated cones.
+# Relative rank threshold; `_generators` takes a cosine this small as zero.
 RANK_TOL = 1e-10
 
 
@@ -56,35 +57,35 @@ class Cone:
 
     ``vectors`` holds the defining data: the half-space normal as shape (d,),
     rays or inequality normals as shape (k, d), and None for the orthant.
-    ``normals`` and ``rays`` are the two derived descriptions, shape (k, d),
-    or None where the kind gives no such description without enumeration;
-    ``normal_norms`` holds the Euclidean norm of each normal (None without
-    normals), which scales the membership tolerances.
+    ``normals`` and ``rays`` are the two descriptions, shape (k, d): the one
+    the cone was built from as given, the other derived when first read;
+    ``normal_norms`` holds the Euclidean norm of each normal, which scales
+    the membership tolerances.
     """
 
     dim: int
     kind: str
     vectors: np.ndarray | None = None
-    normals: np.ndarray | None = field(init=False)
-    rays: np.ndarray | None = field(init=False)
-    normal_norms: np.ndarray | None = field(init=False)
 
-    def __post_init__(self):
-        normals = rays = None
-        if self.kind == ORTHANT:
-            normals = rays = np.eye(self.dim)
-            normals.flags.writeable = False
-        elif self.kind == GENERATED:
-            rays = self.vectors
-        else:
-            normals = self.vectors.reshape(-1, self.dim)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "rays", rays)
-        norms = None
-        if normals is not None:
-            norms = np.linalg.norm(normals, axis=1)
-            norms.flags.writeable = False
-        object.__setattr__(self, "normal_norms", norms)
+    @cached_property
+    def normals(self):
+        if self.kind == GENERATED:
+            return _generators(self.vectors)
+        return self.rays if self.kind == ORTHANT else self.vectors.reshape(-1, self.dim)
+
+    @cached_property
+    def rays(self):
+        if self.kind != ORTHANT:
+            return self.vectors if self.kind == GENERATED else _generators(self.normals)
+        eye = np.eye(self.dim)
+        eye.flags.writeable = False
+        return eye
+
+    @cached_property
+    def normal_norms(self):
+        norms = np.linalg.norm(self.normals, axis=1)
+        norms.flags.writeable = False
+        return norms
 
     def __repr__(self):
         if self.kind == ORTHANT:
@@ -131,6 +132,45 @@ def inequalities(normals):
     return Cone(A.shape[1], INEQUALITIES, A)
 
 
+def _perps(W):
+    """A vector orthogonal to each d - 1 independent rows of W (d <= 3): 1 in
+    1-D, each row turned by a right angle in 2-D, the cross products of the
+    non-parallel pairs of rows in 3-D."""
+    if W.shape[1] < 3:
+        return W[:, ::-1] * [-1.0, 1.0] if W.shape[1] == 2 else np.ones((1, 1))
+    i, j = np.triu_indices(len(W), 1)
+    Z, norms = np.cross(W[i], W[j]), np.linalg.norm(W, axis=1)
+    return Z[np.linalg.norm(Z, axis=1) > RANK_TOL * norms[i] * norms[j]]
+
+
+def _first_along(Z, fold):
+    """The rows of Z at cosine below 1 - RANK_TOL from every earlier row, the
+    cosines folded by `fold` (np.abs compares lines, not directions)."""
+    U = Z / np.linalg.norm(Z, axis=1)[:, None]
+    C = fold(U @ U.T)
+    return Z[[i for i in range(len(Z)) if (C[i, :i] < 1.0 - RANK_TOL).all()]]
+
+
+def _generators(V):
+    """Generators of {z : V z >= 0}, V of shape (m, d) with d <= 3: plus and
+    minus a basis of ker V, then one vector on each extreme ray. Both are
+    `_perps`: a basis vector of d - 1 independent rows among V's and the unit
+    vectors, an extreme ray of d - 1 among V's and the basis's, so integer
+    input gives integer output (closed-form facet enumeration; Fukuda &
+    Prodon, "Double description method revisited", 1996)."""
+    d = V.shape[1]
+    if d > 3:
+        raise UnsupportedConeError(f"a cone in dimension {d} has only its given description")
+    cos = lambda Z: (Z @ V.T) / np.outer(np.linalg.norm(Z, axis=1), np.linalg.norm(V, axis=1))
+    Z = _perps(np.vstack([V, np.eye(d)]))
+    K = _first_along(Z[np.abs(cos(Z)).max(axis=1) <= RANK_TOL], np.abs)[:d - 1]
+    Z = _perps(np.vstack([V, K]))
+    Z = np.vstack([Z, -Z])
+    c = cos(Z)
+    rays = _first_along(Z[(c.min(axis=1) >= -RANK_TOL) & (c.max(axis=1) > RANK_TOL)], np.asarray)
+    return np.vstack([K, -K, rays]) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
 def _check_dim(cone, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (cone.dim,):
@@ -145,13 +185,8 @@ def contains(cone, x, tol=DEFAULT_TOL):
     if cone.kind == ORTHANT:
         thr = max(tol * max(1.0, xnorm), ABS_FLOOR)
         return bool(np.all(x >= -thr))
-    A = cone.normals
-    if A is not None:
-        thr = np.maximum(tol * cone.normal_norms * xnorm, ABS_FLOOR)
-        return bool((A @ x >= -thr).all())
-    # generated: feasibility of x = R^T t, t >= 0
-    residual, _ = l1_fit(cone.rays.T, x)
-    return residual <= max(tol * max(1.0, xnorm), ABS_FLOOR)
+    thr = np.maximum(tol * cone.normal_norms * xnorm, ABS_FLOOR)
+    return bool((cone.normals @ x >= -thr).all())
 
 
 _DUAL_KIND = {HALFSPACE: GENERATED, GENERATED: INEQUALITIES, INEQUALITIES: GENERATED}
@@ -160,21 +195,12 @@ _DUAL_KIND = {HALFSPACE: GENERATED, GENERATED: INEQUALITIES, INEQUALITIES: GENER
 def dual(cone):
     """The dual cone K* = {z : <x, z> >= 0 for all x in K}.
 
-    The orthant is self-dual; otherwise the normals of K become the rays of
-    K* and the rays of K its normals, with the same vector list.
+    The orthant is self-dual; otherwise the given normals of K become the
+    rays of K* and the given rays of K its normals, the same vector list.
     """
     if cone.kind == ORTHANT:
         return cone
-    vectors = cone.normals if cone.normals is not None else cone.rays
-    return Cone(cone.dim, _DUAL_KIND[cone.kind], vectors)
-
-
-def _rays(cone, what):
-    """The cone's rays; `what` names the caller in the error raised for a
-    cone described by inequalities only."""
-    if cone.rays is None:
-        raise UnsupportedConeError(f"{what} needs an orthant or generated cone, got {cone.kind}")
-    return cone.rays
+    return Cone(cone.dim, _DUAL_KIND[cone.kind], cone.vectors.reshape(-1, cone.dim))
 
 
 def project(cone, a):
@@ -182,13 +208,13 @@ def project(cone, a):
     a = _check_dim(cone, a)
     if cone.kind == ORTHANT:
         return np.maximum(a, 0.0)
-    if cone.normals is not None and len(cone.normals) == 1:
+    if cone.kind != GENERATED and len(cone.normals) == 1:
         u = cone.normals[0]
         s = u @ a
         if s >= 0.0:
             return a.copy()
         return a - (s / (u @ u)) * u
-    if cone.rays is not None and len(cone.rays) == 1:
+    if cone.kind == GENERATED and len(cone.rays) == 1:
         u = cone.rays[0]
         t = max(0.0, (u @ a) / (u @ u))
         return t * u
@@ -249,20 +275,7 @@ def strictly_contains(cone, x):
     """Whether x lies in the topological interior of the cone."""
     x = _check_dim(cone, x)
     scale = max(1.0, float(np.linalg.norm(x)))
-    A = cone.normals
-    if A is not None:
-        return bool((A @ x > ABS_FLOOR * cone.normal_norms * scale).all())
-    # generated cone: interior needs full-dimensionality plus slack in every
-    # axis direction; tested by perturbed memberships.
-    if not has_interior(cone):
-        return False
-    eps = 1e-8 * scale
-    for j in range(cone.dim):
-        e = np.zeros(cone.dim)
-        e[j] = eps
-        if not contains(cone, x + e, tol=1e-12) or not contains(cone, x - e, tol=1e-12):
-            return False
-    return True
+    return bool((cone.normals @ x > ABS_FLOOR * cone.normal_norms * scale).all())
 
 
 def interior_vector(cone):

@@ -479,7 +479,10 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):
     if mode not in (EXACT, LOG_SCALED):
         raise ValueError(f"unknown mode {mode!r}")
     steps, start, w = _dp_inputs(steps, start, n_max, weights, mode == EXACT, cone)
-    dp = _LayerDP(steps, w, start, exact=(mode == EXACT))
+    # with g the per-axis gcd of the step coordinates and start = g q + r,
+    # 0 <= r < g, g z + r is in the orthant exactly when z is: count from q
+    g = np.maximum(np.gcd.reduce(steps, axis=0), 1)
+    dp = _LayerDP(steps // g, w, start // g, exact=(mode == EXACT))
     values = [dp.total()]
     for _ in range(n_max):
         dp.advance()
@@ -496,11 +499,13 @@ def end_point_counts(steps, start, cone, n, weights=None):
     """The n-th layer itself: lattice endpoint -> count (or weighted mass)."""
     exact = weights is None
     steps, start, w = _dp_inputs(steps, start, n, weights, exact, cone)
+    g = np.maximum(np.gcd.reduce(steps, axis=0), 1)  # as in count_walks
     # no threshold trim here: endpoint masses are compared cell by cell
-    dp = _LayerDP(steps, w, start, exact=exact, trim_threshold=0.0)
+    dp = _LayerDP(steps // g, w, start // g, exact=exact, trim_threshold=0.0)
     for _ in range(n):
         dp.advance()
-    return dict(dp.endpoint_items())
+    g, r = g.tolist(), (start % g).tolist()
+    return {tuple(a * z + b for a, z, b in zip(g, p, r)): v for p, v in dp.endpoint_items()}
 
 
 @dataclass(frozen=True)
@@ -627,20 +632,13 @@ def find_delta(steps, cone, v=None, delta_grid=None, n_max=None):
     grid = sorted(delta_grid)
     if not grid:
         raise ValueError("delta_grid must hold at least one shift")
-    dual = cones.dual(cone)
-    # The witness LP needs the rays of K*, which an inequality description
-    # (the dual of a generated cone) does not give.
-    witness_lp = dual.rays is not None
     witness = None
     for i, delta in enumerate(grid):
         path, _ = steps_mod._interior_path(steps, cone, delta * v, n_max)
         if path is not None:
             return FindDeltaResult(found=True, delta=float(delta), n0=len(path), path=path)
-        if i == 0 and witness_lp:
-            witness = steps_mod.halfspace_witness(steps_mod.from_step_set(steps), dual)
+        if i == 0:
+            witness = steps_mod.halfspace_witness(steps_mod.from_step_set(steps), cones.dual(cone))
             if witness is not None:
                 break
-    if not witness_lp:
-        # every shift failed: this raises UnsupportedConeError
-        witness = steps_mod.halfspace_witness(steps_mod.from_step_set(steps), dual)
     return FindDeltaResult(found=False, h2_witness=witness)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cones, steps as steps_mod
+from . import steps as steps_mod
 from ._simplex import simplex_min
 
 # Absolute tolerance classifying a step as lying on the hyperplane u-perp;
@@ -218,14 +218,16 @@ def has_global_min_on_cone(model, cone):
     direction u of the cone keeps the whole support in the half-space
     {<u, .> <= 0}. With the cone's rays R and the steps S, the test is
     gamma* = min max_s <s, R^T t> over t >= 0, sum t = 1 (`_min_max_value`
-    on G = S R^T), and the minimum exists when gamma* > 1e-9. The LP runs on
-    the dense simplex from an explicit feasible start basis; it differs from
-    the phase-1 LP of the hypothesis checker, so the two can cross-validate.
+    on G = S R^T, S over its largest absolute entry), and the minimum exists when
+    gamma* > 1e-9. The LP runs on the dense simplex from an explicit feasible
+    start basis; it differs from the phase-1 LP of the hypothesis checker, so
+    the two can cross-validate.
     """
     if isinstance(model, GaussianLaplace):
         raise TypeError("global-minimum dichotomy applies to finite-support transforms")
     m = model.measure
     if not steps_mod.check_h1(m):
         raise ValueError("global-minimum test requires a full-dimensional support (H1)")
-    R = cones._rays(cone, "global-minimum test")
-    return _min_max_value(m.steps @ R.T) > 1e-9
+    if not len(cone.rays):
+        return True  # the cone {0}
+    return _min_max_value((m.steps / np.abs(m.steps).max()) @ cone.rays.T) > 1e-9

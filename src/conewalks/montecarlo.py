@@ -114,8 +114,6 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
     if start.shape != (m.dim,):
         raise ValueError(f"start must have length {m.dim}, got shape {start.shape}")
     A = cone.normals
-    if A is None:
-        raise cones.UnsupportedConeError("simulation needs the normals a generated cone lacks")
     # an absolute tolerance: a far start must not excuse a coordinate outside
     x = cones._check_dim(cone, start)
     if np.any(A @ x < -cones.DEFAULT_TOL * cone.normal_norms):

@@ -24,7 +24,7 @@ other lanes, so the scan equals the loop of one-direction solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -153,7 +153,8 @@ def _minimize_orthant(model, tol, max_iter, x0):
     for it in range(1, max_iter + 1):
         g = at.gradient()
         pg = np.where(x > ACTIVE_EPS, g, np.minimum(g, 0.0))
-        if float(np.linalg.norm(pg)) <= tol:
+        # |pg| <= tol, the norm (which squares) formed only where it cannot overflow
+        if max(map(abs, pg.tolist()), default=0.0) <= tol and float(np.linalg.norm(pg)) <= tol:
             return x, it, trace
         free = (x > ACTIVE_EPS) | (g < 0.0)
         d = _newton_direction(at.hessian(), g, free)
@@ -270,7 +271,7 @@ def _minimize_rays(model, R, tol, max_iter, t0):
     for it in range(1, max_iter + 1):
         g = R @ at.gradient()
         pg = np.where(t > ACTIVE_EPS, g, np.minimum(g, 0.0))
-        if float(np.linalg.norm(pg)) <= tol:
+        if max(map(abs, pg.tolist()), default=0.0) <= tol and float(np.linalg.norm(pg)) <= tol:
             return x, t, it, trace
         curv = np.linalg.eigvalsh(R @ at.hessian() @ R.T)[-1]
         alpha_safe = 1.0 / max(curv, 1e-300)
@@ -325,7 +326,7 @@ def _membership_violation(cone, y):
     """How far y is from the cone, measured on its normals."""
     A = cone.normals
     slack = (A @ y) / cone.normal_norms
-    return max(0.0, -float(slack.min()))
+    return max(0.0, -float(slack.min(initial=0.0)))
 
 
 def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -343,27 +344,32 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     dual_cone = cones.dual(cone)
     # a Gaussian transform is full-dimensional and coercive on every cone
+    solved, sigma = model, 1.0
     if isinstance(model, laplace.FiniteLaplace):
         if not steps_mod.check_h1(model.measure):
             raise ValueError("measure violates H1: support lies in a hyperplane")
         witness = steps_mod.halfspace_witness(model.measure, dual_cone)
         if witness is not None:
             raise ImproperModelError(witness)
+        # the loops minimize L(x / sigma): their tolerances see unit-scale steps
+        sigma = float(np.abs(model.measure.steps).max())
+        solved = laplace.FiniteLaplace(replace(model.measure, steps=model.measure.steps / sigma))
 
-    # t: the coefficients of x* on the dual cone's rays (on the orthant, x*)
-    R = cones._rays(dual_cone, "minimization over the dual cone")
+    # t: the coefficients of sigma x* on the dual cone's rays (the orthant: sigma x*)
+    R = dual_cone.rays
     if dual_cone.kind == cones.ORTHANT:
-        start = _default_init(model, dual_cone)
-        x_star, iterations, _ = _minimize_orthant(model, tol, max_iter, start)
+        start = _default_init(solved, dual_cone)
+        x_star, iterations, _ = _minimize_orthant(solved, tol, max_iter, start)
         t = x_star
     elif R.shape[0] == 1:
-        t, converged, counts = _ray_minima(model, R, tol, max_iter)
+        t, converged, counts = _ray_minima(solved, R, tol, max_iter)
         if not converged[0]:
             raise _unconverged_ray(R[0])
         x_star, iterations = t[0] * R[0], int(counts[0])
     else:
-        start = _default_init(model, dual_cone)
-        x_star, t, iterations, _ = _minimize_rays(model, R, tol, max_iter, start)
+        start = _default_init(solved, dual_cone)
+        x_star, t, iterations, _ = _minimize_rays(solved, R, tol, max_iter, start)
+    x_star = x_star / sigma
 
     at = laplace._checked_terms(model, x_star)
     grad = at.gradient()

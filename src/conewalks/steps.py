@@ -10,6 +10,7 @@ can reach the open orthant.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -147,16 +148,15 @@ class H2Result:
 def halfspace_witness(m, cone):
     """A direction u != 0 in `cone` with <u, s> <= 0 for every step, or None.
 
-    `cone` plays the role of the dual cone K*; it must be an orthant or a
-    generated cone (which is what dualizing the supported walk cones yields),
-    the orthant entering as the cone generated by the unit vectors.
+    `cone` plays the role of the dual cone K*, entering through its rays.
     The search is a phase-1 feasibility LP over the cone's parametrization,
-    normalized so the parameters sum to one; the returned witness is scaled
-    to unit l1 norm.
+    normalized so the parameters sum to one, on the steps over their largest
+    absolute entry, so that its fixed tolerances see the same data at every
+    scale. The returned witness is scaled to unit l1 norm.
     """
-    S = m.steps
+    S = m.steps / (np.abs(m.steps).max() or 1.0)
     k = S.shape[0]
-    R = cones._rays(cone, "half-space witness search")
+    R = cone.rays
     r = R.shape[0]
     # u = R^T t with t >= 0, sum t = 1, S u <= 0; valid because the dual
     # cone of a solid cone is pointed, so R^T t = 0 forces t = 0.
@@ -198,7 +198,7 @@ class H3Result:
 def default_h3_depth(steps):
     steps = np.atleast_2d(np.asarray(steps))
     d = steps.shape[1]
-    max_l1 = int(np.abs(steps).sum(axis=1).max())
+    max_l1 = int(np.abs(steps).sum(axis=1).max()) // (math.gcd(*steps.ravel().tolist()) or 1)
     return max(1, 2 * d * max_l1)
 
 
@@ -207,10 +207,13 @@ def _interior_path(steps, cone, shift, max_depth):
     keep y + shift in the cone and whose last state is in the cone's interior.
 
     Returns the walk's steps (None when there is none) and whether the depth
-    cap cut the search off.
+    cap cut the search off. The search runs on steps / g for the gcd g of
+    their coordinates, with shift / g: a cone is closed under scaling.
     """
     if max_depth < 1:
         raise ValueError("search depth must be >= 1")
+    g = math.gcd(*steps.ravel().tolist()) or 1
+    steps, shift = steps // g, shift / g
     origin = (0,) * steps.shape[1]
     parents = {origin: None}
     frontier = deque([(origin, 0)])
@@ -232,7 +235,7 @@ def _interior_path(steps, cone, shift, max_depth):
                 cur = key
                 while parents[cur] is not None:
                     prev, idx = parents[cur]
-                    path.append(tuple(int(v) for v in steps[idx]))
+                    path.append(tuple(g * int(v) for v in steps[idx]))
                     cur = prev
                 path.reverse()
                 return tuple(path), truncated

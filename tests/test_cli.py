@@ -239,6 +239,34 @@ class TestCheck:
         assert doc["find_delta"]["found"] and doc["find_delta"]["path"] == [[0, -1]]
 
 
+class TestRaysCone:
+    """A ray-generated cone is read through its derived normals in d <= 3 and
+    refused, exit 1, above."""
+
+    def test_rate_equals_its_inequality_description(self, capsys, step_file):
+        path = step_file("nsew_sw.json", 2, NSEW_SW)
+        code, doc, _ = run_json(capsys, "rate", "--steps", path, "--cone", "rays:[[1,0],[1,1]]")
+        _, ineq, _ = run_json(capsys, "rate", "--steps", path, "--cone", "ineq:[[0,1],[1,-1]]")
+        assert code == 0 and doc["status"] == "ok"
+        assert doc["certificate"] == ineq["certificate"]
+
+    def test_check_improper_with_witness(self, capsys, step_file):
+        path = step_file("hs.json", 2, HALFSPACE_MODEL)
+        code, doc, _ = run_json(capsys, "check", "--steps", path, "--cone", "rays:[[3,1],[1,3]]")
+        _, ineq, _ = run_json(capsys, "check", "--steps", path, "--cone", "ineq:[[-1,3],[3,-1]]")
+        assert code == 2 and doc["h2prime"] == ineq["h2prime"] and not doc["h2prime"]["proper"]
+        assert not doc["find_delta"]["found"]
+        assert doc["find_delta"]["h2_witness"] == doc["h2prime"]["witness"]
+
+    def test_four_dimensions_exit_1(self, capsys, step_file):
+        path = step_file("d4.json", 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                                        (-1, -1, -1, -1)])
+        for command in ("rate", "check"):
+            code, out, err = run(capsys, command, "--steps", path, "--json",
+                                 "--cone", "rays:[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]")
+            assert code == 1 and out == "" and "dimension 4" in err
+
+
 class TestHalfspace:
     def test_proposition_fixture(self, capsys):
         code, doc, _ = run_json(capsys, "halfspace", "--p", "0.3333333333333333",

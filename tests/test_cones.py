@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 import conewalks as cw
 
@@ -73,15 +76,19 @@ class TestFiniteData:
 
 class TestDescriptions:
     def test_each_kind(self):
+        # the description a cone was built from is kept as given, and the
+        # other is derived: plus and minus the lineality, then the extreme rays
         orth = cw.orthant(3)
         assert np.array_equal(orth.normals, np.eye(3)) and orth.rays is orth.normals
         h = cw.halfspace([2.0, -1.0])
-        assert np.array_equal(h.normals, [[2.0, -1.0]]) and h.rays is None
+        assert np.array_equal(h.normals, [[2.0, -1.0]])
+        assert np.array_equal(h.rays, [[1.0, 2.0], [-1.0, -2.0], [2.0, -1.0]])
         A = [[1.0, 0.0], [1.0, 2.0]]
         ineq = cw.inequalities(A)
-        assert np.array_equal(ineq.normals, A) and ineq.rays is None
+        derived = [[0.0, 1.0], [2.0, -1.0]]
+        assert np.array_equal(ineq.normals, A) and np.array_equal(ineq.rays, derived)
         gen = cw.generated(A)
-        assert gen.normals is None and np.array_equal(gen.rays, A)
+        assert np.array_equal(gen.normals, derived) and np.array_equal(gen.rays, A)
 
     def test_dual_swaps_the_descriptions(self):
         for cone in (cw.halfspace([2.0, -1.0]), cw.inequalities([[1.0, 0.0], [1.0, 2.0]]),
@@ -103,9 +110,18 @@ class TestDescriptions:
         with pytest.raises(ValueError):
             cw.orthant(2).normals[0, 1] = 1.0
 
-    def test_rays_refused_for_inequality_cones(self):
-        with pytest.raises(cw.UnsupportedConeError, match="orthant or generated"):
-            cw.cones._rays(cw.halfspace([1.0, 1.0]), "a test")
+    def test_missing_description_derived_up_to_3d(self):
+        for A in ([[1.0, 1.0]], [[1, 0, 0], [0, 1, 0], [1, 1, -1]], [[1, 0, 0], [-1, 0, 0]]):
+            ineq = cw.inequalities(A)
+            gen = cw.generated(ineq.rays)
+            for x in itertools.product(range(-2, 3), repeat=ineq.dim):
+                assert cw.contains(ineq, x) == cw.contains(gen, x)
+        # in 4-D only the given description is there
+        assert np.array_equal(cw.inequalities(np.eye(4)).normals, np.eye(4))
+        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
+            cw.inequalities(np.eye(4)).rays
+        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
+            cw.generated(np.eye(4)).normals
 
 
 class TestDual:
@@ -309,3 +325,75 @@ class TestHalfspaceIsOneInequality:
                 "inequalities": lambda: cw.inequalities(vectors)}[kind]()
         double = cw.dual(cw.dual(cone))
         assert _same(double.normals, cone.normals) and _same(double.rays, cone.rays)
+
+
+@st.composite
+def _generated_cases(draw):
+    """Integer rays in d = 2, 3 (spanning or not, redundant ones included),
+    a step set, and a seed."""
+    d = draw(st.integers(2, 3))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d).filter(any), min_size=1, max_size=4,
+                         unique=True))
+    steps = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d), min_size=d + 1, max_size=6,
+                          unique=True).filter(lambda s: any(any(v) for v in s)))
+    return rays, steps, draw(st.integers(0, 2**32 - 1))
+
+
+def _in_ray_cone(R, x):
+    """HiGHS oracle: x = R^T t for some t >= 0."""
+    res = linprog(np.zeros(len(R)), A_eq=np.array(R, dtype=float).T, b_eq=x,
+                  bounds=[(0, None)] * len(R), method="highs")
+    return res.status == 0
+
+
+class TestGeneratedIsItsInequalities:
+    """generated(R) and inequalities(N), with N the normals derived from R,
+    are one cone: every routine must give the same results on both."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_generated_cases())
+    @example(([(1, 0), (1, 1)], [(0, 1), (0, -1), (1, 0), (-1, 0)], 0))
+    @example(([(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], 1))
+    @example(([(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 1), (1, 0), (-1, -1)], 2))
+    def test_same_results(self, case):
+        rays, steps, seed = case
+        gen = cw.generated(rays)
+        N = gen.normals
+        assert np.array_equal(N, np.round(N))
+        grid = [np.array(x, dtype=float) for x in itertools.product(range(-6, 7), repeat=gen.dim)]
+        for x in grid[::17]:
+            assert cw.contains(gen, x) == _in_ray_cone(rays, x)
+        if not len(N):  # the rays span the whole space
+            assert all(cw.strictly_contains(gen, x) for x in grid)
+            return
+        ineq = cw.inequalities(N)
+        assert np.array_equal(ineq.rays, np.round(ineq.rays))
+        for x in grid:
+            assert cw.contains(gen, x) == cw.contains(ineq, x)
+            assert cw.strictly_contains(gen, x) == cw.strictly_contains(ineq, x)
+
+        m = cw.from_step_set(steps)
+        assert cw.check_h2prime(m, gen).proper == cw.check_h2prime(m, ineq).proper
+        start = np.sum(rays, axis=0)
+        cfg = cw.SimConfig(seed=seed, trials=50, n=20)
+        assert (_mc_hex(cw.simulate_survival(m, start, gen, cfg))
+                == _mc_hex(cw.simulate_survival(m, start, ineq, cfg)))
+        # the rate theorem needs a cone with interior (K* then has no line)
+        if not (cw.has_interior(gen) and cw.check_h1(m) and cw.check_h2prime(m, gen).proper):
+            return
+        model = cw.FiniteLaplace(m)
+        cert = cw.minimize_on_dual(model, gen)
+        other = cw.minimize_on_dual(model, ineq)
+        assert abs(cert.rho - other.rho) <= 1e-12 * other.rho
+        for c in (cert, other):
+            assert c.kkt_membership_residual <= 1e-9 and abs(c.kkt_orthogonality) <= 1e-9
+
+    def test_rays_spanning_the_space(self):
+        # K = R^2 has no normals, and K* = {0} no rays: survival is certain
+        gen = cw.generated([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        assert gen.normals.shape == (0, 2) and cw.dual(gen).rays.shape == (0, 2)
+        assert cw.contains(gen, [-5.0, 3.0]) and cw.strictly_contains(gen, [-5.0, 3.0])
+        model = cw.FiniteLaplace(cw.from_step_set([(1, 0), (0, 1), (-1, -1), (-1, 0)]))
+        assert cw.has_global_min_on_cone(model, cw.dual(gen))
+        cert = cw.minimize_on_dual(model, gen)
+        assert cert.rho == 1.0 and not cert.x_star.any()

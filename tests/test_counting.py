@@ -787,6 +787,52 @@ class TestFindDelta:
             assert res.n0 == len(res.path)
 
 
+class TestLatticeReduction:
+    """The DP runs on steps / g per axis and the lattice search on steps / g
+    for the global gcd g, so spreading the steps apart costs nothing."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.lists(st.sampled_from([v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]),
+                 min_size=1, max_size=6, unique=True),
+        st.lists(st.integers(0, 3), min_size=d, max_size=d),
+        st.lists(st.sampled_from([2, 3, 1000]), min_size=d, max_size=d),
+        st.lists(st.integers(0, 999), min_size=d, max_size=d))))
+    def test_spread_steps_count_the_same(self, case):
+        steps, start, g, r = case
+        g, r = np.array(g), np.array(r) % np.array(g)
+        n = {1: 30, 2: 20, 3: 8}[len(g)]
+        spread_steps, spread_start = np.array(steps) * g, np.array(start) * g + r
+        series = cw.count_walks(spread_steps, spread_start, n, mode="exact")
+        assert series.values == cw.count_walks(steps, start, n, mode="exact").values
+        assert series.start == tuple(spread_start.tolist())
+        layer = cw.end_point_counts(spread_steps, spread_start, None, n)
+        assert layer == {tuple((np.array(z) * g + r).tolist()): v
+                         for z, v in cw.end_point_counts(steps, start, None, n).items()}
+
+    def test_thousand_spaced_steps(self):
+        # a dense box over the spread lattice would hold about 10^13 cells
+        steps = np.array(NSEW_SW) * 1000
+        for mode in ("exact", "log_scaled"):
+            assert (cw.count_walks(steps, (1, 1), 60, mode=mode).values
+                    == cw.count_walks(NSEW_SW, (0, 0), 60, mode=mode).values)
+
+    def test_scaled_lattice_search(self):
+        steps = np.array(NSEW_SW) * 10**9
+        res = cw.check_h3(steps)
+        unit = cw.check_h3(NSEW_SW).path
+        assert res.ok and res.path == tuple(tuple(int(v) * 10**9 for v in s) for s in unit)
+        fd = cw.find_delta(steps, cw.orthant(2))
+        assert fd.found and fd.path == res.path
+
+    def test_generated_cone_not_found_with_witness(self):
+        cone = cw.generated([[1.5, 0.5], [0.5, 1.5]])
+        res = cw.find_delta(HALFSPACE_MODEL, cone)
+        assert not res.found
+        h2 = cw.check_h2prime(cw.from_step_set(HALFSPACE_MODEL), cone)
+        assert res.h2_witness.tobytes() == h2.witness.tobytes()
+
+
 def _small_step_sets(d):
     vectors = [v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]
     return st.lists(st.sampled_from(vectors), min_size=1, max_size=6, unique=True)

@@ -215,10 +215,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cw.simulate_survival(cw.from_step_set(NSEW), start, Q2, cw.SimConfig(seed=0, trials=10, n=5))
 
-    def test_generated_cone_refused(self):
-        with pytest.raises(cw.UnsupportedConeError, match="simulation"):
-            cw.simulate_survival(cw.from_step_set(NSEW), (1, 1), cw.generated([[1, 0], [1, 1]]),
-                                 cw.SimConfig(seed=0, trials=10, n=5))
+    def test_generated_cone_matches_its_inequalities(self):
+        # the normals of the cone generated by (1, 0) and (1, 1) are derived
+        cfg, m = cw.SimConfig(seed=0, trials=200, n=15), cw.from_step_set(NSEW)
+        gen = cw.simulate_survival(m, (3, 1), cw.generated([[1, 0], [1, 1]]), cfg)
+        ineq = cw.simulate_survival(m, (3, 1), cw.inequalities([[0, 1], [1, -1]]), cfg)
+        assert (gen.estimate, gen.stderr) == (ineq.estimate, ineq.stderr)
+        assert 0.0 < gen.estimate < 1.0
+        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
+            cw.simulate_survival(cw.from_step_set(np.vstack([np.eye(4), -np.eye(4)])), (1, 1, 1, 1),
+                                 cw.generated(np.eye(4)), cfg)
 
     def test_start_outside_cone_rejected_by_tilted(self):
         m = cw.from_step_set(ENSWS)

@@ -101,10 +101,28 @@ class TestMinimizeOnDual:
         assert abs(cert_ineq.rho - cert_orth.rho) <= 1e-9
         assert np.allclose(cert_ineq.x_star, cert_orth.x_star, atol=1e-5)
 
-    def test_generated_walk_cone_unsupported(self):
+    def test_generated_walk_cone_matches_its_inequalities(self):
+        # the normals of the cone generated by (1, 0) and (1, 1) are derived
         model = cw.FiniteLaplace(cw.from_step_set(NSEW))
-        with pytest.raises(cw.UnsupportedConeError):
-            cw.minimize_on_dual(model, cw.generated([[1.0, 0.0], [1.0, 1.0]]))
+        cert = cw.minimize_on_dual(model, cw.generated([[1.0, 0.0], [1.0, 1.0]]))
+        ineq = cw.minimize_on_dual(model, cw.inequalities([[0, 1], [1, -1]]))
+        assert cert.to_dict() == ineq.to_dict()
+        model = cw.FiniteLaplace(cw.from_step_set([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                                   (0, 0, 0, 1), (-1, -1, -1, -1)]))
+        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
+            cw.minimize_on_dual(model, cw.generated(np.eye(4)))
+
+    @pytest.mark.parametrize("cone", [cw.orthant(2), cw.halfspace([1.0, 1.0]),
+                                      cw.inequalities([[2, -1], [-1, 2]]),
+                                      cw.generated([[1, 0], [1, 1]])])
+    @pytest.mark.parametrize("c", [1e-13, 1e-9, 1e-6, 1e9, 1e12])
+    def test_scaled_steps_keep_the_rate(self, cone, c):
+        # the loops minimize the transform of the steps over their largest
+        # entry, so these scales used to fail the LPs or the solver
+        ref = cw.minimize_on_dual(cw.FiniteLaplace(cw.from_step_set(NSEW_SW)), cone)
+        cert = cw.minimize_on_dual(cw.FiniteLaplace(cw.from_step_set(np.array(NSEW_SW) * c)), cone)
+        assert abs(cert.rho - ref.rho) <= 1e-12 * ref.rho
+        assert np.allclose(cert.x_star * c, ref.x_star, rtol=1e-9, atol=1e-12)
 
     def test_certificate_internal_consistency(self):
         model = cw.FiniteLaplace(cw.from_step_set(NSEW_SW))
@@ -513,6 +531,20 @@ def certificate(law, cone, tol, max_iter):
     return cert.x_star, cert.rho, cert.grad, cert.iterations, cert.active_set
 
 
+def reference_certificate(law, cone, tol, max_iter):
+    """ref.minimize_on_dual run as minimize_on_dual runs its loops: on the
+    steps over their largest entry sigma, the minimizer mapped back by
+    x* = x / sigma and the transform read at x* on the given steps."""
+    if isinstance(law, cw.GaussianLaplace):
+        return ref.minimize_on_dual(law, cone, tol, max_iter)
+    m = law.measure
+    sigma = float(np.abs(m.steps).max())
+    unit = cw.FiniteLaplace(cw.StepMeasure(m.dim, m.steps / sigma, m.weights, m.mode))
+    x, _, _, iterations, active = ref.minimize_on_dual(unit, cone, tol, max_iter)
+    x = x / sigma
+    return x, ref.value(law, x), ref.gradient(law, x), iterations, active
+
+
 def outcome(fn, *args):
     """The bits of fn's result, or its exception: type, message and, for a
     non-convergence, the length of its iterate trace."""
@@ -543,20 +575,37 @@ class TestSharedTermsMatchReference:
         if start is None:
             start = ref.default_init(law, dual)
         start = np.array(start, dtype=float)
-        # from a start where L is near the overflow guard, both loops square
-        # a gradient past the largest double in its norm (inf, no descent)
-        with np.errstate(over="ignore"):
-            if dual.kind == cw.cones.ORTHANT:
-                new = outcome(solver._minimize_orthant, law, tol, max_iter, start)
+        # from a start where L is near the overflow guard, the frozen loops
+        # square a gradient past the largest double in its norm (inf, no
+        # descent); the package's loops form the norm only once it is small
+        if dual.kind == cw.cones.ORTHANT:
+            new = outcome(solver._minimize_orthant, law, tol, max_iter, start)
+            with np.errstate(over="ignore"):
                 old = outcome(ref.minimize_orthant, law, tol, max_iter, start)
-            else:
-                new = outcome(solver._minimize_rays, law, dual.rays, tol, max_iter, start)
+        else:
+            new = outcome(solver._minimize_rays, law, dual.rays, tol, max_iter, start)
+            with np.errstate(over="ignore"):
                 old = outcome(ref.minimize_rays, law, dual.rays, tol, max_iter, start)
-            assert new == old
-            new = outcome(certificate, law, cone, tol, max_iter)
-            if new[0] in (cw.ImproperModelError, ValueError):
-                return  # refused by the hypothesis checks the reference leaves out
-            assert new == outcome(ref.minimize_on_dual, law, cone, tol, max_iter)
+        assert new == old
+        new = outcome(certificate, law, cone, tol, max_iter)
+        if new[0] in (cw.ImproperModelError, ValueError):
+            return  # refused by the hypothesis checks the reference leaves out
+        with np.errstate(over="ignore"):
+            old = outcome(reference_certificate, law, cone, tol, max_iter)
+        assert new == old
+
+    def test_huge_start_converges_without_overflow(self):
+        # L(x0) near 1e193: the square of the projected gradient in its norm
+        # passes the largest double, which the convergence test never forms
+        steps, weights = [(1,), (-2,), (2,)], np.array([0.614, 0.01, 0.487])
+        law = cw.FiniteLaplace(cw.probability_measure(steps, weights / weights.sum()))
+        new = outcome(solver._minimize_orthant, law, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER,
+                      np.array([222.3]))
+        assert new[0] is not RuntimeWarning
+        with np.errstate(over="ignore"):
+            old = outcome(ref.minimize_orthant, law, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER,
+                          np.array([222.3]))
+        assert new == old
 
     @given(minimizer_cases(), st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
            st.floats(-1.0, 1.0))

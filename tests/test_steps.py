@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import conewalks as cw
 
@@ -133,10 +136,19 @@ class TestH2Prime:
         assert not res.proper
         assert np.allclose(res.witness, [0.0, 1.0])
 
-    def test_unsupported_dual_kind(self):
-        m = cw.from_step_set(NSEW)
-        with pytest.raises(cw.UnsupportedConeError):
-            cw.check_h2prime(m, cw.generated([[1.0, 0.0], [1.0, 1.0]]))
+    def test_generated_cone_matches_its_inequalities(self):
+        # K* of the cone generated by (1, 0) and (1, 1) is the inequality
+        # cone of those rays, whose rays are derived
+        for steps in (NSEW, [(1, -1), (-1, 1), (-1, -1)]):
+            m = cw.from_step_set(steps)
+            gen = cw.check_h2prime(m, cw.generated([[1.0, 0.0], [1.0, 1.0]]))
+            ineq = cw.check_h2prime(m, cw.inequalities([[0, 1], [1, -1]]))
+            assert gen.proper == ineq.proper
+            if not gen.proper:
+                assert gen.witness.tobytes() == ineq.witness.tobytes()
+        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
+            cw.check_h2prime(cw.from_step_set(np.vstack([np.eye(4), -np.eye(4)])),
+                             cw.generated(np.eye(4)))
 
 
 class TestH3:
@@ -213,3 +225,79 @@ class TestTilt:
             assert np.array_equal(t.steps, m.steps)
             assert np.all(t.weights > 0)
             assert abs(t.weights.sum() - 1.0) <= 1e-12
+
+
+def _cone(kind, vectors):
+    d = len(vectors[0])
+    return {"orthant": lambda: cw.orthant(d), "halfspace": lambda: cw.halfspace(vectors[0]),
+            "ineq": lambda: cw.inequalities(vectors), "rays": lambda: cw.generated(vectors)}[kind]()
+
+
+@st.composite
+def _h2_cases(draw):
+    """Steps in {-2..2}^d, whose products with any c > 0 divide back exactly
+    by the largest, a solid cone of any kind, c, a step order and an axis
+    permutation."""
+    d = draw(st.integers(1, 3))
+    vector = st.sampled_from([v for v in itertools.product(range(-2, 3), repeat=d) if any(v)])
+    steps = draw(st.lists(vector, min_size=2, max_size=7, unique=True))
+    kind = draw(st.sampled_from(["orthant", "halfspace", "ineq", "rays"]))
+    vectors = draw(st.lists(vector, min_size=1, max_size=3, unique=True).filter(
+        lambda vs: cw.has_interior(_cone(kind, vs))))
+    return (steps, kind, vectors, draw(st.floats(1e-12, 1e12)),
+            draw(st.permutations(range(len(steps)))), draw(st.permutations(range(d))))
+
+
+def _verdicts(steps, cone):
+    m = cw.from_step_set(steps)
+    h2 = cw.check_h2prime(m, cone)
+    gmin = cw.has_global_min_on_cone(cw.FiniteLaplace(m), cw.dual(cone)) if cw.check_h1(m) else None
+    return h2.proper, gmin, h2.witness
+
+
+def _valid_witness(u, steps, cone):
+    """u in K*, unit l1 norm, with every step in {<u, .> <= 0}."""
+    return (cw.contains(cw.dual(cone), u) and abs(np.abs(u).sum() - 1.0) <= 1e-12
+            and float((np.asarray(steps) @ u).max()) <= 1e-10)
+
+
+ENSWS = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)]
+
+
+class TestH2PrimeInvariance:
+    """H2' and the global-minimum test are scale-free and do not see the
+    order of the steps or of the coordinates. The witness is a vertex of the
+    feasibility LP, which Bland's rule picks by column order: it keeps its
+    bits under scaling and stays a valid witness under reordering."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_h2_cases())
+    @example((ENSWS, "orthant", [(1, 0)], 1e-9, list(range(5)), [0, 1]))
+    @example(([(1,)], "orthant", [(1,)], 2e-9, [0], [0]))
+    @example((HALFSPACE_MODEL, "orthant", [(1, 0)], 1e-9, [2, 0, 1], [1, 0]))
+    @example((ENSWS, "orthant", [(1, 0)], 1e-13, [4, 3, 2, 1, 0], [1, 0]))
+    def test_scaling_and_permutations(self, case):
+        steps, kind, vectors, c, order, perm = case
+        cone = _cone(kind, vectors)
+        proper, gmin, witness = _verdicts(steps, cone)
+        scaled = _verdicts(np.array(steps) * c, cone)
+        assert scaled[:2] == (proper, gmin)
+        assert (witness is None and scaled[2] is None) or witness.tobytes() == scaled[2].tobytes()
+        reordered = [steps[i] for i in order]
+        permuted_steps = np.array(steps)[:, perm]
+        permuted_cone = _cone(kind, np.array(vectors)[:, perm])
+        for other_steps, other_cone in ((reordered, cone), (permuted_steps, permuted_cone)):
+            other = _verdicts(other_steps, other_cone)
+            assert other[:2] == (proper, gmin)
+            if not proper:
+                assert _valid_witness(other[2], other_steps, other_cone)
+
+    def test_scaled_sets_keep_their_verdicts(self):
+        # {E,N,W,S,SW} and (2) times 1e-9 used to fail the witness check, and
+        # the global-minimum LP called the scaled five-step set improper
+        m = cw.from_step_set(np.array(ENSWS) * 1e-9)
+        assert cw.check_h2prime(m, cw.orthant(2)).proper
+        assert cw.has_global_min_on_cone(cw.FiniteLaplace(m), cw.orthant(2))
+        assert cw.check_h2prime(cw.from_step_set([(2e-9,)]), cw.orthant(1)).proper
+        res = cw.check_h2prime(cw.from_step_set([(-2e-9,)]), cw.orthant(1))
+        assert not res.proper and res.witness.tolist() == [1.0]
