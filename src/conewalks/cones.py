@@ -87,6 +87,17 @@ class Cone:
         norms.flags.writeable = False
         return norms
 
+    @cached_property
+    def _interior_point(self):
+        """`interior_vector`'s point, or None when the interior is empty."""
+        if self.kind in (ORTHANT, HALFSPACE):
+            return np.ones(self.dim) if self.kind == ORTHANT else self.vectors
+        if self.kind == INEQUALITIES:
+            return _inequality_interior_point(self.vectors)
+        # a positive combination of spanning rays is interior
+        sv = np.linalg.svd(self.vectors, compute_uv=False)
+        return self.vectors.sum(axis=0) if np.sum(sv > RANK_TOL * sv[0]) == self.dim else None
+
     def __repr__(self):
         if self.kind == ORTHANT:
             return f"Cone(orthant, dim={self.dim})"
@@ -256,19 +267,15 @@ def _inequality_interior_point(A):
 
 
 def has_interior(cone):
-    """Whether the cone has non-empty interior.
+    """Whether the cone has non-empty interior (decided once per cone)."""
+    return cone._interior_point is not None
 
-    Orthants and half-spaces always do; an inequality cone is tested by the
-    feasibility of A x >= 1 (an LP), a generated cone by the rank of its ray
-    matrix.
-    """
-    if cone.kind in (ORTHANT, HALFSPACE):
-        return True
-    if cone.kind == INEQUALITIES:
-        return _inequality_interior_point(cone.vectors) is not None
-    sv = np.linalg.svd(cone.vectors, compute_uv=False)
-    rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-    return rank == cone.dim
+
+def require_interior(cone, what):
+    """Refuse a cone without interior: its dual holds a line, and neither
+    the rate formula nor the H2' LP applies to it."""
+    if not has_interior(cone):
+        raise ConeError(f"{what} needs a cone with non-empty interior, got {cone!r}")
 
 
 def strictly_contains(cone, x):
@@ -285,18 +292,10 @@ def interior_vector(cone):
     kinds an interior point is constructed (LP for inequalities, ray sum for
     generated cones).
     """
-    if cone.kind == ORTHANT:
-        return np.ones(cone.dim)
-    if cone.kind == HALFSPACE:
-        return cone.vectors.copy()
-    if cone.kind == INEQUALITIES:
-        v = _inequality_interior_point(cone.vectors)
-    else:
-        # generated, full rank: a positive combination of spanning rays is interior
-        v = cone.vectors.sum(axis=0) if has_interior(cone) else None
+    v = cone._interior_point
     if v is None:
         raise ConeError("cone has empty interior")
-    return v
+    return v.copy()
 
 
 def contains_shifted(cone, v, delta, x, tol=DEFAULT_TOL):

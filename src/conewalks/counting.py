@@ -194,10 +194,19 @@ def _as_orthant_start(start, dim, cone):
 
 def _dp_inputs(steps, start, n, weights, exact, cone):
     """Checked steps, start and weights (None in exact mode) for a layer DP
-    run to horizon ``n``; every malformed input raises ValueError."""
+    run to horizon ``n``; every malformed input raises ValueError.
+
+    With g the per-axis gcd of the step coordinates and start = g q + r,
+    0 <= r < g, g z + r is in the orthant exactly when z is: the DP runs on
+    steps / g from q, and ``lift`` (returned last) maps its z to g z + r.
+    """
     steps = _as_lattice_steps(steps)
     k, d = steps.shape
     start = _as_orthant_start(start, d, cone)
+    g = np.maximum(np.gcd.reduce(steps, axis=0), 1).tolist()
+    r = (start % g).tolist()
+    steps, start = steps // g, start // g
+    lift = lambda z: tuple(a * c + b for a, c, b in zip(g, z, r))
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"horizon must be an integer, got {n!r}")
     if n < 0:
@@ -210,7 +219,7 @@ def _dp_inputs(steps, start, n, weights, exact, cone):
             raise ValueError("exact mode counts walks and requires unit weights")
         if n > MAX_HORIZON_EXACT:
             raise ValueError(f"exact mode capped at n <= {MAX_HORIZON_EXACT}")
-        return steps, start, None
+        return steps, start, None, lift
     w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (k,) or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("need one positive finite weight per step")
@@ -218,7 +227,7 @@ def _dp_inputs(steps, start, n, weights, exact, cone):
         # the DP divides weights above 1 by their maximum (see _LayerDP)
         raise ValueError("weights more than the double range apart: the smallest "
                          "would underflow when divided by the largest")
-    return steps, start, w
+    return steps, start, w, lift
 
 
 class _LayerDP:
@@ -478,17 +487,14 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):
     """
     if mode not in (EXACT, LOG_SCALED):
         raise ValueError(f"unknown mode {mode!r}")
-    steps, start, w = _dp_inputs(steps, start, n_max, weights, mode == EXACT, cone)
-    # with g the per-axis gcd of the step coordinates and start = g q + r,
-    # 0 <= r < g, g z + r is in the orthant exactly when z is: count from q
-    g = np.maximum(np.gcd.reduce(steps, axis=0), 1)
-    dp = _LayerDP(steps // g, w, start // g, exact=(mode == EXACT))
+    steps, start, w, lift = _dp_inputs(steps, start, n_max, weights, mode == EXACT, cone)
+    dp = _LayerDP(steps, w, start, exact=(mode == EXACT))
     values = [dp.total()]
     for _ in range(n_max):
         dp.advance()
         values.append(dp.total())
     return CountSeries(
-        start=tuple(int(v) for v in start),
+        start=lift(start.tolist()),
         n_max=n_max,
         mode=mode,
         values=tuple(values),
@@ -498,14 +504,12 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):
 def end_point_counts(steps, start, cone, n, weights=None):
     """The n-th layer itself: lattice endpoint -> count (or weighted mass)."""
     exact = weights is None
-    steps, start, w = _dp_inputs(steps, start, n, weights, exact, cone)
-    g = np.maximum(np.gcd.reduce(steps, axis=0), 1)  # as in count_walks
+    steps, start, w, lift = _dp_inputs(steps, start, n, weights, exact, cone)
     # no threshold trim here: endpoint masses are compared cell by cell
-    dp = _LayerDP(steps // g, w, start // g, exact=exact, trim_threshold=0.0)
+    dp = _LayerDP(steps, w, start, exact=exact, trim_threshold=0.0)
     for _ in range(n):
         dp.advance()
-    g, r = g.tolist(), (start % g).tolist()
-    return {tuple(a * z + b for a, z, b in zip(g, p, r)): v for p, v in dp.endpoint_items()}
+    return {lift(z): v for z, v in dp.endpoint_items()}
 
 
 @dataclass(frozen=True)
@@ -622,6 +626,7 @@ def find_delta(steps, cone, v=None, delta_grid=None, n_max=None):
     d = steps.shape[1]
     if cone.dim != d:
         raise ValueError("cone dimension does not match the steps")
+    cones.require_interior(cone, "find_delta")
     if v is None:
         v = cones.interior_vector(cone)
     v = np.asarray(v, dtype=float)

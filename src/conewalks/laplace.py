@@ -218,10 +218,9 @@ def has_global_min_on_cone(model, cone):
     direction u of the cone keeps the whole support in the half-space
     {<u, .> <= 0}. With the cone's rays R and the steps S, the test is
     gamma* = min max_s <s, R^T t> over t >= 0, sum t = 1 (`_min_max_value`
-    on G = S R^T, S over its largest absolute entry), and the minimum exists when
-    gamma* > 1e-9. The LP runs on the dense simplex from an explicit feasible
-    start basis; it differs from the phase-1 LP of the hypothesis checker, so
-    the two can cross-validate.
+    on G = S R^T), and the minimum exists when gamma* > 1e-9. The LP runs on
+    the dense simplex from an explicit feasible start basis; it differs from
+    the phase-1 LP of the hypothesis checker, so the two can cross-validate.
     """
     if isinstance(model, GaussianLaplace):
         raise TypeError("global-minimum dichotomy applies to finite-support transforms")
@@ -230,4 +229,4 @@ def has_global_min_on_cone(model, cone):
         raise ValueError("global-minimum test requires a full-dimensional support (H1)")
     if not len(cone.rays):
         return True  # the cone {0}
-    return _min_max_value((m.steps / np.abs(m.steps).max()) @ cone.rays.T) > 1e-9
+    return _min_max_value(m.steps @ cone.rays.T) > 1e-9

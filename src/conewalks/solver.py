@@ -24,7 +24,7 @@ other lanes, so the scan equals the loop of one-direction solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -334,42 +334,39 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
     Returns a RateCertificate holding the minimizer, the rate rho = L(x*),
     and the first-order residuals (gradient back in the cone, orthogonal to
-    x*). Raises ImproperModelError with a witness direction when the minimum
-    cannot exist, and NonConvergenceError past the iteration budget; a tol
-    that is not a finite number > 0 or a max_iter < 1 is a ValueError.
+    x*). Raises ConeError for a cone without interior, ImproperModelError with
+    a witness direction when the minimum cannot exist, and NonConvergenceError
+    past the iteration budget; a tol that is not a finite number > 0 or a
+    max_iter < 1 is a ValueError.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    cones.require_interior(cone, "the rate")
     dual_cone = cones.dual(cone)
     # a Gaussian transform is full-dimensional and coercive on every cone
-    solved, sigma = model, 1.0
     if isinstance(model, laplace.FiniteLaplace):
         if not steps_mod.check_h1(model.measure):
             raise ValueError("measure violates H1: support lies in a hyperplane")
         witness = steps_mod.halfspace_witness(model.measure, dual_cone)
         if witness is not None:
             raise ImproperModelError(witness)
-        # the loops minimize L(x / sigma): their tolerances see unit-scale steps
-        sigma = float(np.abs(model.measure.steps).max())
-        solved = laplace.FiniteLaplace(replace(model.measure, steps=model.measure.steps / sigma))
 
-    # t: the coefficients of sigma x* on the dual cone's rays (the orthant: sigma x*)
+    # t: the coefficients of x* on the dual cone's rays (on the orthant, x*)
     R = dual_cone.rays
     if dual_cone.kind == cones.ORTHANT:
-        start = _default_init(solved, dual_cone)
-        x_star, iterations, _ = _minimize_orthant(solved, tol, max_iter, start)
+        start = _default_init(model, dual_cone)
+        x_star, iterations, _ = _minimize_orthant(model, tol, max_iter, start)
         t = x_star
     elif R.shape[0] == 1:
-        t, converged, counts = _ray_minima(solved, R, tol, max_iter)
+        t, converged, counts = _ray_minima(model, R, tol, max_iter)
         if not converged[0]:
             raise _unconverged_ray(R[0])
         x_star, iterations = t[0] * R[0], int(counts[0])
     else:
-        start = _default_init(solved, dual_cone)
-        x_star, t, iterations, _ = _minimize_rays(solved, R, tol, max_iter, start)
-    x_star = x_star / sigma
+        start = _default_init(model, dual_cone)
+        x_star, t, iterations, _ = _minimize_rays(model, R, tol, max_iter, start)
 
     at = laplace._checked_terms(model, x_star)
     grad = at.gradient()

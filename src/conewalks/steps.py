@@ -148,13 +148,12 @@ class H2Result:
 def halfspace_witness(m, cone):
     """A direction u != 0 in `cone` with <u, s> <= 0 for every step, or None.
 
-    `cone` plays the role of the dual cone K*, entering through its rays.
-    The search is a phase-1 feasibility LP over the cone's parametrization,
-    normalized so the parameters sum to one, on the steps over their largest
-    absolute entry, so that its fixed tolerances see the same data at every
-    scale. The returned witness is scaled to unit l1 norm.
+    `cone` plays the role of the dual cone K* of a cone K with interior
+    (`cones.require_interior`), entering through its rays. The search is a
+    phase-1 feasibility LP over the cone's parametrization, normalized so the
+    parameters sum to one; the returned witness is scaled to unit l1 norm.
     """
-    S = m.steps / (np.abs(m.steps).max() or 1.0)
+    S = m.steps
     k = S.shape[0]
     R = cone.rays
     r = R.shape[0]
@@ -184,6 +183,7 @@ def check_h2prime(m, cone):
 
     Returns the verdict together with a violating direction when improper.
     """
+    cones.require_interior(cone, "H2'")
     witness = halfspace_witness(m, cones.dual(cone))
     return H2Result(proper=witness is None, witness=witness)
 

@@ -266,6 +266,13 @@ class TestRaysCone:
                                  "--cone", "rays:[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]")
             assert code == 1 and out == "" and "dimension 4" in err
 
+    def test_cone_without_interior_exit_1(self, capsys, step_file):
+        # K* of the ray (1, 0) holds a line: no rate, no H2' verdict
+        path = step_file("nsew.json", 2, [(0, 1), (0, -1), (1, 0), (-1, 0)])
+        for command in ("rate", "check"):
+            code, out, err = run(capsys, command, "--steps", path, "--json", "--cone", "rays:[[1,0]]")
+            assert code == 1 and out == "" and "non-empty interior" in err
+
 
 class TestHalfspace:
     def test_proposition_fixture(self, capsys):

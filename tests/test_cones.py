@@ -99,9 +99,6 @@ class TestDescriptions:
     def test_normal_norms_derived_once(self):
         for cone in (cw.orthant(3), cw.halfspace([2.0, -1.0]),
                      cw.inequalities([[1.0, 0.0], [1.0, 2.0]]), cw.generated([[1.0, 0.0], [1.0, 2.0]])):
-            if cone.normals is None:
-                assert cone.normal_norms is None
-                continue
             assert _same(cone.normal_norms, np.linalg.norm(cone.normals, axis=1))
             with pytest.raises(ValueError):
                 cone.normal_norms[0] = 2.0
@@ -373,13 +370,19 @@ class TestGeneratedIsItsInequalities:
             assert cw.strictly_contains(gen, x) == cw.strictly_contains(ineq, x)
 
         m = cw.from_step_set(steps)
-        assert cw.check_h2prime(m, gen).proper == cw.check_h2prime(m, ineq).proper
         start = np.sum(rays, axis=0)
         cfg = cw.SimConfig(seed=seed, trials=50, n=20)
         assert (_mc_hex(cw.simulate_survival(m, start, gen, cfg))
                 == _mc_hex(cw.simulate_survival(m, start, ineq, cfg)))
-        # the rate theorem needs a cone with interior (K* then has no line)
-        if not (cw.has_interior(gen) and cw.check_h1(m) and cw.check_h2prime(m, gen).proper):
+        # H2' and the rate theorem need a cone with interior (K* then has no line)
+        assert cw.has_interior(gen) == cw.has_interior(ineq)
+        if not cw.has_interior(gen):
+            for cone in (gen, ineq):
+                with pytest.raises(cw.ConeError, match="non-empty interior"):
+                    cw.check_h2prime(m, cone)
+            return
+        assert cw.check_h2prime(m, gen).proper == cw.check_h2prime(m, ineq).proper
+        if not (cw.check_h1(m) and cw.check_h2prime(m, gen).proper):
             return
         model = cw.FiniteLaplace(m)
         cert = cw.minimize_on_dual(model, gen)

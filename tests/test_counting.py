@@ -258,7 +258,7 @@ class TestDPProperties:
         # unit weights and n <= 12 keep every cell above FLOAT_TRIM of the
         # maximum (at most 6^12 walks), so the float box is tight as well
         steps, start, n = case
-        steps, start, w = counting._dp_inputs(steps, start, n, None, exact, None)
+        steps, start, w, _ = counting._dp_inputs(steps, start, n, None, exact, None)
         dp = counting._LayerDP(steps, w, start, exact=exact)
         for _ in range(n):
             dp.advance()
@@ -463,7 +463,7 @@ class _BoxLayerDP:
 def _layouts_agree(steps, start, n, weights, exact, trim):
     """Run the flat-layout DP and the box-layout reference side by side and
     compare every layer bit for bit; returns the flat DP."""
-    steps, start, w = counting._dp_inputs(steps, start, n, weights, exact, None)
+    steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, exact, None)
     flat = counting._LayerDP(steps, w, start, exact=exact, trim_threshold=trim)
     ref = _BoxLayerDP(steps, w, start, exact=exact, trim_threshold=trim)
     for k in range(n + 1):
@@ -524,7 +524,7 @@ class TestFlatLayoutMatchesBoxLayout:
     def test_box_outgrows_its_padding(self, steps, start, n, exact):
         # boxes that widen by two cells a step on every axis outrun the
         # padding of each layout, so the layers are laid out anew many times
-        steps_arr, start_arr, w = counting._dp_inputs(steps, start, n, None, exact, None)
+        steps_arr, start_arr, w, _ = counting._dp_inputs(steps, start, n, None, exact, None)
         dp = counting._LayerDP(steps_arr, w, start_arr, exact=exact)
         layouts = set()
         for _ in range(n):
@@ -549,7 +549,7 @@ class TestFlatLayoutMatchesBoxLayout:
         # a large buffer, float or uint64 limbs, never comes from malloc's
         # heap; a small one does
         monkeypatch.setattr(counting, "MAPPED_BYTES", 4096)
-        steps_arr, start_arr, w = counting._dp_inputs(S5, (0, 0), 30, None, exact, None)
+        steps_arr, start_arr, w, _ = counting._dp_inputs(S5, (0, 0), 30, None, exact, None)
         dp = counting._LayerDP(steps_arr, w, start_arr, exact=exact)
         kinds = set()
         for _ in range(30):
@@ -576,7 +576,7 @@ STEPS_25 = list(itertools.product(range(-2, 3), repeat=2))
 def _box_reference(steps, start, n):
     """The object-dtype box-layout reference run exactly to n: its totals for
     0..n and its endpoint counts at n."""
-    steps, start, _ = counting._dp_inputs(steps, start, n, None, True, None)
+    steps, start, _, _ = counting._dp_inputs(steps, start, n, None, True, None)
     ref = _BoxLayerDP(steps, None, start, exact=True)
     totals = [ref.total()]
     for _ in range(n):

@@ -235,8 +235,7 @@ def _cone(kind, vectors):
 
 @st.composite
 def _h2_cases(draw):
-    """Steps in {-2..2}^d, whose products with any c > 0 divide back exactly
-    by the largest, a solid cone of any kind, c, a step order and an axis
+    """Steps in {-2..2}^d, a solid cone of any kind, a step order and an axis
     permutation."""
     d = draw(st.integers(1, 3))
     vector = st.sampled_from([v for v in itertools.product(range(-2, 3), repeat=d) if any(v)])
@@ -244,8 +243,8 @@ def _h2_cases(draw):
     kind = draw(st.sampled_from(["orthant", "halfspace", "ineq", "rays"]))
     vectors = draw(st.lists(vector, min_size=1, max_size=3, unique=True).filter(
         lambda vs: cw.has_interior(_cone(kind, vs))))
-    return (steps, kind, vectors, draw(st.floats(1e-12, 1e12)),
-            draw(st.permutations(range(len(steps)))), draw(st.permutations(range(d))))
+    return (steps, kind, vectors, draw(st.permutations(range(len(steps)))),
+            draw(st.permutations(range(d))))
 
 
 def _verdicts(steps, cone):
@@ -261,28 +260,19 @@ def _valid_witness(u, steps, cone):
             and float((np.asarray(steps) @ u).max()) <= 1e-10)
 
 
-ENSWS = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)]
-
-
 class TestH2PrimeInvariance:
-    """H2' and the global-minimum test are scale-free and do not see the
-    order of the steps or of the coordinates. The witness is a vertex of the
-    feasibility LP, which Bland's rule picks by column order: it keeps its
-    bits under scaling and stays a valid witness under reordering."""
+    """H2' and the global-minimum test do not see the order of the steps or
+    of the coordinates. The witness is a vertex of the feasibility LP, which
+    Bland's rule picks by column order: it stays a valid witness under
+    reordering, not the same one."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_h2_cases())
-    @example((ENSWS, "orthant", [(1, 0)], 1e-9, list(range(5)), [0, 1]))
-    @example(([(1,)], "orthant", [(1,)], 2e-9, [0], [0]))
-    @example((HALFSPACE_MODEL, "orthant", [(1, 0)], 1e-9, [2, 0, 1], [1, 0]))
-    @example((ENSWS, "orthant", [(1, 0)], 1e-13, [4, 3, 2, 1, 0], [1, 0]))
-    def test_scaling_and_permutations(self, case):
-        steps, kind, vectors, c, order, perm = case
+    @example((HALFSPACE_MODEL, "orthant", [(1, 0)], [2, 0, 1], [1, 0]))
+    def test_permutations(self, case):
+        steps, kind, vectors, order, perm = case
         cone = _cone(kind, vectors)
-        proper, gmin, witness = _verdicts(steps, cone)
-        scaled = _verdicts(np.array(steps) * c, cone)
-        assert scaled[:2] == (proper, gmin)
-        assert (witness is None and scaled[2] is None) or witness.tobytes() == scaled[2].tobytes()
+        proper, gmin, _ = _verdicts(steps, cone)
         reordered = [steps[i] for i in order]
         permuted_steps = np.array(steps)[:, perm]
         permuted_cone = _cone(kind, np.array(vectors)[:, perm])
@@ -292,12 +282,9 @@ class TestH2PrimeInvariance:
             if not proper:
                 assert _valid_witness(other[2], other_steps, other_cone)
 
-    def test_scaled_sets_keep_their_verdicts(self):
-        # {E,N,W,S,SW} and (2) times 1e-9 used to fail the witness check, and
-        # the global-minimum LP called the scaled five-step set improper
-        m = cw.from_step_set(np.array(ENSWS) * 1e-9)
-        assert cw.check_h2prime(m, cw.orthant(2)).proper
-        assert cw.has_global_min_on_cone(cw.FiniteLaplace(m), cw.orthant(2))
-        assert cw.check_h2prime(cw.from_step_set([(2e-9,)]), cw.orthant(1)).proper
-        res = cw.check_h2prime(cw.from_step_set([(-2e-9,)]), cw.orthant(1))
-        assert not res.proper and res.witness.tolist() == [1.0]
+    def test_cone_without_interior_refused(self):
+        # K* of the ray (1, 0) holds a line, on which the phase-1 LP can stop
+        # at u = 0; the set is then neither proper nor improper for the rate
+        for cone in (cw.generated([[1, 0]]), cw.inequalities([[1, 0], [-1, 0]])):
+            with pytest.raises(cw.ConeError, match="non-empty interior"):
+                cw.check_h2prime(cw.from_step_set(NSEW), cone)
