@@ -1,4 +1,4 @@
-"""Small dense simplex routines backing the feasibility checks and the
+"""Small dense simplex routines backing the H2' feasibility check and the
 global-minimum test.
 
 The linear programs in this package are tiny (at most a few dozen rows:

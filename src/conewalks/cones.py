@@ -12,22 +12,29 @@ the rows a_i with K = {x : A x >= 0} (membership, the KKT residual, the Monte
 Carlo test), and ``rays``, the rows r_i with K = {R^T t : t >= 0} (a dual
 cone's parametrization for the solver and the LPs). The one a cone was built
 from is kept as given, the orthant's identity serving as both; the other is
-derived on first read by facet enumeration, in closed form for d <= 3
-(`_generators`), and refused with ``UnsupportedConeError`` above. Dualizing
-swaps the two and transcribes the given vectors, so dual(dual(K)) is K.
+derived on first read by facet enumeration (`_generators`), in every
+dimension, from signed cofactors of (d - 1)-subsets of the given vectors.
+An enumeration over more than MAX_SUBSETS subsets is refused with
+``UnsupportedConeError``. Dualizing swaps the two descriptions and
+transcribes the given vectors, so dual(dual(K)) is K.
+
+Interior is read from the rays alone, by one rule for every kind: a cone has
+interior exactly when its rays span R^d, and its interior vector is the sum
+of its rays scaled to unit l1 norm. Both rules compare vectors by relative
+tests only, so they do not depend on the scale of the given vectors.
 Projections exist only for the cones the rate formulas need (orthant,
 half-space, single ray); everything else raises ``UnsupportedConeError``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from ._simplex import nonneg_solution
 
 ORTHANT = "orthant"
 HALFSPACE = "halfspace"
@@ -41,6 +48,16 @@ DEFAULT_TOL = 1e-9
 
 # Relative rank threshold; `_generators` takes a cosine this small as zero.
 RANK_TOL = 1e-10
+
+# Budget of one facet enumeration, checked before any work: the (d - 1)-
+# subsets of vectors it visits, and the entries of the d minors of size
+# d - 1 it eliminates per subset. 21 normals of full rank in R^7 (54264
+# subsets, 13.7M entries) take about 1.1 s; the entry budget binds from
+# d = 8 on. _CHUNK_ENTRIES entries are eliminated at a time, so the minors
+# take a few MB.
+MAX_SUBSETS = 2**16
+MAX_MINOR_ENTRIES = 2**24
+_CHUNK_ENTRIES = 2**18
 
 
 class ConeError(ValueError):
@@ -89,14 +106,12 @@ class Cone:
 
     @cached_property
     def _interior_point(self):
-        """`interior_vector`'s point, or None when the interior is empty."""
-        if self.kind in (ORTHANT, HALFSPACE):
-            return np.ones(self.dim) if self.kind == ORTHANT else self.vectors
-        if self.kind == INEQUALITIES:
-            return _inequality_interior_point(self.vectors)
-        # a positive combination of spanning rays is interior
-        sv = np.linalg.svd(self.vectors, compute_uv=False)
-        return self.vectors.sum(axis=0) if np.sum(sv > RANK_TOL * sv[0]) == self.dim else None
+        """`interior_vector`'s point, or None when the rays do not span R^d."""
+        R = self.rays
+        if _rank(R) < self.dim:
+            return None
+        U = R / np.abs(R).sum(axis=1)[:, None]
+        return np.array([math.fsum(column) for column in U.T])
 
     def __repr__(self):
         if self.kind == ORTHANT:
@@ -143,42 +158,100 @@ def inequalities(normals):
     return Cone(A.shape[1], INEQUALITIES, A)
 
 
+def _dets(M):
+    """Determinants of a stack of k x k matrices by Bareiss's fraction-free
+    elimination with partial pivoting: every entry it forms is a minor of M,
+    so integer matrices give their exact integer determinants (below 2^53).
+    A zero pivot leaves column p zero from row p down: the block below it
+    becomes zero, and so does the determinant."""
+    b, k = M.shape[:2]
+    if k == 0:
+        return np.ones(b)
+    M, sign, prev, lanes = M.copy(), np.ones(b), np.ones(b), np.arange(b)
+    for p in range(k - 1):
+        q = p + np.abs(M[:, p:, p]).argmax(axis=1)
+        M[lanes, p], M[lanes, q] = M[lanes, q], M[lanes, p]
+        sign[q != p] *= -1.0
+        pivot = M[:, p, p]
+        M[:, p + 1:, p + 1:] = ((pivot[:, None, None] * M[:, p + 1:, p + 1:]
+                                 - M[:, p + 1:, p, None] * M[:, p, None, p + 1:])
+                                / prev[:, None, None])
+        prev = np.where(pivot == 0.0, 1.0, pivot)
+    return sign * M[:, k - 1, k - 1]
+
+
 def _perps(W):
-    """A vector orthogonal to each d - 1 independent rows of W (d <= 3): 1 in
-    1-D, each row turned by a right angle in 2-D, the cross products of the
-    non-parallel pairs of rows in 3-D."""
-    if W.shape[1] < 3:
-        return W[:, ::-1] * [-1.0, 1.0] if W.shape[1] == 2 else np.ones((1, 1))
-    i, j = np.triu_indices(len(W), 1)
-    Z, norms = np.cross(W[i], W[j]), np.linalg.norm(W, axis=1)
-    return Z[np.linalg.norm(Z, axis=1) > RANK_TOL * norms[i] * norms[j]]
+    """For each d - 1 rows of W (in `itertools.combinations` order) that are
+    independent, the vector z with <z, x> = det([rows; x]): the rows' signed
+    cofactors, each a (d - 1)-minor from `_dets`. Rows are dependent when |z|
+    is at most RANK_TOL times the product of their norms (Hadamard's bound).
+    Past MAX_SUBSETS subsets or MAX_MINOR_ENTRIES entries it refuses before
+    any work."""
+    n, d = W.shape
+    count = math.comb(n, d - 1)
+    per_subset = d * (d - 1) ** 2
+    if count > MAX_SUBSETS or count * per_subset > MAX_MINOR_ENTRIES:
+        raise UnsupportedConeError(
+            f"facet enumeration over {n} vectors in dimension {d} needs {count} subsets "
+            f"and {count * per_subset} minor entries, above the budget of "
+            f"{MAX_SUBSETS} subsets and {MAX_MINOR_ENTRIES} entries")
+    subsets = np.array(list(itertools.combinations(range(n), d - 1)), np.intp).reshape(count, d - 1)
+    keep = np.array([[c for c in range(d) if c != j] for j in range(d)], dtype=np.intp)
+    signs = (-1.0) ** (d - 1 + np.arange(d))
+    Z = np.empty((count, d))
+    chunk = max(1, _CHUNK_ENTRIES // max(1, per_subset))
+    for lo in range(0, count, chunk):
+        rows = W[subsets[lo:lo + chunk]]
+        minors = rows[:, :, keep].transpose(0, 2, 1, 3)  # (subset, column j, d - 1, d - 1)
+        dets = _dets(minors.reshape(len(rows) * d, d - 1, d - 1))
+        Z[lo:lo + chunk] = dets.reshape(len(rows), d) * signs
+    norms, bound = np.linalg.norm(W, axis=1), np.full(count, RANK_TOL)
+    for col in subsets.T:
+        bound = bound * norms[col]
+    return Z[np.linalg.norm(Z, axis=1) > bound]
 
 
 def _first_along(Z, fold):
-    """The rows of Z at cosine below 1 - RANK_TOL from every earlier row, the
-    cosines folded by `fold` (np.abs compares lines, not directions)."""
+    """The rows of Z at cosine below 1 - RANK_TOL from every row kept before
+    them, the cosines folded by `fold` (np.abs compares lines, not
+    directions). Memory grows with the rows kept, not with Z's rows squared."""
     U = Z / np.linalg.norm(Z, axis=1)[:, None]
-    C = fold(U @ U.T)
-    return Z[[i for i in range(len(Z)) if (C[i, :i] < 1.0 - RANK_TOL).all()]]
+    kept = []
+    for i, u in enumerate(U):
+        if (fold(U[kept] @ u) < 1.0 - RANK_TOL).all():
+            kept.append(i)
+    return Z[kept]
+
+
+def _rank(M):
+    """Numerical rank of the rows of M as directions: the singular values of
+    the rows scaled to unit length that exceed RANK_TOL times the largest."""
+    sv = np.linalg.svd(M / np.linalg.norm(M, axis=1)[:, None], compute_uv=False)
+    return int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0
 
 
 def _generators(V):
-    """Generators of {z : V z >= 0}, V of shape (m, d) with d <= 3: plus and
-    minus a basis of ker V, then one vector on each extreme ray. Both are
-    `_perps`: a basis vector of d - 1 independent rows among V's and the unit
-    vectors, an extreme ray of d - 1 among V's and the basis's, so integer
-    input gives integer output (closed-form facet enumeration; Fukuda &
-    Prodon, "Double description method revisited", 1996)."""
+    """Generators of {z : V z >= 0}, V of shape (m, d): plus and minus a
+    basis of ker V, then one vector on each extreme ray. Both are `_perps`:
+    the basis, d - rank V independent vectors among those of d - 1 rows of V
+    and the unit vectors that lie in ker V; an extreme ray, of d - 1 rows of
+    V and the basis. Integer input gives integer output (facet enumeration
+    over every (d - 1)-subset; Fukuda & Prodon, "Double description method
+    revisited", 1996)."""
     d = V.shape[1]
-    if d > 3:
-        raise UnsupportedConeError(f"a cone in dimension {d} has only its given description")
     cos = lambda Z: (Z @ V.T) / np.outer(np.linalg.norm(Z, axis=1), np.linalg.norm(V, axis=1))
-    Z = _perps(np.vstack([V, np.eye(d)]))
-    K = _first_along(Z[np.abs(cos(Z)).max(axis=1) <= RANK_TOL], np.abs)[:d - 1]
+    lineality, K = d - _rank(V), np.zeros((0, d))
+    if lineality:
+        Z = _perps(np.vstack([V, np.eye(d)]))
+        for z in _first_along(Z[np.abs(cos(Z)).max(axis=1) <= RANK_TOL], np.abs):
+            if len(K) < lineality and _rank(np.vstack([K, z])) > len(K):
+                K = np.vstack([K, z])
     Z = _perps(np.vstack([V, K]))
-    Z = np.vstack([Z, -Z])
+    # each candidate is tried with both signs; cos(-Z) is -cos(Z) exactly
     c = cos(Z)
-    rays = _first_along(Z[(c.min(axis=1) >= -RANK_TOL) & (c.max(axis=1) > RANK_TOL)], np.asarray)
+    lo, hi = c.min(axis=1), c.max(axis=1)
+    Z = np.vstack([Z[(lo >= -RANK_TOL) & (hi > RANK_TOL)], -Z[(hi <= RANK_TOL) & (lo < -RANK_TOL)]])
+    rays = _first_along(Z, np.asarray)
     return np.vstack([K, -K, rays]) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
@@ -258,22 +331,18 @@ def moreau_decompose(cone, a):
     return p_cone, p_polar
 
 
-def _inequality_interior_point(A):
-    """A point x with A x >= 1, or None when there is none (an LP)."""
-    m, d = A.shape
-    # A(p - q) - s = 1 with p, q, s >= 0
-    y = nonneg_solution(np.hstack([A, -A, -np.eye(m)]), np.ones(m))
-    return None if y is None else y[:d] - y[d:2 * d]
-
-
 def has_interior(cone):
-    """Whether the cone has non-empty interior (decided once per cone)."""
+    """Whether the cone has non-empty interior: whether its rays have rank d
+    (decided once per cone)."""
     return cone._interior_point is not None
 
 
 def require_interior(cone, what):
-    """Refuse a cone without interior: its dual holds a line, and neither
-    the rate formula nor the H2' LP applies to it."""
+    """Refuse a cone whose rays do not span R^d: its dual then holds a line,
+    and neither the rate formula nor the H2' LP applies to it. On an
+    inequality or half-space cone this derives the rays (`_generators`), so
+    it may also refuse with ``UnsupportedConeError`` past the enumeration
+    budget."""
     if not has_interior(cone):
         raise ConeError(f"{what} needs a cone with non-empty interior, got {cone!r}")
 
@@ -286,11 +355,13 @@ def strictly_contains(cone, x):
 
 
 def interior_vector(cone):
-    """A canonical point of the cone's interior.
+    """A canonical point of the cone's interior: the `math.fsum` of its
+    rays, each scaled to unit l1 norm.
 
-    All-ones for the orthant and the normal for a half-space; for the other
-    kinds an interior point is constructed (LP for inequalities, ray sum for
-    generated cones).
+    All-ones on the orthant. A lineality direction enters with both signs and
+    cancels exactly, so on a half-space this is the normal scaled to unit l1
+    norm. It does not depend on the order of the rays, and scaling the given
+    vectors moves it only by the rounding of the derived rays.
     """
     v = cone._interior_point
     if v is None:

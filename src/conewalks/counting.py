@@ -611,14 +611,15 @@ class FindDeltaResult:
     h2_witness: np.ndarray | None = None
 
 
-def find_delta(steps, cone, v=None, delta_grid=None, n_max=None):
+def find_delta(steps, cone, delta_grid=None, n_max=None):
     """Smallest grid shift delta certifying the rate limit's validity region.
 
     Searches (breadth-first, lattice) for a walk from the origin staying in
-    the cone shifted inward by delta that ends strictly inside the cone. A
-    success witnesses that every start in the delta-shifted cone obeys the
-    rate limit; exhaustion over the grid is reported as a value, together
-    with the half-space witness when the step set is improper.
+    the cone shifted inward by delta times `cones.interior_vector(cone)`
+    that ends strictly inside the cone. A success witnesses that every start
+    in the delta-shifted cone obeys the rate limit; exhaustion over the grid
+    is reported as a value, together with the half-space witness when the
+    step set is improper.
     The witness is looked for once the smallest shift fails, and a found
     witness skips the other shifts (see the module docstring).
     """
@@ -627,9 +628,7 @@ def find_delta(steps, cone, v=None, delta_grid=None, n_max=None):
     if cone.dim != d:
         raise ValueError("cone dimension does not match the steps")
     cones.require_interior(cone, "find_delta")
-    if v is None:
-        v = cones.interior_vector(cone)
-    v = np.asarray(v, dtype=float)
+    v = cones.interior_vector(cone)
     if delta_grid is None:
         delta_grid = tuple(float(k) for k in range(11))
     if n_max is None:

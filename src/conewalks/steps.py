@@ -152,6 +152,8 @@ def halfspace_witness(m, cone):
     (`cones.require_interior`), entering through its rays. The search is a
     phase-1 feasibility LP over the cone's parametrization, normalized so the
     parameters sum to one; the returned witness is scaled to unit l1 norm.
+    The LP's tolerances are absolute, so on steps or rays far from scale 1 it
+    may return a point that is no witness; that is refused with ValueError.
     """
     S = m.steps
     k = S.shape[0]
@@ -166,15 +168,16 @@ def halfspace_witness(m, cone):
     b = np.zeros(k + 1)
     b[k] = 1.0
     y = nonneg_solution(M, b)
-    u = None if y is None else R.T @ y[:r]
-    if u is None:
+    if y is None:
         return None
-    l1 = float(np.abs(u).sum())
-    if l1 <= 1e-12:
-        return None
-    u = u / l1
+    u = R.T @ y[:r]
+    u = u / float(np.abs(u).sum())
     if float((S @ u).max()) > 1e-10:
-        raise RuntimeError("feasibility LP returned an invalid witness")
+        raise ValueError(
+            f"H2' feasibility LP returned an invalid witness: steps of scale "
+            f"{float(np.abs(S).max()):.3g} and dual-cone rays of scale "
+            f"{float(np.abs(R).max()):.3g}, against the LP's absolute tolerances "
+            "for data of scale 1")
     return u
 
 

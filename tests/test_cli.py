@@ -240,8 +240,7 @@ class TestCheck:
 
 
 class TestRaysCone:
-    """A ray-generated cone is read through its derived normals in d <= 3 and
-    refused, exit 1, above."""
+    """A ray-generated cone is read through its derived normals."""
 
     def test_rate_equals_its_inequality_description(self, capsys, step_file):
         path = step_file("nsew_sw.json", 2, NSEW_SW)
@@ -258,13 +257,30 @@ class TestRaysCone:
         assert not doc["find_delta"]["found"]
         assert doc["find_delta"]["h2_witness"] == doc["h2prime"]["witness"]
 
-    def test_four_dimensions_exit_1(self, capsys, step_file):
+    def test_four_dimensions_exit_0(self, capsys, step_file):
         path = step_file("d4.json", 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-                                        (-1, -1, -1, -1)])
+                                        (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0),
+                                        (0, 0, 0, -1), (-1, -1, -1, -1)])
         for command in ("rate", "check"):
-            code, out, err = run(capsys, command, "--steps", path, "--json",
-                                 "--cone", "rays:[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]")
-            assert code == 1 and out == "" and "dimension 4" in err
+            code, doc, _ = run_json(capsys, command, "--steps", path,
+                                    "--cone", "rays:[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]")
+            _, orth, _ = run_json(capsys, command, "--steps", path)
+            assert code == 0 and doc["status"] == "ok"
+            if command == "rate":
+                rho, want = doc["certificate"]["rho"], orth["certificate"]["rho"]
+                assert abs(rho - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("scale, cone", [
+        (1.0, "ineq:[[2e-9,-1e-9],[-1e-9,2e-9]]"),
+        (1.0, "ineq:[[2e-12,-1e-12],[-1e-12,2e-12]]"),
+        (1.0, "ineq:[[2e-15,-1e-15],[-1e-15,2e-15]]"),
+        (1e-9, "orthant"),
+    ])
+    def test_h2prime_lp_off_scale_exit_1(self, capsys, step_file, scale, cone):
+        # the H2' LP's absolute tolerances misread data far from scale 1
+        path = step_file("scaled.json", 2, [[scale * v for v in s] for s in NSEW_SW])
+        code, out, err = run(capsys, "rate", "--steps", path, "--json", "--cone", cone)
+        assert code == 1 and out == "" and "invalid witness" in err and "scale" in err
 
     def test_cone_without_interior_exit_1(self, capsys, step_file):
         # K* of the ray (1, 0) holds a line: no rate, no H2' verdict

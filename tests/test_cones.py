@@ -6,6 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import conewalks as cw
+from conewalks import cones
+
+import reference_cones as ref_cones
 
 
 def _same(a, b):
@@ -107,18 +110,17 @@ class TestDescriptions:
         with pytest.raises(ValueError):
             cw.orthant(2).normals[0, 1] = 1.0
 
-    def test_missing_description_derived_up_to_3d(self):
-        for A in ([[1.0, 1.0]], [[1, 0, 0], [0, 1, 0], [1, 1, -1]], [[1, 0, 0], [-1, 0, 0]]):
+    def test_missing_description_derived(self):
+        for A in ([[1.0, 1.0]], [[1, 0, 0], [0, 1, 0], [1, 1, -1]], [[1, 0, 0], [-1, 0, 0]],
+                  [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, -1, 0], [0, 0, 1, 1]]):
             ineq = cw.inequalities(A)
             gen = cw.generated(ineq.rays)
             for x in itertools.product(range(-2, 3), repeat=ineq.dim):
                 assert cw.contains(ineq, x) == cw.contains(gen, x)
-        # in 4-D only the given description is there
+        # in 4-D the orthant's descriptions are derived too: the unit vectors
         assert np.array_equal(cw.inequalities(np.eye(4)).normals, np.eye(4))
-        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
-            cw.inequalities(np.eye(4)).rays
-        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
-            cw.generated(np.eye(4)).normals
+        for derived in (cw.inequalities(np.eye(4)).rays, cw.generated(np.eye(4)).normals):
+            assert sorted(map(tuple, derived)) == sorted(map(tuple, np.eye(4)))
 
 
 class TestDual:
@@ -248,6 +250,68 @@ class TestInterior:
                      cw.generated([[1.0, 0.0], [1.0, 1.0]])):
             v = cw.interior_vector(cone)
             assert cw.strictly_contains(cone, v)
+
+    def test_interior_vector_is_the_unit_ray_sum(self):
+        assert cw.interior_vector(cw.orthant(3)).tolist() == [1.0, 1.0, 1.0]
+        # the lineality rays of a half-space cancel: its normal, unit l1
+        assert cw.interior_vector(cw.halfspace([1.0, -3.0])).tolist() == [0.25, -0.75]
+        assert cw.interior_vector(cw.generated([[2, 0], [1, 1]])).tolist() == [1.5, 0.5]
+
+    def test_interior_does_not_depend_on_scale(self):
+        # the tests are relative: an LP with absolute tolerances finds no
+        # interior point for these cones below c = 1e-12
+        A = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        want = cw.interior_vector(cw.inequalities(A))
+        for c in (1e-15, 1e-12, 1.0, 1e12):
+            cone = cw.inequalities(c * A)
+            assert cw.has_interior(cone)
+            assert np.allclose(cw.interior_vector(cone), want, rtol=1e-12, atol=0.0)
+        assert not cw.has_interior(cw.inequalities(1e-15 * np.array([[1.0, 0.0], [-1.0, 0.0]])))
+        # rays are compared as directions, whatever their lengths
+        assert cw.interior_vector(cw.generated([[1e12, 0.0], [0.0, 1.0]])).tolist() == [1.0, 1.0]
+
+    def test_enumeration_budget_refused_before_work(self):
+        # C(75, 3) = 67525 subsets of 75 normals in R^4
+        A = np.hstack([np.ones((75, 1)), np.arange(75 * 3).reshape(75, 3) % 7 - 3.0])
+        cone = cw.inequalities(A)
+        with pytest.raises(cw.UnsupportedConeError, match="budget of 65536 subsets"):
+            cw.has_interior(cone)
+        assert cw.has_interior(cw.inequalities(A[:74]))  # C(74, 3) = 64824
+        # a half-space in R^33: 561 subsets, each 33 minors of size 32
+        with pytest.raises(cw.UnsupportedConeError, match="budget of .* 16777216 entries"):
+            cw.has_interior(cw.halfspace(np.ones(33)))
+
+
+@st.composite
+def _interior_cases(draw):
+    """Integer vectors of a generated or inequality cone in d = 2..4, a
+    reordering of them, and a scale."""
+    d = draw(st.integers(2, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d).filter(any), min_size=1,
+                            max_size=d + 2))
+    order = draw(st.permutations(range(len(vectors))))
+    return draw(st.sampled_from(["generated", "inequalities"])), vectors, order, \
+        draw(st.floats(1e-12, 1e12))
+
+
+class TestInteriorInvariance:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_interior_cases())
+    @example(("inequalities", [(2, -1), (-1, 2)], [1, 0], 1e-12))
+    @example(("inequalities", [(1, 0, 0, 0), (0, 1, 0, 0)], [1, 0], 3e11))
+    def test_order_and_scale(self, case):
+        kind, vectors, order, c = case
+        make = getattr(cw, kind)
+        V = np.array(vectors, dtype=float)
+        base, moved, scaled = make(V), make(V[list(order)]), make(c * V)
+        assert cw.has_interior(base) == cw.has_interior(moved) == cw.has_interior(scaled)
+        if not cw.has_interior(base):
+            return
+        v = cw.interior_vector(base)
+        assert cw.strictly_contains(base, v)
+        # integer vectors give exact rays, whose unit-l1 sum rounds once
+        assert cw.interior_vector(moved).tobytes() == v.tobytes()
+        assert np.allclose(cw.interior_vector(scaled), v, rtol=0.0, atol=1e-12 * np.abs(v).max())
 
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
@@ -400,3 +464,79 @@ class TestGeneratedIsItsInequalities:
         assert cw.has_global_min_on_cone(model, cw.dual(gen))
         cert = cw.minimize_on_dual(model, gen)
         assert cert.rho == 1.0 and not cert.x_star.any()
+
+
+@st.composite
+def _small_matrices(draw):
+    """Four nonzero-row matrices in d = 1..3: integer, float, integer with a
+    row and its negation (a lineality direction), float scaled by c."""
+    d = draw(st.integers(1, 3))
+    rows = lambda entries: st.lists(st.tuples(*[entries] * d).filter(any), min_size=1, max_size=5)
+    ints = np.array(draw(rows(st.integers(-3, 3))), dtype=float)
+    floats = np.array(draw(rows(st.floats(-4.0, 4.0).filter(lambda x: x == 0.0 or abs(x) > 1e-9))))
+    c = draw(st.sampled_from([1e-12, 1e-6, 3.0, 1e6, 1e12]))
+    return [ints, floats, np.vstack([ints, -ints[:1]]), c * floats]
+
+
+class TestGeneratorsMatchReference:
+    """The enumeration for every dimension returns the frozen d <= 3 closed
+    forms' vectors bit for bit in d <= 3."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_small_matrices())
+    @example([np.array([[2.0, -1.0], [-1.0, 2.0]])])
+    @example([np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.array([[1.0, 1.0, 1.0]])])
+    @example([np.array([[3.0]]), np.array([[1.0], [-1.0]])])
+    def test_bit_identical(self, matrices):
+        for V in matrices:
+            got, want = cones._generators(V), ref_cones.generators(V)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _higher_cases(draw):
+    """Integer rays in d = 4, 5 and a few integer points to test."""
+    d = draw(st.integers(4, 5))
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d).filter(any), min_size=1,
+                         max_size=d + 3, unique=True))
+    points = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=8, max_size=8))
+    return rays, points
+
+
+class TestEnumerationInHigherDimensions:
+    """In d = 4, 5: integer data give integer generators, each satisfying
+    V z >= 0, and generated(R) and inequalities(N) hold the points HiGHS
+    puts in the cone of R."""
+
+    def test_fraction_free_determinants_are_exact(self):
+        rng = np.random.default_rng(0)
+        M = rng.integers(-3, 4, size=(600, 5, 5)).astype(float)
+        M[::3, :, 2] = 0.0  # a zero column
+        M[1::3, 4] = 2.0 * M[1::3, 0]  # dependent rows
+        got = cones._dets(M)
+        assert np.array_equal(got, np.round(np.linalg.det(M)))
+        assert not got[::3].any() and not got[1::3].any()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_higher_cases())
+    @example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1)], [(1, 1, 1, 0)] * 8))
+    @example(([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)], [(-2, 1, 1, 1)] * 8))
+    def test_same_cone(self, case):
+        rays, points = case
+        R = np.array(rays, dtype=float)
+        gen = cw.generated(R)
+        N = gen.normals
+        assert np.array_equal(N, np.round(N)) and (R @ N.T >= 0.0).all()
+        ineq = cw.inequalities(N) if len(N) else None
+        if ineq is not None:
+            G = ineq.rays
+            assert np.array_equal(G, np.round(G)) and (N @ G.T >= 0.0).all()
+        for x in np.array(points, dtype=float) + R[0]:
+            want = _in_ray_cone(R, x)
+            assert cw.contains(gen, x) == want
+            if ineq is not None:
+                assert cw.contains(ineq, x) == want == _in_ray_cone(G, x)
+        if ineq is not None:
+            assert cw.has_interior(gen) == cw.has_interior(ineq)
+        if cw.has_interior(gen):
+            assert cw.strictly_contains(gen, cw.interior_vector(gen))

@@ -222,9 +222,11 @@ class TestConfigValidation:
         ineq = cw.simulate_survival(m, (3, 1), cw.inequalities([[0, 1], [1, -1]]), cfg)
         assert (gen.estimate, gen.stderr) == (ineq.estimate, ineq.stderr)
         assert 0.0 < gen.estimate < 1.0
-        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
-            cw.simulate_survival(cw.from_step_set(np.vstack([np.eye(4), -np.eye(4)])), (1, 1, 1, 1),
-                                 cw.generated(np.eye(4)), cfg)
+        # in 4-D the normals are derived: the orthant's walk, draw for draw
+        m4 = cw.from_step_set(np.vstack([np.eye(4), -np.eye(4)]))
+        gen = cw.simulate_survival(m4, (1, 1, 1, 1), cw.generated(np.eye(4)), cfg)
+        orth = cw.simulate_survival(m4, (1, 1, 1, 1), cw.orthant(4), cfg)
+        assert (gen.estimate.hex(), gen.stderr.hex()) == (orth.estimate.hex(), orth.stderr.hex())
 
     def test_start_outside_cone_rejected_by_tilted(self):
         m = cw.from_step_set(ENSWS)

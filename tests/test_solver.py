@@ -107,10 +107,23 @@ class TestMinimizeOnDual:
         cert = cw.minimize_on_dual(model, cw.generated([[1.0, 0.0], [1.0, 1.0]]))
         ineq = cw.minimize_on_dual(model, cw.inequalities([[0, 1], [1, -1]]))
         assert cert.to_dict() == ineq.to_dict()
-        model = cw.FiniteLaplace(cw.from_step_set([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                                                   (0, 0, 0, 1), (-1, -1, -1, -1)]))
-        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
-            cw.minimize_on_dual(model, cw.generated(np.eye(4)))
+        # in 4-D the rays of K* are derived: the orthant's rate, by the ray solver
+        model = cw.FiniteLaplace(cw.from_step_set(np.vstack([np.eye(4), -np.eye(4),
+                                                             [(-1, -1, -1, -1)]])))
+        cert = cw.minimize_on_dual(model, cw.generated(np.eye(4)))
+        orth = cw.minimize_on_dual(model, cw.orthant(4))
+        assert abs(cert.rho - orth.rho) <= 1e-12 * orth.rho and cert.rho < 1.0
+        assert cert.kkt_membership_residual <= 1e-9 and abs(cert.kkt_orthogonality) <= 1e-9
+
+    def test_invalid_witness_refused_not_called_proper(self):
+        # the H2' LP reads 1e-15-sized rays of K* as zero, and its point is no
+        # witness; read as "proper", the solver would give rho 0.946437, not
+        # 0.945806, so no certificate may come out
+        model = cw.FiniteLaplace(cw.from_step_set(NSEW_SW))
+        cone = cw.inequalities(1e-15 * np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        with pytest.raises(ValueError, match="invalid witness.*scale 2e-15") as err:
+            cw.minimize_on_dual(model, cone)
+        assert not isinstance(err.value, solver.ImproperModelError)
 
     def test_cone_without_interior_refused(self):
         # K* of the ray (1, 0) holds a line, where L has no minimum to certify

@@ -146,9 +146,13 @@ class TestH2Prime:
             assert gen.proper == ineq.proper
             if not gen.proper:
                 assert gen.witness.tobytes() == ineq.witness.tobytes()
-        with pytest.raises(cw.UnsupportedConeError, match="dimension 4"):
-            cw.check_h2prime(cw.from_step_set(np.vstack([np.eye(4), -np.eye(4)])),
-                             cw.generated(np.eye(4)))
+        # in 4-D the rays of K* are derived: the orthant's verdicts
+        e = np.eye(4)
+        for steps, proper in ((np.vstack([e, -e]), True), (np.vstack([-e[:1], e[1:], -e[1:]]), False)):
+            m = cw.from_step_set(steps)
+            gen = cw.check_h2prime(m, cw.generated(e))
+            assert gen.proper == cw.check_h2prime(m, cw.orthant(4)).proper == proper
+            assert proper or (steps @ gen.witness).max() <= 0.0
 
 
 class TestH3:
