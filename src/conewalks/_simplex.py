@@ -1,18 +1,31 @@
-"""Small dense simplex routines backing the H2' feasibility check and the
-global-minimum test.
+"""The dense simplex routine of the two hypothesis LPs, and the row scaling
+they read their data through.
 
-The linear programs in this package are tiny (at most a few dozen rows:
-cone facets plus step vectors), so a plain dense tableau with Bland's
-anti-cycling rule is adequate and keeps the geometry code self-contained.
+The LPs are tiny (at most a few dozen rows: cone facets plus step vectors),
+so a plain dense tableau with Bland's anti-cycling rule is adequate. Both,
+H2' in `steps.halfspace_witness` and the global-minimum test in
+`laplace.has_global_min_on_cone`, start `simplex_min` from an explicit
+feasible basis, with no phase 1, on rows that `scale_rows` puts in [1, 2):
+their verdicts do not depend on the scale of the steps or the cone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Pivot / reduced-cost tolerance. Problem data here is O(1) lattice vectors,
-# so a fixed absolute tolerance is safe.
+# Pivot / reduced-cost tolerance. The LPs are built from rows scaled by
+# `scale_rows`, so their data is O(1) and a fixed absolute tolerance is safe.
 EPS = 1e-11
+
+
+def scale_rows(A):
+    """A with each row multiplied by the power of two that puts its largest
+    |entry| in [1, 2): exact unless an entry lies 2^1022 below its row's
+    largest. A row whose largest |entry| is 1 is kept; a zero row stays 0.
+    """
+    A = np.asarray(A, dtype=float)
+    _, e = np.frexp(np.abs(A).max(axis=1, initial=0.0))
+    return np.ldexp(A, (1 - e)[:, None])
 
 
 def simplex_min(c, M, b, basis, max_iter=10000):
@@ -20,7 +33,8 @@ def simplex_min(c, M, b, basis, max_iter=10000):
 
     `basis` lists one column index per row; M[:, basis] must be invertible
     and the corresponding basic solution nonnegative. Bland's rule is used
-    throughout, so the iteration always terminates.
+    throughout, so the iteration always terminates, degenerate start bases
+    included.
 
     Returns (status, y, value) with status in {"optimal", "unbounded",
     "iteration_limit"}.
@@ -68,31 +82,3 @@ def simplex_min(c, M, b, basis, max_iter=10000):
         basis[leaving] = entering
 
     return "iteration_limit", None, np.nan
-
-
-def l1_fit(A, b, max_iter=10000):
-    """Minimize sum|b - A x| over x >= 0; returns (residual, x).
-
-    The system A x = b, x >= 0 is feasible exactly when the optimal
-    residual is zero, which is how the cone and hypothesis checks use it.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    # columns: x, positive residual, negative residual
-    M = np.hstack([A, np.eye(m), -np.eye(m)])
-    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    basis = [n + i if b[i] >= 0 else n + m + i for i in range(m)]
-    status, y, value = simplex_min(c, M, b, basis, max_iter=max_iter)
-    if status != "optimal":
-        raise RuntimeError(f"l1_fit did not terminate: {status}")
-    return value, y[:n]
-
-
-def nonneg_solution(A, b, tol=1e-9):
-    """Solve A x = b with x >= 0 if possible; returns x or None."""
-    residual, x = l1_fit(A, b)
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    if residual <= tol * scale:
-        return x
-    return None

@@ -96,10 +96,8 @@ def _parse_point(text, what="start"):
 def _parse_lattice_point(text):
     """A lattice start in int64; a fractional or non-finite coordinate is
     refused, never rounded."""
-    point = _parse_point(text)
-    if not all(abs(v) < 2.0**63 and v == int(v) for v in point):
-        raise InputError(f"bad start {text!r}: expected comma-separated integers below 2**63")
-    return tuple(int(v) for v in point)
+    message = f"bad start {text!r}: expected comma-separated integers below 2**63"
+    return tuple(steps_mod.as_int64(_parse_point(text), message).tolist())
 
 
 def _emit(report, as_json):

@@ -162,31 +162,13 @@ class CountSeries:
         return math.exp(lv)
 
 
-def _as_lattice_steps(steps):
-    steps = np.atleast_2d(np.asarray(steps))
-    if steps.ndim != 2 or 0 in steps.shape:
-        raise ValueError("need at least one step, each a vector of length >= 1")
-    if not np.all(np.isfinite(steps)) or np.any(steps != np.round(steps)):
-        raise ValueError("enumeration needs integer lattice steps")
-    return steps.astype(np.int64)
-
-
 def _as_orthant_start(start, dim, cone):
     if cone is not None and cone.kind != cones.ORTHANT:
         raise cones.UnsupportedConeError("walk enumeration supports the orthant only")
     start = np.asarray(start)
     if start.shape != (dim,):
         raise ValueError(f"start must have length {dim}")
-    if start.dtype.kind != "i":
-        # floats, and Python ints beyond int64, which numpy keeps as objects
-        try:
-            coords = start.astype(float) if start.dtype.kind in "buifO" else None
-        except (TypeError, ValueError):
-            coords = None
-        if coords is None or not np.all((coords == np.round(coords)) & (np.abs(coords) < 2.0**63)):
-            raise ValueError("start must be a lattice point with coordinates below 2**63")
-        start = coords
-    start = start.astype(np.int64)
+    start = steps_mod.as_int64(start, "start must be a lattice point with coordinates below 2**63")
     if np.any(start < 0):
         raise ValueError("start lies outside the orthant")
     return start
@@ -200,7 +182,7 @@ def _dp_inputs(steps, start, n, weights, exact, cone):
     0 <= r < g, g z + r is in the orthant exactly when z is: the DP runs on
     steps / g from q, and ``lift`` (returned last) maps its z to g z + r.
     """
-    steps = _as_lattice_steps(steps)
+    steps = steps_mod.as_lattice_steps(steps)
     k, d = steps.shape
     start = _as_orthant_start(start, d, cone)
     g = np.maximum(np.gcd.reduce(steps, axis=0), 1).tolist()
@@ -623,7 +605,7 @@ def find_delta(steps, cone, delta_grid=None, n_max=None):
     The witness is looked for once the smallest shift fails, and a found
     witness skips the other shifts (see the module docstring).
     """
-    steps = _as_lattice_steps(steps)
+    steps = steps_mod.as_lattice_steps(steps)
     d = steps.shape[1]
     if cone.dim != d:
         raise ValueError("cone dimension does not match the steps")

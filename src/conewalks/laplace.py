@@ -16,8 +16,9 @@ gives the same e.
 
 Whether the minimum exists on a cone is decided by one min-max LP over the
 cone's rays, solved by the package's dense simplex (`_simplex.simplex_min`)
-from an explicit feasible basis; it is a different LP from the phase-1
-feasibility problem of `steps.halfspace_witness`, so the two cross-check.
+from an explicit feasible basis, on steps and rays scaled row by row into
+[1, 2) (`_simplex.scale_rows`). It is a different LP from the feasibility
+problem of `steps.halfspace_witness`, so the two cross-check.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import steps as steps_mod
-from ._simplex import simplex_min
+from ._simplex import scale_rows, simplex_min
 
 # Absolute tolerance classifying a step as lying on the hyperplane u-perp;
 # exact for lattice inputs.
@@ -216,11 +217,12 @@ def has_global_min_on_cone(model, cone):
 
     For an all-exponential-moments law this holds exactly when no nonzero
     direction u of the cone keeps the whole support in the half-space
-    {<u, .> <= 0}. With the cone's rays R and the steps S, the test is
-    gamma* = min max_s <s, R^T t> over t >= 0, sum t = 1 (`_min_max_value`
-    on G = S R^T), and the minimum exists when gamma* > 1e-9. The LP runs on
-    the dense simplex from an explicit feasible start basis; it differs from
-    the phase-1 LP of the hypothesis checker, so the two can cross-validate.
+    {<u, .> <= 0}. With the cone's rays R and the steps S, each scaled row by
+    row into [1, 2) (`_simplex.scale_rows`, which keeps the sign of gamma*),
+    the test is gamma* = min max_s <s, R^T t> over t >= 0, sum t = 1
+    (`_min_max_value` on G = S R^T), and the minimum exists when
+    gamma* > 1e-9. It differs from the LP of the hypothesis checker, so the
+    two can cross-validate.
     """
     if isinstance(model, GaussianLaplace):
         raise TypeError("global-minimum dichotomy applies to finite-support transforms")
@@ -229,4 +231,4 @@ def has_global_min_on_cone(model, cone):
         raise ValueError("global-minimum test requires a full-dimensional support (H1)")
     if not len(cone.rays):
         return True  # the cone {0}
-    return _min_max_value(m.steps @ cone.rays.T) > 1e-9
+    return _min_max_value(scale_rows(m.steps) @ scale_rows(cone.rays).T) > 1e-9

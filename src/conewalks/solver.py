@@ -142,8 +142,16 @@ def _armijo_projected(model, x, f, g, d, project):
     return None
 
 
+def _step_scale(model):
+    """max|s|, the scale of grad L (1 for the Gaussian transform)."""
+    if isinstance(model, laplace.GaussianLaplace):
+        return 1.0
+    return float(np.abs(model.measure.steps).max())
+
+
 def _minimize_orthant(model, tol, max_iter, x0):
     project = lambda v: np.maximum(v, 0.0)
+    tol = tol * min(1.0, _step_scale(model))
     x = project(np.asarray(x0, dtype=float))
     at = laplace._terms(model, x)
     if at is None:
@@ -176,9 +184,9 @@ def _ray_minima(model, U, tol, max_iter):
     finite lane with phi'(0) >= 0 has t = 0. Any other lane brackets a sign
     change of phi', from t = 1 or from just inside the overflow guard (see
     BRACKET_MARGIN), doubling until phi' > 0, then runs safeguarded Newton on
-    phi' inside the bracket until |phi'| / |u| <= tol. The exponents t <u, s>
-    are formed row by row (einsum, not BLAS), so a lane has the same bits
-    alone or in any batch.
+    phi' inside the bracket until |phi'| / |u| <= tol min(1, max|s|). The
+    exponents t <u, s> are formed row by row (einsum, not BLAS), so a lane
+    has the same bits alone or in any batch.
 
     Returns the minimizing t, a mask of the converged lanes and the number
     of evaluations of phi' in each lane, the one at t = 0 included. A lane is
@@ -191,6 +199,7 @@ def _ray_minima(model, U, tol, max_iter):
         t = np.maximum(0.0, -np.einsum("ij,j->i", U, model.drift)) / np.einsum("ij,ij->i", U, U)
         return t, np.ones(n, dtype=bool), np.ones(n, dtype=int)
     S, w = model.measure.steps, model.measure.weights
+    tol = tol * min(1.0, _step_scale(model))
     P = np.einsum("ij,kj->ik", U, S)
     t = np.zeros(n)
     converged = np.ones(n, dtype=bool)
@@ -257,8 +266,10 @@ def _minimize_rays(model, R, tol, max_iter, t0):
     falls below double resolution, so when the line search can no longer
     certify descent the iteration falls back to the safeguard step
     1 / lambda_max(R H R^T), which contracts for a smooth convex objective
-    without consulting function values.
+    without consulting function values. The gradient in t is R grad L, of
+    scale max|s| max|r|.
     """
+    tol = tol * min(1.0, _step_scale(model) * float(np.abs(R).max(initial=0.0)))
     t = np.maximum(np.asarray(t0, dtype=float), 0.0)
     x = R.T @ t
     at = laplace._terms(model, x)
@@ -338,6 +349,11 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     a witness direction when the minimum cannot exist, and NonConvergenceError
     past the iteration budget; a tol that is not a finite number > 0 or a
     max_iter < 1 is a ValueError.
+
+    `tol` bounds the projected gradient of the loop that runs, times
+    min(1, sigma) for sigma the scale of that gradient: max|s| on the orthant
+    and a single ray, max|s| max|r| over the rays r of K* otherwise. It never
+    loosens, and data scaled below 1 is solved to the accuracy of scale 1.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
@@ -433,7 +449,8 @@ def hyperplane_scan(steps, angular_grid=721):
 
     Scanning the hyperplanes through the origin that avoid the open orthant
     reproduces the growth constant up to grid resolution; the argmin
-    direction identifies the binding hyperplane.
+    direction identifies the binding hyperplane. Each direction is solved to
+    |phi'| / |u| <= 1e-12 min(1, max|s|) (`_ray_minima`).
     """
     if (isinstance(angular_grid, bool) or not isinstance(angular_grid, (int, np.integer))
             or angular_grid < 1):

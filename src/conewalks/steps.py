@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones
-from ._simplex import nonneg_solution
+from ._simplex import scale_rows, simplex_min
 
 PROBABILITY = "probability"
 COUNTING = "counting"
@@ -149,36 +149,29 @@ def halfspace_witness(m, cone):
     """A direction u != 0 in `cone` with <u, s> <= 0 for every step, or None.
 
     `cone` plays the role of the dual cone K* of a cone K with interior
-    (`cones.require_interior`), entering through its rays. The search is a
-    phase-1 feasibility LP over the cone's parametrization, normalized so the
-    parameters sum to one; the returned witness is scaled to unit l1 norm.
-    The LP's tolerances are absolute, so on steps or rays far from scale 1 it
-    may return a point that is no witness; that is refused with ValueError.
+    (`cones.require_interior`), entering through its rays R. With S and R
+    scaled row by row into [1, 2) (`_simplex.scale_rows`) and G = S R^T, the
+    LP min a s.t. G t + slack = 0, sum t + a = 1, (t, slack, a) >= 0 starts
+    from the basis of the slacks (at 0) and a (at 1). Its optimum is 0 when
+    some t != 0 has G t <= 0 and 1 otherwise, so it is compared with 1/2.
+    The witness R^T t, nonzero as K* is pointed, is returned at unit l1 norm.
     """
-    S = m.steps
-    k = S.shape[0]
-    R = cone.rays
-    r = R.shape[0]
-    # u = R^T t with t >= 0, sum t = 1, S u <= 0; valid because the dual
-    # cone of a solid cone is pointed, so R^T t = 0 forces t = 0.
-    M = np.zeros((k + 1, r + k))
-    M[:k, :r] = S @ R.T
-    M[:k, r:] = np.eye(k)
-    M[k, :r] = 1.0
+    S, R = scale_rows(m.steps), scale_rows(cone.rays)
+    k, r = S.shape[0], R.shape[0]
+    # columns t, the slacks, a
+    M = np.block([[S @ R.T, np.eye(k), np.zeros((k, 1))],
+                  [np.ones((1, r)), np.zeros((1, k)), np.ones((1, 1))]])
     b = np.zeros(k + 1)
     b[k] = 1.0
-    y = nonneg_solution(M, b)
-    if y is None:
+    c = np.zeros(r + k + 1)
+    c[-1] = 1.0
+    status, y, a = simplex_min(c, M, b, range(r, r + k + 1))
+    if status != "optimal":
+        raise RuntimeError(f"H2' LP failed: {status}")
+    if a > 0.5:
         return None
     u = R.T @ y[:r]
-    u = u / float(np.abs(u).sum())
-    if float((S @ u).max()) > 1e-10:
-        raise ValueError(
-            f"H2' feasibility LP returned an invalid witness: steps of scale "
-            f"{float(np.abs(S).max()):.3g} and dual-cone rays of scale "
-            f"{float(np.abs(R).max()):.3g}, against the LP's absolute tolerances "
-            "for data of scale 1")
-    return u
+    return u / float(np.abs(u).sum())
 
 
 def check_h2prime(m, cone):
@@ -189,6 +182,30 @@ def check_h2prime(m, cone):
     cones.require_interior(cone, "H2'")
     witness = halfspace_witness(m, cones.dual(cone))
     return H2Result(proper=witness is None, witness=witness)
+
+
+def as_int64(a, message):
+    """a as an int64 array; ValueError(message) unless every entry is an
+    integer below 2**63 in absolute value (checked, never rounded or wrapped)."""
+    a = np.asarray(a)
+    if a.dtype.kind != "i":
+        try:
+            coords = a.astype(float) if a.dtype.kind in "buifO" else None
+        except (TypeError, ValueError):
+            coords = None
+        if coords is None or not np.all((coords == np.round(coords)) & (np.abs(coords) < 2.0**63)):
+            raise ValueError(message)
+        a = coords
+    return a.astype(np.int64)
+
+
+def as_lattice_steps(steps):
+    """The steps as an int64 array of shape (k, d), k, d >= 1: the one check
+    of every lattice entry point (`check_h3`, `find_delta`, the DP)."""
+    steps = np.atleast_2d(np.asarray(steps))
+    if steps.ndim != 2 or 0 in steps.shape:
+        raise ValueError("need at least one step, each a vector of length >= 1")
+    return as_int64(steps, "lattice steps must be integers below 2**63 in absolute value")
 
 
 @dataclass(frozen=True)
@@ -253,10 +270,7 @@ def check_h3(steps, search_depth=None):
     Breadth-first over lattice points; a failure at the depth bound is
     reported with ``exhausted=False`` (not a definitive no).
     """
-    steps = np.atleast_2d(np.asarray(steps))
-    if np.any(steps != np.round(steps)):
-        raise ValueError("H3 search needs integer lattice steps")
-    steps = steps.astype(np.int64)
+    steps = as_lattice_steps(steps)
     if search_depth is None:
         search_depth = default_h3_depth(steps)
     d = steps.shape[1]

@@ -115,6 +115,13 @@ class TestEnumerate:
                            "--start=-1,0", "--n", "5")
         assert code == 1 and "orthant" in err
 
+    def test_steps_past_int64_exit_1(self, capsys, step_file):
+        # a cast to int64 wrapped 1e19 and the DP counted the wrong walks
+        path = step_file("huge.json", 2, [(1e19, 0), (0, 1), (-1, -1)])
+        code, out, err = run(capsys, "enumerate", "--steps", path, "--start", "0,0",
+                             "--n", "3", "--json")
+        assert code == 1 and out == "" and "2**63" in err
+
 
 class TestVerify:
     def test_1d_passes_tolerances(self, capsys, step_file):
@@ -230,6 +237,14 @@ class TestCheck:
         assert not doc["h3"]["ok"]
         assert not doc["find_delta"]["found"]
 
+    def test_steps_past_int64_exit_1(self, capsys, step_file):
+        # a cast to int64 wrapped 1e19, and the delta search reported a
+        # half-space witness next to a proper H2' verdict
+        path = step_file("huge.json", 2, [(1e19, 0), (0, 1), (-1, -1)])
+        for cone in ("orthant", "halfspace:1,1"):
+            code, out, err = run(capsys, "check", "--steps", path, "--cone", cone, "--json")
+            assert code == 1 and out == "" and "2**63" in err
+
     def test_other_cone_reports_no_h3(self, capsys, step_file):
         path = step_file("nsew.json", 2, NSEW)
         code, doc, _ = run_json(capsys, "check", "--steps", path, "--cone", "halfspace:1,-1")
@@ -276,11 +291,16 @@ class TestRaysCone:
         (1.0, "ineq:[[2e-15,-1e-15],[-1e-15,2e-15]]"),
         (1e-9, "orthant"),
     ])
-    def test_h2prime_lp_off_scale_exit_1(self, capsys, step_file, scale, cone):
-        # the H2' LP's absolute tolerances misread data far from scale 1
+    def test_off_scale_data_exit_0(self, capsys, step_file, scale, cone):
+        # both LPs read rows scaled into [1, 2) and the solver's tolerances
+        # follow the scale below 1, so tiny steps or cone vectors certify
         path = step_file("scaled.json", 2, [[scale * v for v in s] for s in NSEW_SW])
-        code, out, err = run(capsys, "rate", "--steps", path, "--json", "--cone", cone)
-        assert code == 1 and out == "" and "invalid witness" in err and "scale" in err
+        code, doc, _ = run_json(capsys, "rate", "--steps", path, "--cone", cone)
+        unscaled = "orthant" if cone == "orthant" else "ineq:[[2,-1],[-1,2]]"
+        _, want, _ = run_json(capsys, "rate", "--steps", step_file("five.json", 2, NSEW_SW),
+                              "--cone", unscaled)
+        rho, want = doc["certificate"]["rho"], want["certificate"]["rho"]
+        assert code == 0 and doc["status"] == "ok" and abs(rho - want) <= 1e-12 * want
 
     def test_cone_without_interior_exit_1(self, capsys, step_file):
         # K* of the ray (1, 0) holds a line: no rate, no H2' verdict
@@ -394,7 +414,7 @@ class TestExitContract:
         assert doc["command"] == command and doc["config"]
         assert doc["status"] == "non-convergence" and doc["message"] == "stalled"
 
-    @pytest.mark.parametrize("command", ["rate", "check", "verify", "scan"])
+    @pytest.mark.parametrize("command", ["rate", "check", "verify", "scan", "enumerate"])
     @pytest.mark.parametrize("steps, weights", [
         ([(1, 0), (0, 1), (-1, -1)], [math.nan, 0.5, 0.5]),
         ([(math.inf, 0), (0, 1), (-1, -1)], None),
@@ -404,7 +424,8 @@ class TestExitContract:
         # made `check` print numpy RuntimeWarnings
         path = step_file("bad.json", 2, steps, weights=weights)
         argv = {"rate": ["rate"], "check": ["check"], "scan": ["scan", "--grid", "51"],
-                "verify": ["verify", "--start", "1,1", "--n", "20"]}[command]
+                "verify": ["verify", "--start", "1,1", "--n", "20"],
+                "enumerate": ["enumerate", "--start", "1,1", "--n", "5"]}[command]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, *argv, "--steps", path, "--json")

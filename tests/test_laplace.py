@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import conewalks as cw
-from conewalks import laplace
+from conewalks import laplace, steps as steps_mod
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
@@ -242,6 +242,46 @@ class TestGlobalMinMatchesHighs:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_random_step_sets(self, steps):
         assert highs_mismatches(steps) == []
+
+
+def highs_h2prime_feasible(G):
+    """Whether some t >= 0 with sum t = 1 has G t <= 0, as HiGHS decides it:
+    the H2' feasibility LP, kept as the reference."""
+    k, r = G.shape
+    res = linprog(np.zeros(r), A_ub=G, b_ub=np.zeros(k), A_eq=np.ones((1, r)), b_eq=[1.0],
+                  bounds=[(0, None)] * r, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def h2prime_mismatches(steps):
+    """The (dual cone, package verdict, HiGHS verdict) cases of a step set
+    where the verdicts differ or an improper verdict comes with a witness
+    that is not one: u in K*, unit l1 norm, every step in {<u, .> <= 0}."""
+    m = cw.from_step_set(steps)
+    bad = []
+    for dual in dual_cones(m.dim):
+        u = steps_mod.halfspace_witness(m, dual)
+        improper = highs_h2prime_feasible(m.steps @ dual.rays.T)
+        valid = u is None or (cw.contains(dual, u) and abs(np.abs(u).sum() - 1.0) <= 1e-12
+                              and float((m.steps @ u).max()) <= 1e-12)
+        if (u is not None) != improper or not valid:
+            bad.append((dual.rays.tolist(), None if u is None else u.tolist(), improper))
+    return bad
+
+
+class TestH2PrimeMatchesHighs:
+    """The explicit-basis H2' LP of `steps.halfspace_witness` against a HiGHS
+    feasibility LP: the same verdict, and a valid witness when improper."""
+
+    def test_corpora(self, proper_2d_corpus, proper_3d_corpus, improper_2d_corpus):
+        corpus = proper_2d_corpus + proper_3d_corpus + improper_2d_corpus
+        assert [bad for steps in corpus for bad in h2prime_mismatches(steps)] == []
+
+    @given(small_step_sets())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_step_sets(self, steps):
+        assert h2prime_mismatches(steps) == []
 
 
 class TestConvexityAndTiltIdentities:

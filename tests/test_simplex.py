@@ -1,31 +1,20 @@
 import numpy as np
 
-from conewalks._simplex import l1_fit, nonneg_solution, simplex_min
+from conewalks._simplex import scale_rows, simplex_min
 
 
-def test_l1_fit_feasible_exact():
-    # x = (1, 1) solves exactly
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 1.0, 2.0])
-    residual, x = l1_fit(A, b)
-    assert residual <= 1e-12
-    assert np.allclose(A @ x, b, atol=1e-12)
-    assert np.all(x >= -1e-12)
-
-
-def test_l1_fit_infeasible_reports_residual():
-    # x >= 0 cannot produce a negative coordinate
-    A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    b = np.array([-3.0, 1.0])
-    residual, _ = l1_fit(A, b)
-    assert abs(residual - 3.0) <= 1e-12
-
-
-def test_nonneg_solution_none_when_infeasible():
-    A = np.array([[1.0, 1.0]])
-    assert nonneg_solution(A, np.array([-1.0])) is None
-    x = nonneg_solution(A, np.array([2.0]))
-    assert x is not None and abs(x.sum() - 2.0) <= 1e-12
+def test_scale_rows_is_exact_and_keeps_unit_rows():
+    A = np.array([[3.0, -1.0], [1.0, 0.5], [0.0, 0.0], [-1e-12, 2e-13], [1e300, -7.0]])
+    B = scale_rows(A)
+    top = np.abs(B).max(axis=1)
+    assert np.all((top >= 1.0) & (top < 2.0) | (top == 0.0))
+    assert np.array_equal(B[1], A[1]) and np.array_equal(B[2], A[2])
+    # a power of two per row: the ratios within a row keep their bits
+    for a, b in zip(A, B):
+        ratios = set((b[a != 0.0] / a[a != 0.0]).tolist())
+        assert len(ratios) <= 1 and all(np.frexp(r)[0] == 0.5 for r in ratios)
+    assert np.array_equal(scale_rows(2.0 ** -40 * A), B)
+    assert scale_rows(np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_simplex_min_known_lp():

@@ -115,15 +115,15 @@ class TestMinimizeOnDual:
         assert abs(cert.rho - orth.rho) <= 1e-12 * orth.rho and cert.rho < 1.0
         assert cert.kkt_membership_residual <= 1e-9 and abs(cert.kkt_orthogonality) <= 1e-9
 
-    def test_invalid_witness_refused_not_called_proper(self):
-        # the H2' LP reads 1e-15-sized rays of K* as zero, and its point is no
-        # witness; read as "proper", the solver would give rho 0.946437, not
-        # 0.945806, so no certificate may come out
+    def test_tiny_cone_gives_the_unscaled_rate(self):
+        # the H2' LP reads K*'s rays scaled into [1, 2), and the multi-ray
+        # loop's tolerance follows max|s| max|r| = 2e-15: no invalid witness,
+        # and not the rho 0.946437 of a loop stopped early
         model = cw.FiniteLaplace(cw.from_step_set(NSEW_SW))
-        cone = cw.inequalities(1e-15 * np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        with pytest.raises(ValueError, match="invalid witness.*scale 2e-15") as err:
-            cw.minimize_on_dual(model, cone)
-        assert not isinstance(err.value, solver.ImproperModelError)
+        A = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        cert = cw.minimize_on_dual(model, cw.inequalities(1e-15 * A))
+        want = cw.minimize_on_dual(model, cw.inequalities(A)).rho
+        assert abs(cert.rho - want) <= 1e-12 * want
 
     def test_cone_without_interior_refused(self):
         # K* of the ray (1, 0) holds a line, where L has no minimum to certify
@@ -451,6 +451,59 @@ class TestHalfspaceInvariance:
         assert abs(halfspace_rho(shuffled, normal) - base) <= 1e-12 * base
 
 
+ROADMAP_CONES = {
+    "orthant": cw.orthant(2),
+    "halfspace": cw.halfspace([1.0, 1.0]),
+    "ineq": cw.inequalities([[2, -1], [-1, 2]]),
+    "rays": cw.generated([[1, 0], [1, 1]]),
+}
+INEQ_2D = np.array([[2.0, -1.0], [-1.0, 2.0]])
+
+
+def nsew_sw_rate(cone, scale=1.0):
+    return cw.minimize_on_dual(cw.FiniteLaplace(cw.from_step_set(scale * np.array(NSEW_SW))),
+                               cone).rho
+
+
+class TestScaledInputs:
+    """Scaling the steps or the cone's vectors by c > 0 changes neither H2'
+    nor rho. Both LPs read rows scaled into [1, 2) and the solver's
+    tolerances follow the scale below 1, so small scales give the unscaled
+    rho; large ones may still raise, but never return a wrong rate."""
+
+    @pytest.mark.parametrize("cone", sorted(ROADMAP_CONES))
+    @pytest.mark.parametrize("c", [1e-13, 1e-9, 1e-6])
+    def test_small_step_scales(self, cone, c):
+        want = nsew_sw_rate(ROADMAP_CONES[cone])
+        assert abs(nsew_sw_rate(ROADMAP_CONES[cone], c) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("cone", sorted(ROADMAP_CONES))
+    def test_large_step_scale_raises_or_is_right(self, cone):
+        want = nsew_sw_rate(ROADMAP_CONES[cone])
+        try:
+            rho = nsew_sw_rate(ROADMAP_CONES[cone], 1e9)
+        except cw.NonConvergenceError:
+            return
+        assert abs(rho - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("c", [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6])
+    def test_inequality_cone_scales(self, c):
+        want = nsew_sw_rate(cw.inequalities(INEQ_2D))
+        assert abs(nsew_sw_rate(cw.inequalities(c * INEQ_2D)) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("c", [1e-15, 1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12])
+    def test_halfspace_normal_scales(self, c):
+        want = nsew_sw_rate(cw.halfspace([1.0, 1.0]))
+        assert abs(nsew_sw_rate(cw.halfspace([c, c])) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("c", [1e-13, 1e-9])
+    def test_small_scan_scales(self, c):
+        want = cw.hyperplane_scan(NSEW_SW, 721)
+        got = cw.hyperplane_scan(c * np.array(NSEW_SW), 721)
+        assert abs(got.k_min - want.k_min) <= 1e-12 * want.k_min
+        assert np.array_equal(got.direction, want.direction)
+
+
 class TestBrownianRate:
     def test_drift_inside_gives_one(self):
         assert cw.brownian_rate([1.0, 1.0], cw.orthant(2)) == 1.0
@@ -548,10 +601,23 @@ def outcome(fn, *args):
         return type(exc), str(exc), len(getattr(exc, "trace", ()))
 
 
+def effective_tol(law, dual, tol):
+    """tol times min(1, sigma), sigma the scale of the gradient that the
+    package's loop tests: max|s| on the orthant, max|s| max|r| over the rays
+    r of K* otherwise, 1 for the Gaussian transform."""
+    if isinstance(law, cw.GaussianLaplace):
+        return tol
+    sigma = float(np.abs(law.measure.steps).max())
+    if dual.kind != cw.cones.ORTHANT:
+        sigma *= float(np.abs(dual.rays).max())
+    return tol * min(1.0, sigma)
+
+
 class TestSharedTermsMatchReference:
     """The minimizers evaluate exp(S x) once per point and read the accepted
     trial's terms at the next iterate; every result must keep the bits of
-    the frozen one-exponential-per-call loops in reference_minimizers.py."""
+    the frozen one-exponential-per-call loops in reference_minimizers.py,
+    run at the package's effective tolerance (`effective_tol`)."""
 
     @given(minimizer_cases())
     @example((("finite", SLOWEST_RAYS, [1.0] * 6), "ineq", solver.DEFAULT_MAX_ITER, None))
@@ -559,12 +625,24 @@ class TestSharedTermsMatchReference:
     @example((("finite", [(-1000, 0), (1, 0), (0, 1), (0, -1)], [1.0] * 4), "orthant",
               solver.DEFAULT_MAX_ITER, [1.0, 1.0]))
     @example((("gaussian", [0.18393728253711747, -0.37069182622019753]), "ineq", 400, None))
+    # steps below scale 1: the loops' tolerance is tol times min(1, sigma)
+    @example((("finite", 0.25 * np.array(NSEW_SW), [1.0] * 5), "ineq", solver.DEFAULT_MAX_ITER,
+              None))
+    @example((("finite", 1e-3 * np.array(NSEW_SW), [1.0] * 5), "orthant",
+              solver.DEFAULT_MAX_ITER, None))
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_minimizers(self, case):
         model, cone, max_iter, start = case
         law, cone = build_case(model, cone)
         dual = cw.dual(cone)
         tol = solver.DEFAULT_TOL
+        ref_tol = effective_tol(law, dual, tol)
+        if ref_tol < np.sqrt(np.finfo(float).tiny):
+            # steps below about 1e-144: the frozen loops stop once
+            # np.linalg.norm(pg) <= tol, and that norm underflows to 0 below
+            # sqrt(tiny), so they stop on any gradient; the package's loops
+            # test max|pg| first
+            return
         assert bits(solver._default_init(law, dual)) == bits(ref.default_init(law, dual))
         if start is None:
             start = ref.default_init(law, dual)
@@ -575,17 +653,17 @@ class TestSharedTermsMatchReference:
         if dual.kind == cw.cones.ORTHANT:
             new = outcome(solver._minimize_orthant, law, tol, max_iter, start)
             with np.errstate(over="ignore"):
-                old = outcome(ref.minimize_orthant, law, tol, max_iter, start)
+                old = outcome(ref.minimize_orthant, law, ref_tol, max_iter, start)
         else:
             new = outcome(solver._minimize_rays, law, dual.rays, tol, max_iter, start)
             with np.errstate(over="ignore"):
-                old = outcome(ref.minimize_rays, law, dual.rays, tol, max_iter, start)
+                old = outcome(ref.minimize_rays, law, dual.rays, ref_tol, max_iter, start)
         assert new == old
         new = outcome(certificate, law, cone, tol, max_iter)
         if new[0] in (cw.ImproperModelError, ValueError):
             return  # refused by the hypothesis checks the reference leaves out
         with np.errstate(over="ignore"):
-            old = outcome(ref.minimize_on_dual, law, cone, tol, max_iter)
+            old = outcome(ref.minimize_on_dual, law, cone, ref_tol, max_iter)
         assert new == old
 
     def test_huge_start_converges_without_overflow(self):

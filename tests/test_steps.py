@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import conewalks as cw
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
+NSEW_SW = [(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)]
 
 
 class TestConstruction:
@@ -184,6 +186,41 @@ class TestH3:
             cw.check_h3([(0.5, 1.0)], 3)
 
 
+# each wrapped or slipped through an unchecked cast to int64
+BAD_LATTICE_STEPS = {
+    "past int64": [(1e19, 0), (0, 1), (-1, -1)],
+    "at 2**63": [(2.0**63, 0), (0, 1), (-1, -1)],
+    "python int past int64": [(10**20, 0), (0, 1), (-1, -1)],
+    "unsigned past int64": np.array([(2**64 - 1, 0), (0, 1)], dtype=np.uint64),
+    "infinite": [(np.inf, 0), (0, 1), (-1, -1)],
+    "nan": [(np.nan, 0), (0, 1), (-1, -1)],
+    "fractional": [(0.5, 0), (0, 1), (-1, -1)],
+}
+
+
+class TestLatticeSteps:
+    """One validator serves every lattice entry point."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_LATTICE_STEPS))
+    def test_refused_by_every_entry_point(self, case):
+        steps = BAD_LATTICE_STEPS[case]
+        calls = (lambda: cw.check_h3(steps, 4),
+                 lambda: cw.find_delta(steps, cw.orthant(2)),
+                 lambda: cw.count_walks(steps, (0, 0), 3),
+                 lambda: cw.end_point_counts(steps, (0, 0), None, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="lattice steps"):
+                    call()
+
+    def test_int64_range_accepted(self):
+        steps = [(2**62, 0), (0, 1), (-1, -1)]
+        out = cw.steps.as_lattice_steps(steps)
+        assert out.dtype == np.int64 and out.tolist() == [list(s) for s in steps]
+        assert cw.steps.as_lattice_steps(np.array(steps, dtype=float)).tolist() == out.tolist()
+
+
 class TestTilt:
     def test_identity_at_zero(self):
         m = cw.from_step_set(NSEW)
@@ -285,6 +322,22 @@ class TestH2PrimeInvariance:
             assert other[:2] == (proper, gmin)
             if not proper:
                 assert _valid_witness(other[2], other_steps, other_cone)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_h2_cases(), st.floats(-12.0, 12.0), st.integers(-40, 40))
+    @example((NSEW_SW, "orthant", [(1, 0)], [0, 1, 2, 3, 4], [0, 1]), -9.0, -30)
+    @example((NSEW_SW, "ineq", [(2, -1), (-1, 2)], [0, 1, 2, 3, 4], [0, 1]), -13.0, 30)
+    def test_scaling(self, case, log_c, k):
+        # both LPs read steps and rays scaled into [1, 2): a positive scale
+        # changes no verdict, and a power of two not even the witness's bits
+        steps, kind, vectors, _, _ = case
+        base = _verdicts(steps, _cone(kind, vectors))
+        for c in (10.0 ** log_c, 2.0 ** k):
+            for other in (_verdicts(c * np.array(steps), _cone(kind, vectors)),
+                          _verdicts(steps, _cone(kind, c * np.array(vectors)))):
+                assert other[:2] == base[:2]
+                if c == 2.0 ** k and not base[0]:
+                    assert other[2].tobytes() == base[2].tobytes()
 
     def test_cone_without_interior_refused(self):
         # K* of the ray (1, 0) holds a line, on which the phase-1 LP can stop
