@@ -67,7 +67,6 @@ from .montecarlo import (
 )
 from .solver import (
     GrowthResult,
-    HypothesisFlags,
     ImproperModelError,
     NonConvergenceError,
     RateCertificate,
@@ -86,7 +85,6 @@ from .steps import (
     check_h1_via_covariance,
     check_h2prime,
     check_h3,
-    counting_measure,
     covariance,
     from_step_set,
     mean,

@@ -20,8 +20,11 @@ transcribes the given vectors, so dual(dual(K)) is K.
 
 Interior is read from the rays alone, by one rule for every kind: a cone has
 interior exactly when its rays span R^d, and its interior vector is the sum
-of its rays scaled to unit l1 norm. Both rules compare vectors by relative
-tests only, so they do not depend on the scale of the given vectors.
+of its rays scaled to unit l1 norm. Norms and cosines are formed on rows
+scaled by powers of two into [1, 2) (`_simplex.scale_rows`), so both rules,
+and the cosine and rank tests of the enumeration, give the same verdicts
+for vectors scaled by any c > 0 whose derived vectors stay normal doubles;
+an enumeration whose cofactors would not is refused.
 Projections exist only for the cones the rate formulas need (orthant,
 half-space, single ray); everything else raises ``UnsupportedConeError``.
 """
@@ -35,6 +38,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ._simplex import scale_rows
 
 ORTHANT = "orthant"
 HALFSPACE = "halfspace"
@@ -100,7 +105,7 @@ class Cone:
 
     @cached_property
     def normal_norms(self):
-        norms = np.linalg.norm(self.normals, axis=1)
+        norms = _norms(self.normals)
         norms.flags.writeable = False
         return norms
 
@@ -185,8 +190,9 @@ def _perps(W):
     independent, the vector z with <z, x> = det([rows; x]): the rows' signed
     cofactors, each a (d - 1)-minor from `_dets`. Rows are dependent when |z|
     is at most RANK_TOL times the product of their norms (Hadamard's bound).
-    Past MAX_SUBSETS subsets or MAX_MINOR_ENTRIES entries it refuses before
-    any work."""
+    Past MAX_SUBSETS subsets or MAX_MINOR_ENTRIES entries, or where that
+    bound leaves the normal doubles (vectors far from scale 1 in R^3 and up,
+    whose cofactors would under- or overflow), it refuses before any work."""
     n, d = W.shape
     count = math.comb(n, d - 1)
     per_subset = d * (d - 1) ** 2
@@ -196,6 +202,14 @@ def _perps(W):
             f"and {count * per_subset} minor entries, above the budget of "
             f"{MAX_SUBSETS} subsets and {MAX_MINOR_ENTRIES} entries")
     subsets = np.array(list(itertools.combinations(range(n), d - 1)), np.intp).reshape(count, d - 1)
+    norms, bound = _norms(W), np.full(count, RANK_TOL)
+    with np.errstate(over="ignore"):
+        for col in subsets.T:
+            bound = bound * norms[col]
+    if not ((bound >= np.finfo(float).tiny) & (bound < np.inf)).all():
+        raise UnsupportedConeError(
+            f"facet enumeration in dimension {d} multiplies {d - 1} vector norms, "
+            "which leaves the range of doubles at the scale of these vectors")
     keep = np.array([[c for c in range(d) if c != j] for j in range(d)], dtype=np.intp)
     signs = (-1.0) ** (d - 1 + np.arange(d))
     Z = np.empty((count, d))
@@ -205,17 +219,14 @@ def _perps(W):
         minors = rows[:, :, keep].transpose(0, 2, 1, 3)  # (subset, column j, d - 1, d - 1)
         dets = _dets(minors.reshape(len(rows) * d, d - 1, d - 1))
         Z[lo:lo + chunk] = dets.reshape(len(rows), d) * signs
-    norms, bound = np.linalg.norm(W, axis=1), np.full(count, RANK_TOL)
-    for col in subsets.T:
-        bound = bound * norms[col]
-    return Z[np.linalg.norm(Z, axis=1) > bound]
+    return Z[_norms(Z) > bound]
 
 
 def _first_along(Z, fold):
     """The rows of Z at cosine below 1 - RANK_TOL from every row kept before
     them, the cosines folded by `fold` (np.abs compares lines, not
     directions). Memory grows with the rows kept, not with Z's rows squared."""
-    U = Z / np.linalg.norm(Z, axis=1)[:, None]
+    U = Z / _norms(Z)[:, None]
     kept = []
     for i, u in enumerate(U):
         if (fold(U[kept] @ u) < 1.0 - RANK_TOL).all():
@@ -223,10 +234,20 @@ def _first_along(Z, fold):
     return Z[kept]
 
 
+def _norms(M):
+    """The Euclidean norms of the rows of M, formed on the rows scaled by
+    powers of two into [1, 2), as `_simplex.scale_rows` scales them, so that
+    no square under- or overflows: the bits of np.linalg.norm(M, axis=1)
+    (the same sqrt of a sum of squares) wherever its squares stay normal."""
+    _, e = np.frexp(np.abs(M).max(axis=1, initial=0.0))
+    S = np.ldexp(M, (1 - e)[:, None])
+    return np.ldexp(np.sqrt(np.add.reduce(S * S, axis=1)), e - 1)
+
+
 def _rank(M):
     """Numerical rank of the rows of M as directions: the singular values of
     the rows scaled to unit length that exceed RANK_TOL times the largest."""
-    sv = np.linalg.svd(M / np.linalg.norm(M, axis=1)[:, None], compute_uv=False)
+    sv = np.linalg.svd(M / _norms(M)[:, None], compute_uv=False)
     return int(np.sum(sv > RANK_TOL * sv[0])) if sv.size else 0
 
 
@@ -239,7 +260,15 @@ def _generators(V):
     over every (d - 1)-subset; Fukuda & Prodon, "Double description method
     revisited", 1996)."""
     d = V.shape[1]
-    cos = lambda Z: (Z @ V.T) / np.outer(np.linalg.norm(Z, axis=1), np.linalg.norm(V, axis=1))
+    V1 = scale_rows(V)
+    V1_norms = _norms(V1)
+
+    def cos(Z):
+        """Cosines of Z's rows with V's, from rows scaled into [1, 2), whose
+        products stay normal doubles."""
+        Z1 = scale_rows(Z)
+        return (Z1 @ V1.T) / np.outer(_norms(Z1), V1_norms)
+
     lineality, K = d - _rank(V), np.zeros((0, d))
     if lineality:
         Z = _perps(np.vstack([V, np.eye(d)]))

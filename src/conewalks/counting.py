@@ -566,8 +566,6 @@ def cramer_identity_check(m, z, start, cone, n):
     tilted law. Both sides come from dense double-precision layers, so the
     horizon is capped where that stays meaningful.
     """
-    if m.mode != steps_mod.PROBABILITY:
-        raise ValueError("identity check needs a probability-mode measure")
     if n > 30:
         raise ValueError("identity check supports n <= 30 (dense double layers)")
     z = np.asarray(z, dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import counting
+from . import counting, steps as steps_mod
 
 HALFSPACE_STEPS = ((1, -1), (-1, 1), (-1, -1))
 
@@ -47,36 +47,16 @@ def segment_rate(N):
     return math.cos(math.pi / (2 * N + 2))
 
 
-def segment_operator_eigenvalue(N, tol=1e-12, max_iter=200000):
+def segment_operator_eigenvalue(N):
     """Dominant eigenvalue modulus of the (2N+1)-state segment operator.
 
-    Power iteration on the squared transition operator (the spectrum is
-    symmetric, so even powers kill the sign oscillation); independent of both
-    the cosine formula and the walk enumeration, giving a third route to the
-    same constant.
+    The largest |eigenvalue| of the symmetric tridiagonal transition matrix
+    of the +-1 walk killed off {0, ..., 2N}, from `np.linalg.eigvalsh`;
+    independent of both the cosine formula and the walk enumeration, giving a
+    third route to the same constant.
     """
-    size = 2 * N + 1
-    T = np.zeros((size, size))
-    for i in range(size):
-        if i > 0:
-            T[i, i - 1] = 0.5
-        if i < size - 1:
-            T[i, i + 1] = 0.5
-    T2 = T @ T
-    v = np.ones(size)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = T2 @ v
-        lam2 = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam2 - prev) <= tol:
-            return math.sqrt(max(lam2, 0.0))
-        prev = lam2
-    raise RuntimeError("power iteration did not converge")
+    half = np.full(2 * N, 0.5)
+    return float(np.abs(np.linalg.eigvalsh(np.diag(half, 1) + np.diag(half, -1))).max())
 
 
 @dataclass(frozen=True)
@@ -97,7 +77,7 @@ def halfspace_verify(p, N, start, n_max):
     reports the estimate from another point of the same diagonal, since the
     rate is a function of the diagonal alone.
     """
-    start = tuple(int(v) for v in start)
+    start = tuple(steps_mod.as_int64(start, "start must be a lattice point").tolist())
     if len(start) != 2 or min(start) < 0:
         raise ValueError("start must be a lattice point of the quarter plane")
     if start[0] + start[1] != 2 * N:

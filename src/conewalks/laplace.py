@@ -39,13 +39,10 @@ _OVERFLOW = "Laplace exponent exceeds the overflow guard (700)"
 
 @dataclass(frozen=True, eq=False)
 class FiniteLaplace:
-    """Transform of a finitely supported probability measure."""
+    """Transform L(x) = sum_s w_s e^{<x,s>} of a step measure, a finitely
+    supported probability law (`steps.StepMeasure`)."""
 
     measure: steps_mod.StepMeasure
-
-    def __post_init__(self):
-        if self.measure.mode != steps_mod.PROBABILITY:
-            raise ValueError("FiniteLaplace needs a probability-mode measure")
 
     @property
     def dim(self):

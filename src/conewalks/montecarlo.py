@@ -109,7 +109,6 @@ def _choose_steps(raw, thresholds):
 
 def _simulate(m, start, cone, config, checkpoints, statistic):
     """Drive the walk ensemble and evaluate `statistic` at each checkpoint."""
-    steps_mod._require_probability(m, "simulation")
     start = np.asarray(start)
     if start.shape != (m.dim,):
         raise ValueError(f"start must have length {m.dim}, got shape {start.shape}")

@@ -71,13 +71,6 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class HypothesisFlags:
-    h1: bool
-    h2prime: bool
-    h3: bool | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class RateCertificate:
     x_star: np.ndarray
@@ -87,9 +80,9 @@ class RateCertificate:
     kkt_orthogonality: float
     active_set: tuple
     iterations: int
-    hypothesis_flags: HypothesisFlags
 
     def to_dict(self):
+        # a certificate exists only where H1 and H2' hold; H3 is not checked
         return {
             "x_star": [float(v) for v in self.x_star],
             "rho": float(self.rho),
@@ -98,11 +91,7 @@ class RateCertificate:
             "kkt_orthogonality": float(self.kkt_orthogonality),
             "active_set": list(self.active_set),
             "iterations": int(self.iterations),
-            "hypothesis_flags": {
-                "h1": self.hypothesis_flags.h1,
-                "h2prime": self.hypothesis_flags.h2prime,
-                "h3": self.hypothesis_flags.h3,
-            },
+            "hypothesis_flags": {"h1": True, "h2prime": True, "h3": None},
         }
 
 
@@ -259,6 +248,11 @@ def _unconverged_ray(u):
     return NonConvergenceError(f"no convergence on the ray along {u.tolist()}", [])
 
 
+def _reach(R):
+    """max|r_i| of each ray: t_i contributes t_i max|r_i| to x = R^T t."""
+    return np.abs(R).max(axis=1)
+
+
 def _minimize_rays(model, R, tol, max_iter, t0):
     """Projected gradient over x = R^T t, t >= 0.
 
@@ -267,9 +261,11 @@ def _minimize_rays(model, R, tol, max_iter, t0):
     certify descent the iteration falls back to the safeguard step
     1 / lambda_max(R H R^T), which contracts for a smooth convex objective
     without consulting function values. The gradient in t is R grad L, of
-    scale max|s| max|r|.
+    scale max|s| max|r|. A coefficient t_i counts as free when t_i max|r_i|,
+    its contribution to x, passes ACTIVE_EPS, as x_i does on the orthant.
     """
-    tol = tol * min(1.0, _step_scale(model) * float(np.abs(R).max(initial=0.0)))
+    reach = _reach(R)
+    tol = tol * min(1.0, _step_scale(model) * float(reach.max(initial=0.0)))
     t = np.maximum(np.asarray(t0, dtype=float), 0.0)
     x = R.T @ t
     at = laplace._terms(model, x)
@@ -281,7 +277,7 @@ def _minimize_rays(model, R, tol, max_iter, t0):
     trace = [t.copy()]
     for it in range(1, max_iter + 1):
         g = R @ at.gradient()
-        pg = np.where(t > ACTIVE_EPS, g, np.minimum(g, 0.0))
+        pg = np.where(t * reach > ACTIVE_EPS, g, np.minimum(g, 0.0))
         if max(map(abs, pg.tolist()), default=0.0) <= tol and float(np.linalg.norm(pg)) <= tol:
             return x, t, it, trace
         curv = np.linalg.eigvalsh(R @ at.hessian() @ R.T)[-1]
@@ -392,9 +388,8 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         grad=grad,
         kkt_membership_residual=_membership_violation(cone, grad),
         kkt_orthogonality=float(grad @ x_star),
-        active_set=tuple(int(i) for i in np.flatnonzero(t <= ACTIVE_EPS)),
+        active_set=tuple(int(i) for i in np.flatnonzero(t * _reach(R) <= ACTIVE_EPS)),
         iterations=iterations,
-        hypothesis_flags=HypothesisFlags(h1=True, h2prime=True),
     )
 
 

@@ -1,11 +1,11 @@
 """Finitely supported increment measures and the walk hypotheses.
 
-A ``StepMeasure`` is the step set with strictly positive weights, either as a
-probability law (weights sum to 1) or as plain unit counting weights. The
-hypothesis checks decide whether the support spans the whole space, whether
-it avoids every half-space cut out by a dual-cone direction (which is what
-makes the rate minimizer exist), and whether a lattice path from the origin
-can reach the open orthant.
+A ``StepMeasure`` is the step set with strictly positive weights that sum to
+1: a probability law. Walk counting needs no measure of its own, as the
+counting DP takes the raw steps. The hypothesis checks decide whether the
+support spans the whole space, whether it avoids every half-space cut out by
+a dual-cone direction (which is what makes the rate minimizer exist), and
+whether a lattice path from the origin can reach the open orthant.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import numpy as np
 from . import cones
 from ._simplex import scale_rows, simplex_min
 
-PROBABILITY = "probability"
-COUNTING = "counting"
-
 MAX_EXPONENT = 700.0
 
 # Relative singular-value cutoff for the span test, and eigenvalue cutoff for
@@ -33,12 +30,11 @@ RANK_TOL = 1e-10
 class StepMeasure:
     dim: int
     steps: np.ndarray    # (k, dim), pairwise distinct rows
-    weights: np.ndarray  # (k,), strictly positive
-    mode: str
+    weights: np.ndarray  # (k,), strictly positive, summing to 1
 
     def __repr__(self):
         return (f"StepMeasure(dim={self.dim}, steps={self.steps.tolist()}, "
-                f"weights={self.weights.tolist()}, mode={self.mode!r})")
+                f"weights={self.weights.tolist()})")
 
     @property
     def support_size(self):
@@ -48,7 +44,9 @@ class StepMeasure:
         return bool(np.all(self.steps == np.round(self.steps)))
 
 
-def _validate(steps, weights, mode):
+def probability_measure(steps, weights):
+    """The law with the given weights on pairwise distinct finite steps; the
+    weights must be finite, strictly positive and sum to 1 (to 1e-12)."""
     steps = np.atleast_2d(np.asarray(steps, dtype=float))
     k, d = steps.shape
     if k == 0:
@@ -68,9 +66,9 @@ def _validate(steps, weights, mode):
         raise ValueError("weights must be finite")
     if np.any(weights <= 0.0):
         raise ValueError("weights must be strictly positive")
-    if mode == PROBABILITY and abs(weights.sum() - 1.0) > 1e-12:
+    if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError(f"probability weights sum to {weights.sum()!r}, not 1")
-    return StepMeasure(d, steps, weights, mode)
+    return StepMeasure(d, steps, weights)
 
 
 def from_step_set(steps):
@@ -79,30 +77,14 @@ def from_step_set(steps):
     k = steps.shape[0]
     if k == 0:
         raise ValueError("step set must be non-empty")
-    return _validate(steps, np.full(k, 1.0 / k), PROBABILITY)
-
-
-def probability_measure(steps, weights):
-    return _validate(steps, weights, PROBABILITY)
-
-
-def counting_measure(steps):
-    steps = np.atleast_2d(np.asarray(steps, dtype=float))
-    return _validate(steps, np.ones(steps.shape[0]), COUNTING)
-
-
-def _require_probability(m, what):
-    if m.mode != PROBABILITY:
-        raise ValueError(f"{what} requires a probability-mode measure")
+    return probability_measure(steps, np.full(k, 1.0 / k))
 
 
 def mean(m):
-    _require_probability(m, "mean")
     return m.weights @ m.steps
 
 
 def covariance(m):
-    _require_probability(m, "covariance")
     centered = m.steps - mean(m)
     return (m.weights[:, None] * centered).T @ centered
 
@@ -121,7 +103,6 @@ def check_h1_via_covariance(m):
     The support spans the space exactly when the covariance is nondegenerate,
     or its kernel is a line that the mean does not sit orthogonally to.
     """
-    _require_probability(m, "check_h1_via_covariance")
     gamma = covariance(m)
     eigvals, eigvecs = np.linalg.eigh(gamma)
     top = eigvals[-1]
@@ -280,7 +261,6 @@ def check_h3(steps, search_depth=None):
 
 def tilt(m, z):
     """Exponential change of measure: weights w_s e^{<z,s>} / L(z)."""
-    _require_probability(m, "tilt")
     z = np.asarray(z, dtype=float)
     if z.shape != (m.dim,):
         raise ValueError(f"tilt point must have length {m.dim}")
@@ -289,4 +269,4 @@ def tilt(m, z):
         raise OverflowError("tilt exponent exceeds the overflow guard (700)")
     w = m.weights * np.exp(dots)
     w = w / w.sum()
-    return StepMeasure(m.dim, m.steps, w, PROBABILITY)
+    return StepMeasure(m.dim, m.steps, w)

@@ -79,6 +79,18 @@ class TestRate:
         assert code == 1 and "cannot read" in err
 
 
+    @pytest.mark.parametrize("scale", ["1", "1e12"])
+    def test_scaled_inequality_cone_never_exits_0_with_a_wrong_rate(self, capsys, step_file, scale):
+        # at 1e12 the ray coefficients of x* are near 2.8e-13; read as zero,
+        # they ended the solve after 2 iterations with rho off by 3.5e-6
+        path = step_file("nsew_sw.json", 2, NSEW_SW)
+        _, want, _ = run_json(capsys, "rate", "--steps", path, "--cone", "ineq:[[2,-1],[-1,2]]")
+        cone = f"ineq:[[{2 * float(scale)},-{scale}],[-{scale},{2 * float(scale)}]]"
+        code, doc, _ = run_json(capsys, "rate", "--steps", path, "--cone", cone)
+        rho = want["certificate"]["rho"]
+        assert code == 3 or (code == 0 and abs(doc["certificate"]["rho"] - rho) <= 1e-12 * rho)
+
+
 class TestEnumerate:
     def test_exact_counts_and_csv(self, capsys, step_file, tmp_path):
         path = step_file("nsew.json", 2, NSEW)
@@ -217,6 +229,30 @@ class TestLatticeStart:
         code, doc, _ = run_json(capsys, "halfspace", "--p", "0.5", "--N", "1", "--n", "20",
                                 "--start", "1.0,1.0")
         assert code == 0 and doc["config"]["start"] == [1, 1]
+
+
+class TestTextReports:
+    """Without --json a report prints one `dotted.key: value` line per leaf,
+    a list of more than 12 values abbreviated, under the --json exit code."""
+
+    def test_enumerate_abbreviates_long_lists(self, capsys, step_file):
+        path = step_file("nsew.json", 2, NSEW)
+        argv = ("enumerate", "--steps", path, "--start", "1,1", "--n", "20")
+        code, out, _ = run(capsys, *argv)
+        json_code, doc, _ = run_json(capsys, *argv)
+        assert code == json_code == 0
+        values = doc["values"]
+        assert f"values: [{values[0]}, {values[1]}, ... 21 items ..., {values[-1]}]" in out.splitlines()
+        assert "config.start: [1, 1]" in out.splitlines()
+
+    def test_check_prints_dotted_keys(self, capsys, step_file):
+        path = step_file("hs.json", 2, HALFSPACE_MODEL)
+        code, out, _ = run(capsys, "check", "--steps", path)
+        json_code, _, _ = run_json(capsys, "check", "--steps", path)
+        assert code == json_code == 2
+        lines = out.splitlines()
+        assert "h2prime.proper: False" in lines and "h2prime.witness: [0.5, 0.5]" in lines
+        assert "status: improper" in lines
 
 
 class TestCheck:

@@ -313,6 +313,33 @@ class TestInteriorInvariance:
         assert cw.interior_vector(moved).tobytes() == v.tobytes()
         assert np.allclose(cw.interior_vector(scaled), v, rtol=0.0, atol=1e-12 * np.abs(v).max())
 
+    @pytest.mark.parametrize("make, vectors", [(cw.inequalities, [[2, -1], [-1, 2]]),
+                                               (cw.halfspace, [1, 1]),
+                                               (cw.generated, [[1, 0], [1, 1]])])
+    def test_plane_cones_below_the_square_root_of_tiny(self, make, vectors):
+        # squares of 1e-200 underflow: norms of 0 divided the cosines and
+        # the rank test, refusing these cones or failing the SVD
+        V = np.array(vectors, dtype=float)
+        base, tiny = make(V), make(1e-200 * V)
+        assert cw.has_interior(tiny)
+        assert cw.interior_vector(tiny).tobytes() == cw.interior_vector(base).tobytes()
+        # in the plane a derived vector is a given one turned by a right angle
+        assert np.array_equal(tiny.rays, 1e-200 * base.rays)
+        assert np.array_equal(tiny.normals, 1e-200 * base.normals)
+        assert np.allclose(tiny.normal_norms, 1e-200 * base.normal_norms, rtol=1e-15, atol=0.0)
+        assert cw.strictly_contains(tiny, cw.interior_vector(tiny))
+        assert cw.check_h2prime(cw.from_step_set(ENSWS), tiny).proper
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_space_cones_whose_cofactors_leave_the_doubles_are_refused(self, c):
+        # cofactors of two 1e-200 vectors underflow to 0 and were dropped as
+        # dependent: the generated cone got no normals and held every point
+        R = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(cw.UnsupportedConeError, match="range of doubles"):
+            cw.generated(c * R).normals
+        with pytest.raises(cw.UnsupportedConeError, match="range of doubles"):
+            cw.has_interior(cw.inequalities(c * R))
+
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 ENSWS = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)]

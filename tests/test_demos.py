@@ -7,6 +7,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# each demo's stdout, byte for byte: the demos are deterministic, so any
+# change to a number or a line they print shows up here
+GOLDEN = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_demos_are_found():
@@ -20,4 +23,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

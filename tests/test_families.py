@@ -66,9 +66,9 @@ class TestSegmentRate:
         assert abs(cw.segment_rate(1) - math.sqrt(2.0) / 2.0) <= 1e-15
         assert abs(cw.segment_rate(2) - math.sqrt(3.0) / 2.0) <= 1e-15
 
-    def test_matches_power_iteration_oracle(self):
-        for N in range(1, 7):
-            assert abs(cw.segment_operator_eigenvalue(N) - cw.segment_rate(N)) <= 1e-10
+    def test_matches_spectral_oracle(self):
+        for N in range(1, 41):
+            assert abs(cw.segment_operator_eigenvalue(N) - cw.segment_rate(N)) <= 1e-14
 
     def test_matches_segment_dp(self):
         for N in (1, 2, 3):
@@ -100,6 +100,15 @@ class TestHalfspaceVerify:
             cw.halfspace_verify(1 / 3, 1, (2, 1), 100)
         with pytest.raises(ValueError):
             cw.halfspace_verify(1 / 3, 1, (-1, 3), 100)
+
+    @pytest.mark.parametrize("start", [(2.9, 2.9), (2.5, 2.5), (2, 2.5)])
+    def test_fractional_start_rejected(self, start):
+        # int() truncated (2.9, 2.9) to (2, 2) and reported that start's rate
+        with pytest.raises(ValueError, match="lattice point"):
+            cw.halfspace_verify(0.4, 2, start, 50)
+
+    def test_integral_float_start_accepted(self):
+        assert cw.halfspace_verify(0.4, 2, (2.0, 2.0), 50) == cw.halfspace_verify(0.4, 2, (2, 2), 50)
 
     def test_other_bias(self):
         # heavier diagonal jump shrinks q and the rate with it

@@ -180,11 +180,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cw.SimConfig(seed=0, trials=10, n=0)
 
-    def test_counting_measure_rejected(self):
-        m = cw.counting_measure(NSEW)
-        with pytest.raises(ValueError):
-            cw.simulate_survival(m, (0, 0), Q2, cw.SimConfig(seed=0, trials=10, n=5))
-
     @pytest.mark.parametrize("field", [{"trials": 10.0}, {"n": 5.5}, {"trials": "10"},
                                        {"seed": 1.5}, {"seed": -1}, {"seed": 2**128}, {"n": True}])
     def test_non_integer_or_out_of_range_config_rejected(self, field):

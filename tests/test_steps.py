@@ -49,13 +49,6 @@ class TestConstruction:
             else:
                 cw.probability_measure(steps, weights)
 
-    def test_counting_mode_blocks_moments(self):
-        m = cw.counting_measure(NSEW)
-        with pytest.raises(ValueError):
-            cw.mean(m)
-        with pytest.raises(ValueError):
-            cw.covariance(m)
-
 
 class TestMoments:
     def test_mean_symmetry(self):
