@@ -42,7 +42,7 @@ print(f"\nstart (3,1) on the same diagonal as (2,2): "
 
 # --- the segment factor has its own spectral identity ------------------------
 print("\nsegment factor cos(pi/(2N+2)) vs the tridiagonal operator's top "
-      "eigenvalue (power iteration):")
+      "eigenvalue (np.linalg.eigvalsh):")
 for N in (1, 2, 3, 4):
     spectral = cw.segment_operator_eigenvalue(N)
     print(f"  N={N}: formula {cw.segment_rate(N):.12f}, spectral {spectral:.12f}")

@@ -58,8 +58,8 @@ RANK_TOL = 1e-10
 # subsets of vectors it visits, and the entries of the d minors of size
 # d - 1 it eliminates per subset. 21 normals of full rank in R^7 (54264
 # subsets, 13.7M entries) take about 1.1 s; the entry budget binds from
-# d = 8 on. _CHUNK_ENTRIES entries are eliminated at a time, so the minors
-# take a few MB.
+# d = 8 on. _CHUNK_ENTRIES entries are eliminated at a time, and as many
+# cosines formed at a time, so the minors and the cosines take a few MB.
 MAX_SUBSETS = 2**16
 MAX_MINOR_ENTRIES = 2**24
 _CHUNK_ENTRIES = 2**18
@@ -262,23 +262,29 @@ def _generators(V):
     d = V.shape[1]
     V1 = scale_rows(V)
     V1_norms = _norms(V1)
+    rows = max(1, _CHUNK_ENTRIES // len(V1))
 
-    def cos(Z):
-        """Cosines of Z's rows with V's, from rows scaled into [1, 2), whose
-        products stay normal doubles."""
-        Z1 = scale_rows(Z)
-        return (Z1 @ V1.T) / np.outer(_norms(Z1), V1_norms)
+    def cos_range(Z):
+        """The least and the largest cosine of each row of Z with V's rows,
+        from rows scaled into [1, 2), whose products stay normal doubles; the
+        cosines are formed for ``rows`` rows of Z at a time."""
+        lo, hi = np.empty(len(Z)), np.empty(len(Z))
+        for a in range(0, len(Z), rows):
+            Z1 = scale_rows(Z[a:a + rows])
+            c = (Z1 @ V1.T) / np.outer(_norms(Z1), V1_norms)
+            lo[a:a + rows], hi[a:a + rows] = c.min(axis=1), c.max(axis=1)
+        return lo, hi
 
     lineality, K = d - _rank(V), np.zeros((0, d))
     if lineality:
         Z = _perps(np.vstack([V, np.eye(d)]))
-        for z in _first_along(Z[np.abs(cos(Z)).max(axis=1) <= RANK_TOL], np.abs):
+        lo, hi = cos_range(Z)
+        for z in _first_along(Z[np.maximum(-lo, hi) <= RANK_TOL], np.abs):
             if len(K) < lineality and _rank(np.vstack([K, z])) > len(K):
                 K = np.vstack([K, z])
     Z = _perps(np.vstack([V, K]))
     # each candidate is tried with both signs; cos(-Z) is -cos(Z) exactly
-    c = cos(Z)
-    lo, hi = c.min(axis=1), c.max(axis=1)
+    lo, hi = cos_range(Z)
     Z = np.vstack([Z[(lo >= -RANK_TOL) & (hi > RANK_TOL)], -Z[(hi <= RANK_TOL) & (lo < -RANK_TOL)]])
     rays = _first_along(Z, np.asarray)
     return np.vstack([K, -K, rays]) + 0.0  # + 0.0 turns -0.0 into 0.0

@@ -34,6 +34,21 @@ malloc's heap or on the host's free huge pages. A step with a weight other
 than 1 forms its product PRODUCT_BLOCK cells at a time in one block the DP
 owns.
 
+Every index of a step follows from the layer's layout: the buffer holding
+it, its lowest point, its shape, its flat range, and in exact mode its limbs
+before and after the step. So each step runs from a plan of its layout: the
+zeroing, copy, multiply and add calls on views built once, the pads of the
+cut axes, the 1-wide faces of the new box that the trim tests, and for each
+trim outcome met so far the trimmed layer with the views that its
+normalisation, carry and total read. A box held small by a wall or by the
+FLOAT_TRIM cut repeats its layouts, mostly with period 2 from lattice
+parity, so a layout seen a second time keeps its plan, and later layers of
+that layout replay it with no index arithmetic in Python. A relayout drops
+every plan, as plans hold views of the buffers it frees; a growing box,
+whose layouts do not repeat, keeps none. Building a plan and replaying it
+make the same numpy calls on the same operands in the same order, so no bit
+depends on whether a layer was replayed.
+
 Exact counts use radix 2^r with r = 63 - bit_length(|S|), so |S| 2^r < 2^63.
 Layer k holds L = ceil(bit_length(|S|^k) / r) limbs: |S|^k bounds every
 cell, so no cell reaches 2^(rL) and the top limb never carries. After the
@@ -78,6 +93,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +114,9 @@ PRODUCT_BLOCK = 1 << 15
 MAX_HORIZON_EXACT = 200
 MAX_HORIZON = {1: 2000, 2: 2000, 3: 120}
 MAX_HORIZON_HIGH_DIM = 60
+# Cap on the cells (times the limbs in exact mode) of the largest box a run
+# can reach, checked before anything is allocated: 2^24 doubles are 128 MiB.
+MAX_BOX_CELLS = 1 << 24
 
 # DP buffers of at least this many bytes get a mapping of their own.
 MAPPED_BYTES = 1 << 18
@@ -176,7 +195,8 @@ def _as_orthant_start(start, dim, cone):
 
 def _dp_inputs(steps, start, n, weights, exact, cone):
     """Checked steps, start and weights (None in exact mode) for a layer DP
-    run to horizon ``n``; every malformed input raises ValueError.
+    run to horizon ``n``; every malformed input, and a run whose box could
+    pass MAX_BOX_CELLS, raises ValueError.
 
     With g the per-axis gcd of the step coordinates and start = g q + r,
     0 <= r < g, g z + r is in the orthant exactly when z is: the DP runs on
@@ -201,6 +221,17 @@ def _dp_inputs(steps, start, n, weights, exact, cone):
             raise ValueError("exact mode counts walks and requires unit weights")
         if n > MAX_HORIZON_EXACT:
             raise ValueError(f"exact mode capped at n <= {MAX_HORIZON_EXACT}")
+    # on axis k the box spans at most n span_k + 1 cells and reaches no
+    # further than start_k + n max(step_max_k, 0); an exact layer n holds
+    # its cells on as many limbs as |S|^n needs (see _LayerDP)
+    n = int(n)
+    cells = math.prod(min(n * (b - a) + 1, s + n * max(b, 0) + 1) for a, b, s in zip(
+        steps.min(axis=0).tolist(), steps.max(axis=0).tolist(), start.tolist()))
+    limbs = -(-(k ** n).bit_length() // (63 - k.bit_length())) if exact else 1
+    if cells * limbs > MAX_BOX_CELLS:
+        raise ValueError(f"the DP box can reach {cells * limbs} cells by horizon {n}, "
+                         f"above the budget of {MAX_BOX_CELLS}")
+    if exact:
         return steps, start, None, lift
     w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (k,) or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -210,6 +241,22 @@ def _dp_inputs(steps, start, n, weights, exact, cone):
         raise ValueError("weights more than the double range apart: the smallest "
                          "would underflow when divided by the largest")
     return steps, start, w, lift
+
+
+class _Plan:
+    """One step of the layer DP from one layout: the numpy calls of its adds
+    and zeroing on views built once, the untrimmed box they leave, and the
+    states its trim outcomes lead to (see ``_LayerDP``)."""
+
+    __slots__ = ("ops", "box", "extent", "lo", "faces", "trims")
+
+    def __init__(self, ops, box, extent, lo):
+        self.ops = ops  # (function, arguments) pairs in the order they run
+        self.box = box
+        self.extent = extent
+        self.lo = lo
+        self.faces = {}  # (axis, index) -> 1-wide slice of box
+        self.trims = {}  # trim outcome -> state of the trimmed layer
 
 
 class _LayerDP:
@@ -222,14 +269,23 @@ class _LayerDP:
     exact mode the ``_limbs`` active limbs of each cell on a leading axis.
     ``layer`` is shaped like the box: ``_view`` itself, or in exact mode its
     lowest limb. ``lo`` is the box's lowest lattice point, and
-    ``_first``/``_end`` bound its flat range; every cell of that range
-    outside the box is zero in every limb. ``_box`` and ``_cut`` are the
-    untrimmed box the layer was cut from and the layer's place in it: they
-    give the unpadded strides and offsets at which ``total`` sums a float
-    layer when it must. The other buffer is idle: the next layer is written
-    there, and the carry and the totals use it as scratch. In exact mode
-    ``_bound`` is |S|^k at layer k, which bounds every cell, and ``_radix``
-    is r.
+    ``_first``/``_end`` bound its flat range ``_cells``; every cell of that
+    range outside the box is zero in every limb. The other buffer is idle:
+    the next layer is written there, and the carry (``_carry``) and the
+    totals use it as scratch. ``total`` sums ``_total``: the float layer
+    itself, or, when ``_copy`` is set, the place in the idle buffer where an
+    unpadded C-ordered untrimmed box would hold it; in exact mode the scratch
+    of the limb sums. In exact mode ``_bound`` is |S|^k at layer k, which
+    bounds every cell, and ``_radix`` is r.
+
+    A layer's layout is ``_key``: buffer parity (``_parity``), ``lo``,
+    shape, ``_first``, ``_end`` and the held limbs, to which exact mode adds
+    the next layer's limbs. Every step looks its plan up in ``_plans`` or
+    has ``_plan`` build it, then runs it; there is no other path. A plan is
+    kept from the second time its layout is met since the last relayout
+    (``_seen`` holds the layouts met once), and caches the state
+    (``_state``) that each trim outcome leaves. ``_relayout`` clears both,
+    as plans hold views of the buffers it frees.
     """
 
     def __init__(self, steps, weights, start, exact, trim_threshold=FLOAT_TRIM):
@@ -257,44 +313,73 @@ class _LayerDP:
         self._limbs = 1
         # the index of the limb axis, which only exact views have
         self._lead = (slice(None),) if exact else ()
+        self._plans, self._seen, self._parity = {}, set(), 0
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
         dtype = np.uint64 if exact else float
-        self._set_view(np.ones((1,) * (len(self._lead) + d), dtype=dtype))
-        self._box, self._cut = [1] * d, [0] * d
+        self._view = np.ones((1,) * (len(self._lead) + d), dtype=dtype)
         self._buffers = [np.empty((1, 0) if exact else (0,), dtype=dtype)] * 2
         self._relayout(1, 1)
+        self._set_state(self._state(self._view, [1] * d, self.lo, (0, 0) * d))
+
+    @property
+    def layer(self):
+        return self._view[0] if self.exact else self._view
 
     @property
     def dead(self):
-        return self.layer.size == 0
-
-    def _set_view(self, view):
-        self._view = view
-        self.layer = view[0] if self.exact else view
+        return self._view.size == 0
 
     def total(self):
         if self.dead:
             return 0 if self.exact else (0.0, self.log_scale)
         if self.exact:
             # each limb's 32-bit halves sum exactly in uint64 over < 2^32 cells
-            first, end = self._first, self._end
-            assert end - first < 1 << 32
-            cells, scratch = (b[:self._limbs, first:end] for b in self._buffers)
+            assert self._end - self._first < 1 << 32
+            cells, scratch = self._cells, self._total
             low = np.bitwise_and(cells, 0xFFFFFFFF, out=scratch).sum(axis=1).tolist()
             high = np.right_shift(cells, 32, out=scratch).sum(axis=1).tolist()
             return sum((a + (b << 32)) << (self._radix * j)
                        for j, (a, b) in enumerate(zip(low, high)))
-        layer = self.layer
-        if self._extents != self._box[1:] and any(
-                k == b for k, b in zip(layer.shape[1:], self._box[1:])):
+        if self._copy:
+            self._total[...] = self._view
+        return (float(self._total.sum()), self.log_scale)
+
+    def _state(self, box, extent, lo, bounds):
+        """The layer that ``bounds`` (see ``_trim``) cut from ``box``, an
+        untrimmed box of ``extent`` at ``lo`` that starts the buffer, and the
+        views that read it, in the order of ``_set_state``."""
+        index, lo, first, end = self._lead, list(lo), 0, 1
+        for ax, stride in enumerate(self._strides):
+            a, b = bounds[2 * ax], bounds[2 * ax + 1]
+            index += (slice(a, b + 1),)
+            lo[ax] += a
+            first += a * stride
+            end += b * stride
+        view = box[index]
+        cells, idle = self._buffers[0][..., first:end], self._buffers[1]
+        copy, carry, total = False, None, view
+        if self.exact:
+            cells, total = cells[:self._limbs], idle[:self._limbs, first:end]
+            if self._limbs > 1:
+                carry = (cells[:-1], cells[1:], total[:-1])
+        elif self._extents != extent[1:] and any(
+                k == b for k, b in zip(view.shape[1:], extent[1:])):
             # numpy merges an axis spanning its whole box into the one before
             # it, and the pairwise sum's rounding follows the merged strides:
             # sum the layer where a C-ordered unpadded box would hold it
-            box = self._buffers[1][:math.prod(self._box)].reshape(self._box)
-            layer = box[tuple(slice(c, c + k) for c, k in zip(self._cut, layer.shape))]
-            layer[...] = self.layer
-        return (float(layer.sum()), self.log_scale)
+            copy = True
+            total = idle[:math.prod(extent)].reshape(extent)[
+                tuple(slice(c, c + k) for c, k in zip(bounds[0::2], view.shape))]
+        key = self._layout(lo, view.shape[-self.d:], first, end)
+        return view, lo, first, end, cells, total, copy, carry, key
+
+    def _set_state(self, state):
+        (self._view, self.lo, self._first, self._end,
+         self._cells, self._total, self._copy, self._carry, self._key) = state
+
+    def _layout(self, lo, shape, first, end):
+        return (self._parity, tuple(lo), shape, first, end, self._limbs)
 
     def _relayout(self, rows, limbs):
         """Copy the layer to the start of the idle buffer, padding each axis
@@ -302,13 +387,17 @@ class _LayerDP:
         buffers for ``rows`` rows (and for the layer's own) of ``limbs``
         limbs. A buffer is freed before a larger one replaces it, so no more
         than two layer-sized arrays are ever alive."""
-        n = self.layer.shape
+        # plans and state views keep the buffers they view alive
+        self._plans.clear()
+        self._seen.clear()
+        self._cells = self._total = self._carry = None
+        n, dtype = self.layer.shape, self._view.dtype
         # the widest layer (on axes k >= 1) that still has a span of padding
         self._room = [k + s for k, s in zip(n[1:], self.span[1:])]
         self._extents = [k + s for k, s in zip(self._room, self.span[1:])]
         self._strides = [math.prod(self._extents[k:]) for k in range(self.d)]
-        self._plan = [(sum(s * st for s, st in zip(shift, self._strides)), w)
-                      for shift, w in zip(self.shifts, self.weights)]
+        self._offsets = [(sum(s * st for s, st in zip(shift, self._strides)), w)
+                         for shift, w in zip(self.shifts, self.weights)]
         # a layer pressed against the wall on axis 0 may have more rows than
         # the box it advances to
         size = max(rows, n[0]) * self._strides[0]
@@ -320,34 +409,34 @@ class _LayerDP:
         if grow:
             # spare rows and limbs stay unmapped until a box reaches them
             self._buffers[1] = None
-            self._buffers[1] = _buffer(want, self.layer.dtype)
+            self._buffers[1] = _buffer(want, dtype)
         idle = self._buffers[1][:self._limbs] if self.exact else self._buffers[1]
         padded = idle[..., :n[0] * self._strides[0]].reshape(
             *idle.shape[:-1], n[0], *self._extents)
         padded.fill(0)
         index = self._lead + (slice(None),) + tuple(slice(0, k) for k in n[1:])
         padded[index] = self._view
-        self._set_view(padded[index])
-        self._first = 0
-        self._end = sum((k - 1) * st for k, st in zip(n, self._strides)) + 1
+        self._view = padded[index]
         self._buffers.reverse()
+        self._parity ^= 1
         if grow:
             self._buffers[1] = None
-            self._buffers[1] = _buffer(want, self.layer.dtype)
+            self._buffers[1] = _buffer(want, dtype)
+        self._first = 0
+        self._end = sum((k - 1) * st for k, st in zip(n, self._strides)) + 1
+        self._key = self._layout(self.lo, n, self._first, self._end)
 
-    def advance(self):
-        if self.dead:
-            return
-        lo, n = self.lo, self.layer.shape
+    def _plan(self, limbs):
+        """The plan of the next step from the layer's layout, or None when
+        that step leaves the orthant on some axis. Lays the layer out anew
+        first when the next box outgrows its padding, its buffer or its
+        limbs."""
+        lo, n = self.lo, self._view.shape[-self.d:]
         new_lo = [max(a + m, 0) for a, m in zip(lo, self.step_min)]
         box = [a + k - b + m for a, k, b, m in zip(lo, n, new_lo, self.step_max)]
         if min(box) <= 0:
-            self._kill()
-            return
-        held = limbs = self._limbs
-        if self.exact:
-            self._bound *= len(self.shifts)
-            limbs = -(-self._bound.bit_length() // self._radix)
+            return None
+        held = self._limbs
         if (box[0] * self._strides[0] > self._buffers[1].shape[-1]
                 or self.exact and limbs > len(self._buffers[1])
                 or any(k > r for k, r in zip(n[1:], self._room))):
@@ -359,58 +448,91 @@ class _LayerDP:
         # the layer's cell f lands on the new box's cell f + base + offset,
         # where the new box starts at the start of dst
         base = sum((a - b) * st for a, b, st in zip(lo, new_lo, self._strides)) - first
-        fresh = True
-        for offset, w in self._plan:
+        ops = []
+        for offset, w in self._offsets:
             offset += base
             g0 = max(first, -offset)
             if g0 >= end:
                 continue
-            if fresh:
+            if not ops:
                 # writing the first step's cells saves a pass that zeroes them
-                fresh = False
-                new[..., :g0 + offset] = 0
-                new[..., end + offset:rows] = 0
+                for v in new[..., :g0 + offset], new[..., end + offset:rows]:
+                    if v.size:
+                        ops.append((v.fill, (0,)))
                 if w is None:
-                    new[..., g0 + offset:end + offset] = old[..., g0:end]
+                    ops.append((operator.setitem, (new[..., g0 + offset:end + offset], ...,
+                                                   old[..., g0:end])))
                 else:
                     for a in range(g0, end, PRODUCT_BLOCK):
                         b = min(a + PRODUCT_BLOCK, end)
-                        np.multiply(old[a:b], w, out=new[a + offset:b + offset])
+                        ops.append((np.multiply, (old[a:b], w, new[a + offset:b + offset])))
             elif w is None:
-                new[..., g0 + offset:end + offset] += old[..., g0:end]
+                to = new[..., g0 + offset:end + offset]
+                ops.append((np.add, (to, old[..., g0:end], to)))
             else:
                 # the product is formed a block at a time in one block of
                 # its own, so no temporary is layer-sized and each stays in cache
                 for a in range(g0, end, PRODUCT_BLOCK):
                     b = min(a + PRODUCT_BLOCK, end)
-                    new[a + offset:b + offset] += np.multiply(
-                        old[a:b], w, out=self._product[:b - a])
-        if fresh:
-            new[..., :rows] = 0
+                    product, to = self._product[:b - a], new[a + offset:b + offset]
+                    ops += [(np.multiply, (old[a:b], w, product)), (np.add, (to, product, to))]
+        if not ops:
+            ops.append((new[..., :rows].fill, (0,)))
         if self.exact:
             if limbs > held:
-                dst[held:limbs, :rows] = 0
-            self._limbs = limbs
+                ops.append((dst[held:limbs, :rows].fill, (0,)))
             dst = dst[:limbs]
         padded = dst[..., :rows].reshape(*dst.shape[:-1], box[0], *self._extents)
         for k in range(1, self.d):
             if lo[k] + self.step_min[k] < 0:
                 # cells the orthant cuts on axis k landed in its pads
-                padded[self._lead + (slice(None),) * k + (slice(box[k], None),)] = 0
-        self._buffers.reverse()
-        self.lo, self._box = new_lo, box
-        self._trim(padded[self._lead + (slice(None),) + tuple(slice(0, k) for k in box[1:])])
+                pads = padded[self._lead + (slice(None),) * k + (slice(box[k], None),)]
+                ops.append((pads.fill, (0,)))
+        untrimmed = padded[self._lead + (slice(None),) + tuple(slice(0, k) for k in box[1:])]
+        plan = _Plan(ops, untrimmed, box, new_lo)
+        key = self._key + (limbs,) if self.exact else self._key
+        if key in self._seen:
+            self._plans[key] = plan
+        else:
+            self._seen.add(key)
+        return plan
+
+    def advance(self):
         if self.dead:
             return
-        cells = dst[..., self._first:self._end]
+        key, limbs = self._key, self._limbs
         if self.exact:
-            if limbs > 1:
-                # one carry pass; the top limb has nothing to carry
-                carry = np.right_shift(cells[:-1], self._radix,
-                                       out=src[:limbs - 1, self._first:self._end])
-                cells[:-1] &= (1 << self._radix) - 1
-                cells[1:] += carry
+            self._bound *= len(self.shifts)
+            limbs = -(-self._bound.bit_length() // self._radix)
+            key += (limbs,)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plan(limbs)
+            if plan is None:
+                self._kill(self.lo)
+                return
+        for op, args in plan.ops:
+            op(*args)
+        self._limbs = limbs
+        self._buffers.reverse()
+        self._parity ^= 1
+        bounds = self._trim(plan)
+        if bounds is None:
+            self._kill(plan.lo)
             return
+        state = plan.trims.get(bounds)
+        if state is None:
+            state = plan.trims[bounds] = self._state(plan.box, plan.extent, plan.lo, bounds)
+        self._set_state(state)
+        if self.exact:
+            if self._carry is not None:
+                # one carry pass; the top limb has nothing to carry
+                low, high, carry = self._carry
+                np.right_shift(low, self._radix, out=carry)
+                low &= (1 << self._radix) - 1
+                high += carry
+            return
+        cells = self._cells
         mx = float(cells.max())
         if mx > 0.0:
             cells /= mx
@@ -420,31 +542,34 @@ class _LayerDP:
             if self.log_weight:
                 self.log_scale += self.log_weight
 
-    def _kill(self):
-        self._set_view(self._view[self._lead + (slice(0, 0),) * self.d])
+    def _kill(self, lo):
+        self._view = self._view[self._lead + (slice(0, 0),) * self.d]
+        self.lo = list(lo)
 
-    def _trim(self, view):
-        """Make the layer the nonzero cells of ``view``, a new box at the
-        start of the buffer, reading inward from each face."""
-        occupied = np.count_nonzero
-        first_cell = last_cell = 0
-        for ax, stride in enumerate(self._strides):
-            head = self._lead + (slice(None),) * ax
-            first, last = 0, view.shape[ax - self.d] - 1
-            while first <= last and not occupied(view[head + (first,)]):
+    def _trim(self, plan):
+        """The first and last index of the nonzero cells on each axis of the
+        plan's new box, read inward from each face, or None when it has none.
+        A face of the untrimmed box is nonzero exactly when its part inside
+        the box trimmed on the other axes is, as only zero cells are cut."""
+        faces, bounds, head = plan.faces, (), self._lead
+
+        def occupied(i):
+            face = faces.get((ax, i))
+            if face is None:
+                face = faces[ax, i] = plan.box[head + (slice(i, i + 1),)]
+            return np.count_nonzero(face)
+
+        for ax, k in enumerate(plan.extent):
+            first, last = 0, k - 1
+            while first <= last and not occupied(first):
                 first += 1
             if first > last:
-                self._kill()
-                return
-            while not occupied(view[head + (last,)]):
+                return None
+            while not occupied(last):
                 last -= 1
-            view = view[head + (slice(first, last + 1),)]
-            self.lo[ax] += first
-            self._cut[ax] = first
-            first_cell += first * stride
-            last_cell += last * stride
-        self._set_view(view)
-        self._first, self._end = first_cell, last_cell + 1
+            bounds += (first, last)
+            head += (slice(None),)
+        return bounds
 
     def endpoint_items(self):
         """(lattice point, mass) pairs of the current layer."""

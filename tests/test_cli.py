@@ -134,6 +134,33 @@ class TestEnumerate:
                              "--n", "3", "--json")
         assert code == 1 and out == "" and "2**63" in err
 
+    def test_box_over_budget_refused_before_the_dp(self, capsys, step_file):
+        # no gcd narrows these steps: by n = 400 the box can reach
+        # 400002 * 402 cells, which the DP once spent about a minute on
+        path = step_file("spread.json", 2, [(1000, 0), (-999, 1), (0, -1), (-1, 0)])
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--steps", path, "--start", "1,1",
+                             "--n", "400", "--json")
+        assert code == 1 and out == "" and "160800804 cells" in err and "budget" in err
+        assert time.perf_counter() - t0 < 1.0
+        # by n = 20 it can reach 20002 * 22 cells, under the budget
+        code, doc, _ = run_json(capsys, "enumerate", "--steps", path, "--start", "1,1",
+                                "--n", "20")
+        assert code == 0 and doc["status"] == "ok"
+
+    @pytest.mark.parametrize("mode, budget, code", [
+        ("exact", 804, 0), ("exact", 803, 1), ("log", 201, 0), ("log", 200, 1)])
+    def test_budget_bounds_cells_times_limbs(self, capsys, step_file, monkeypatch,
+                                             mode, budget, code):
+        # from 0 the 1-D walk reaches 201 cells by n = 200, and 2^200 takes
+        # four limbs of r = 61 bits in exact mode
+        monkeypatch.setattr(counting, "MAX_BOX_CELLS", budget)
+        path = step_file("d1.json", 1, [(1,), (-1,)])
+        got, out, err = run(capsys, "enumerate", "--steps", path, "--start", "0",
+                            "--n", "200", "--mode", mode, "--json")
+        assert got == code
+        assert (json.loads(out)["status"] == "ok") if code == 0 else "budget" in err
+
 
 class TestVerify:
     def test_1d_passes_tolerances(self, capsys, step_file):

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import conewalks as cw
 from conewalks import counting
@@ -460,11 +460,26 @@ class _BoxLayerDP:
             else:
                 items.append((point, float(v) * math.exp(self.log_scale)))
         return items
+
+
+class _CountedPlans(dict):
+    """A plan dict that counts the layers that replayed a stored plan."""
+
+    replayed = 0
+
+    def get(self, key):
+        plan = super().get(key)
+        self.replayed += plan is not None
+        return plan
+
+
 def _layouts_agree(steps, start, n, weights, exact, trim):
     """Run the flat-layout DP and the box-layout reference side by side and
-    compare every layer bit for bit; returns the flat DP."""
+    compare every layer bit for bit; returns the flat DP, whose ``_plans``
+    counts the layers that replayed a plan."""
     steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, exact, None)
     flat = counting._LayerDP(steps, w, start, exact=exact, trim_threshold=trim)
+    flat._plans = _CountedPlans()
     ref = _BoxLayerDP(steps, w, start, exact=exact, trim_threshold=trim)
     for k in range(n + 1):
         if k:
@@ -568,6 +583,78 @@ class TestFlatLayoutMatchesBoxLayout:
         monkeypatch.setattr(counting, "PRODUCT_BLOCK", block)
         _layouts_agree(S5, (0, 2), 40, (1.0, 0.3, 0.5, 1.0, 0.05), False, 0.0)
         _layouts_agree(D3, (0, 1, 0), 16, (0.1, 1.0, 0.3, 0.4), False, counting.FLOAT_TRIM)
+
+
+@st.composite
+def _apex_cases(draw):
+    """Steps from {-2..2}^d (d = 1, 2) and weights whose drift points into
+    the apex on every axis, a start in 0..3, n <= 200 and the FLOAT_TRIM cut
+    on or off: the box stays small, so its layouts repeat."""
+    d = draw(st.integers(1, 2))
+    vectors = [v for v in itertools.product(range(-2, 3), repeat=d) if any(v)]
+    steps = draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=5, unique=True))
+    weights = draw(st.lists(st.sampled_from([1.0, 0.5, 0.25, 0.1]),
+                            min_size=len(steps), max_size=len(steps)))
+    drift = np.asarray(weights) @ np.asarray(steps)
+    assume(np.all(drift < 0))
+    start = tuple(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    trim = draw(st.sampled_from([counting.FLOAT_TRIM, 0.0]))
+    # hypothesis leans to its simplest draws, here the longest walks
+    return steps, start, 200 - draw(st.integers(0, 200)), weights, False, trim
+
+
+class TestPlanReplay:
+    """A layer whose layout was seen before since the last relayout replays
+    the stored plan of that layout, and changes no bit: totals, boxes and
+    endpoint masses equal those of the box-layout reference."""
+
+    @pytest.mark.parametrize("block", [counting.PRODUCT_BLOCK, 7])
+    @pytest.mark.parametrize("trim", [counting.FLOAT_TRIM, 0.0])
+    @pytest.mark.parametrize("steps, start, n, weights", [
+        ([(1,), (-1,)], (0,), 500, (0.25, 0.75)),
+        ([(1,), (-1,)], (3,), 400, (0.25, 0.75)),
+        (HS_STEPS, (1, 1), 300, _hs_weights(1 / 3)),
+        (HS_STEPS, (0, 2), 400, _hs_weights(0.4)),
+        (HS_STEPS, (3, 1), 500, _hs_weights(0.3)),
+    ], ids=["d1-0", "d1-3", "halfspace-1/3", "halfspace-0.4", "halfspace-0.3"])
+    def test_float(self, steps, start, n, weights, trim, block, monkeypatch):
+        # a 7-cell block splits each weighted product into pieces
+        monkeypatch.setattr(counting, "PRODUCT_BLOCK", block)
+        dp = _layouts_agree(steps, start, n, weights, False, trim)
+        # without the cut the 1-D box grows until its tail underflows
+        if len(steps[0]) == 2 or trim:
+            assert dp._plans.replayed > n // 2
+
+    @pytest.mark.parametrize("steps, start, n, weights, trim", [
+        # the cut can leave zero faces, so one layout meets two trim outcomes
+        ([(2,), (-1,), (-2,), (1,)], (5,), 300, (0.01, 0.25, 1.0, 0.1), counting.FLOAT_TRIM),
+        # one lowest point and shape, at two offsets from the buffer's start
+        ([(2, 0), (-2, -1), (2, 2)], (0, 0), 150, (0.1, 0.25, 0.01), 1e-3),
+    ], ids=["two-trim-outcomes", "two-first-cells"])
+    def test_layouts_alike_in_part(self, steps, start, n, weights, trim):
+        assert _layouts_agree(steps, start, n, weights, False, trim)._plans.replayed
+
+    @pytest.mark.parametrize("start", [(1, 1), (2, 2), (0, 3)])
+    def test_exact(self, start):
+        # the limbs grow every 38 or so layers, each time with a new layout
+        dp = _layouts_agree(HS_STEPS, start, 200, None, True, counting.FLOAT_TRIM)
+        assert dp._plans.replayed > 150
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_apex_cases())
+    def test_drift_into_the_apex(self, case):
+        _layouts_agree(*case)
+
+    def test_plans_stay_few_on_a_growing_box(self):
+        # the S5 box grows nearly every step, and every few steps a relayout
+        # clears the layouts seen and their plans
+        steps, start, w, _ = counting._dp_inputs(S5, (0, 0), 400, None, False, None)
+        dp = counting._LayerDP(steps, w, start, exact=False)
+        dp._plans = _CountedPlans()
+        for _ in range(400):
+            dp.advance()
+            assert len(dp._plans) + len(dp._seen) <= 8
+        assert dp._plans.replayed == 0
 
 
 STEPS_25 = list(itertools.product(range(-2, 3), repeat=2))
