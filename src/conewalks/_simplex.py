@@ -42,7 +42,7 @@ def simplex_min(c, M, b, basis, max_iter=10000):
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    m, n = M.shape
+    n = M.shape[1]
     basis = list(basis)
 
     B = M[:, basis]
@@ -75,9 +75,11 @@ def simplex_min(c, M, b, basis, max_iter=10000):
 
         piv = T[leaving, entering]
         T[leaving] /= piv
-        for i in range(m):
-            if i != leaving and abs(T[i, entering]) > 0.0:
-                T[i] -= T[i, entering] * T[leaving]
+        # one rank-1 update of the rows with a nonzero entering entry: each
+        # entry takes the product and the subtraction a row-by-row pass makes
+        update = np.abs(col) > 0.0
+        update[leaving] = False
+        T[update] -= np.outer(col[update], T[leaving])
         obj = obj - obj[entering] * T[leaving, :n]
         basis[leaving] = entering
 

@@ -42,8 +42,10 @@ cut axes, the 1-wide faces of the new box that the trim tests, and for each
 trim outcome met so far the trimmed layer with the views that its
 normalisation, carry and total read. A box held small by a wall or by the
 FLOAT_TRIM cut repeats its layouts, mostly with period 2 from lattice
-parity, so a layout seen a second time keeps its plan, and later layers of
-that layout replay it with no index arithmetic in Python. A relayout drops
+parity, so a layout met again two layers after it was planned keeps its
+plan, and later layers of that layout replay it with no index arithmetic in
+Python. Only the layouts of the last two planned layers are remembered, so a
+growing box holds two of them, not one per layer. A relayout drops
 every plan, as plans hold views of the buffers it frees; a growing box,
 whose layouts do not repeat, keeps none. Building a plan and replaying it
 make the same numpy calls on the same operands in the same order, so no bit
@@ -94,6 +96,7 @@ from __future__ import annotations
 import math
 import mmap
 import operator
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,8 +285,9 @@ class _LayerDP:
     shape, ``_first``, ``_end`` and the held limbs, to which exact mode adds
     the next layer's limbs. Every step looks its plan up in ``_plans`` or
     has ``_plan`` build it, then runs it; there is no other path. A plan is
-    kept from the second time its layout is met since the last relayout
-    (``_seen`` holds the layouts met once), and caches the state
+    kept when its layout was met by one of the last two layers that built a
+    plan since the last relayout (``_seen`` holds their layouts: by lattice
+    parity a layout recurs two layers later), and caches the state
     (``_state``) that each trim outcome leaves. ``_relayout`` clears both,
     as plans hold views of the buffers it frees.
     """
@@ -313,7 +317,7 @@ class _LayerDP:
         self._limbs = 1
         # the index of the limb axis, which only exact views have
         self._lead = (slice(None),) if exact else ()
-        self._plans, self._seen, self._parity = {}, set(), 0
+        self._plans, self._seen, self._parity = {}, deque(maxlen=2), 0
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
         dtype = np.uint64 if exact else float
@@ -494,7 +498,7 @@ class _LayerDP:
         if key in self._seen:
             self._plans[key] = plan
         else:
-            self._seen.add(key)
+            self._seen.append(key)
         return plan
 
     def advance(self):

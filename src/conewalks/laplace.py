@@ -9,10 +9,10 @@ never built from saturated arithmetic.
 
 Value, gradient and Hessian at a point come from one evaluation, `_terms`:
 one e = exp(S x) (one L(x) for the Gaussian), from which w @ e, (w e) @ S
-and ((w e) S)^T S are formed on request. The public functions wrap it; the
-solvers keep it per trial point, so an iterate forms its exponentials once.
-Terms read later have the bits of a fresh evaluation, since the same S x
-gives the same e.
+and ((w e) S)^T S are formed on request, w e once for both. The public
+functions wrap it; the solvers keep it per trial point, so an iterate forms
+its exponentials once. Terms read later have the bits of a fresh
+evaluation, since the same S x gives the same e.
 
 Whether the minimum exists on a cone is decided by one min-max LP over the
 cone's rays, solved by the package's dense simplex (`_simplex.simplex_min`)
@@ -23,6 +23,7 @@ problem of `steps.halfspace_witness`, so the two cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,27 +75,40 @@ def _checked_point(model, x):
 
 def _exponents(model, x):
     """S x for a finite model, or None when an exponent passes the overflow
-    guard."""
+    guard: max|S x| > MAX_EXPONENT, the max formed as np.max forms it, so a
+    NaN exponent passes. The test runs on Python floats, whose max and min
+    may skip a NaN: a range test that holds passes the point, and one that
+    fails refuses it unless an exponent is NaN."""
     dots = model.measure.steps @ x
-    if dots.size and float(np.abs(dots).max()) > steps_mod.MAX_EXPONENT:
+    values = dots.tolist()
+    bound = steps_mod.MAX_EXPONENT
+    if (values and not (max(values) <= bound and min(values) >= -bound)
+            and not any(map(math.isnan, values))):
         return None
     return dots
 
 
 class _FiniteTerms:
-    """L, grad L and the Hessian at one point from one e = exp(S x)."""
+    """L, grad L and the Hessian at one point from one e = exp(S x); the
+    gradient and the Hessian share one product w e, formed on first use."""
 
-    __slots__ = ("measure", "e", "value")
+    __slots__ = ("measure", "e", "value", "_we")
 
     def __init__(self, measure, e):
         self.measure, self.e = measure, e
         self.value = float(measure.weights @ e)
+        self._we = None
+
+    def _weighted(self):
+        if self._we is None:
+            self._we = self.measure.weights * self.e
+        return self._we
 
     def gradient(self):
-        return (self.measure.weights * self.e) @ self.measure.steps
+        return self._weighted() @ self.measure.steps
 
     def hessian(self):
-        w = self.measure.weights * self.e
+        w = self._weighted()
         return (w[:, None] * self.measure.steps).T @ self.measure.steps
 
 

@@ -13,8 +13,16 @@ point: the line search keeps the terms (`laplace._terms`) of the trial it
 accepts, and the next iterate reads its gradient and Hessian from them
 instead of forming S x again. That gives the bits of evaluating the point
 afresh, because every number that feeds a result comes from the same numpy
-call on the same operands: S @ (R^T t), never (S R^T) t; np.linalg.eigvalsh;
-w @ e for the value.
+call on the same operands: S @ (R^T t), never (S R^T) t; w @ e for the value;
+and lambda_max(R H R^T) from `_top_eigenvalue`, which calls the LAPACK gufunc
+behind np.linalg.eigvalsh (`_umath_linalg.eigvalsh_lo`, 'd->d') on the same
+float64 matrix. np.linalg.eigvalsh adds only argument checks, an error state
+that turns a LAPACK failure into LinAlgError, and a cast to float64 that
+copies nothing, so the helper's value has the same bits; on a matrix with a
+NaN or an infinity, where LAPACK can fail, it calls np.linalg.eigvalsh
+itself, and so raises where that raises. The multi-ray loop's stopping test
+runs on Python floats, whose products and comparisons are the IEEE ones
+numpy makes elementwise.
 
 The ray solver serves the single-ray dual cone of a half-space, as a batch of
 one, and the hyperplane scan, as a batch of every grid direction. Each
@@ -24,9 +32,11 @@ other lanes, so the scan equals the loop of one-direction solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import cones, laplace, steps as steps_mod
 
@@ -253,6 +263,22 @@ def _reach(R):
     return np.abs(R).max(axis=1)
 
 
+def _top_eigenvalue(M):
+    """np.linalg.eigvalsh(M)[-1], bit for bit, for a float64 symmetric M.
+
+    Calls the LAPACK gufunc behind np.linalg.eigvalsh directly. A matrix
+    whose entries do not sum to a finite number (a NaN, an infinity or an
+    overflowing sum) goes to np.linalg.eigvalsh itself, whose error state
+    turns a LAPACK failure into LinAlgError; so does a NaN result, which is
+    how the gufunc reports a failure.
+    """
+    if math.isfinite(sum(M.ravel().tolist())):
+        top = _umath_linalg.eigvalsh_lo(M, signature="d->d")[-1]
+        if top == top:
+            return top
+    return np.linalg.eigvalsh(M)[-1]
+
+
 def _minimize_rays(model, R, tol, max_iter, t0):
     """Projected gradient over x = R^T t, t >= 0.
 
@@ -266,21 +292,25 @@ def _minimize_rays(model, R, tol, max_iter, t0):
     """
     reach = _reach(R)
     tol = tol * min(1.0, _step_scale(model) * float(reach.max(initial=0.0)))
+    reach = reach.tolist()
+    RT = R.T
     t = np.maximum(np.asarray(t0, dtype=float), 0.0)
-    x = R.T @ t
+    x = RT @ t
     at = laplace._terms(model, x)
     if at is None:
         t = np.zeros(R.shape[0])
-        x = R.T @ t
+        x = RT @ t
         at = laplace._terms(model, x)
     alpha = 1.0
-    trace = [t.copy()]
+    # no iterate is written to after it is made, so the trace holds them all
+    trace = [t]
     for it in range(1, max_iter + 1):
         g = R @ at.gradient()
-        pg = np.where(t * reach > ACTIVE_EPS, g, np.minimum(g, 0.0))
-        if max(map(abs, pg.tolist()), default=0.0) <= tol and float(np.linalg.norm(pg)) <= tol:
+        pg = [gi if ti * ri > ACTIVE_EPS else min(gi, 0.0)
+              for gi, ti, ri in zip(g.tolist(), t.tolist(), reach)]
+        if max(map(abs, pg), default=0.0) <= tol and float(np.linalg.norm(pg)) <= tol:
             return x, t, it, trace
-        curv = np.linalg.eigvalsh(R @ at.hessian() @ R.T)[-1]
+        curv = _top_eigenvalue(R @ at.hessian() @ RT)
         alpha_safe = 1.0 / max(curv, 1e-300)
         alpha = max(alpha * 2.0, alpha_safe)
         moved = False
@@ -288,7 +318,7 @@ def _minimize_rays(model, R, tol, max_iter, t0):
             if alpha < 0.25 * alpha_safe:
                 break
             tn = np.maximum(t - alpha * g, 0.0)
-            xn = R.T @ tn
+            xn = RT @ tn
             an = laplace._terms(model, xn)
             if an is not None and an.value <= at.value + ARMIJO_SLOPE * float(g @ (tn - t)):
                 moved = True
@@ -297,12 +327,12 @@ def _minimize_rays(model, R, tol, max_iter, t0):
         if not moved:
             alpha = alpha_safe
             tn = np.maximum(t - alpha * g, 0.0)
-            xn = R.T @ tn
+            xn = RT @ tn
             an = laplace._terms(model, xn)
             if an is None or np.array_equal(tn, t):
                 raise NonConvergenceError("projected gradient stalled", trace)
         t, x, at = tn, xn, an
-        trace.append(t.copy())
+        trace.append(t)
     raise NonConvergenceError(f"no convergence after {max_iter} iterations", trace)
 
 

@@ -140,8 +140,11 @@ def halfspace_witness(m, cone):
     S, R = scale_rows(m.steps), scale_rows(cone.rays)
     k, r = S.shape[0], R.shape[0]
     # columns t, the slacks, a
-    M = np.block([[S @ R.T, np.eye(k), np.zeros((k, 1))],
-                  [np.ones((1, r)), np.zeros((1, k)), np.ones((1, 1))]])
+    M = np.zeros((k + 1, r + k + 1))
+    M[:k, :r] = S @ R.T
+    M[:k, r:r + k] = np.eye(k)
+    M[k, :r] = 1.0
+    M[k, -1] = 1.0
     b = np.zeros(k + 1)
     b[k] = 1.0
     c = np.zeros(r + k + 1)

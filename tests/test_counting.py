@@ -656,6 +656,34 @@ class TestPlanReplay:
             assert len(dp._plans) + len(dp._seen) <= 8
         assert dp._plans.replayed == 0
 
+    def test_seen_layouts_stay_two_on_a_growing_1d_box(self):
+        # the 1-D box relayouts only when its buffer grows by a quarter; the
+        # layouts seen were once one per layer (546 at once by n = 2000)
+        steps, start, w, _ = counting._dp_inputs([(1,), (2,), (-1,)], (0,), 2000, None, False,
+                                                 None)
+        dp = counting._LayerDP(steps, w, start, exact=False)
+        for _ in range(2000):
+            dp.advance()
+            assert len(dp._seen) <= 2
+
+    @pytest.mark.parametrize("steps, start, n, weights, replayed", [
+        ([(1,), (-1,)], (2,), 2000, (0.25, 0.75), 1809),
+        (HS_STEPS, (1, 1), 1500, _hs_weights(1 / 3), 1495),
+        (HS_STEPS, (4, 0), 1500, _hs_weights(0.4), 1492),
+        (HS_STEPS, (3, 1), 1500, _hs_weights(0.3), 1493),
+        # the DP of `verify` on {E,N,W,S,SW} at n = 300
+        ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], (1, 1), 300, (0.2,) * 5, 43),
+    ], ids=["d1-from-2", "halfspace-1/3", "halfspace-0.4", "halfspace-0.3", "ensws"])
+    def test_replays_with_two_seen_layouts(self, steps, start, n, weights, replayed):
+        # the counts of a DP that remembered every layout met since the last
+        # relayout: a layout recurs two layers after it was planned
+        steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, False, None)
+        dp = counting._LayerDP(steps, w, start, exact=False)
+        dp._plans = _CountedPlans()
+        for _ in range(n):
+            dp.advance()
+        assert dp._plans.replayed == replayed
+
 
 STEPS_25 = list(itertools.product(range(-2, 3), repeat=2))
 

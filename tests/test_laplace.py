@@ -63,6 +63,19 @@ class TestValue:
         with pytest.raises(OverflowError):
             cw.value(cw.GaussianLaplace([0.0]), [50.0])
 
+    @given(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([np.nan, np.inf, -np.inf, 700.0, -700.0]),
+                    min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_guard_verdict_is_that_of_np_max(self, x):
+        # the guard refuses a point when max|S x| > 700 as np.max forms it, so
+        # a NaN exponent passes it wherever it sits among the exponents
+        model = cw.FiniteLaplace(cw.probability_measure([(1, 0), (0, 1), (-1, -1), (2, -1)],
+                                                        [0.1, 0.2, 0.3, 0.4]))
+        x = np.array(x)
+        with np.errstate(invalid="ignore"):  # inf * 0 in S x
+            refused = float(np.abs(model.measure.steps @ x).max()) > steps_mod.MAX_EXPONENT
+            assert (laplace._exponents(model, x) is None) == refused
+
 
 class TestGradient:
     def test_gradient_at_origin_is_mean(self, models):

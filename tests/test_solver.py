@@ -543,6 +543,9 @@ INEQ_ROWS = {2: [(2, -1), (-1, 2)], 3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 
 # the inequality-cone corpus set that takes the projected-gradient loop 2475
 # iterations, the most of the certification corpora
 SLOWEST_RAYS = [(-1, 0, -1), (0, -1, -1), (0, 0, -1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
+# the second and third slowest: 1125 iterations on INEQ_ROWS[2], 700 on INEQ_ROWS[3]
+SLOW_RAYS_2D = [(-1, 0), (-1, 1), (1, 1)]
+SLOW_RAYS_3D = [(-1, 0, 1), (-1, 1, -1), (0, 0, -1), (0, 1, 1), (1, -1, -1), (1, 0, 1), (1, 1, -1)]
 
 
 @st.composite
@@ -621,6 +624,8 @@ class TestSharedTermsMatchReference:
 
     @given(minimizer_cases())
     @example((("finite", SLOWEST_RAYS, [1.0] * 6), "ineq", solver.DEFAULT_MAX_ITER, None))
+    @example((("finite", SLOW_RAYS_2D, [1.0] * 3), "ineq", solver.DEFAULT_MAX_ITER, None))
+    @example((("finite", SLOW_RAYS_3D, [1.0] * 7), "ineq", solver.DEFAULT_MAX_ITER, None))
     @example((("finite", NSEW_SW, [1.0] * 5), "ineq", solver.DEFAULT_MAX_ITER, None))
     @example((("finite", [(-1000, 0), (1, 0), (0, 1), (0, -1)], [1.0] * 4), "orthant",
               solver.DEFAULT_MAX_ITER, [1.0, 1.0]))
@@ -699,3 +704,40 @@ class TestSharedTermsMatchReference:
         if new is not None:
             new = new[0], new[1].value
         assert bits(new) == bits(ref.armijo_projected(law, x, f, g, d, project))
+
+
+@st.composite
+def symmetric_matrices(draw, finite=True):
+    """A symmetric float64 matrix of order 1-4, from its lower triangle; with
+    finite=False one symmetric pair of entries is NaN or an infinity."""
+    n = draw(st.integers(1, 4))
+    entry = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1.0])
+    M = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            M[i, j] = M[j, i] = draw(entry)
+    if not finite:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        M[i, j] = M[j, i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return M
+
+
+class TestTopEigenvalue:
+    """`solver._top_eigenvalue` is np.linalg.eigvalsh(M)[-1] to the bit, and
+    raises where it raises."""
+
+    @given(symmetric_matrices())
+    @example(np.zeros((1, 1)))
+    @example(np.zeros((4, 4)))
+    @example(np.diag([-2.0, 1.0, -0.5]))  # indefinite
+    @example(np.array([[1e308, 1e308], [1e308, 1e308]]))  # entries sum past the largest double
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_eigvalsh(self, M):
+        assert outcome(solver._top_eigenvalue, M) == outcome(lambda: np.linalg.eigvalsh(M)[-1])
+
+    @given(symmetric_matrices(finite=False))
+    @example(np.full((3, 3), np.nan))  # eigvalsh raises LinAlgError
+    @example(np.full((2, 2), np.nan))  # eigvalsh returns NaN
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_nonfinite_entries_as_eigvalsh(self, M):
+        assert outcome(solver._top_eigenvalue, M) == outcome(lambda: np.linalg.eigvalsh(M)[-1])
