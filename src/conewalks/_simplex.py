@@ -17,6 +17,9 @@ import numpy as np
 # `scale_rows`, so their data is O(1) and a fixed absolute tolerance is safe.
 EPS = 1e-11
 
+# Pivots after which `simplex_min` gives up; Bland's rule never needs them.
+MAX_PIVOTS = 10000
+
 
 def scale_rows(A):
     """A with each row multiplied by the power of two that puts its largest
@@ -28,7 +31,7 @@ def scale_rows(A):
     return np.ldexp(A, (1 - e)[:, None])
 
 
-def simplex_min(c, M, b, basis, max_iter=10000):
+def simplex_min(c, M, b, basis):
     """Primal simplex for min c@y subject to M y = b, y >= 0.
 
     `basis` lists one column index per row; M[:, basis] must be invertible
@@ -37,7 +40,7 @@ def simplex_min(c, M, b, basis, max_iter=10000):
     included.
 
     Returns (status, y, value) with status in {"optimal", "unbounded",
-    "iteration_limit"}.
+    "iteration_limit"}, the last after MAX_PIVOTS pivots.
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -50,7 +53,7 @@ def simplex_min(c, M, b, basis, max_iter=10000):
     # reduced costs
     obj = c - c[basis] @ T[:, :n]
 
-    for _ in range(max_iter):
+    for _ in range(MAX_PIVOTS):
         # Bland: entering = lowest index with negative reduced cost
         entering = -1
         for j in range(n):

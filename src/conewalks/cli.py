@@ -94,10 +94,19 @@ def _parse_point(text, what="start"):
 
 
 def _parse_lattice_point(text):
-    """A lattice start in int64; a fractional or non-finite coordinate is
-    refused, never rounded."""
+    """A lattice start in int64, never rounded: an integer literal is read
+    exactly, a float literal only when it is an integer below 2**53 in
+    absolute value, where doubles hold every integer."""
     message = f"bad start {text!r}: expected comma-separated integers below 2**63"
-    return tuple(steps_mod.as_int64(_parse_point(text), message).tolist())
+    coords = []
+    for literal, x in zip(text.split(","), _parse_point(text)):
+        try:
+            coords.append(int(literal))
+        except ValueError:
+            if not (abs(x) < 2**53 and x.is_integer()):
+                raise InputError(message)
+            coords.append(int(x))
+    return tuple(steps_mod.as_int64(coords, message).tolist())
 
 
 def _emit(report, as_json):
@@ -124,8 +133,7 @@ def cmd_rate(args, report):
     cone = _parse_cone(args.cone, measure.dim)
     report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
                         "weights": _floats(measure.weights), "dim": measure.dim,
-                        "cone": args.cone, "tol": args.tol, "threads": args.threads,
-                        "seed": args.seed}
+                        "cone": args.cone, "tol": args.tol, "threads": 1, "seed": 0}
     cert = solver.minimize_on_dual(laplace.FiniteLaplace(measure), cone, tol=args.tol)
     report["status"] = "ok"
     report["certificate"] = cert.to_dict()
@@ -139,8 +147,7 @@ def _series_rows(series, estimate):
         if series.mode == counting.EXACT:
             value = series.values[n]
         else:
-            lv = series.log_value(n)
-            value = lv if lv is not None else None
+            value = series.log_value(n)
         ln, lp = series.log_value(n), series.log_value(n - p) if n >= p else None
         ratio = float(np.exp((ln - lp) / p)) if (n >= p and ln is not None and lp is not None) else None
         rows.append((n, value, ratio, estimate.extrapolated))
@@ -155,7 +162,7 @@ def cmd_enumerate(args, report):
     report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
                         "weights": None if weights is None else _floats(weights),
                         "start": list(start), "n": args.n, "mode": args.mode,
-                        "csv": args.csv, "threads": args.threads, "seed": args.seed}
+                        "csv": args.csv, "threads": 1, "seed": 0}
     series = counting.count_walks(measure.steps, start, args.n, weights=weights, mode=mode)
     estimate = counting.estimate_rate(series)
     if args.csv:
@@ -183,8 +190,7 @@ def cmd_verify(args, report):
     report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
                         "weights": _floats(measure.weights), "start": list(start),
                         "n": args.n, "mc_n": mc_n, "seed": args.seed,
-                        "trials": args.trials, "cone": "orthant",
-                        "threads": args.threads}
+                        "trials": args.trials, "cone": "orthant", "threads": 1}
 
     def dp_extrapolated(x, horizon):
         series = counting.count_walks(measure.steps, x, horizon, weights=measure.weights)
@@ -236,7 +242,7 @@ def cmd_check(args, report):
     cone = _parse_cone(args.cone, measure.dim)
     report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
                         "weights": _floats(measure.weights), "cone": args.cone,
-                        "depth": args.depth, "threads": args.threads, "seed": args.seed}
+                        "depth": args.depth, "threads": 1, "seed": 0}
     h2 = steps_mod.check_h2prime(measure, cone)
     report["status"] = "ok" if h2.proper else "improper"
     report["h1"] = steps_mod.check_h1(measure)
@@ -268,7 +274,7 @@ def cmd_halfspace(args, report):
     else:
         start = _parse_lattice_point(args.start)
     report["config"] = {"p": args.p, "N": args.N, "n": args.n, "start": list(start),
-                        "threads": args.threads, "seed": args.seed}
+                        "threads": 1, "seed": 0}
     check = families.halfspace_verify(args.p, args.N, start, args.n)
     report["status"] = "ok"
     report["closed_form"] = check.closed_form
@@ -282,8 +288,7 @@ def cmd_halfspace(args, report):
 def cmd_brownian(args, report):
     drift = np.array(_parse_point(args.drift, "drift"))
     cone = _parse_cone(args.cone, drift.shape[0])
-    report["config"] = {"drift": _floats(drift), "cone": args.cone,
-                        "threads": args.threads, "seed": args.seed}
+    report["config"] = {"drift": _floats(drift), "cone": args.cone, "threads": 1, "seed": 0}
     closed = solver.brownian_rate(drift, cone)
     cert = solver.minimize_on_dual(laplace.GaussianLaplace(drift), cone)
     report["status"] = "ok"
@@ -297,7 +302,7 @@ def cmd_brownian(args, report):
 def cmd_scan(args, report):
     measure, doc = _load_measure(args.steps)
     report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
-                        "grid": args.grid, "threads": args.threads, "seed": args.seed}
+                        "grid": args.grid, "threads": 1, "seed": 0}
     growth = solver.growth_constant(measure.steps)
     scan = solver.hyperplane_scan(measure.steps, args.grid)
     report["status"] = "ok"
@@ -315,11 +320,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for any randomness (default 0, never entropy)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for forward compatibility and echoed in reports; "
-                            "the implementation is single-threaded (default 1)")
 
     p = sub.add_parser("rate", help="rate certificate from dual-cone minimization")
     p.add_argument("--steps", required=True, help="JSON step file")
@@ -343,6 +343,8 @@ def build_parser():
     p.add_argument("--n", type=int, required=True, help="enumeration horizon")
     p.add_argument("--mc-n", type=int, default=None, help="Monte Carlo horizon (default min(n, 60))")
     p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the Monte Carlo draws (default 0, never entropy)")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -1,11 +1,13 @@
-"""Closed convex cones: four representations, duality, membership, projections.
+"""Closed convex cones: three representations, duality, membership, projections.
 
-A cone is kept in whichever of the four descriptions it was built from:
+A cone is kept in whichever of the three descriptions it was built from:
 
 * ``orthant``       -- the nonnegative orthant Q = (R+)^d
-* ``halfspace``     -- {x : <u, x> >= 0} for a nonzero normal u
 * ``generated``     -- {sum_i t_i r_i : t >= 0} for finitely many rays r_i
 * ``inequalities``  -- {x : <a_i, x> >= 0 for all i}
+
+A half-space {x : <u, x> >= 0} is the inequality cone of the one normal u
+(`halfspace`).
 
 Every cone carries the two descriptions the rate formulas read: ``normals``,
 the rows a_i with K = {x : A x >= 0} (membership, the KKT residual, the Monte
@@ -42,7 +44,6 @@ import numpy as np
 from ._simplex import scale_rows
 
 ORTHANT = "orthant"
-HALFSPACE = "halfspace"
 GENERATED = "generated"
 INEQUALITIES = "inequalities"
 
@@ -77,8 +78,8 @@ class UnsupportedConeError(ConeError):
 class Cone:
     """A closed convex cone in R^dim; see the module docstring for kinds.
 
-    ``vectors`` holds the defining data: the half-space normal as shape (d,),
-    rays or inequality normals as shape (k, d), and None for the orthant.
+    ``vectors`` holds the defining data: rays or inequality normals as shape
+    (k, d), and None for the orthant.
     ``normals`` and ``rays`` are the two descriptions, shape (k, d): the one
     the cone was built from as given, the other derived when first read;
     ``normal_norms`` holds the Euclidean norm of each normal, which scales
@@ -93,7 +94,7 @@ class Cone:
     def normals(self):
         if self.kind == GENERATED:
             return _generators(self.vectors)
-        return self.rays if self.kind == ORTHANT else self.vectors.reshape(-1, self.dim)
+        return self.rays if self.kind == ORTHANT else self.vectors
 
     @cached_property
     def rays(self):
@@ -142,7 +143,7 @@ def halfspace(u):
         raise ConeError("half-space normal must be a vector")
     if not np.any(u != 0.0):
         raise ConeError("half-space normal must be nonzero")
-    return Cone(u.shape[0], HALFSPACE, u)
+    return Cone(u.shape[0], INEQUALITIES, u.reshape(1, -1))
 
 
 def generated(rays):
@@ -308,7 +309,7 @@ def contains(cone, x, tol=DEFAULT_TOL):
     return bool((cone.normals @ x >= -thr).all())
 
 
-_DUAL_KIND = {HALFSPACE: GENERATED, GENERATED: INEQUALITIES, INEQUALITIES: GENERATED}
+_DUAL_KIND = {GENERATED: INEQUALITIES, INEQUALITIES: GENERATED}
 
 
 def dual(cone):
@@ -319,7 +320,7 @@ def dual(cone):
     """
     if cone.kind == ORTHANT:
         return cone
-    return Cone(cone.dim, _DUAL_KIND[cone.kind], cone.vectors.reshape(-1, cone.dim))
+    return Cone(cone.dim, _DUAL_KIND[cone.kind], cone.vectors)
 
 
 def project(cone, a):
@@ -375,7 +376,7 @@ def has_interior(cone):
 def require_interior(cone, what):
     """Refuse a cone whose rays do not span R^d: its dual then holds a line,
     and neither the rate formula nor the H2' LP applies to it. On an
-    inequality or half-space cone this derives the rays (`_generators`), so
+    inequality cone this derives the rays (`_generators`), so
     it may also refuse with ``UnsupportedConeError`` past the enumeration
     budget."""
     if not has_interior(cone):

@@ -124,6 +124,9 @@ MAX_BOX_CELLS = 1 << 24
 # DP buffers of at least this many bytes get a mapping of their own.
 MAPPED_BYTES = 1 << 18
 
+# The shifts the delta search tries, smallest first.
+DELTA_GRID = tuple(float(k) for k in range(11))
+
 
 def _buffer(shape, dtype):
     """A buffer of ``shape`` for the layer DP, which writes a cell before it
@@ -153,7 +156,6 @@ class CountSeries:
     mantissa * exp(log_scale).
     """
 
-    start: tuple
     n_max: int
     mode: str
     values: tuple
@@ -173,7 +175,7 @@ class CountSeries:
         steps, so this equals the series counted to n."""
         if not 0 <= n <= self.n_max:
             raise ValueError(f"horizon {n} outside 0..{self.n_max}")
-        return CountSeries(start=self.start, n_max=n, mode=self.mode, values=self.values[:n + 1])
+        return CountSeries(n_max=n, mode=self.mode, values=self.values[:n + 1])
 
     def float_value(self, n):
         lv = self.log_value(n)
@@ -590,7 +592,7 @@ class _LayerDP:
         return [(tuple(p), v) for p, v in zip((cells + self.lo).tolist(), values)]
 
 
-def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):
+def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED):
     """Totals of length-n orthant-confined walks for n = 0,...,n_max.
 
     Unit weights (``weights=None``) count walks; probability weights turn the
@@ -598,18 +600,13 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED, cone=None):
     """
     if mode not in (EXACT, LOG_SCALED):
         raise ValueError(f"unknown mode {mode!r}")
-    steps, start, w, lift = _dp_inputs(steps, start, n_max, weights, mode == EXACT, cone)
+    steps, start, w, _ = _dp_inputs(steps, start, n_max, weights, mode == EXACT, None)
     dp = _LayerDP(steps, w, start, exact=(mode == EXACT))
     values = [dp.total()]
     for _ in range(n_max):
         dp.advance()
         values.append(dp.total())
-    return CountSeries(
-        start=lift(start.tolist()),
-        n_max=n_max,
-        mode=mode,
-        values=tuple(values),
-    )
+    return CountSeries(n_max=n_max, mode=mode, values=tuple(values))
 
 
 def end_point_counts(steps, start, cone, n, weights=None):
@@ -720,8 +717,8 @@ class FindDeltaResult:
     h2_witness: np.ndarray | None = None
 
 
-def find_delta(steps, cone, delta_grid=None, n_max=None):
-    """Smallest grid shift delta certifying the rate limit's validity region.
+def find_delta(steps, cone, n_max=None):
+    """Smallest shift delta in DELTA_GRID certifying the rate limit's validity region.
 
     Searches (breadth-first, lattice) for a walk from the origin staying in
     the cone shifted inward by delta times `cones.interior_vector(cone)`
@@ -738,18 +735,13 @@ def find_delta(steps, cone, delta_grid=None, n_max=None):
         raise ValueError("cone dimension does not match the steps")
     cones.require_interior(cone, "find_delta")
     v = cones.interior_vector(cone)
-    if delta_grid is None:
-        delta_grid = tuple(float(k) for k in range(11))
     if n_max is None:
         n_max = steps_mod.default_h3_depth(steps)
-    grid = sorted(delta_grid)
-    if not grid:
-        raise ValueError("delta_grid must hold at least one shift")
     witness = None
-    for i, delta in enumerate(grid):
+    for i, delta in enumerate(DELTA_GRID):
         path, _ = steps_mod._interior_path(steps, cone, delta * v, n_max)
         if path is not None:
-            return FindDeltaResult(found=True, delta=float(delta), n0=len(path), path=path)
+            return FindDeltaResult(found=True, delta=delta, n0=len(path), path=path)
         if i == 0:
             witness = steps_mod.halfspace_witness(steps_mod.from_step_set(steps), cones.dual(cone))
             if witness is not None:

@@ -64,7 +64,6 @@ class HalfspaceCheck:
     closed_form: float
     dp_estimate: float
     abs_error: float
-    start: tuple
     alt_start: tuple | None = None
     alt_estimate: float | None = None
 
@@ -97,7 +96,6 @@ def halfspace_verify(p, N, start, n_max):
         closed_form=closed,
         dp_estimate=estimate,
         abs_error=abs(estimate - closed),
-        start=start,
         alt_start=alt,
         alt_estimate=alt_estimate,
     )

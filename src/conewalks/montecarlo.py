@@ -58,9 +58,6 @@ class SimConfig:
 class SimResult:
     estimate: float
     stderr: float
-    trials: int
-    n: int
-    seed: int
 
 
 def _row_membership(cone, pos, trials, coords):
@@ -166,7 +163,7 @@ def simulate_survival(m, start, cone, config):
         return _mean_stderr(alive.astype(float))
 
     est, se = _simulate(m, start, cone, config, {config.n}, stat)[config.n]
-    return SimResult(est, se, config.trials, config.n, config.seed)
+    return SimResult(est, se)
 
 
 def tilted_survival(m, cert, start, cone, config):
@@ -187,17 +184,13 @@ def tilted_survival(m, cert, start, cone, config):
         return _mean_stderr(contrib)
 
     est, se = _simulate(tilted, start, cone, config, {config.n}, stat)[config.n]
-    return SimResult(est, se, config.trials, config.n, config.seed)
+    return SimResult(est, se)
 
 
 @dataclass(frozen=True)
 class BandResult:
     estimate: float
     stderr: float
-    trials: int
-    n: int
-    seed: int
-    alpha: float
     alpha_flagged: bool
     series: tuple = ()
 
@@ -226,8 +219,7 @@ def band_survival(m, start, cone, v, alpha, config, checkpoints=()):
     stats = _simulate(m, start, cone, config, wanted, stat)
     series = tuple((k, stats[k][0], stats[k][1]) for k in wanted)
     est, se = stats[config.n]
-    return BandResult(est, se, config.trials, config.n, config.seed,
-                      float(alpha), flagged, series)
+    return BandResult(est, se, flagged, series)
 
 
 def default_band_alpha(m, scale=4.0):
@@ -256,7 +248,7 @@ def band_decay_fit(m, start, cone, v, alpha, horizons, config):
         raise ValueError("band_decay_fit needs at least two distinct positive horizons")
     cfg = SimConfig(seed=config.seed, trials=config.trials, n=horizons[-1])
     result = band_survival(m, start, cone, v, alpha, cfg, checkpoints=horizons)
-    pts = [(k, est) for k, est, _ in result.series if k in set(horizons)]
+    pts = [(k, est) for k, est, _ in result.series]
     if any(est <= 0.0 for _, est in pts):
         return BandDecay(0.0, float(alpha), result.series)
     x = np.array([k for k, _ in pts], dtype=float)

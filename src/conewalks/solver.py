@@ -124,12 +124,12 @@ def _newton_direction(H, g, free):
     return d
 
 
-def _armijo_projected(model, x, f, g, d, project):
-    """Backtracking along the projected arc; returns (x_new, terms at x_new)
-    or None."""
+def _armijo_projected(model, x, f, g, d):
+    """Backtracking along the arc projected on the orthant; returns
+    (x_new, terms at x_new) or None."""
     alpha = 1.0
     for _ in range(80):
-        xn = project(x + alpha * d)
+        xn = np.maximum(x + alpha * d, 0.0)
         at = laplace._terms(model, xn)
         if at is not None:
             gain = float(g @ (xn - x))
@@ -149,9 +149,8 @@ def _step_scale(model):
 
 
 def _minimize_orthant(model, tol, max_iter, x0):
-    project = lambda v: np.maximum(v, 0.0)
     tol = tol * min(1.0, _step_scale(model))
-    x = project(np.asarray(x0, dtype=float))
+    x = np.maximum(np.asarray(x0, dtype=float), 0.0)
     at = laplace._terms(model, x)
     if at is None:
         x = np.zeros(model.dim)
@@ -165,14 +164,14 @@ def _minimize_orthant(model, tol, max_iter, x0):
             return x, it, trace
         free = (x > ACTIVE_EPS) | (g < 0.0)
         d = _newton_direction(at.hessian(), g, free)
-        result = _armijo_projected(model, x, at.value, g, d, project)
+        result = _armijo_projected(model, x, at.value, g, d)
         if result is None:
             # Newton direction stalled; try a plain projected gradient step
-            result = _armijo_projected(model, x, at.value, g, -g, project)
+            result = _armijo_projected(model, x, at.value, g, -g)
             if result is None:
                 raise NonConvergenceError("line search stalled on the orthant", trace)
         x, at = result
-        trace.append(x.copy())
+        trace.append(x)
     raise NonConvergenceError(f"no convergence after {max_iter} iterations", trace)
 
 

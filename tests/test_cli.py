@@ -234,12 +234,15 @@ class TestVerify:
         path = step_file("five.json", 2, NSEW_SW)
         code, out, err = run(capsys, "verify", "--steps", path, "--start", "1,1",
                              "--n", "300", "--cone", "halfspace:1,1", "--json")
-        assert code == 1 and out == "" and "--cone" in err
+        assert code == 1 and out == "" and err.startswith("usage:") and "--cone" in err
 
 
 class TestLatticeStart:
     @pytest.mark.parametrize("command", ["enumerate", "verify", "halfspace"])
-    @pytest.mark.parametrize("start", ["1.7,1", "inf,1", "nan,1", "1e20,1"])
+    # a float literal at 2**53 or past it may have been rounded: 2**53 + 1
+    # reads as 2**53
+    @pytest.mark.parametrize("start", ["1.7,1", "inf,1", "nan,1", "1e20,1",
+                                       "9007199254740993.0,1", "9007199254740992.0,1"])
     def test_non_integer_start_exits_1(self, capsys, step_file, command, start):
         path = step_file("nsew.json", 2, NSEW)
         argv = {"enumerate": ["enumerate", "--steps", path, "--n", "5"],
@@ -256,6 +259,18 @@ class TestLatticeStart:
         code, doc, _ = run_json(capsys, "halfspace", "--p", "0.5", "--N", "1", "--n", "20",
                                 "--start", "1.0,1.0")
         assert code == 0 and doc["config"]["start"] == [1, 1]
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify", "halfspace"])
+    def test_integer_start_past_2_53_read_exactly(self, capsys, step_file, command):
+        big = 2**53 + 1  # a double holds it as 2**53
+        path = step_file("nsew.json", 2, NSEW)
+        argv, start = {
+            "enumerate": (["enumerate", "--steps", path, "--n", "1"], [big, 1]),
+            "verify": (["verify", "--steps", path, "--n", "5", "--trials", "10"], [big, 5]),
+            "halfspace": (["halfspace", "--p", "0.5", "--N", str(big), "--n", "20"], [big, big]),
+        }[command]
+        code, doc, _ = run_json(capsys, *argv, "--start", ",".join(map(str, start)))
+        assert code == 0 and doc["config"]["start"] == start
 
 
 class TestTextReports:
@@ -493,6 +508,16 @@ class TestExitContract:
             warnings.simplefilter("error")
             code, out, err = run(capsys, *argv, "--steps", path, "--json")
         assert code == 1 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("argv", [("rate", "--threads", "2"), ("check", "--seed", "1")])
+    def test_flags_of_no_effect_refused(self, capsys, step_file, argv):
+        # every command runs in one thread, and only verify draws random
+        # numbers; reports keep the values these runs have
+        nsew = step_file("nsew.json", 2, NSEW)
+        code, out, err = run(capsys, *argv, "--steps", nsew, "--json")
+        assert code == 1 and out == "" and err.startswith("usage:")
+        code, doc, _ = run_json(capsys, argv[0], "--steps", nsew)
+        assert code == 0 and doc["config"]["threads"] == 1 and doc["config"]["seed"] == 0
 
     def test_scan_grid_past_the_budget_exits_1(self, capsys, step_file):
         # refused before the scan allocates its 10^15 x 5 exponents

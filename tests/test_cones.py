@@ -22,7 +22,7 @@ def _random_cone_point(rng, cone):
     """A point of the cone, for projection-optimality sampling."""
     if cone.kind == "orthant":
         return np.abs(rng.normal(size=cone.dim))
-    if cone.kind == "halfspace":
+    if cone.kind == "inequalities" and len(cone.normals) == 1:
         return cw.project(cone, rng.normal(size=cone.dim))
     if cone.kind == "generated":
         t = np.abs(rng.normal(size=cone.vectors.shape[0]))
@@ -412,6 +412,7 @@ class TestHalfspaceIsOneInequality:
                 "generated": lambda: cw.generated(vectors),
                 "inequalities": lambda: cw.inequalities(vectors)}[kind]()
         double = cw.dual(cw.dual(cone))
+        assert double.kind == cone.kind and _same(double.vectors, cone.vectors)
         assert _same(double.normals, cone.normals) and _same(double.rays, cone.rays)
 
 

@@ -879,7 +879,7 @@ class TestFindDelta:
         steps = [(2, -1), (-1, 2)]
         res0 = cw.check_h3(steps, 8)
         assert not res0.ok  # from the origin both steps exit Q immediately
-        res = cw.find_delta(steps, cw.orthant(2), delta_grid=(0.0, 1.0, 2.0))
+        res = cw.find_delta(steps, cw.orthant(2))
         assert res.found
         assert res.delta == 1.0
         # replay the witness: stays in Q - delta*(1,1), ends strictly inside Q
@@ -920,7 +920,6 @@ class TestLatticeReduction:
         spread_steps, spread_start = np.array(steps) * g, np.array(start) * g + r
         series = cw.count_walks(spread_steps, spread_start, n, mode="exact")
         assert series.values == cw.count_walks(steps, start, n, mode="exact").values
-        assert series.start == tuple(spread_start.tolist())
         layer = cw.end_point_counts(spread_steps, spread_start, None, n)
         assert layer == {tuple((np.array(z) * g + r).tolist()): v
                          for z, v in cw.end_point_counts(steps, start, None, n).items()}

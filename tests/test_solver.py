@@ -700,7 +700,7 @@ class TestSharedTermsMatchReference:
             return
         g, d = ref.gradient(law, x), np.array(direction[:law.dim])
         project = lambda v: np.maximum(v, 0.0)
-        new = solver._armijo_projected(law, x, f, g, d, project)
+        new = solver._armijo_projected(law, x, f, g, d)
         if new is not None:
             new = new[0], new[1].value
         assert bits(new) == bits(ref.armijo_projected(law, x, f, g, d, project))
