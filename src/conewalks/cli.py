@@ -15,6 +15,7 @@ check (status "check-failed"; the report keeps every figure).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -313,6 +314,7 @@ def cmd_scan(args, report):
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves no state on the parser, so one serves every call
 def build_parser():
     parser = _Parser(prog="conewalks",
                      description="Cone non-exit decay rates: certificates, enumeration, simulation")

@@ -83,7 +83,8 @@ class Cone:
     ``normals`` and ``rays`` are the two descriptions, shape (k, d): the one
     the cone was built from as given, the other derived when first read;
     ``normal_norms`` holds the Euclidean norm of each normal, which scales
-    the membership tolerances.
+    the membership tolerances. All four arrays are read-only, and the
+    constructors copy their input, so a cone never changes after it is built.
     """
 
     dim: int
@@ -93,22 +94,18 @@ class Cone:
     @cached_property
     def normals(self):
         if self.kind == GENERATED:
-            return _generators(self.vectors)
+            return _read_only(_generators(self.vectors))
         return self.rays if self.kind == ORTHANT else self.vectors
 
     @cached_property
     def rays(self):
         if self.kind != ORTHANT:
-            return self.vectors if self.kind == GENERATED else _generators(self.normals)
-        eye = np.eye(self.dim)
-        eye.flags.writeable = False
-        return eye
+            return self.vectors if self.kind == GENERATED else _read_only(_generators(self.normals))
+        return _read_only(np.eye(self.dim))
 
     @cached_property
     def normal_norms(self):
-        norms = _norms(self.normals)
-        norms.flags.writeable = False
-        return norms
+        return _read_only(_norms(self.normals))
 
     @cached_property
     def _interior_point(self):
@@ -125,6 +122,11 @@ class Cone:
         return f"Cone({self.kind}, dim={self.dim}, vectors={self.vectors.tolist()})"
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _finite(a, what):
     if not np.isfinite(a).all():
         raise ConeError(f"{what} must be finite, got {a.tolist()}")
@@ -138,30 +140,30 @@ def orthant(dim):
 
 
 def halfspace(u):
-    u = _finite(np.asarray(u, dtype=float), "half-space normal")
+    u = _finite(np.array(u, dtype=float), "half-space normal")
     if u.ndim != 1 or u.shape[0] < 1:
         raise ConeError("half-space normal must be a vector")
     if not np.any(u != 0.0):
         raise ConeError("half-space normal must be nonzero")
-    return Cone(u.shape[0], INEQUALITIES, u.reshape(1, -1))
+    return Cone(u.shape[0], INEQUALITIES, _read_only(u.reshape(1, -1)))
 
 
 def generated(rays):
-    R = _finite(np.atleast_2d(np.asarray(rays, dtype=float)), "every ray")
+    R = _finite(np.atleast_2d(np.array(rays, dtype=float)), "every ray")
     if R.shape[0] < 1:
         raise ConeError("generated cone needs at least one ray")
     if np.any(~np.any(R != 0.0, axis=1)):
         raise ConeError("every ray must be nonzero")
-    return Cone(R.shape[1], GENERATED, R)
+    return Cone(R.shape[1], GENERATED, _read_only(R))
 
 
 def inequalities(normals):
-    A = _finite(np.atleast_2d(np.asarray(normals, dtype=float)), "every inequality normal")
+    A = _finite(np.atleast_2d(np.array(normals, dtype=float)), "every inequality normal")
     if A.shape[0] < 1:
         raise ConeError("inequality cone needs at least one normal")
     if np.any(~np.any(A != 0.0, axis=1)):
         raise ConeError("every inequality normal must be nonzero")
-    return Cone(A.shape[1], INEQUALITIES, A)
+    return Cone(A.shape[1], INEQUALITIES, _read_only(A))
 
 
 def _dets(M):

@@ -19,6 +19,19 @@ start negative within the membership tolerance, are tested: a nonnegative
 coordinate plus a nonnegative step stays nonnegative, in int64 and in floats.
 Lattice walks run in int64 unless |start| + n |step| could reach 2**63.
 
+A lattice walk that cannot leave its cone (the orthant, with no step that
+decreases a coordinate and no negative start) is not moved step by step: only
+the checkpoints read positions, and a position is start plus the number of
+times each step was taken times that step. Those numbers come from counts: C_j
+counts the words at or above threshold t_j, so step i was taken
+C_i - C_{i+1} times (step 0: k - C_1; the last: C_m). The words of up to
+DRAW_BLOCK // T steps are drawn in one `random_raw` call, which returns the
+same words as that many calls of T words, and no block crosses a checkpoint.
+Every count is at most k, so every partial sum stays within
+|start| + k |step|, below the 2**63 bound the int64 test already checks, and
+the integer result equals the per-step one exactly. Float walks keep the
+per-step loop, since their sums round in the order the steps were taken.
+
 The tilted estimator simulates under the exponentially changed measure at the
 rate minimizer and reweights back, which is unbiased for the original
 survival probability and much tighter when the drift points out of the cone.
@@ -87,6 +100,10 @@ def _mean_stderr(samples):
     return est, float(samples.std(ddof=1) / math.sqrt(samples.size))
 
 
+# Philox words drawn per `random_raw` call on the counting path (128 KiB)
+DRAW_BLOCK = 2**14
+
+
 def _step_thresholds(weights):
     """The uint64 words at or above which the step index goes up by one.
 
@@ -102,6 +119,27 @@ def _choose_steps(raw, thresholds):
     for t in thresholds:
         idx += raw >= t
     return idx
+
+
+def _count_steps(start, steps, thresholds, bitgen, trials, checkpoints, statistic):
+    """The per-step loop's statistics for a lattice walk that cannot exit,
+    with positions formed at each checkpoint from counts of the words that
+    reach each threshold (see the module docstring)."""
+    counts = np.zeros((thresholds.size, trials), dtype=np.int64)
+    steps = steps[:thresholds.size + 1]  # the steps past a cumulative weight of 1 are never taken
+    alive = np.ones(trials, dtype=bool)
+    per_block = max(1, DRAW_BLOCK // trials)
+    out, k = {}, 0
+    for stop in checkpoints:
+        while k < stop:
+            b = min(per_block, stop - k)
+            raw = bitgen.random_raw(b * trials).reshape(b, trials)
+            for row, t in zip(counts, thresholds):
+                row += np.count_nonzero(raw >= t, axis=0)
+            k += b
+        taken = -np.diff(counts, axis=0, prepend=k, append=0)  # C_i - C_{i+1}, C_0 = k
+        out[k] = statistic(k, start + taken.T @ steps, alive)
+    return out
 
 
 def _simulate(m, start, cone, config, checkpoints, statistic):
@@ -131,11 +169,13 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
     coords = np.flatnonzero((steps.min(axis=0) < 0) | (start < 0)).tolist()
     can_exit = cone.kind != cones.ORTHANT or bool(coords)
     trials = config.trials
+    thresholds = _step_thresholds(m.weights)
+    bitgen = np.random.Philox(key=config.seed)
+    if lattice and not can_exit:
+        return _count_steps(start, steps, thresholds, bitgen, trials, sorted(wanted), statistic)
     pos = np.tile(start, (trials, 1))
     live = np.arange(trials)  # trial numbers of the walkers still inside
     live_pos = pos.copy()
-    thresholds = _step_thresholds(m.weights)
-    bitgen = np.random.Philox(key=config.seed)
     out = {}
     for k in range(1, config.n + 1):
         raw = bitgen.random_raw(trials)

@@ -578,6 +578,28 @@ class TestDeterminism:
         code, _, err = run(capsys, "rate", "--steps", nsew, "--cone", "wedge:1,2")
         assert code == 1 and "cone literal" in err
 
+    def test_one_parser_serves_every_call(self, capsys, step_file, monkeypatch):
+        # an optional flag of one call must not carry over to the next
+        d1 = step_file("d1.json", 1, [(1,), (-1,)], weights=[0.25, 0.75])
+        five = step_file("five.json", 2, NSEW_SW)
+        verify = ("verify", "--steps", d1, "--start", "2", "--n", "40", "--trials", "2000")
+        calls = [
+            (*verify, "--mc-n", "60"),
+            verify,
+            ("rate", "--steps", five, "--cone", "ineq:[[2,-1],[-1,2]]"),
+            ("rate", "--steps", five, "--threads", "2"),
+            ("rate", "--steps", five),
+            ("check", "--steps", five, "--depth", "3"),
+            ("check", "--steps", five),
+        ]
+        shared = [run(capsys, *argv, "--json")[:2] for argv in calls]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(capsys, *argv, "--json")[:2] for argv in calls]
+        assert shared == fresh
+        assert [code for code, _ in shared] == [0, 0, 0, 1, 0, 0, 0]
+        assert json.loads(shared[0][1])["config"] != json.loads(shared[1][1])["config"]
+        assert json.loads(shared[2][1]) != json.loads(shared[4][1])
+
 
 IMPORT_GUARD = """
 import sys

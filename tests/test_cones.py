@@ -110,6 +110,28 @@ class TestDescriptions:
         with pytest.raises(ValueError):
             cw.orthant(2).normals[0, 1] = 1.0
 
+    def test_given_and_derived_descriptions_are_read_only(self):
+        for cone in (cw.halfspace([2.0, -1.0]), cw.inequalities([[1.0, 0.0], [1.0, 2.0]]),
+                     cw.generated([[1.0, 0.0], [1.0, 2.0]])):
+            for arr in (cone.vectors, cone.normals, cone.rays):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 5.0
+
+    def test_cone_does_not_alias_the_callers_array(self):
+        u = np.array([1.0, 1.0])
+        c = cw.halfspace(u)
+        u[0] = -5.0
+        assert cw.contains(c, [1, 0]) and c.vectors.tolist() == [[1.0, 1.0]]
+        A = np.eye(2)
+        g = cw.inequalities(A)
+        g.rays
+        A[0, 0] = -1.0
+        assert np.array_equal(g.normals, np.eye(2))
+        R = np.array([[1.0, 0.0], [1.0, 1.0]])
+        r = cw.generated(R)
+        R[1] = [-1.0, 0.0]
+        assert r.rays.tolist() == [[1.0, 0.0], [1.0, 1.0]] and not cw.contains(r, [-1, 0])
+
     def test_missing_description_derived(self):
         for A in ([[1.0, 1.0]], [[1, 0, 0], [0, 1, 0], [1, 1, -1]], [[1, 0, 0], [-1, 0, 0]],
                   [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, -1, 0], [0, 0, 1, 1]]):

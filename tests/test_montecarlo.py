@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -334,6 +336,21 @@ class TestGoldenStream:
         got = _tilted_hex(ENSWS, None, (2, 1), cw.SimConfig(seed=10, trials=20000, n=50))
         assert got == ("0x1.cfab72dd5133ap-10", "0x1.cee6114929746p-15")
 
+    def test_float_start_that_cannot_exit_moves_step_by_step(self):
+        # no walker can leave, but a float start keeps the per-step loop: its
+        # positions are running sums, which here round otherwise than
+        # start + the integer displacement the counting path would add
+        start = np.array([1 / 3, 1 / 3])
+
+        def stat(_k, pos, alive):
+            counted = start + np.round(pos - start)
+            digest = hashlib.sha256(pos.tobytes()).hexdigest()[:16]
+            return digest, alive.all(), np.array_equal(pos, counted)
+
+        m = cw.probability_measure([(1, 0), (0, 1)], [0.25, 0.75])
+        got = mc._simulate(m, start, Q2, cw.SimConfig(seed=13, trials=50, n=30), {10, 30}, stat)
+        assert got == {10: ("f58609440eab6a99", True, False), 30: ("d05aeb48ab55e800", True, False)}
+
     @pytest.mark.parametrize("seed, trials, pinned", [
         (11, 5, ("0x1.999999999999ap-3", "0x1.999999999999ap-3")),
         (93, 8, ("0x0.0p+0", "0x0.0p+0")),
@@ -434,3 +451,69 @@ class TestSimulationProperties:
         permuted = cw.simulate_survival(cw.from_step_set([[s[i] for i in perm] for s in steps]),
                                         [start[i] for i in perm], cw.orthant(d), cfg)
         assert _hex(permuted) == _hex(res)
+
+
+@st.composite
+def _cannot_exit_cases(draw):
+    d = draw(st.integers(1, 3))
+    vectors = [v for v in itertools.product((0, 1), repeat=d) if any(v)]
+    steps = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=len(vectors), unique=True))
+    k = len(steps)
+    if k > 1 and draw(st.booleans()):
+        # halves, quarters, ... reach 1 exactly before the last step's weight
+        weights = [2.0 ** -min(i + 1, k - 2) for i in range(k - 1)] + [1e-13]
+    else:
+        raw = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        weights = [w / sum(raw) for w in raw]
+    start = tuple(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    trials = draw(st.sampled_from([1, 7, 300, 4097]))
+    checkpoints = draw(st.sets(st.integers(1, 40), min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return steps, weights, start, trials, checkpoints, seed
+
+
+class _Words:
+    """Stands in for the Philox bit generator, returning the given words."""
+
+    def __init__(self, words):
+        self.words, self.at = words, 0
+
+    def random_raw(self, size):
+        self.at += size
+        return self.words[self.at - size:self.at]
+
+
+class TestCountingPath:
+    @pytest.mark.parametrize("weights", SELECTION_LAWS, ids=SELECTION_IDS)
+    def test_boundary_words_counted_as_chosen(self, weights):
+        # unit steps make a position the count of each step taken
+        thresholds = mc._step_thresholds(np.array(weights))
+        near = {t + d for t in thresholds.tolist() for d in (-1, 0, 1)} | {0, 2**64 - 1}
+        words = np.array(sorted(near), dtype=np.uint64)
+        k, trials = len(weights), words.size
+        raw = np.concatenate([np.roll(words, j) for j in range(3)])
+        eye = np.eye(k, dtype=np.int64)
+        got = mc._count_steps(np.zeros(k, dtype=np.int64), eye, thresholds, _Words(raw), trials, [3],
+                              lambda _k, pos, _alive: pos)
+        want = eye[mc._choose_steps(raw, thresholds)].reshape(3, trials, k).sum(axis=0)
+        assert np.array_equal(got[3], want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_cannot_exit_cases())
+    def test_counts_give_the_per_step_positions(self, case):
+        # the orthant takes the counting path; the same cone written as
+        # inequalities moves every walker each step
+        steps, weights, start, trials, checkpoints, seed = case
+        m = cw.probability_measure(steps, weights)
+        cfg = cw.SimConfig(seed=seed, trials=trials, n=max(checkpoints))
+
+        def positions(cone):
+            return mc._simulate(m, start, cone, cfg, checkpoints,
+                                lambda _k, pos, alive: (pos.dtype, pos.tobytes(), alive.all()))
+
+        stepwise = positions(cw.inequalities(np.eye(len(start))))
+        for block in (1, 7, 2**20):
+            with mock.patch.object(mc, "DRAW_BLOCK", block), \
+                    mock.patch.object(mc, "_count_steps", wraps=mc._count_steps) as counting:
+                assert positions(cw.orthant(len(start))) == stepwise
+            assert counting.called
