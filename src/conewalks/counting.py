@@ -26,30 +26,35 @@ zeros from pad cells. A cell the orthant cuts lands in a pad cell, as a row
 has at least as many pad cells as the cut is deep, or before the buffer; the
 pads of each cut axis are zeroed after the adds. When a box outgrows its
 padding, its buffer or its limbs, it is copied into the idle buffer with two
-spans of padding; a buffer is replaced only when too small, and freed before
-its successor is allocated, so at most two layer-sized arrays are alive. A
-buffer of MAPPED_BYTES or more is a private anonymous mapping, unmapped when
-it is freed, so the DP's resident size does not depend on the state of
-malloc's heap or on the host's free huge pages. A step with a weight other
-than 1 forms its product PRODUCT_BLOCK cells at a time in one block the DP
-owns.
+spans of padding; a buffer is replaced only when too small, by one twice the
+size the layer needs, and freed before its successor is allocated, so at most
+two layer-sized arrays are alive. A buffer of MAPPED_BYTES or more is an
+anonymous mapping of its own, unmapped when it is freed, so the DP's resident
+size does not depend on the state of malloc's heap or on the host's free huge
+pages. A buffer's pages fault in when a box first reaches them, so a buffer
+doubles: fewer buffers fault in fewer pages. A step with a weight other than 1
+forms its product PRODUCT_BLOCK cells at a time in one block the DP owns.
 
 Every index of a step follows from the layer's layout: the buffer holding
 it, its lowest point, its shape, its flat range, and in exact mode its limbs
 before and after the step. So each step runs from a plan of its layout: the
 zeroing, copy, multiply and add calls on views built once, the pads of the
-cut axes, the 1-wide faces of the new box that the trim tests, and for each
-trim outcome met so far the trimmed layer with the views that its
-normalisation, carry and total read. A box held small by a wall or by the
-FLOAT_TRIM cut repeats its layouts, mostly with period 2 from lattice
-parity, so a layout met again two layers after it was planned keeps its
-plan, and later layers of that layout replay it with no index arithmetic in
-Python. Only the layouts of the last two planned layers are remembered, so a
-growing box holds two of them, not one per layer. A relayout drops
-every plan, as plans hold views of the buffers it frees; a growing box,
-whose layouts do not repeat, keeps none. Building a plan and replaying it
-make the same numpy calls on the same operands in the same order, so no bit
-depends on whether a layer was replayed.
+cut axes, the new box seen along each axis, whose rows are the faces that the
+trim tests, and for each trim outcome met so far the trimmed layer with the
+views that its normalisation, carry and total read. A box held small by a wall
+or by the FLOAT_TRIM cut repeats its layouts, mostly with period 2 from
+lattice parity, so a layout met again two layers after it was planned keeps
+its plan, and later layers of that layout replay it with no index arithmetic
+in Python. Only the layouts of the last two planned layers are remembered, so
+a growing box holds two of them, not one per layer. A relayout drops every
+plan, as plans hold views of the buffers it frees; a growing box, whose
+layouts do not repeat, keeps none. Such a layer builds its plan and runs it
+once, so building is kept to few Python calls: the new box and its padded rows
+are made by the ``np.ndarray`` constructor from the buffer and the padded
+strides, not by reshaping and slicing, and the box is seen along axis k by one
+transpose that puts axis k first. Building a plan and replaying it make the
+same numpy calls on the same operands in the same order, so no bit depends on
+whether a layer was replayed.
 
 Exact counts use radix 2^r with r = 63 - bit_length(|S|), so |S| 2^r < 2^63.
 Layer k holds L = ceil(bit_length(|S|^k) / r) limbs: |S|^k bounds every
@@ -253,14 +258,14 @@ class _Plan:
     and zeroing on views built once, the untrimmed box they leave, and the
     states its trim outcomes lead to (see ``_LayerDP``)."""
 
-    __slots__ = ("ops", "box", "extent", "lo", "faces", "trims")
+    __slots__ = ("ops", "box", "faces", "extent", "lo", "trims")
 
-    def __init__(self, ops, box, extent, lo):
+    def __init__(self, ops, box, faces, extent, lo):
         self.ops = ops  # (function, arguments) pairs in the order they run
         self.box = box
+        self.faces = faces  # per axis, box with that axis first: face i is faces[axis][i]
         self.extent = extent
         self.lo = lo
-        self.faces = {}  # (axis, index) -> 1-wide slice of box
         self.trims = {}  # trim outcome -> state of the trimmed layer
 
 
@@ -319,6 +324,10 @@ class _LayerDP:
         self._limbs = 1
         # the index of the limb axis, which only exact views have
         self._lead = (slice(None),) if exact else ()
+        # the axis orders that put each axis of a box first, ahead of the limbs
+        lead = len(self._lead)
+        self._face_orders = [(lead + ax,) + tuple(i for i in range(lead + d) if i != lead + ax)
+                             for ax in range(d)]
         self._plans, self._seen, self._parity = {}, deque(maxlen=2), 0
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
@@ -408,7 +417,7 @@ class _LayerDP:
         # the box it advances to
         size = max(rows, n[0]) * self._strides[0]
         shape = self._buffers[1].shape
-        want = (shape[-1] if shape[-1] >= size else size + size // 4,)
+        want = (shape[-1] if shape[-1] >= size else 2 * size,)
         if self.exact:
             want = (shape[0] if shape[0] >= limbs else 2 * limbs,) + want
         grow = want != shape
@@ -428,6 +437,9 @@ class _LayerDP:
         if grow:
             self._buffers[1] = None
             self._buffers[1] = _buffer(want, dtype)
+        # the strides in bytes of a box at the start of a buffer, limbs first
+        self._byte_strides = self._buffers[0].strides[:-1] + tuple(
+            st * self._buffers[0].itemsize for st in self._strides)
         self._first = 0
         self._end = sum((k - 1) * st for k, st in zip(n, self._strides)) + 1
         self._key = self._layout(self.lo, n, self._first, self._end)
@@ -438,14 +450,14 @@ class _LayerDP:
         first when the next box outgrows its padding, its buffer or its
         limbs."""
         lo, n = self.lo, self._view.shape[-self.d:]
-        new_lo = [max(a + m, 0) for a, m in zip(lo, self.step_min)]
+        new_lo = [a + m if a + m > 0 else 0 for a, m in zip(lo, self.step_min)]
         box = [a + k - b + m for a, k, b, m in zip(lo, n, new_lo, self.step_max)]
         if min(box) <= 0:
             return None
         held = self._limbs
         if (box[0] * self._strides[0] > self._buffers[1].shape[-1]
                 or self.exact and limbs > len(self._buffers[1])
-                or any(k > r for k, r in zip(n[1:], self._room))):
+                or any(map(operator.gt, n[1:], self._room))):
             self._relayout(box[0], limbs)
         src, dst = self._buffers
         old, new = (src[:held], dst[:held]) if self.exact else (src, dst)
@@ -453,49 +465,54 @@ class _LayerDP:
         rows = box[0] * self._strides[0]
         # the layer's cell f lands on the new box's cell f + base + offset,
         # where the new box starts at the start of dst
-        base = sum((a - b) * st for a, b, st in zip(lo, new_lo, self._strides)) - first
+        base = sum([(a - b) * st for a, b, st in zip(lo, new_lo, self._strides)]) - first
         ops = []
+        append, block, product = ops.append, PRODUCT_BLOCK, self._product
         for offset, w in self._offsets:
             offset += base
-            g0 = max(first, -offset)
+            g0 = -offset if -offset > first else first
             if g0 >= end:
                 continue
             if not ops:
                 # writing the first step's cells saves a pass that zeroes them
                 for v in new[..., :g0 + offset], new[..., end + offset:rows]:
                     if v.size:
-                        ops.append((v.fill, (0,)))
+                        append((v.fill, (0,)))
                 if w is None:
-                    ops.append((operator.setitem, (new[..., g0 + offset:end + offset], ...,
-                                                   old[..., g0:end])))
+                    append((operator.setitem, (new[..., g0 + offset:end + offset], ...,
+                                               old[..., g0:end])))
                 else:
-                    for a in range(g0, end, PRODUCT_BLOCK):
-                        b = min(a + PRODUCT_BLOCK, end)
-                        ops.append((np.multiply, (old[a:b], w, new[a + offset:b + offset])))
+                    for a in range(g0, end, block):
+                        b = a + block if a + block < end else end
+                        append((np.multiply, (old[a:b], w, new[a + offset:b + offset])))
             elif w is None:
                 to = new[..., g0 + offset:end + offset]
-                ops.append((np.add, (to, old[..., g0:end], to)))
+                append((np.add, (to, old[..., g0:end], to)))
             else:
                 # the product is formed a block at a time in one block of
                 # its own, so no temporary is layer-sized and each stays in cache
-                for a in range(g0, end, PRODUCT_BLOCK):
-                    b = min(a + PRODUCT_BLOCK, end)
-                    product, to = self._product[:b - a], new[a + offset:b + offset]
-                    ops += [(np.multiply, (old[a:b], w, product)), (np.add, (to, product, to))]
+                for a in range(g0, end, block):
+                    b = a + block if a + block < end else end
+                    part, to = product[:b - a], new[a + offset:b + offset]
+                    append((np.multiply, (old[a:b], w, part)))
+                    append((np.add, (to, part, to)))
         if not ops:
             ops.append((new[..., :rows].fill, (0,)))
+        head = ()
         if self.exact:
             if limbs > held:
                 ops.append((dst[held:limbs, :rows].fill, (0,)))
-            dst = dst[:limbs]
-        padded = dst[..., :rows].reshape(*dst.shape[:-1], box[0], *self._extents)
+            head = (limbs,)
+        # the new box's rows, padded and cut to the box, at the start of dst
+        padded = np.ndarray(head + (box[0], *self._extents), dst.dtype, dst, 0, self._byte_strides)
+        untrimmed = np.ndarray(head + tuple(box), dst.dtype, dst, 0, self._byte_strides)
         for k in range(1, self.d):
             if lo[k] + self.step_min[k] < 0:
                 # cells the orthant cuts on axis k landed in its pads
                 pads = padded[self._lead + (slice(None),) * k + (slice(box[k], None),)]
                 ops.append((pads.fill, (0,)))
-        untrimmed = padded[self._lead + (slice(None),) + tuple(slice(0, k) for k in box[1:])]
-        plan = _Plan(ops, untrimmed, box, new_lo)
+        faces = [untrimmed.transpose(order) for order in self._face_orders]
+        plan = _Plan(ops, untrimmed, faces, box, new_lo)
         key = self._key + (limbs,) if self.exact else self._key
         if key in self._seen:
             self._plans[key] = plan
@@ -557,24 +574,16 @@ class _LayerDP:
         plan's new box, read inward from each face, or None when it has none.
         A face of the untrimmed box is nonzero exactly when its part inside
         the box trimmed on the other axes is, as only zero cells are cut."""
-        faces, bounds, head = plan.faces, (), self._lead
-
-        def occupied(i):
-            face = faces.get((ax, i))
-            if face is None:
-                face = faces[ax, i] = plan.box[head + (slice(i, i + 1),)]
-            return np.count_nonzero(face)
-
-        for ax, k in enumerate(plan.extent):
-            first, last = 0, k - 1
-            while first <= last and not occupied(first):
+        bounds = ()
+        for faces in plan.faces:
+            first, last = 0, len(faces) - 1
+            while first <= last and not np.count_nonzero(faces[first]):
                 first += 1
             if first > last:
                 return None
-            while not occupied(last):
+            while not np.count_nonzero(faces[last]):
                 last -= 1
             bounds += (first, last)
-            head += (slice(None),)
         return bounds
 
     def endpoint_items(self):

@@ -5,19 +5,23 @@ draws all T = config.trials uniforms at once, so the draw of (step k, trial t)
 sits at stream position (k-1)*T + t whether or not trial t is still inside:
 results are a pure function of (seed, model, start, config) and cannot depend
 on how trials would be scheduled. Only walkers still inside the cone move; a
-walker that leaves keeps its exit position. A statistic receives the full
-(T, d) position array and the `alive` mask; the rows of dead walkers are
-stale, frozen at exit, so a statistic must mask them.
+walker that leaves keeps its exit position. The walkers that leave at a step
+are removed by index: one `nonzero` of the exits and one of the survivors,
+whose rows are then taken, so the survivors' positions stay one C-ordered
+(L, d) array. A statistic receives the full (T, d) position array and the
+`alive` mask; the rows of dead walkers are stale, frozen at exit, so a
+statistic must mask them.
 
 Steps are chosen from the raw 64-bit Philox words, not from doubles. numpy's
 uniform double is `(raw >> 11) * 2**-53`, so `u >= c` holds exactly when
 `raw >= ceil(c * 2**53) << 11`; the step index is the number of such integer
 thresholds a word reaches, one per cumulative weight below 1, which is what
 `searchsorted(cumsum(weights), u, side="right")` clipped to the last step
-gives. On the orthant only the coordinates that some step decreases, or that
-start negative within the membership tolerance, are tested: a nonnegative
-coordinate plus a nonnegative step stays nonnegative, in int64 and in floats.
-Lattice walks run in int64 unless |start| + n |step| could reach 2**63.
+gives, counted in the smallest integer type that holds it. On the orthant
+only the coordinates that some step decreases, or that start negative within
+the membership tolerance, are tested: a nonnegative coordinate plus a
+nonnegative step stays nonnegative, in int64 and in floats. Lattice walks run
+in int64 unless |start| + n |step| could reach 2**63.
 
 A lattice walk that cannot leave its cone (the orthant, with no step that
 decreases a coordinate and no negative start) is not moved step by step: only
@@ -114,8 +118,9 @@ def _step_thresholds(weights):
 
 
 def _choose_steps(raw, thresholds):
-    """The step index of each raw word: how many thresholds it reaches."""
-    idx = np.zeros(raw.size, dtype=np.intp)
+    """The step index of each raw word: how many thresholds it reaches, in
+    the smallest integer type that holds the count."""
+    idx = np.zeros(raw.size, dtype=np.min_scalar_type(thresholds.size))
     for t in thresholds:
         idx += raw >= t
     return idx
@@ -155,11 +160,12 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
     wanted = set(checkpoints)
     if not all(isinstance(k, numbers.Integral) and 1 <= k <= config.n for k in wanted):
         raise ValueError(f"checkpoints must be integers in 1..{config.n}")
-    top_start, top_step = np.abs(start).max(), np.abs(m.steps).max()
+    top_step = np.abs(m.steps).max()
     lattice = (m.is_lattice() and np.all(start == np.round(start))
                and np.isfinite(top_step)
-               # no coordinate can wrap in int64 before n steps
-               and int(top_start) + config.n * int(top_step) < 2**63)
+               # no coordinate can wrap in int64 before n steps; the start's
+               # magnitudes are Python ints, as abs(-2**63) wraps in int64
+               and max(abs(int(v)) for v in start.tolist()) + config.n * int(top_step) < 2**63)
     if lattice:
         steps = m.steps.astype(np.int64)
         start = start.astype(np.int64)
@@ -184,10 +190,12 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
         live_pos += steps.take(_choose_steps(raw, thresholds), axis=0)
         if can_exit:
             inside = _row_membership(cone, live_pos, trials, coords)
-            if not inside.all():
-                pos[live[~inside]] = live_pos[~inside]
-                live = live[inside]
-                live_pos = live_pos[inside]
+            keep = inside.nonzero()[0]
+            if keep.size < live.size:
+                gone = np.logical_not(inside).nonzero()[0]
+                pos[live.take(gone)] = live_pos.take(gone, axis=0)
+                live = live.take(keep)
+                live_pos = live_pos.take(keep, axis=0)
         if k in wanted:
             pos[live] = live_pos
             alive = np.zeros(trials, dtype=bool)

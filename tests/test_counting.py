@@ -17,6 +17,8 @@ HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
 HS_WEIGHTS = np.array([1 / 3, 1 / 3, 1 / 3])
 S5 = [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1)]
 D3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+# {E,N,W,S,SW} in the step order of the `verify` benchmark's step file
+ENSWS = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)]
 
 
 def brute_totals(steps, start, n, weights=None):
@@ -449,17 +451,16 @@ class _BoxLayerDP:
 
     def endpoint_items(self):
         """(lattice point, mass) pairs of the current layer."""
-        items = []
         if self.dead:
-            return items
-        for idx in np.argwhere(self.layer != 0 if self.exact else self.layer > 0.0):
-            point = tuple(a + int(i) for a, i in zip(self.lo, idx))
-            v = self.layer[tuple(idx)]
-            if self.exact:
-                items.append((point, int(v)))
-            else:
-                items.append((point, float(v) * math.exp(self.log_scale)))
-        return items
+            return []
+        cells = np.argwhere(self.layer != 0 if self.exact else self.layer > 0.0)
+        values = self.layer[tuple(cells.T)].tolist()
+        if self.exact:
+            values = [int(v) for v in values]
+        else:
+            scale = math.exp(self.log_scale)
+            values = [v * scale for v in values]
+        return [(tuple(p), v) for p, v in zip((cells + self.lo).tolist(), values)]
 
 
 class _CountedPlans(dict):
@@ -475,8 +476,10 @@ class _CountedPlans(dict):
 
 def _layouts_agree(steps, start, n, weights, exact, trim):
     """Run the flat-layout DP and the box-layout reference side by side and
-    compare every layer bit for bit; returns the flat DP, whose ``_plans``
-    counts the layers that replayed a plan."""
+    compare every layer bit for bit: every cell of a float layer, the
+    endpoint counts of an exact one, and the endpoint masses of the last
+    layer; returns the flat DP, whose ``_plans`` counts the layers that
+    replayed a plan."""
     steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, exact, None)
     flat = counting._LayerDP(steps, w, start, exact=exact, trim_threshold=trim)
     flat._plans = _CountedPlans()
@@ -492,7 +495,11 @@ def _layouts_agree(steps, start, n, weights, exact, trim):
             assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex()), k
         assert flat.lo == ref.lo, k
         assert flat.layer.shape == ref.layer.shape, k
-        assert flat.endpoint_items() == ref.endpoint_items(), k
+        if exact:
+            assert flat.endpoint_items() == ref.endpoint_items(), k
+        else:
+            assert flat.layer.tobytes() == ref.layer.tobytes(), k
+    assert flat.endpoint_items() == ref.endpoint_items()
     return flat
 
 
@@ -577,6 +584,27 @@ class TestFlatLayoutMatchesBoxLayout:
         assert kinds == {False, True}
         _layouts_agree(S5, (0, 0), 30, None, exact, counting.FLOAT_TRIM)
 
+    @pytest.mark.parametrize("steps, start, n, weights, relayouts", [
+        (ENSWS, (1, 1), 300, (0.2,) * 5, 40),
+        (D3, (1, 1, 1), 60, (0.25,) * 4, 22),
+        (NSEW, (1, 1), 200, None, 41),
+    ], ids=["ensws", "d3", "nsew"])
+    def test_verify_shapes_at_their_horizons(self, steps, start, n, weights, relayouts,
+                                             monkeypatch):
+        # the DPs of `verify` and `enumerate` on growing boxes; a box lays
+        # its layer out anew when it outgrows its padding or its buffer, whose
+        # size doubles each time (counted with the layout of the first layer)
+        calls = []
+        relayout = counting._LayerDP._relayout
+
+        def counted(dp, rows, limbs):
+            calls.append(rows)
+            relayout(dp, rows, limbs)
+
+        monkeypatch.setattr(counting._LayerDP, "_relayout", counted)
+        _layouts_agree(steps, start, n, weights, False, counting.FLOAT_TRIM)
+        assert len(calls) == relayouts
+
     @pytest.mark.parametrize("block", [counting.PRODUCT_BLOCK, 7])
     def test_weights_and_no_trim(self, block, monkeypatch):
         # a 7-cell block splits each weighted product into many pieces
@@ -657,8 +685,8 @@ class TestPlanReplay:
         assert dp._plans.replayed == 0
 
     def test_seen_layouts_stay_two_on_a_growing_1d_box(self):
-        # the 1-D box relayouts only when its buffer grows by a quarter; the
-        # layouts seen were once one per layer (546 at once by n = 2000)
+        # the 1-D box relayouts only when it outgrows its buffer; the layouts
+        # seen were once one per layer (546 at once by n = 2000)
         steps, start, w, _ = counting._dp_inputs([(1,), (2,), (-1,)], (0,), 2000, None, False,
                                                  None)
         dp = counting._LayerDP(steps, w, start, exact=False)
@@ -667,7 +695,7 @@ class TestPlanReplay:
             assert len(dp._seen) <= 2
 
     @pytest.mark.parametrize("steps, start, n, weights, replayed", [
-        ([(1,), (-1,)], (2,), 2000, (0.25, 0.75), 1809),
+        ([(1,), (-1,)], (2,), 2000, (0.25, 0.75), 1814),
         (HS_STEPS, (1, 1), 1500, _hs_weights(1 / 3), 1495),
         (HS_STEPS, (4, 0), 1500, _hs_weights(0.4), 1492),
         (HS_STEPS, (3, 1), 1500, _hs_weights(0.3), 1493),

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import types
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conewalks as cw
+import reference_montecarlo as ref_mc
 from conewalks import montecarlo as mc
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
@@ -53,6 +55,14 @@ class TestPlainSurvival:
         m = cw.probability_measure([(up,), (-1,)], [0.5, 0.5])
         res = cw.simulate_survival(m, (0,), cw.orthant(1), cw.SimConfig(seed=0, trials=4000, n=20))
         assert abs(res.estimate - 0.5) <= 4.0 * res.stderr
+
+    def test_start_at_int64_minimum_does_not_wrap(self):
+        # |-2**63| wraps to -2**63 in int64, which once passed the lattice
+        # guard, so the walk ran in int64 and wrapped to large positive
+        # positions: no walker can leave {x <= 0} in 3 steps from there
+        res = cw.simulate_survival(cw.from_step_set([[1], [-1]]), np.array([-2**63]),
+                                   cw.inequalities([[-1]]), cw.SimConfig(seed=0, trials=8, n=3))
+        assert res == mc.SimResult(1.0, 0.0)
 
     def test_bit_identical_reproducibility(self):
         m = cw.probability_measure([(1,), (-1,)], [0.25, 0.75])
@@ -517,3 +527,94 @@ class TestCountingPath:
                     mock.patch.object(mc, "_count_steps", wraps=mc._count_steps) as counting:
                 assert positions(cw.orthant(len(start))) == stepwise
             assert counting.called
+
+
+@st.composite
+def _reference_cases(draw):
+    """A walk in d = 1-3 with steps from {-1, 0, 1}^d, the orthant or an
+    `inequalities` or `generated` cone holding a lattice or float start, and
+    T in {1, 2, 7, 300} walkers."""
+    d = draw(st.integers(1, 3))
+    vectors = [v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]
+    steps = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=6, unique=True))
+    small = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    kind = draw(st.sampled_from(["orthant", "inequalities", "generated"]))
+    if kind == "generated":
+        rays = np.array(draw(st.lists(small, min_size=1, max_size=3)))
+        scale = st.one_of(st.integers(0, 3), st.floats(0.0, 2.0, allow_nan=False))
+        start = draw(st.lists(scale, min_size=len(rays), max_size=len(rays))) @ rays
+        cone = cw.generated(rays)
+    else:
+        coord = st.one_of(st.integers(0, 3), st.floats(0.0, 3.0, allow_nan=False))
+        start = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+        cone = cw.orthant(d)
+        if kind == "inequalities":
+            # a normal that the start falls below is turned around
+            normals = np.array(draw(st.lists(small, min_size=1, max_size=3)), dtype=float)
+            normals[normals @ start < 0] *= -1
+            cone = cw.inequalities(normals)
+    # hypothesis leans to the first of a list: many walkers let some of them
+    # leave at each step while others stay
+    trials = draw(st.sampled_from([300, 7, 2, 1]))
+    n = draw(st.integers(1, 25))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return steps, start, cone, cw.SimConfig(seed=seed, trials=trials, n=n)
+
+
+def _against_reference(run):
+    """`run()` with the package's walker loop and with the frozen reference
+    loop, as reprs, which show every bit of a float."""
+    got = repr(run())
+    with mock.patch.object(mc, "_simulate", ref_mc.simulate):
+        return got, repr(run())
+
+
+def _all_statistics(steps, start, cone, cfg, tilt, checkpoints=()):
+    """Plain, tilted at ``tilt`` and band survival of the walk; the band uses
+    the steps and their negatives, whose drift 0 lies in every cone."""
+    m = cw.from_step_set(steps)
+    x = np.asarray(tilt, dtype=float)
+    cert = types.SimpleNamespace(x_star=x, rho=float(m.weights @ np.exp(m.steps @ x)))
+    both = cw.from_step_set(sorted(set(map(tuple, steps)) | {tuple(-v for v in s) for s in steps}))
+    v = np.ones(m.dim)
+    return (cw.simulate_survival(m, start, cone, cfg),
+            cw.tilted_survival(m, cert, start, cone, cfg),
+            cw.band_survival(both, start, cone, v, 1.5, cfg, checkpoints=checkpoints))
+
+
+class TestReferenceLoop:
+    """The walker loop gives the statistics of the frozen per-step loop in
+    reference_montecarlo.py, which removed exited walkers by boolean masks,
+    bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_reference_cases(), st.data())
+    def test_statistics_match_the_reference(self, case, data):
+        steps, start, cone, cfg = case
+        tilt = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=cone.dim, max_size=cone.dim))
+        checkpoints = data.draw(st.sets(st.integers(1, cfg.n), max_size=3))
+        got, want = _against_reference(
+            lambda: _all_statistics(steps, start, cone, cfg, tilt, checkpoints))
+        assert got == want
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 300])
+    @pytest.mark.parametrize("cone", [Q2, cw.inequalities([[1, 0], [1, 1]]),
+                                      cw.generated([[1, 0], [1, 1]])],
+                             ids=["orthant", "inequalities", "generated"])
+    def test_every_walker_exits_at_step_one(self, cone, trials):
+        cfg = cw.SimConfig(seed=4, trials=trials, n=6)
+        got, want = _against_reference(
+            lambda: _all_statistics([(-1, -1)], (0, 0), cone, cfg, (0.3, -0.2), {1, 3}))
+        assert got == want
+        assert cw.simulate_survival(cw.from_step_set([(-1, -1)]), (0, 0), cone, cfg).estimate == 0.0
+
+    @pytest.mark.parametrize("seed, trials", [(11, 5), (93, 8), (0, 2), (5, 2)])
+    def test_lone_survivor(self, seed, trials):
+        # the last walker alive on a non-orthant cone is tested as two rows
+        cone = cw.halfspace((0.1, 0.1))
+        cfg = cw.SimConfig(seed=seed, trials=trials, n=40)
+        with mock.patch.object(mc, "_row_membership", wraps=mc._row_membership) as member:
+            got, want = _against_reference(
+                lambda: _all_statistics(NSEW, (1, 1), cone, cfg, (0.1, 0.2), {10, 20}))
+        assert got == want
+        assert any(c.args[1].shape[0] == 1 < c.args[2] for c in member.call_args_list)
