@@ -48,7 +48,7 @@ print(f"\nhyperplane scan (2001 directions): min = {scan.k_min:.10f} "
 print(f"gap vs K_S: {scan.k_min - growth.k_s:.2e} (scan can only overshoot)")
 
 # --- the per-endpoint layer: where do the walks end? ------------------------
-layer = cw.end_point_counts([(0, 1), (1, 0)], (0, 0), None, 4)
+layer = cw.end_point_counts([(0, 1), (1, 0)], (0, 0), 4)
 print("\nendpoints of 4-step N/E walks (binomial, as they never leave Q):")
 for point in sorted(layer):
     print(f"  {point}: {layer[point]}")

@@ -191,19 +191,7 @@ class CountSeries:
         return math.exp(lv)
 
 
-def _as_orthant_start(start, dim, cone):
-    if cone is not None and cone.kind != cones.ORTHANT:
-        raise cones.UnsupportedConeError("walk enumeration supports the orthant only")
-    start = np.asarray(start)
-    if start.shape != (dim,):
-        raise ValueError(f"start must have length {dim}")
-    start = steps_mod.as_int64(start, "start must be a lattice point with coordinates below 2**63")
-    if np.any(start < 0):
-        raise ValueError("start lies outside the orthant")
-    return start
-
-
-def _dp_inputs(steps, start, n, weights, exact, cone):
+def _dp_inputs(steps, start, n, weights, exact):
     """Checked steps, start and weights (None in exact mode) for a layer DP
     run to horizon ``n``; every malformed input, and a run whose box could
     pass MAX_BOX_CELLS, raises ValueError.
@@ -214,7 +202,12 @@ def _dp_inputs(steps, start, n, weights, exact, cone):
     """
     steps = steps_mod.as_lattice_steps(steps)
     k, d = steps.shape
-    start = _as_orthant_start(start, d, cone)
+    start = np.asarray(start)
+    if start.shape != (d,):
+        raise ValueError(f"start must have length {d}")
+    start = steps_mod.as_int64(start, "start must be a lattice point with coordinates below 2**63")
+    if np.any(start < 0):
+        raise ValueError("start lies outside the orthant")
     g = np.maximum(np.gcd.reduce(steps, axis=0), 1).tolist()
     r = (start % g).tolist()
     steps, start = steps // g, start // g
@@ -609,7 +602,7 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED):
     """
     if mode not in (EXACT, LOG_SCALED):
         raise ValueError(f"unknown mode {mode!r}")
-    steps, start, w, _ = _dp_inputs(steps, start, n_max, weights, mode == EXACT, None)
+    steps, start, w, _ = _dp_inputs(steps, start, n_max, weights, mode == EXACT)
     dp = _LayerDP(steps, w, start, exact=(mode == EXACT))
     values = [dp.total()]
     for _ in range(n_max):
@@ -618,10 +611,10 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED):
     return CountSeries(n_max=n_max, mode=mode, values=tuple(values))
 
 
-def end_point_counts(steps, start, cone, n, weights=None):
+def end_point_counts(steps, start, n, weights=None):
     """The n-th layer itself: lattice endpoint -> count (or weighted mass)."""
     exact = weights is None
-    steps, start, w, lift = _dp_inputs(steps, start, n, weights, exact, cone)
+    steps, start, w, lift = _dp_inputs(steps, start, n, weights, exact)
     # no threshold trim here: endpoint masses are compared cell by cell
     dp = _LayerDP(steps, w, start, exact=exact, trim_threshold=0.0)
     for _ in range(n):
@@ -693,7 +686,7 @@ def estimate_rate(series):
     return RateEstimate(raw_ratio=raw, period=period, extrapolated=extrapolated)
 
 
-def cramer_identity_check(m, z, start, cone, n):
+def cramer_identity_check(m, z, start, n):
     """Max relative discrepancy of the change-of-measure identity at time n.
 
     Compares, endpoint by endpoint, the confined local probability under the
@@ -704,11 +697,11 @@ def cramer_identity_check(m, z, start, cone, n):
     if n > 30:
         raise ValueError("identity check supports n <= 30 (dense double layers)")
     z = np.asarray(z, dtype=float)
-    start = np.asarray(start, dtype=np.int64)
     tilted = steps_mod.tilt(m, z)
     lz = laplace.value(laplace.FiniteLaplace(m), z)
-    base = end_point_counts(m.steps, start, cone, n, weights=m.weights)
-    moved = end_point_counts(m.steps, start, cone, n, weights=tilted.weights)
+    base = end_point_counts(m.steps, start, n, weights=m.weights)
+    moved = end_point_counts(m.steps, start, n, weights=tilted.weights)
+    start = np.asarray(start, dtype=np.int64)  # checked by the DP above
     worst = 0.0
     for y, p_base in base.items():
         p_tilt = moved.get(y, 0.0)

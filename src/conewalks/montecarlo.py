@@ -4,13 +4,13 @@ Randomness comes from a counter-based Philox stream keyed on the seed. Step k
 draws all T = config.trials uniforms at once, so the draw of (step k, trial t)
 sits at stream position (k-1)*T + t whether or not trial t is still inside:
 results are a pure function of (seed, model, start, config) and cannot depend
-on how trials would be scheduled. Only walkers still inside the cone move; a
-walker that leaves keeps its exit position. The walkers that leave at a step
-are removed by index: one `nonzero` of the exits and one of the survivors,
-whose rows are then taken, so the survivors' positions stay one C-ordered
-(L, d) array. A statistic receives the full (T, d) position array and the
-`alive` mask; the rows of dead walkers are stale, frozen at exit, so a
-statistic must mask them.
+on how trials would be scheduled. Only walkers still inside the cone move,
+and only their positions are kept: the walkers that leave at a step are
+removed by index, one `nonzero` of the survivors whose rows are then taken,
+so the survivors' positions stay one C-ordered (L, d) array. A statistic
+receives a (T, d) position array, built at the checkpoint from the start with
+the live rows written in, and the `alive` mask; a dead walker's row holds the
+start, not where it left, so a statistic must mask it.
 
 Steps are chosen from the raw 64-bit Philox words, not from doubles. numpy's
 uniform double is `(raw >> 11) * 2**-53`, so `u >= c` holds exactly when
@@ -179,9 +179,8 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
     bitgen = np.random.Philox(key=config.seed)
     if lattice and not can_exit:
         return _count_steps(start, steps, thresholds, bitgen, trials, sorted(wanted), statistic)
-    pos = np.tile(start, (trials, 1))
     live = np.arange(trials)  # trial numbers of the walkers still inside
-    live_pos = pos.copy()
+    live_pos = np.tile(start, (trials, 1))
     out = {}
     for k in range(1, config.n + 1):
         raw = bitgen.random_raw(trials)
@@ -192,11 +191,10 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
             inside = _row_membership(cone, live_pos, trials, coords)
             keep = inside.nonzero()[0]
             if keep.size < live.size:
-                gone = np.logical_not(inside).nonzero()[0]
-                pos[live.take(gone)] = live_pos.take(gone, axis=0)
                 live = live.take(keep)
                 live_pos = live_pos.take(keep, axis=0)
         if k in wanted:
+            pos = np.tile(start, (trials, 1))
             pos[live] = live_pos
             alive = np.zeros(trials, dtype=bool)
             alive[live] = True
@@ -279,7 +277,6 @@ def default_band_alpha(m, scale=4.0):
 @dataclass(frozen=True)
 class BandDecay:
     per_step_decay: float
-    alpha: float
     series: tuple
 
 
@@ -298,11 +295,11 @@ def band_decay_fit(m, start, cone, v, alpha, horizons, config):
     result = band_survival(m, start, cone, v, alpha, cfg, checkpoints=horizons)
     pts = [(k, est) for k, est, _ in result.series]
     if any(est <= 0.0 for _, est in pts):
-        return BandDecay(0.0, float(alpha), result.series)
+        return BandDecay(0.0, result.series)
     x = np.array([k for k, _ in pts], dtype=float)
     y = np.array([math.log(est) for _, est in pts])
     slope = float(np.polyfit(x, y, 1)[0])
-    return BandDecay(math.exp(slope), float(alpha), result.series)
+    return BandDecay(math.exp(slope), result.series)
 
 
 def band_alpha_sensitivity(m, start, cone, v, horizons, config, scales=(2.0, 4.0, 8.0)):

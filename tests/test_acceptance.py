@@ -117,7 +117,7 @@ def test_criterion_06_cramer_identity(proper_2d_corpus):
         cert = cw.minimize_on_dual(cw.FiniteLaplace(m), Q2)
         zs = [np.zeros(2), cert.x_star, np.abs(rng.normal(size=2)) * 0.5]
         for z in zs:
-            err = cw.cramer_identity_check(m, z, (1, 1), None, 20)
+            err = cw.cramer_identity_check(m, z, (1, 1), 20)
             checks.append((err <= 1e-9, f"{steps}, z={z}: identity error {err!r}"))
     _finish("06 Cramer identity", 10.0, t0, checks)
 

@@ -174,7 +174,7 @@ def test_start_not_an_int64_lattice_point_raises(start):
         with pytest.raises(ValueError, match="lattice point"):
             cw.count_walks(NSEW, start, 3)
         with pytest.raises(ValueError, match="lattice point"):
-            cw.end_point_counts(NSEW, start, None, 3)
+            cw.end_point_counts(NSEW, start, 3)
 
 
 def test_integral_float_and_unsigned_starts_accepted():
@@ -190,7 +190,7 @@ def test_bad_dp_inputs_raise(case):
     with pytest.raises(ValueError, match=message):
         cw.count_walks(steps, start, n, weights=weights)
     with pytest.raises(ValueError, match=message):
-        cw.end_point_counts(steps, start, None, n, weights=weights)
+        cw.end_point_counts(steps, start, n, weights=weights)
 
 
 def test_large_finite_weights_scale_out():
@@ -214,9 +214,9 @@ def test_weights_at_the_double_range_apart_scale_out():
 
 
 def test_exact_endpoint_layer_capped():
-    cw.end_point_counts([(1, 0), (0, 1)], (0, 0), None, counting.MAX_HORIZON_EXACT)
+    cw.end_point_counts([(1, 0), (0, 1)], (0, 0), counting.MAX_HORIZON_EXACT)
     with pytest.raises(ValueError):
-        cw.end_point_counts([(1, 0), (0, 1)], (0, 0), None, counting.MAX_HORIZON_EXACT + 1)
+        cw.end_point_counts([(1, 0), (0, 1)], (0, 0), counting.MAX_HORIZON_EXACT + 1)
 
 
 @st.composite
@@ -260,7 +260,7 @@ class TestDPProperties:
         # unit weights and n <= 12 keep every cell above FLOAT_TRIM of the
         # maximum (at most 6^12 walks), so the float box is tight as well
         steps, start, n = case
-        steps, start, w, _ = counting._dp_inputs(steps, start, n, None, exact, None)
+        steps, start, w, _ = counting._dp_inputs(steps, start, n, None, exact)
         dp = counting._LayerDP(steps, w, start, exact=exact)
         for _ in range(n):
             dp.advance()
@@ -273,17 +273,17 @@ class TestDPProperties:
 
 class TestEndpointCounts:
     def test_binomial_paths(self):
-        counts = cw.end_point_counts([(0, 1), (1, 0)], (0, 0), None, 2)
+        counts = cw.end_point_counts([(0, 1), (1, 0)], (0, 0), 2)
         assert counts == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
     def test_zero_steps_is_start(self):
-        counts = cw.end_point_counts(NSEW, (3, 4), None, 0)
+        counts = cw.end_point_counts(NSEW, (3, 4), 0)
         assert counts == {(3, 4): 1}
 
     def test_sum_matches_totals(self, proper_2d_corpus):
         for steps in proper_2d_corpus[:20]:
             series = cw.count_walks(steps, (1, 1), 6, mode="exact")
-            layer = cw.end_point_counts(steps, (1, 1), None, 6)
+            layer = cw.end_point_counts(steps, (1, 1), 6)
             assert sum(layer.values()) == series.values[6]
 
 
@@ -337,8 +337,8 @@ class TestGoldenLayers:
             "7da92e0c0bc226a35bd31bd829fce3cb43c64f2a6b1c77cd52f38d3582858ddd")
 
     def test_end_point_counts(self):
-        masses = cw.end_point_counts(NSEW_SW, (1, 1), None, 25, weights=[0.2] * 5)
-        counts = cw.end_point_counts(NSEW_SW, (1, 1), None, 25)
+        masses = cw.end_point_counts(NSEW_SW, (1, 1), 25, weights=[0.2] * 5)
+        counts = cw.end_point_counts(NSEW_SW, (1, 1), 25)
         assert len(masses) == len(counts) == 377
         assert sum(counts.values()) == 4012701354324432
         assert _sha256(",".join(f"{p}:{v.hex()}" for p, v in sorted(masses.items()))) == (
@@ -480,7 +480,7 @@ def _layouts_agree(steps, start, n, weights, exact, trim):
     endpoint counts of an exact one, and the endpoint masses of the last
     layer; returns the flat DP, whose ``_plans`` counts the layers that
     replayed a plan."""
-    steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, exact, None)
+    steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, exact)
     flat = counting._LayerDP(steps, w, start, exact=exact, trim_threshold=trim)
     flat._plans = _CountedPlans()
     ref = _BoxLayerDP(steps, w, start, exact=exact, trim_threshold=trim)
@@ -546,7 +546,7 @@ class TestFlatLayoutMatchesBoxLayout:
     def test_box_outgrows_its_padding(self, steps, start, n, exact):
         # boxes that widen by two cells a step on every axis outrun the
         # padding of each layout, so the layers are laid out anew many times
-        steps_arr, start_arr, w, _ = counting._dp_inputs(steps, start, n, None, exact, None)
+        steps_arr, start_arr, w, _ = counting._dp_inputs(steps, start, n, None, exact)
         dp = counting._LayerDP(steps_arr, w, start_arr, exact=exact)
         layouts = set()
         for _ in range(n):
@@ -571,7 +571,7 @@ class TestFlatLayoutMatchesBoxLayout:
         # a large buffer, float or uint64 limbs, never comes from malloc's
         # heap; a small one does
         monkeypatch.setattr(counting, "MAPPED_BYTES", 4096)
-        steps_arr, start_arr, w, _ = counting._dp_inputs(S5, (0, 0), 30, None, exact, None)
+        steps_arr, start_arr, w, _ = counting._dp_inputs(S5, (0, 0), 30, None, exact)
         dp = counting._LayerDP(steps_arr, w, start_arr, exact=exact)
         kinds = set()
         for _ in range(30):
@@ -676,7 +676,7 @@ class TestPlanReplay:
     def test_plans_stay_few_on_a_growing_box(self):
         # the S5 box grows nearly every step, and every few steps a relayout
         # clears the layouts seen and their plans
-        steps, start, w, _ = counting._dp_inputs(S5, (0, 0), 400, None, False, None)
+        steps, start, w, _ = counting._dp_inputs(S5, (0, 0), 400, None, False)
         dp = counting._LayerDP(steps, w, start, exact=False)
         dp._plans = _CountedPlans()
         for _ in range(400):
@@ -687,8 +687,7 @@ class TestPlanReplay:
     def test_seen_layouts_stay_two_on_a_growing_1d_box(self):
         # the 1-D box relayouts only when it outgrows its buffer; the layouts
         # seen were once one per layer (546 at once by n = 2000)
-        steps, start, w, _ = counting._dp_inputs([(1,), (2,), (-1,)], (0,), 2000, None, False,
-                                                 None)
+        steps, start, w, _ = counting._dp_inputs([(1,), (2,), (-1,)], (0,), 2000, None, False)
         dp = counting._LayerDP(steps, w, start, exact=False)
         for _ in range(2000):
             dp.advance()
@@ -705,7 +704,7 @@ class TestPlanReplay:
     def test_replays_with_two_seen_layouts(self, steps, start, n, weights, replayed):
         # the counts of a DP that remembered every layout met since the last
         # relayout: a layout recurs two layers after it was planned
-        steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, False, None)
+        steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, False)
         dp = counting._LayerDP(steps, w, start, exact=False)
         dp._plans = _CountedPlans()
         for _ in range(n):
@@ -719,7 +718,7 @@ STEPS_25 = list(itertools.product(range(-2, 3), repeat=2))
 def _box_reference(steps, start, n):
     """The object-dtype box-layout reference run exactly to n: its totals for
     0..n and its endpoint counts at n."""
-    steps, start, _, _ = counting._dp_inputs(steps, start, n, None, True, None)
+    steps, start, _, _ = counting._dp_inputs(steps, start, n, None, True)
     ref = _BoxLayerDP(steps, None, start, exact=True)
     totals = [ref.total()]
     for _ in range(n):
@@ -743,17 +742,17 @@ class TestExactLimbs:
         totals, layer = _box_reference(steps, (0,), 120)
         assert list(series.values) == totals
         assert any(2**64 < v < 2**128 for v in totals) and totals[-1] > 2**128
-        assert cw.end_point_counts(steps, (0,), None, 120) == layer
+        assert cw.end_point_counts(steps, (0,), 120) == layer
 
     def test_3d(self):
         # r = 60, so 4^36 takes two limbs
         series = cw.count_walks(D3, (1, 0, 2), 36, mode="exact")
         totals, layer = _box_reference(D3, (1, 0, 2), 36)
         assert list(series.values) == totals and totals[-1] > 2**60
-        assert cw.end_point_counts(D3, (1, 0, 2), None, 36) == layer
+        assert cw.end_point_counts(D3, (1, 0, 2), 36) == layer
 
     def test_end_point_counts(self):
-        counts = cw.end_point_counts(STEPS_25, (0, 3), None, 30)
+        counts = cw.end_point_counts(STEPS_25, (0, 3), 30)
         assert counts == _box_reference(STEPS_25, (0, 3), 30)[1]
         assert max(counts.values()) > 2**64
 
@@ -767,7 +766,7 @@ class TestExactLimbs:
 
     def test_values_are_python_ints(self):
         series = cw.count_walks(S5, (0, 0), 60, mode="exact")
-        counts = cw.end_point_counts(S5, (0, 0), None, 60)
+        counts = cw.end_point_counts(S5, (0, 0), 60)
         assert all(type(v) is int for v in series.values)
         assert all(type(v) is int and all(type(c) is int for c in p) for p, v in counts.items())
         assert sum(counts.values()) == series.values[60] > 2**64
@@ -867,23 +866,30 @@ class TestEstimateRate:
 class TestCramerIdentity:
     def test_zero_tilt_is_exact(self):
         m = cw.probability_measure([(1,), (-1,)], [0.25, 0.75])
-        assert cw.cramer_identity_check(m, [0.0], (0,), None, 20) == 0.0
+        assert cw.cramer_identity_check(m, [0.0], (0,), 20) == 0.0
 
     def test_1d_tilt_at_minimizer(self):
         m = cw.probability_measure([(1,), (-1,)], [0.25, 0.75])
-        err = cw.cramer_identity_check(m, [0.5 * math.log(3.0)], (0,), None, 20)
+        err = cw.cramer_identity_check(m, [0.5 * math.log(3.0)], (0,), 20)
         assert err <= 1e-10
 
     def test_2d_tilt_at_minimizer(self):
         m = cw.from_step_set(NSEW_SW)
         cert = cw.minimize_on_dual(cw.FiniteLaplace(m), cw.orthant(2))
-        err = cw.cramer_identity_check(m, cert.x_star, (1, 1), None, 15)
+        err = cw.cramer_identity_check(m, cert.x_star, (1, 1), 15)
         assert err <= 1e-9
 
     def test_horizon_capped(self):
         m = cw.from_step_set(NSEW)
         with pytest.raises(ValueError):
-            cw.cramer_identity_check(m, [0.0, 0.0], (0, 0), None, 31)
+            cw.cramer_identity_check(m, [0.0, 0.0], (0, 0), 31)
+
+    @pytest.mark.parametrize("start", [(1.5, 1), (2**63, 1)])
+    def test_start_not_an_int64_lattice_point_raises(self, start):
+        # checked before any cast: neither truncated to (1, 1) nor an OverflowError
+        m = cw.from_step_set(NSEW)
+        with pytest.raises(ValueError, match="lattice point"):
+            cw.cramer_identity_check(m, [0.1, 0.2], start, 5)
 
 
 class TestFindDelta:
@@ -948,9 +954,9 @@ class TestLatticeReduction:
         spread_steps, spread_start = np.array(steps) * g, np.array(start) * g + r
         series = cw.count_walks(spread_steps, spread_start, n, mode="exact")
         assert series.values == cw.count_walks(steps, start, n, mode="exact").values
-        layer = cw.end_point_counts(spread_steps, spread_start, None, n)
+        layer = cw.end_point_counts(spread_steps, spread_start, n)
         assert layer == {tuple((np.array(z) * g + r).tolist()): v
-                         for z, v in cw.end_point_counts(steps, start, None, n).items()}
+                         for z, v in cw.end_point_counts(steps, start, n).items()}
 
     def test_thousand_spaced_steps(self):
         # a dense box over the spread lattice would hold about 10^13 cells

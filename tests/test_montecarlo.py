@@ -162,7 +162,7 @@ class TestBandSurvival:
         horizons = (50, 100, 200, 400)
         exact = {}
         for k in horizons:
-            ends = cw.end_point_counts(m.steps, (0, 0), Q2, k, weights=m.weights)
+            ends = cw.end_point_counts(m.steps, (0, 0), k, weights=m.weights)
             exact[k] = sum(p for (x, y), p in ends.items() if abs(x - y) <= math.sqrt(k))
         trials = 4096
         for seed in range(5):
@@ -618,3 +618,19 @@ class TestReferenceLoop:
                 lambda: _all_statistics(NSEW, (1, 1), cone, cfg, (0.1, 0.2), {10, 20}))
         assert got == want
         assert any(c.args[1].shape[0] == 1 < c.args[2] for c in member.call_args_list)
+
+
+@pytest.mark.parametrize("start", [(1, 1), (1.5, 1.0)], ids=["int64", "float"])
+def test_statistic_sees_dead_walkers_at_the_start(start):
+    # only live positions are kept, so a dead walker's row holds the start;
+    # a live one holds what the frozen per-step loop gives it
+    m = cw.from_step_set(ENSWS)
+    cfg = cw.SimConfig(seed=3, trials=2000, n=20)
+    seen = lambda _k, pos, alive: (pos.copy(), alive.copy())
+    got = mc._simulate(m, start, Q2, cfg, {5, 20}, seen)
+    want = ref_mc.simulate(m, start, Q2, cfg, {5, 20}, seen)
+    for k in (5, 20):
+        (pos, alive), (ref_pos, ref_alive) = got[k], want[k]
+        assert np.array_equal(alive, ref_alive) and 0 < alive.sum() < cfg.trials
+        assert np.array_equal(pos[alive], ref_pos[alive])
+        assert (pos[~alive] == start).all()

@@ -200,7 +200,7 @@ class TestLatticeSteps:
         calls = (lambda: cw.check_h3(steps, 4),
                  lambda: cw.find_delta(steps, cw.orthant(2)),
                  lambda: cw.count_walks(steps, (0, 0), 3),
-                 lambda: cw.end_point_counts(steps, (0, 0), None, 3))
+                 lambda: cw.end_point_counts(steps, (0, 0), 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in calls:
