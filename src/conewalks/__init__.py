@@ -13,7 +13,6 @@ from .cones import (
     ConeError,
     UnsupportedConeError,
     contains,
-    contains_shifted,
     distance,
     dual,
     generated,

@@ -406,11 +406,3 @@ def interior_vector(cone):
         raise ConeError("cone has empty interior")
     return v.copy()
 
-
-def contains_shifted(cone, v, delta, x, tol=DEFAULT_TOL):
-    """Membership of x in the shifted cone K + delta*v for interior v."""
-    v = _check_dim(cone, v)
-    x = _check_dim(cone, x)
-    if not strictly_contains(cone, v):
-        raise ConeError("shift vector v must lie in the interior of the cone")
-    return contains(cone, x - delta * v, tol=tol)

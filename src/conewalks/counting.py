@@ -85,6 +85,21 @@ weights cannot overflow; weights up to 1 are used as given. Weights too far
 apart for that division, a quotient below the smallest normal double, are
 refused.
 
+A float layer that equals the layer two before it ends the DP. Layer k + 1
+depends on layer k only through its lowest point, shape and cell values, not
+through its layout: every pass over the flat range meets zeros outside the
+box, and a total is summed as the unpadded untrimmed box would sum it, whose
+extent follows from the layer before. So once layer k equals layer k - 2,
+every later layer, its maximum before the division and its total mantissa
+repeat with period 2, and only the log scale moves, by the logarithm of that
+maximum and then by that of the weight divisor, as ``advance`` adds them.
+``count_walks`` compares each float layer's total mantissa with the layer two
+back, takes the layout key and the bytes of the cells (``snapshot``) only when
+they match, and once those equal the ones taken two layers back fills in the
+rest of the series from the last two layers' mantissas and maxima. That is at
+most three layers after the cycle starts, so a walk of bounded support, such
+as the half-space family, costs only its transient. Exact counts never repeat.
+
 The same machinery provides the per-endpoint layer (for the change-of-measure
 identity check) and n-th-root rate extrapolation from the count series. The
 module also holds the delta search: breadth-first lattice searches, one per
@@ -98,6 +113,7 @@ so a found witness ends the search.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import operator
@@ -324,6 +340,8 @@ class _LayerDP:
         self._plans, self._seen, self._parity = {}, deque(maxlen=2), 0
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
+        # the float layer's maximum before it was divided by it
+        self.layer_max = 1.0
         dtype = np.uint64 if exact else float
         self._view = np.ones((1,) * (len(self._lead) + d), dtype=dtype)
         self._buffers = [np.empty((1, 0) if exact else (0,), dtype=dtype)] * 2
@@ -549,7 +567,7 @@ class _LayerDP:
                 high += carry
             return
         cells = self._cells
-        mx = float(cells.max())
+        self.layer_max = mx = float(cells.max())
         if mx > 0.0:
             cells /= mx
             self.log_scale += math.log(mx)
@@ -557,6 +575,11 @@ class _LayerDP:
                 np.copyto(cells, 0.0, where=cells < self.trim_threshold)
             if self.log_weight:
                 self.log_scale += self.log_weight
+
+    def snapshot(self):
+        """The layer's cells in C order, as bytes: with ``lo`` and the shape
+        they fix the layer, whatever its layout."""
+        return self._view.tobytes()
 
     def _kill(self, lo):
         self._view = self._view[self._lead + (slice(0, 0),) * self.d]
@@ -602,12 +625,34 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED):
     """
     if mode not in (EXACT, LOG_SCALED):
         raise ValueError(f"unknown mode {mode!r}")
-    steps, start, w, _ = _dp_inputs(steps, start, n_max, weights, mode == EXACT)
-    dp = _LayerDP(steps, w, start, exact=(mode == EXACT))
+    exact = mode == EXACT
+    steps, start, w, _ = _dp_inputs(steps, start, n_max, weights, exact)
+    dp = _LayerDP(steps, w, start, exact=exact)
     values = [dp.total()]
-    for _ in range(n_max):
+    # total mantissa, max before normalisation, and layout key and cells of
+    # the last two float layers; the cells are taken only when the total
+    # mantissa equals the one two layers back and is not a dead layer's zero
+    back = deque([(None, None, None)] * 2, maxlen=2)
+    while len(values) <= n_max:
         dp.advance()
         values.append(dp.total())
+        if exact:
+            continue
+        total, cells = values[-1][0], None
+        if total == back[0][0] and total > 0.0:
+            cells = dp._key, dp.snapshot()
+            if cells == back[0][2]:
+                # every later layer repeats the one two back (see the module
+                # docstring); its scale grows as advance would grow it
+                logs = itertools.cycle((math.log(back[1][1]), math.log(dp.layer_max)))
+                scale = dp.log_scale
+                while len(values) <= n_max:
+                    scale += next(logs)
+                    if dp.log_weight:
+                        scale += dp.log_weight
+                    values.append((values[-2][0], scale))
+                break
+        back.append((total, dp.layer_max, cells))
     return CountSeries(n_max=n_max, mode=mode, values=tuple(values))
 
 

@@ -246,18 +246,6 @@ class TestMoreau:
             assert abs(pk @ pp) <= 1e-10
 
 
-class TestShiftedCone:
-    def test_examples(self):
-        Q = cw.orthant(2)
-        assert cw.contains_shifted(Q, [1.0, 1.0], 1.0, [1.0, 1.0])
-        assert not cw.contains_shifted(Q, [1.0, 1.0], 1.0, [0.5, 2.0])
-        assert cw.contains_shifted(Q, [1.0, 1.0], -1.0, [-0.5, 0.0])
-
-    def test_rejects_non_interior_shift_vector(self):
-        with pytest.raises(cw.ConeError):
-            cw.contains_shifted(cw.orthant(2), [1.0, 0.0], 1.0, [1.0, 1.0])
-
-
 class TestInterior:
     def test_has_interior_examples(self):
         assert cw.has_interior(cw.orthant(3))

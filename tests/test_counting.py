@@ -325,7 +325,22 @@ class TestGoldenLayers:
          "090f01f62f93fe708c6f278c6f7ed455320a1f9e011568e40d4837a3051b16bc", "-0x1.418653159ad0dp+10"),
         (HS_STEPS, (1, 1), 1500, _hs_weights(0.3),
          "a2c47a03b61b7297a0929e9eb9c11633411d2ba18d372dcc2908776e0047c4dc", "-0x1.07b7dbfa19f83p+10"),
-    ], ids=["s5", "d3", "d3-weighted", "d1", "halfspace-1/3", "halfspace-0.4", "halfspace-0.3"])
+        # series whose layers fall into a two-layer cycle late (see TestLayerCycle)
+        (HS_STEPS, (2, 2), 400, _hs_weights(0.4),
+         "cb6fa9341ce845434aea24cfccce15661f5be0597223d186f19f9e28bbd9cb78", "-0x1.03c4d4e1b4b81p+8"),
+        (HS_STEPS, (4, 0), 400, _hs_weights(0.4),
+         "6ff4588747674263ec44a3732d22bedcac958d06abab8d9fb52afc27cd993bae", "-0x1.047646f9ac89fp+8"),
+        (HS_STEPS, (0, 4), 1500, _hs_weights(1 / 3),
+         "123a48f461182d9d3fa913d30d027d422ee05bb281f1f81b39823ab6d2ec0bc1", "-0x1.9b6e28476198fp+9"),
+        (HS_STEPS, (1, 1), 400, HS_WEIGHTS,
+         "fce6884cd12489b16cbc9220196b3d9dda9087e6ad22226dfb748d40628f01c1", "-0x1.2cd0c3414960ep+8"),
+        (HS_STEPS, (2, 2), 400, HS_WEIGHTS,
+         "607d6607a6effaaf4a8cd0e573d431ddcb9b2652050c80ee3bbe5e044b606892", "-0x1.b3dc847ba00c9p+7"),
+        (HS_STEPS, (3, 3), 400, HS_WEIGHTS,
+         "8033ba70fd8465d506ecb9e25578623192bf75699266a5e78e926ca0ad98ed48", "-0x1.7d941cc69eafbp+7"),
+    ], ids=["s5", "d3", "d3-weighted", "d1", "halfspace-1/3", "halfspace-0.4", "halfspace-0.3",
+            "halfspace-0.4-from-2-2", "halfspace-0.4-from-4-0", "halfspace-1/3-from-0-4",
+            "uniform-from-1-1", "uniform-from-2-2", "uniform-from-3-3"])
     def test_log_values(self, steps, start, n, weights, digest, last):
         series = cw.count_walks(steps, start, n, weights=weights)
         assert series.log_value(n).hex() == last
@@ -710,6 +725,107 @@ class TestPlanReplay:
         for _ in range(n):
             dp.advance()
         assert dp._plans.replayed == replayed
+
+
+
+def _advance_loop(steps, start, n, weights):
+    """The float series of one ``advance`` and ``total`` per layer, as the
+    hex of each mantissa and log scale."""
+    steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, False)
+    dp = counting._LayerDP(steps, w, start, exact=False)
+    values = [dp.total()]
+    for _ in range(n):
+        dp.advance()
+        values.append(dp.total())
+    return [(m.hex(), s.hex()) for m, s in values]
+
+
+def _hex_values(series):
+    return [(m.hex(), s.hex()) for m, s in series.values]
+
+
+def _count_dp_calls(monkeypatch):
+    """Count the calls of ``_LayerDP.advance`` and ``_LayerDP.snapshot``."""
+    calls = {"advance": 0, "snapshot": 0}
+    for name in calls:
+        method = getattr(counting._LayerDP, name)
+
+        def counted(dp, method=method, name=name):
+            calls[name] += 1
+            return method(dp)
+
+        monkeypatch.setattr(counting._LayerDP, name, counted)
+    return calls
+
+
+@st.composite
+def _bounded_cases(draw):
+    """2-D steps from {-2..2}^2 with s_x + s_y <= 0, so every walk stays in a
+    bounded triangle, among them (k, -k) and (-k, k), so that walks can stay
+    alive on a diagonal; weights on both sides of 1, a start in 0..4 and n <= 400."""
+    vectors = [v for v in itertools.product(range(-2, 3), repeat=2) if any(v) and sum(v) <= 0]
+    k = draw(st.integers(1, 2))
+    steps = draw(st.lists(st.sampled_from(vectors), max_size=4, unique=True))
+    steps = [(k, -k), (-k, k)] + [v for v in steps if v not in ((k, -k), (-k, k))]
+    steps = draw(st.permutations(steps))
+    weights = draw(st.lists(st.sampled_from([0.05, 0.25, 1 / 3, 0.5, 1.0, 1.5, 3.0]),
+                            min_size=len(steps), max_size=len(steps)))
+    start = tuple(draw(st.lists(st.integers(0, 4), min_size=2, max_size=2)))
+    # hypothesis leans to its simplest draws, here the longest walks
+    return steps, start, 400 - draw(st.integers(0, 400)), weights
+
+
+class TestLayerCycle:
+    """A float series whose layer equals the layer two back stops running
+    the DP and repeats the last two layers, every bit as ``advance`` would
+    have left them."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_bounded_cases())
+    def test_bounded_support_matches_the_advance_loop(self, case):
+        steps, start, n, weights = case
+        series = cw.count_walks(steps, start, n, weights=weights)
+        assert _hex_values(series) == _advance_loop(steps, start, n, weights)
+
+    def test_cells_that_move_are_no_cycle(self):
+        # a lone cell stepping to the wall repeats its bytes and its total at
+        # every layer, but not its lowest point, and dies at the wall
+        series = cw.count_walks([(-1,)], (10,), 20, weights=[0.5])
+        assert [series.log_value(n) is None for n in range(21)] == [False] * 11 + [True] * 10
+        assert _hex_values(series) == _advance_loop([(-1,)], (10,), 20, [0.5])
+
+    @pytest.mark.parametrize("start, p, cycle, stop", [
+        ((1, 1), 0.3, 2, 5), ((0, 2), 0.4, 3, 5), ((0, 4), 1 / 3, 177, 177),
+    ], ids=["halfspace-0.3", "halfspace-0.4", "halfspace-1/3"])
+    def test_enumerate_halfspace_ops_stop_once_cycled(self, start, p, cycle, stop, monkeypatch):
+        # the half-space series of the `enumerate` benchmark at seed 0: layer
+        # `cycle` is the first to equal the layer two back, and the cycle is
+        # found when a snapshot equals one taken two layers back, at most
+        # three layers later
+        steps, start_arr, w, _ = counting._dp_inputs(HS_STEPS, start, 1500, _hs_weights(p), False)
+        dp = counting._LayerDP(steps, w, start_arr, exact=False)
+        layers = [(dp.lo, dp.layer.shape, dp.snapshot())]
+        while len(layers) < 3 or layers[-1] != layers[-3]:
+            dp.advance()
+            layers.append((dp.lo, dp.layer.shape, dp.snapshot()))
+        assert len(layers) - 1 == cycle
+        calls = _count_dp_calls(monkeypatch)
+        series = cw.count_walks(HS_STEPS, start, 1500, weights=_hs_weights(p))
+        assert calls["advance"] == stop
+        assert _hex_values(series) == _advance_loop(HS_STEPS, start, 1500, _hs_weights(p))
+
+    @pytest.mark.parametrize("steps, start, n, weights", [
+        *[([(1,), (-1,)], (a,), 2000, (0.25, 0.75)) for a in range(4)],
+        (S5, (0, 0), 400, None), (S5, (1, 1), 400, None),
+    ], ids=["d1-0", "d1-1", "d1-2", "d1-3", "s5-0", "s5-1"])
+    def test_series_that_never_cycle_take_no_snapshot(self, steps, start, n, weights,
+                                                      monkeypatch):
+        # the 1-D and S5 series of the `enumerate` benchmark: the layout key
+        # and max often match two layers back, the total mantissa never does,
+        # so their cells are never compared
+        calls = _count_dp_calls(monkeypatch)
+        cw.count_walks(steps, start, n, weights=weights)
+        assert calls == {"advance": n, "snapshot": 0}
 
 
 STEPS_25 = list(itertools.product(range(-2, 3), repeat=2))
