@@ -44,9 +44,10 @@ trim tests, and for each trim outcome met so far the trimmed layer with the
 views that its normalisation, carry and total read. A box held small by a wall
 or by the FLOAT_TRIM cut repeats its layouts, mostly with period 2 from
 lattice parity, so a layout met again two layers after it was planned keeps
-its plan, and later layers of that layout replay it with no index arithmetic
-in Python. Only the layouts of the last two planned layers are remembered, so
-a growing box holds two of them, not one per layer. A relayout drops every
+the plan built that first time, and later layers of that layout replay it
+with no index arithmetic in Python. Only the layouts of the last two planned
+layers and their plans are remembered, so a growing box holds two of them,
+not one per layer. A relayout drops every
 plan, as plans hold views of the buffers it frees; a growing box, whose
 layouts do not repeat, keeps none. Such a layer builds its plan and runs it
 once, so building is kept to few Python calls: the new box and its padded rows
@@ -54,7 +55,12 @@ are made by the ``np.ndarray`` constructor from the buffer and the padded
 strides, not by reshaping and slicing, and the box is seen along axis k by one
 transpose that puts axis k first. Building a plan and replaying it make the
 same numpy calls on the same operands in the same order, so no bit depends on
-whether a layer was replayed.
+whether a layer was replayed. A face is tested for a nonzero cell by
+``np.count_nonzero``, except in a 1-D float box: there a face is one cell,
+which numpy returns as a scalar, and its truth value decides the same at a
+small part of the cost (no cell is -0.0, and -0.0 would count as zero in
+both). A small box that never repeats a layer, such as the 1-D walk's, thus
+costs a fixed few numpy calls per layer.
 
 Exact counts use radix 2^r with r = 63 - bit_length(|S|), so |S| 2^r < 2^63.
 Layer k holds L = ceil(bit_length(|S|^k) / r) limbs: |S|^k bounds every
@@ -302,10 +308,11 @@ class _LayerDP:
     the next layer's limbs. Every step looks its plan up in ``_plans`` or
     has ``_plan`` build it, then runs it; there is no other path. A plan is
     kept when its layout was met by one of the last two layers that built a
-    plan since the last relayout (``_seen`` holds their layouts: by lattice
-    parity a layout recurs two layers later), and caches the state
-    (``_state``) that each trim outcome leaves. ``_relayout`` clears both,
-    as plans hold views of the buffers it frees.
+    plan since the last relayout (``_seen`` holds their layouts and plans:
+    by lattice parity a layout recurs two layers later, and keeps the plan
+    built then), and caches the state (``_state``) that each trim outcome
+    leaves. ``_relayout`` clears both, as plans hold views of the buffers it
+    frees. ``_occupied`` is the trim's test of a face for a nonzero cell.
     """
 
     def __init__(self, steps, weights, start, exact, trim_threshold=FLOAT_TRIM):
@@ -322,9 +329,10 @@ class _LayerDP:
         self.log_weight = math.log(w_max) if w_max > 1.0 else 0.0
         if w_max > 1.0:
             weights = [w / w_max for w in weights]
-        # shift and weight per step in step order; weight None adds unscaled
+        # shift and weight per step in step order; weight None adds unscaled,
+        # any other is a 0-d array, which a ufunc takes without converting it
         self.shifts = [tuple(int(v) for v in s) for s in steps]
-        self.weights = [None if w == 1.0 else float(w) for w in weights]
+        self.weights = [None if w == 1.0 else np.array(float(w)) for w in weights]
         self._product = None
         if any(w is not None for w in self.weights):
             self._product = np.empty(PRODUCT_BLOCK)
@@ -337,6 +345,9 @@ class _LayerDP:
         lead = len(self._lead)
         self._face_orders = [(lead + ax,) + tuple(i for i in range(lead + d) if i != lead + ax)
                              for ax in range(d)]
+        # a face of a 1-D float box is one cell, which numpy returns as a
+        # scalar; its truth value decides what count_nonzero would, for less
+        self._occupied = bool if d == 1 and not exact else np.count_nonzero
         self._plans, self._seen, self._parity = {}, deque(maxlen=2), 0
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
@@ -357,19 +368,22 @@ class _LayerDP:
         return self._view.size == 0
 
     def total(self):
-        if self.dead:
-            return 0 if self.exact else (0.0, self.log_scale)
-        if self.exact:
-            # each limb's 32-bit halves sum exactly in uint64 over < 2^32 cells
-            assert self._end - self._first < 1 << 32
-            cells, scratch = self._cells, self._total
-            low = np.bitwise_and(cells, 0xFFFFFFFF, out=scratch).sum(axis=1).tolist()
-            high = np.right_shift(cells, 32, out=scratch).sum(axis=1).tolist()
-            return sum((a + (b << 32)) << (self._radix * j)
-                       for j, (a, b) in enumerate(zip(low, high)))
-        if self._copy:
-            self._total[...] = self._view
-        return (float(self._total.sum()), self.log_scale)
+        if not self.exact:
+            if not self._view.size:
+                return (0.0, self.log_scale)
+            if self._copy:
+                self._total[...] = self._view
+            # ndarray.sum is this reduction behind a Python wrapper
+            return (float(np.add.reduce(self._total, None)), self.log_scale)
+        if not self._view.size:
+            return 0
+        # each limb's 32-bit halves sum exactly in uint64 over < 2^32 cells
+        assert self._end - self._first < 1 << 32
+        cells, scratch = self._cells, self._total
+        low = np.bitwise_and(cells, 0xFFFFFFFF, out=scratch).sum(axis=1).tolist()
+        high = np.right_shift(cells, 32, out=scratch).sum(axis=1).tolist()
+        return sum((a + (b << 32)) << (self._radix * j)
+                   for j, (a, b) in enumerate(zip(low, high)))
 
     def _state(self, box, extent, lo, bounds):
         """The layer that ``bounds`` (see ``_trim``) cut from ``box``, an
@@ -455,11 +469,16 @@ class _LayerDP:
         self._end = sum((k - 1) * st for k, st in zip(n, self._strides)) + 1
         self._key = self._layout(self.lo, n, self._first, self._end)
 
-    def _plan(self, limbs):
-        """The plan of the next step from the layer's layout, or None when
-        that step leaves the orthant on some axis. Lays the layer out anew
-        first when the next box outgrows its padding, its buffer or its
-        limbs."""
+    def _plan(self, key, limbs):
+        """The plan of the next step from the layer's layout ``key``, or
+        None when that step leaves the orthant on some axis. A layout that
+        one of the last two plans was built from keeps that plan; otherwise
+        the plan is built, laying the layer out anew first when the next box
+        outgrows its padding, its buffer or its limbs."""
+        for seen, plan in self._seen:
+            if seen == key:
+                self._plans[key] = plan
+                return plan
         lo, n = self.lo, self._view.shape[-self.d:]
         new_lo = [a + m if a + m > 0 else 0 for a, m in zip(lo, self.step_min)]
         box = [a + k - b + m for a, k, b, m in zip(lo, n, new_lo, self.step_max)]
@@ -524,15 +543,12 @@ class _LayerDP:
                 ops.append((pads.fill, (0,)))
         faces = [untrimmed.transpose(order) for order in self._face_orders]
         plan = _Plan(ops, untrimmed, faces, box, new_lo)
-        key = self._key + (limbs,) if self.exact else self._key
-        if key in self._seen:
-            self._plans[key] = plan
-        else:
-            self._seen.append(key)
+        # under the layout it was built from, which a relayout changes
+        self._seen.append((self._key + (limbs,) if self.exact else self._key, plan))
         return plan
 
     def advance(self):
-        if self.dead:
+        if not self._view.size:
             return
         key, limbs = self._key, self._limbs
         if self.exact:
@@ -541,7 +557,7 @@ class _LayerDP:
             key += (limbs,)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plan(limbs)
+            plan = self._plan(key, limbs)
             if plan is None:
                 self._kill(self.lo)
                 return
@@ -567,7 +583,8 @@ class _LayerDP:
                 high += carry
             return
         cells = self._cells
-        self.layer_max = mx = float(cells.max())
+        # the cell argmax finds is the maximum, found without the reduction machinery
+        self.layer_max = mx = float(cells[cells.argmax()])
         if mx > 0.0:
             cells /= mx
             self.log_scale += math.log(mx)
@@ -590,14 +607,14 @@ class _LayerDP:
         plan's new box, read inward from each face, or None when it has none.
         A face of the untrimmed box is nonzero exactly when its part inside
         the box trimmed on the other axes is, as only zero cells are cut."""
-        bounds = ()
+        bounds, occupied = (), self._occupied
         for faces in plan.faces:
             first, last = 0, len(faces) - 1
-            while first <= last and not np.count_nonzero(faces[first]):
+            while first <= last and not occupied(faces[first]):
                 first += 1
             if first > last:
                 return None
-            while not np.count_nonzero(faces[last]):
+            while not occupied(faces[last]):
                 last -= 1
             bounds += (first, last)
         return bounds
@@ -633,12 +650,14 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED):
     # the last two float layers; the cells are taken only when the total
     # mantissa equals the one two layers back and is not a dead layer's zero
     back = deque([(None, None, None)] * 2, maxlen=2)
+    advance, total_of, append = dp.advance, dp.total, values.append
     while len(values) <= n_max:
-        dp.advance()
-        values.append(dp.total())
+        advance()
+        value = total_of()
+        append(value)
         if exact:
             continue
-        total, cells = values[-1][0], None
+        total, cells = value[0], None
         if total == back[0][0] and total > 0.0:
             cells = dp._key, dp.snapshot()
             if cells == back[0][2]:
@@ -690,43 +709,41 @@ def estimate_rate(series):
     sequence, modelling a polynomial prefactor. A series whose tail died out
     reports rate zero.
     """
-    logs = [series.log_value(n) for n in range(series.n_max + 1)]
-    alive = [n for n, lv in enumerate(logs) if lv is not None]
-    if not alive or alive[-1] == 0:
-        return RateEstimate(raw_ratio=0.0, period=1, extrapolated=0.0)
-    n_last = alive[-1]
-    if n_last < series.n_max:
+    # the logs of log_value (an exact count as a mantissa with scale 0), NaN
+    # where a total is zero
+    values = ((v, 0.0) for v in series.values) if series.mode == EXACT else series.values
+    logs = np.array([math.log(m) + s if m > 0 else math.nan for m, s in values])
+    if math.isnan(logs[-1]):
         # zeros are absorbing for confined walks: the walk died out
         return RateEstimate(raw_ratio=0.0, period=1, extrapolated=0.0)
 
     best = None
     chosen = None
     for p in _PERIODS:
-        ms = [m for m in range(p, n_last + 1) if logs[m] is not None and logs[m - p] is not None]
+        # the p-lag ratios of the lengths m >= p where both totals are nonzero
+        ratio_logs = (logs[p:] - logs[:-p]) / p
+        alive = ~np.isnan(ratio_logs)
+        ms, ratio_logs = np.arange(p, len(logs))[alive], ratio_logs[alive]
         if len(ms) < 2:
             continue
-        ratio_logs = [(logs[m] - logs[m - p]) / p for m in ms]
         window = ratio_logs[-max(3, len(ratio_logs) // 4):]
-        spread = max(window) - min(window)
+        spread = window.max() - window.min()
         if best is None or spread < best[0]:
             best = (spread, p, ms, ratio_logs)
-        if chosen is None and spread <= STABLE_SPREAD:
-            chosen = (spread, p, ms, ratio_logs)
+        if spread <= STABLE_SPREAD:
+            chosen = best = (spread, p, ms, ratio_logs)
             break
     if best is None:
         return RateEstimate(raw_ratio=0.0, period=1, extrapolated=0.0)
-    spread, period, ms, ratio_logs = chosen if chosen is not None else best
+    _, period, ms, ratio_logs = best
     raw = math.exp(ratio_logs[-1])
     if chosen is None or len(ms) < 3:
         # no lag in {1,2,3,4,6} stabilizes the tail: report raw ratios only
         return RateEstimate(raw_ratio=raw, period=period, extrapolated=raw)
 
     k = max(4, len(ms) // 4)
-    tail_ms = ms[-k:]
-    tail_r = [math.exp(r) for r in ratio_logs[-k:]]
-    x = np.array([1.0 / m for m in tail_ms])
-    y = np.array(tail_r)
-    slope_intercept = np.polyfit(x, y, 1)
+    y = np.array([math.exp(r) for r in ratio_logs[-k:]])
+    slope_intercept = np.polyfit(1.0 / ms[-k:], y, 1)
     extrapolated = max(0.0, float(slope_intercept[1]))
     return RateEstimate(raw_ratio=raw, period=period, extrapolated=extrapolated)
 

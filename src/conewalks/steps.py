@@ -21,6 +21,10 @@ from ._simplex import scale_rows, simplex_min
 
 MAX_EXPONENT = 700.0
 
+# Cap on the lattice points one breadth-first search may visit; like the
+# counting DP's MAX_BOX_CELLS, a search that would pass it raises ValueError.
+MAX_SEARCH_POINTS = 1 << 15
+
 # Relative singular-value cutoff for the span test, and eigenvalue cutoff for
 # the covariance-kernel route; both routes must agree.
 RANK_TOL = 1e-10
@@ -212,7 +216,8 @@ def _interior_path(steps, cone, shift, max_depth):
 
     Returns the walk's steps (None when there is none) and whether the depth
     cap cut the search off. The search runs on steps / g for the gcd g of
-    their coordinates, with shift / g: a cone is closed under scaling.
+    their coordinates, with shift / g: a cone is closed under scaling. A
+    search that visits more than MAX_SEARCH_POINTS points raises ValueError.
     """
     if max_depth < 1:
         raise ValueError("search depth must be >= 1")
@@ -234,6 +239,9 @@ def _interior_path(steps, cone, shift, max_depth):
             if key in parents or not cones.contains(cone, nxt + shift):
                 continue
             parents[key] = (point, si)
+            if len(parents) > MAX_SEARCH_POINTS:
+                raise ValueError(f"the lattice search passed {MAX_SEARCH_POINTS} points "
+                                 f"before depth {max_depth}, above its budget")
             if cones.strictly_contains(cone, nxt.astype(float)):
                 path = []
                 cur = key

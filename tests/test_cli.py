@@ -323,6 +323,16 @@ class TestCheck:
             code, out, err = run(capsys, "check", "--steps", path, "--cone", cone, "--json")
             assert code == 1 and out == "" and "2**63" in err
 
+    def test_search_past_its_budget_exits_1(self, capsys, step_file):
+        # {+-e1, +-e2, -e3} never reaches the interior, so by depth 3000 the
+        # search would visit the 4.5 million points of a triangle in z = 0
+        path = step_file("flat.json", 3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                          (0, 0, -1)])
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", "--steps", path, "--depth", "3000", "--json")
+        assert code == 1 and out == "" and "budget" in err
+        assert time.perf_counter() - t0 < 10.0
+
     def test_other_cone_reports_no_h3(self, capsys, step_file):
         path = step_file("nsew.json", 2, NSEW)
         code, doc, _ = run_json(capsys, "check", "--steps", path, "--cone", "halfspace:1,-1")

@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 import conewalks as cw
 from conewalks import counting
 
+import reference_counting as ref_counting
+
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 NSEW_SW = [(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)]
 HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
@@ -620,6 +622,18 @@ class TestFlatLayoutMatchesBoxLayout:
         _layouts_agree(steps, start, n, weights, False, counting.FLOAT_TRIM)
         assert len(calls) == relayouts
 
+    @pytest.mark.parametrize("trim", [counting.FLOAT_TRIM, 0.0], ids=["cut", "no-cut"])
+    @pytest.mark.parametrize("start", range(4))
+    def test_bench_1d_shapes(self, start, trim):
+        # the 1-D walks of the `enumerate` benchmark, whose one-cell faces
+        # are tested by their truth value, and the exact 1-D walk, whose
+        # faces hold limbs and keep count_nonzero
+        steps_arr, start_arr, w, _ = counting._dp_inputs([(1,), (-1,)], (start,), 0, None, False)
+        assert counting._LayerDP(steps_arr, w, start_arr, exact=False)._occupied is bool
+        assert counting._LayerDP(steps_arr, None, start_arr, exact=True)._occupied is np.count_nonzero
+        _layouts_agree([(1,), (-1,)], (start,), 2000, (0.25, 0.75), False, trim)
+        _layouts_agree([(1,), (-1,)], (start,), 200, None, True, trim)
+
     @pytest.mark.parametrize("block", [counting.PRODUCT_BLOCK, 7])
     def test_weights_and_no_trim(self, block, monkeypatch):
         # a 7-cell block splits each weighted product into many pieces
@@ -708,23 +722,28 @@ class TestPlanReplay:
             dp.advance()
             assert len(dp._seen) <= 2
 
-    @pytest.mark.parametrize("steps, start, n, weights, replayed", [
-        ([(1,), (-1,)], (2,), 2000, (0.25, 0.75), 1814),
-        (HS_STEPS, (1, 1), 1500, _hs_weights(1 / 3), 1495),
-        (HS_STEPS, (4, 0), 1500, _hs_weights(0.4), 1492),
-        (HS_STEPS, (3, 1), 1500, _hs_weights(0.3), 1493),
+    @pytest.mark.parametrize("steps, start, n, weights, replayed, built", [
+        ([(1,), (-1,)], (2,), 2000, (0.25, 0.75), 1814, 124),
+        (HS_STEPS, (1, 1), 1500, _hs_weights(1 / 3), 1495, 3),
+        (HS_STEPS, (4, 0), 1500, _hs_weights(0.4), 1492, 6),
+        (HS_STEPS, (3, 1), 1500, _hs_weights(0.3), 1493, 5),
         # the DP of `verify` on {E,N,W,S,SW} at n = 300
-        ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], (1, 1), 300, (0.2,) * 5, 43),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], (1, 1), 300, (0.2,) * 5, 43, 174),
     ], ids=["d1-from-2", "halfspace-1/3", "halfspace-0.4", "halfspace-0.3", "ensws"])
-    def test_replays_with_two_seen_layouts(self, steps, start, n, weights, replayed):
+    def test_replays_with_two_seen_layouts(self, steps, start, n, weights, replayed, built,
+                                           monkeypatch):
         # the counts of a DP that remembered every layout met since the last
-        # relayout: a layout recurs two layers after it was planned
+        # relayout: a layout recurs two layers after it was planned, and then
+        # keeps the plan built the first time, so only the other layers build
+        plans, plan = [], counting._Plan
+        monkeypatch.setattr(counting, "_Plan", lambda *args: plans.append(plan(*args)) or plans[-1])
         steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, False)
         dp = counting._LayerDP(steps, w, start, exact=False)
         dp._plans = _CountedPlans()
         for _ in range(n):
             dp.advance()
         assert dp._plans.replayed == replayed
+        assert len(plans) == built
 
 
 
@@ -977,6 +996,88 @@ class TestEstimateRate:
         for _ in range(100):
             z = np.abs(rng.normal(size=2))
             assert rate <= cw.upper_bound_at(model, cw.orthant(2), z) + 5e-3
+
+
+@st.composite
+def _rate_series(draw):
+    """A count series for the rate fit: exact or float, n_max in 0..80, log
+    totals a noisy line (or exact powers past the double range), and zeros
+    at odd or even lengths (parity), in a dead tail, or at a few lengths in
+    the middle."""
+    n_max = draw(st.integers(0, 80))
+    exact = draw(st.booleans())
+    slope = math.log(draw(st.floats(0.05, 8.0)))
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3, 2.0]))
+    wiggle = draw(st.lists(st.floats(-1.0, 1.0), min_size=n_max + 1, max_size=n_max + 1))
+    logs = [draw(st.floats(-5.0, 5.0)) + n * slope + noise * e for n, e in enumerate(wiggle)]
+    if exact and draw(st.booleans()):
+        # counts past 2^1024, as exact mode reaches them
+        base, c = draw(st.integers(2, 40)), draw(st.integers(1, 10**6))
+        values = [c * base ** (4 * n) + n for n in range(n_max + 1)]
+    elif exact:
+        values = [max(1, round(math.exp(min(lv, 600.0)))) for lv in logs]
+    else:
+        mantissas = draw(st.lists(st.floats(1e-3, 1e3), min_size=n_max + 1, max_size=n_max + 1))
+        values = [(m, lv - math.log(m)) for m, lv in zip(mantissas, logs)]
+    zeros = draw(st.sampled_from(["none", "odd", "even", "tail", "inside"]))
+    if zeros == "odd":
+        dead = set(range(1, n_max + 1, 2))
+    elif zeros == "even":
+        dead = set(range(2, n_max + 1, 2))
+    elif zeros == "tail":
+        dead = set(range(draw(st.integers(0, n_max)), n_max + 1))
+    elif zeros == "inside":
+        dead = set(draw(st.lists(st.integers(0, max(0, n_max - 1)), max_size=4))) - {n_max}
+    else:
+        dead = set()
+    zero = 0 if exact else (0.0, 0.0)
+    values = tuple(zero if n in dead else v for n, v in enumerate(values))
+    return counting.CountSeries(n_max=n_max, mode=counting.EXACT if exact else counting.LOG_SCALED,
+                                values=values)
+
+
+def _rate_bits(est):
+    assert type(est.raw_ratio) is float and type(est.extrapolated) is float
+    return est.raw_ratio.hex(), est.period, est.extrapolated.hex()
+
+
+class TestEstimateRateMatchesReference:
+    """``estimate_rate`` on one array of logs gives the list-based reference
+    copy's raw ratio, period and extrapolation bit for bit."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_rate_series())
+    def test_random_series(self, series):
+        assert _rate_bits(cw.estimate_rate(series)) == _rate_bits(ref_counting.estimate_rate(series))
+
+    @pytest.mark.parametrize("values", [
+        (1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 5.0, 0.0, 14.0),
+        (1.0, 2.0, 0.0, 8.0, 16.0, 32.0, 0.0, 128.0, 256.0, 512.0),
+        (1.0, 3.0, 9.0, 0.0, 0.0, 0.0, 729.0, 2187.0, 6561.0, 19683.0),
+        (0.0, 1.0, 3.0, 9.0, 27.0),
+        (1.0, 1.0, 0.0),
+        (2.0, 3.0, 5.0),
+        (4.0,),
+    ], ids=["parity", "one-zero", "zero-run", "zero-first", "dead-last", "n_max-2", "n_max-0"])
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_hand_built_series(self, values, exact):
+        values = tuple(int(v) for v in values) if exact else tuple((v, 0.0) for v in values)
+        series = counting.CountSeries(n_max=len(values) - 1,
+                                      mode=counting.EXACT if exact else counting.LOG_SCALED,
+                                      values=values)
+        assert _rate_bits(cw.estimate_rate(series)) == _rate_bits(ref_counting.estimate_rate(series))
+
+    @pytest.mark.parametrize("steps, start, n, weights, mode", [
+        *[([(1,), (-1,)], (a,), 2000, (0.25, 0.75), "log_scaled") for a in range(4)],
+        *[(HALFSPACE_MODEL, start, 1500, _hs_weights(p), "log_scaled")
+          for start, p in (((1, 1), 0.3), ((0, 2), 0.4), ((0, 4), 1 / 3), ((2, 2), 0.4))],
+        (S5, (0, 0), 400, None, "log_scaled"), (S5, (1, 1), 1200, None, "log_scaled"),
+        (S5, (0, 1), 150, None, "exact"), (D3, (1, 1, 1), 120, None, "log_scaled"),
+        (NSEW, (1, 1), 200, None, "log_scaled"), (ENSWS, (1, 1), 300, (0.2,) * 5, "log_scaled"),
+    ])
+    def test_bench_series(self, steps, start, n, weights, mode):
+        series = cw.count_walks(steps, start, n, weights=weights, mode=mode)
+        assert _rate_bits(cw.estimate_rate(series)) == _rate_bits(ref_counting.estimate_rate(series))
 
 
 class TestCramerIdentity:

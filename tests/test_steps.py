@@ -178,6 +178,19 @@ class TestH3:
         with pytest.raises(ValueError):
             cw.check_h3([(0.5, 1.0)], 3)
 
+    @pytest.mark.parametrize("budget, raises", [(15, False), (14, True)])
+    def test_search_budget(self, budget, raises, monkeypatch):
+        # {+-e1, +-e2, -e3} never reaches the interior: by depth 4 the search
+        # has visited the 15 points of {x, y >= 0, x + y <= 4, z = 0}
+        monkeypatch.setattr(cw.steps, "MAX_SEARCH_POINTS", budget)
+        flat = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, -1)]
+        if raises:
+            with pytest.raises(ValueError, match="budget"):
+                cw.check_h3(flat, 4)
+        else:
+            res = cw.check_h3(flat, 4)
+            assert not res.ok and not res.exhausted
+
 
 # each wrapped or slipped through an unchecked cast to int64
 BAD_LATTICE_STEPS = {
