@@ -55,16 +55,13 @@ def simplex_min(c, M, b, basis):
 
     for _ in range(MAX_PIVOTS):
         # Bland: entering = lowest index with negative reduced cost
-        entering = -1
-        for j in range(n):
-            if obj[j] < -EPS:
-                entering = j
-                break
-        if entering < 0:
+        negative = np.flatnonzero(obj < -EPS)
+        if not negative.size:
             y = np.zeros(n)
             y[basis] = T[:, n]
             return "optimal", y, float(c @ y)
 
+        entering = int(negative[0])
         col = T[:, entering]
         rows = np.where(col > EPS)[0]
         if rows.size == 0:
@@ -74,7 +71,7 @@ def simplex_min(c, M, b, basis):
         best = ratios.min()
         # Bland tie-break: smallest basic variable index among min ratios
         tied = rows[ratios <= best + EPS * (1.0 + abs(best))]
-        leaving = min(tied, key=lambda i: basis[i])
+        leaving = min(tied.tolist(), key=basis.__getitem__)
 
         piv = T[leaving, entering]
         T[leaving] /= piv

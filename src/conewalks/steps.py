@@ -6,12 +6,18 @@ counting DP takes the raw steps. The hypothesis checks decide whether the
 support spans the whole space, whether it avoids every half-space cut out by
 a dual-cone direction (which is what makes the rate minimizer exist), and
 whether a lattice path from the origin can reach the open orthant.
+
+The half-space test needs an LP only when no step lies strictly inside the
+cone: a step whose products with every ray of the dual cone, on rows scaled
+into [1, 2), exceed INTERIOR_MARGIN already proves it (Gordan's
+alternative). The lattice search expands one breadth-first level per numpy
+pass, visiting points in the order of a point-by-point search.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +34,11 @@ MAX_SEARCH_POINTS = 1 << 15
 # Relative singular-value cutoff for the span test, and eigenvalue cutoff for
 # the covariance-kernel route; both routes must agree.
 RANK_TOL = 1e-10
+
+# A step whose products with the dual cone's rays, both scaled into [1, 2),
+# all exceed this lies inside the cone and settles H2' without the LP; it
+# sits far above the rounding of such O(1) products.
+INTERIOR_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +146,33 @@ def halfspace_witness(m, cone):
 
     `cone` plays the role of the dual cone K* of a cone K with interior
     (`cones.require_interior`), entering through its rays R. With S and R
-    scaled row by row into [1, 2) (`_simplex.scale_rows`) and G = S R^T, the
-    LP min a s.t. G t + slack = 0, sum t + a = 1, (t, slack, a) >= 0 starts
+    scaled row by row into [1, 2) (`_simplex.scale_rows`), G = S R^T. A step
+    whose row of G exceeds INTERIOR_MARGIN everywhere lies inside K, and
+    <s, u> > 0 for every u != 0 in K*, so there is no witness (Gordan's
+    alternative) and None is returned before any LP. Otherwise the LP
+    min a s.t. G t + slack = 0, sum t + a = 1, (t, slack, a) >= 0 starts
     from the basis of the slacks (at 0) and a (at 1). Its optimum is 0 when
     some t != 0 has G t <= 0 and 1 otherwise, so it is compared with 1/2.
     The witness R^T t, nonzero as K* is pointed, is returned at unit l1 norm.
     """
     S, R = scale_rows(m.steps), scale_rows(cone.rays)
-    k, r = S.shape[0], R.shape[0]
+    G = S @ R.T
+    if _has_interior_step(G):
+        return None
+    return _witness_lp(G, R)
+
+
+def _has_interior_step(G):
+    """Whether some row of G exceeds INTERIOR_MARGIN in every entry."""
+    return bool((G > INTERIOR_MARGIN).all(axis=1).any())
+
+
+def _witness_lp(G, R):
+    """`halfspace_witness`'s LP on G = S R^T and the scaled rays R."""
+    k, r = G.shape
     # columns t, the slacks, a
     M = np.zeros((k + 1, r + k + 1))
-    M[:k, :r] = S @ R.T
+    M[:k, :r] = G
     M[:k, r:r + k] = np.eye(k)
     M[k, :r] = 1.0
     M[k, -1] = 1.0
@@ -204,10 +231,12 @@ class H3Result:
 
 
 def default_h3_depth(steps):
-    steps = np.atleast_2d(np.asarray(steps))
-    d = steps.shape[1]
-    max_l1 = int(np.abs(steps).sum(axis=1).max()) // (math.gcd(*steps.ravel().tolist()) or 1)
-    return max(1, 2 * d * max_l1)
+    """2 d times the largest l1 norm of a step over the gcd of all the step
+    coordinates, formed on Python integers (int64 sums could wrap)."""
+    rows = np.atleast_2d(np.asarray(steps)).tolist()
+    g = math.gcd(*itertools.chain.from_iterable(rows)) or 1
+    max_l1 = max(sum(map(abs, row)) for row in rows) // g
+    return max(1, 2 * len(rows[0]) * max_l1)
 
 
 def _interior_path(steps, cone, shift, max_depth):
@@ -218,41 +247,53 @@ def _interior_path(steps, cone, shift, max_depth):
     cap cut the search off. The search runs on steps / g for the gcd g of
     their coordinates, with shift / g: a cone is closed under scaling. A
     search that visits more than MAX_SEARCH_POINTS points raises ValueError.
+
+    It expands one level at a time, in the order of a point-by-point search:
+    the candidates are frontier x steps, in (frontier, step) order; the first
+    occurrence of a point not met before claims it; the cone tests run on
+    all of them at once (`cones._contains_rows` on y + shift, then
+    `cones._strictly_contains_rows` on y), and the first point admitted
+    inside the interior ends the search, unless the budget was passed before
+    it. Each level keeps the candidate index of its points, parent * k +
+    step, from which the walk is read back.
     """
     if max_depth < 1:
         raise ValueError("search depth must be >= 1")
     g = math.gcd(*steps.ravel().tolist()) or 1
     steps, shift = steps // g, shift / g
-    origin = (0,) * steps.shape[1]
-    parents = {origin: None}
-    frontier = deque([(origin, 0)])
-    truncated = False
-    while frontier:
-        point, depth = frontier.popleft()
-        if depth == max_depth:
-            truncated = True
-            continue
-        base = np.array(point, dtype=np.int64)
-        for si, s in enumerate(steps):
-            nxt = base + s
-            key = tuple(int(v) for v in nxt)
-            if key in parents or not cones.contains(cone, nxt + shift):
-                continue
-            parents[key] = (point, si)
-            if len(parents) > MAX_SEARCH_POINTS:
-                raise ValueError(f"the lattice search passed {MAX_SEARCH_POINTS} points "
-                                 f"before depth {max_depth}, above its budget")
-            if cones.strictly_contains(cone, nxt.astype(float)):
-                path = []
-                cur = key
-                while parents[cur] is not None:
-                    prev, idx = parents[cur]
-                    path.append(tuple(g * int(v) for v in steps[idx]))
-                    cur = prev
-                path.reverse()
-                return tuple(path), truncated
-            frontier.append((key, depth + 1))
-    return None, truncated
+    k, d = steps.shape
+    frontier = np.zeros((1, d), dtype=np.int64)
+    seen = {(0,) * d}  # every point met; one the cone refused it refuses again
+    admitted = 1
+    levels = []
+    for _ in range(max_depth):
+        if not len(frontier):
+            return None, False
+        cand = (frontier[:, None, :] + steps).reshape(-1, d)
+        keys = list(map(tuple, cand.tolist()))
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        fresh = first.keys() - seen
+        seen.update(fresh)
+        idx = np.array(sorted(map(first.__getitem__, fresh)), dtype=np.intp)
+        points = cand[idx]
+        keep = cones._contains_rows(cone, points + shift)
+        idx, points = idx[keep], points[keep]
+        inside = cones._strictly_contains_rows(cone, points.astype(float)).nonzero()[0]
+        # the point admitted at position `room` passes the budget
+        room = max(MAX_SEARCH_POINTS - admitted, 0)
+        if len(idx) > room and not (inside.size and inside[0] < room):
+            raise ValueError(f"the lattice search passed {MAX_SEARCH_POINTS} points "
+                             f"before depth {max_depth}, above its budget")
+        levels.append(idx)
+        if inside.size:
+            path, at = [], int(inside[0])
+            for level in reversed(levels):
+                at, si = divmod(int(level[at]), k)
+                path.append(tuple(g * v for v in steps[si].tolist()))
+            return tuple(reversed(path)), False
+        admitted += len(idx)
+        frontier = points
+    return None, bool(len(frontier))
 
 
 def check_h3(steps, search_depth=None):

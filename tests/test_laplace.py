@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 import conewalks as cw
 from conewalks import laplace, steps as steps_mod
+from conewalks._simplex import scale_rows
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
@@ -295,6 +296,47 @@ class TestH2PrimeMatchesHighs:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_random_step_sets(self, steps):
         assert h2prime_mismatches(steps) == []
+
+
+def shortcut_mismatches(steps):
+    """The cases of a step set, against each dual cone of `dual_cones`,
+    where `steps.halfspace_witness`'s interior-step shortcut fires but the
+    LP it skips finds a witness or HiGHS calls the set improper, or where it
+    fires differently on steps or rays scaled by 2^k; and the number of
+    cones on which it fires."""
+    m = cw.from_step_set(steps)
+    bad, fired = [], 0
+    for dual in dual_cones(m.dim):
+        R = scale_rows(dual.rays)
+        G = scale_rows(m.steps) @ R.T
+        fires = steps_mod._has_interior_step(G)
+        if fires and (steps_mod._witness_lp(G, R) is not None
+                      or highs_h2prime_feasible(m.steps @ dual.rays.T)):
+            bad.append((dual.rays.tolist(), "improper"))
+        for k in (-300, -40, -1, 1, 40, 300):
+            c = 2.0 ** k
+            G_k = scale_rows(c * m.steps) @ scale_rows(c * dual.rays).T
+            if steps_mod._has_interior_step(G_k) != fires:
+                bad.append((dual.rays.tolist(), k))
+        fired += fires
+    return bad, fired
+
+
+class TestInteriorStepShortcut:
+    """A step with every product above INTERIOR_MARGIN settles H2' before
+    the LP; wherever it does, the LP and HiGHS agree there is no witness."""
+
+    def test_corpora(self, proper_2d_corpus, proper_3d_corpus, improper_2d_corpus):
+        corpus = proper_2d_corpus + proper_3d_corpus + improper_2d_corpus
+        results = [shortcut_mismatches(steps) for steps in corpus]
+        assert [bad for bad, _ in results if bad] == []
+        # 135 of the 189 proper (set, cone) pairs skip the LP
+        assert sum(fired for _, fired in results) == 135
+
+    @given(small_step_sets())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_step_sets(self, steps):
+        assert shortcut_mismatches(steps)[0] == []
 
 
 class TestConvexityAndTiltIdentities:

@@ -1,11 +1,15 @@
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import conewalks as cw
+from conewalks import cones, counting
+
+import reference_steps as ref_steps
 
 NSEW = [(0, 1), (0, -1), (1, 0), (-1, 0)]
 HALFSPACE_MODEL = [(1, -1), (-1, 1), (-1, -1)]
@@ -190,6 +194,96 @@ class TestH3:
         else:
             res = cw.check_h3(flat, 4)
             assert not res.ok and not res.exhausted
+
+
+class TestDefaultDepth:
+    @pytest.mark.parametrize("steps", [[(1, 1), (-1, 0), (0, -1)], NSEW, [(2, 0), (0, 3), (-1, -1)]])
+    def test_scale_free(self, steps):
+        # the l1 norms of 2**62 (1, 1) and the like wrap in int64
+        base = np.array(steps, dtype=np.int64)
+        want = cw.steps.default_h3_depth(base)
+        for k in range(63):
+            if int(np.abs(base).max()) << k < 2**63:
+                assert cw.steps.default_h3_depth(base * 2**k) == want, k
+
+    def test_value(self):
+        assert cw.steps.default_h3_depth([(1, 1), (-1, 0), (0, -1)]) == 8
+        assert cw.steps.default_h3_depth(np.array([(2**62, 2**62), (-2**62, 0)])) == 8
+
+
+def _search_outcome(search, *args):
+    try:
+        return search(*args)[:2]
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _search_cases(draw):
+    """Steps from {-2..2}^d, d = 1-3, a solid cone of any kind, a shift
+    delta v on DELTA_GRID and a depth of 1-8."""
+    d = draw(st.integers(1, 3))
+    box = list(itertools.product(range(-2, 3), repeat=d))
+    steps = draw(st.lists(st.sampled_from(box), min_size=1, max_size=6, unique=True))
+    kind = draw(st.sampled_from(["orthant", "halfspace", "ineq", "rays"]))
+    vectors = draw(st.lists(st.sampled_from([v for v in box if any(v)]), min_size=1, max_size=3,
+                            unique=True).filter(lambda vs: cw.has_interior(_cone(kind, vs))))
+    return (np.array(steps, dtype=np.int64), _cone(kind, vectors),
+            draw(st.sampled_from(counting.DELTA_GRID)), draw(st.integers(1, 8)))
+
+
+class TestInteriorPathMatchesReference:
+    """The level-wise lattice search against the point-by-point search it
+    replaced (`reference_steps`): the same path and truncation flag, or the
+    same ValueError, under the default budget and under budgets just below
+    and at the number of points the search admits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_search_cases())
+    @example((np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, -1)]),
+              cw.orthant(3), 0.0, 4))
+    @example((np.array([(2, 0), (0, 3), (-1, -1)]), cw.orthant(2), 1.0, 6))
+    def test_same_search(self, case):
+        steps, cone, delta, depth = case
+        args = (steps, cone, delta * cw.interior_vector(cone), depth)
+        want = _search_outcome(ref_steps.interior_path, *args)
+        assert _search_outcome(cw.steps._interior_path, *args) == want
+        if isinstance(want, str):
+            return
+        admitted = len(ref_steps.interior_path(*args)[2])
+        for budget in (admitted - 1, admitted):
+            with mock.patch.object(cw.steps, "MAX_SEARCH_POINTS", budget):
+                want = _search_outcome(ref_steps.interior_path, *args)
+                # the origin is admitted before the budget is first checked
+                assert isinstance(want, str) == (budget < admitted and admitted > 1)
+                assert _search_outcome(cw.steps._interior_path, *args) == want
+
+    def test_corpora(self, proper_2d_corpus, proper_3d_corpus, improper_2d_corpus):
+        # the corpora against the certify cones at the first three shifts;
+        # every candidate that a level can form gets the verdicts of
+        # `cones.contains` and `cones.strictly_contains` from the row tests
+        ineq = {2: [(2, -1), (-1, 2)], 3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]}
+        for steps in proper_2d_corpus + proper_3d_corpus + improper_2d_corpus:
+            steps = np.array(steps, dtype=np.int64)
+            d = steps.shape[1]
+            depth = cw.steps.default_h3_depth(steps)
+            for cone in (cw.orthant(d), cw.halfspace(np.ones(d)), cw.inequalities(ineq[d])):
+                for delta in counting.DELTA_GRID[:3]:
+                    shift = delta * cw.interior_vector(cone)
+                    path, truncated, parents = ref_steps.interior_path(steps, cone, shift, depth)
+                    assert cw.steps._interior_path(steps, cone, shift, depth) == (path, truncated)
+                    X = (np.array(list(parents))[:, None, :] + steps).reshape(-1, d)
+                    assert cones._contains_rows(cone, X + shift).tolist() == [
+                        cw.contains(cone, x + shift) for x in X]
+                    assert cones._strictly_contains_rows(cone, X.astype(float)).tolist() == [
+                        cw.strictly_contains(cone, x.astype(float)) for x in X]
+
+    def test_budget_at_depth_3000(self):
+        # {+-e1, +-e2, -e3} never reaches the interior of Q: the search fills
+        # the quarter plane z = 0 until it passes the budget at depth 255
+        flat = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, -1)]
+        with pytest.raises(ValueError, match="budget"):
+            cw.check_h3(flat, 3000)
 
 
 # each wrapped or slipped through an unchecked cast to int64
