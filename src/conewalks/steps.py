@@ -268,7 +268,7 @@ def _interior_path(steps, cone, shift, max_depth):
     levels = []
     for _ in range(max_depth):
         if not len(frontier):
-            return None, False
+            break
         cand = (frontier[:, None, :] + steps).reshape(-1, d)
         keys = list(map(tuple, cand.tolist()))
         first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
