@@ -49,13 +49,13 @@ def simplex_min(c, M, b, basis):
     basis = list(basis)
 
     B = M[:, basis]
-    T = np.linalg.solve(B, np.column_stack([M, b]))
+    T = np.linalg.solve(B, np.concatenate([M, b[:, None]], axis=1))
     # reduced costs
     obj = c - c[basis] @ T[:, :n]
 
     for _ in range(MAX_PIVOTS):
         # Bland: entering = lowest index with negative reduced cost
-        negative = np.flatnonzero(obj < -EPS)
+        negative = (obj < -EPS).nonzero()[0]
         if not negative.size:
             y = np.zeros(n)
             y[basis] = T[:, n]
@@ -63,7 +63,7 @@ def simplex_min(c, M, b, basis):
 
         entering = int(negative[0])
         col = T[:, entering]
-        rows = np.where(col > EPS)[0]
+        rows = (col > EPS).nonzero()[0]
         if rows.size == 0:
             return "unbounded", None, -np.inf
 

@@ -314,14 +314,15 @@ def contains(cone, x, tol=DEFAULT_TOL):
 def _contains_rows(cone, X):
     """`contains` at its default tolerance on every row of X at once, by
     the same expressions, for rows the caller knows to be finite and of
-    length `cone.dim`. The norms are those of np.linalg.norm(X, axis=1),
-    formed without its wrapper."""
+    length `cone.dim`. The norms are those of np.linalg.norm(X, axis=1) and
+    the row verdicts those of ndarray.all(axis=1), formed without their
+    Python wrappers."""
     xnorm = np.sqrt(np.add.reduce(X * X, axis=1))
     if cone.kind == ORTHANT:
         thr = np.maximum(DEFAULT_TOL * np.maximum(1.0, xnorm), ABS_FLOOR)
-        return (X >= -thr[:, None]).all(axis=1)
+        return np.logical_and.reduce(X >= -thr[:, None], axis=1)
     thr = np.maximum(DEFAULT_TOL * cone.normal_norms * xnorm[:, None], ABS_FLOOR)
-    return (X @ cone.normals.T >= -thr).all(axis=1)
+    return np.logical_and.reduce(X @ cone.normals.T >= -thr, axis=1)
 
 
 _DUAL_KIND = {GENERATED: INEQUALITIES, INEQUALITIES: GENERATED}
@@ -408,7 +409,8 @@ def strictly_contains(cone, x):
 def _strictly_contains_rows(cone, X):
     """`strictly_contains` on every row of X at once, as `_contains_rows`."""
     scale = np.maximum(1.0, np.sqrt(np.add.reduce(X * X, axis=1)))
-    return (X @ cone.normals.T > ABS_FLOOR * cone.normal_norms * scale[:, None]).all(axis=1)
+    return np.logical_and.reduce(X @ cone.normals.T > ABS_FLOOR * cone.normal_norms * scale[:, None],
+                                 axis=1)
 
 
 def interior_vector(cone):

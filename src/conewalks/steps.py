@@ -260,7 +260,8 @@ def _interior_path(steps, cone, shift, max_depth):
     if max_depth < 1:
         raise ValueError("search depth must be >= 1")
     g = math.gcd(*steps.ravel().tolist()) or 1
-    steps, shift = steps // g, shift / g
+    if g > 1:
+        steps, shift = steps // g, shift / g
     k, d = steps.shape
     frontier = np.zeros((1, d), dtype=np.int64)
     seen = {(0,) * d}  # every point met; one the cone refused it refuses again
