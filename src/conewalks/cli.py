@@ -142,16 +142,13 @@ def cmd_rate(args, report):
 
 
 def _series_rows(series, estimate):
+    p, logs = estimate.period, [series.log_value(n) for n in range(series.n_max + 1)]
     rows = []
-    p = estimate.period
-    for n in range(series.n_max + 1):
-        if series.mode == counting.EXACT:
-            value = series.values[n]
-        else:
-            value = series.log_value(n)
-        ln, lp = series.log_value(n), series.log_value(n - p) if n >= p else None
-        ratio = float(np.exp((ln - lp) / p)) if (n >= p and ln is not None and lp is not None) else None
-        rows.append((n, value, ratio, estimate.extrapolated))
+    for n, ln in enumerate(logs):
+        lp = logs[n - p] if n >= p else None
+        ratio = None if ln is None or lp is None else float(np.exp((ln - lp) / p))
+        rows.append((n, series.values[n] if series.mode == counting.EXACT else ln, ratio,
+                     estimate.extrapolated))
     return rows
 
 

@@ -10,23 +10,30 @@ A half-space {x : <u, x> >= 0} is the inequality cone of the one normal u
 (`halfspace`).
 
 Every cone carries the two descriptions the rate formulas read: ``normals``,
-the rows a_i with K = {x : A x >= 0} (membership, the KKT residual, the Monte
-Carlo test), and ``rays``, the rows r_i with K = {R^T t : t >= 0} (a dual
-cone's parametrization for the solver and the LPs). The one a cone was built
-from is kept as given, the orthant's identity serving as both; the other is
-derived on first read by facet enumeration (`_generators`), in every
-dimension, from signed cofactors of (d - 1)-subsets of the given vectors.
-An enumeration over more than MAX_SUBSETS subsets is refused with
-``UnsupportedConeError``. Dualizing swaps the two descriptions and
-transcribes the given vectors, so dual(dual(K)) is K.
+the rows a_i with K = {x : A x >= 0}, and ``rays``, the rows r_i with
+K = {R^T t : t >= 0} (a dual cone's parametrization for the solver and the
+LPs). The one a cone was built from is kept as given, the orthant's identity
+serving as both; the other is derived on first read by facet enumeration
+(`_generators`), in every dimension, from signed cofactors of (d - 1)-subsets
+of the given vectors. An enumeration over more than MAX_SUBSETS subsets is
+refused with ``UnsupportedConeError``. Dualizing swaps the two descriptions
+and transcribes the given vectors, so dual(dual(K)) is K.
 
-Interior is read from the rays alone, by one rule for every kind: a cone has
-interior exactly when its rays span R^d, and its interior vector is the sum
-of its rays scaled to unit l1 norm. Norms and cosines are formed on rows
-scaled by powers of two into [1, 2) (`_simplex.scale_rows`), so both rules,
-and the cosine and rank tests of the enumeration, give the same verdicts
-for vectors scaled by any c > 0 whose derived vectors stay normal doubles;
-an enumeration whose cofactors would not is refused.
+Membership is read from the normals by one rule, written once, on rows of
+points (`_contains_rows`): x is in K when every <a_i, x> >= -max(tol |a_i|
+|x|, ABS_FLOOR) (on the orthant, x_i >= -max(tol max(1, |x|), ABS_FLOOR)),
+and interior when every <a_i, x> > ABS_FLOOR |a_i| max(1, |x|)
+(`_strictly_contains_rows`); `contains` and `strictly_contains` take one
+point. `_membership_violation`, the largest -<a_i, y> / |a_i|, is the KKT
+residual and the Monte Carlo start test.
+
+Whether a cone has interior is read from its rays alone, by one rule for
+every kind: it has interior exactly when its rays span R^d, and its interior
+vector is the sum of its rays scaled to unit l1 norm. Norms and cosines are
+formed on rows scaled by powers of two into [1, 2) (`_simplex.scale_rows`),
+so both rules, and the cosine and rank tests of the enumeration, give the
+same verdicts for vectors scaled by any c > 0 whose derived vectors stay
+normal doubles; an enumeration whose cofactors would not is refused.
 Projections exist only for the cones the rate formulas need (orthant,
 half-space, single ray); everything else raises ``UnsupportedConeError``.
 """
@@ -302,27 +309,25 @@ def _check_dim(cone, x):
 
 def contains(cone, x, tol=DEFAULT_TOL):
     """Membership test, up to a relative tolerance with absolute floor."""
-    x = _check_dim(cone, x)
-    xnorm = float(np.linalg.norm(x))
-    if cone.kind == ORTHANT:
-        thr = max(tol * max(1.0, xnorm), ABS_FLOOR)
-        return bool(np.all(x >= -thr))
-    thr = np.maximum(tol * cone.normal_norms * xnorm, ABS_FLOOR)
-    return bool((cone.normals @ x >= -thr).all())
+    return bool(_contains_rows(cone, _check_dim(cone, x)[None], tol)[0])
 
 
-def _contains_rows(cone, X):
-    """`contains` at its default tolerance on every row of X at once, by
-    the same expressions, for rows the caller knows to be finite and of
-    length `cone.dim`. The norms are those of np.linalg.norm(X, axis=1) and
-    the row verdicts those of ndarray.all(axis=1), formed without their
-    Python wrappers."""
+def _contains_rows(cone, X, tol=DEFAULT_TOL):
+    """The membership rule on every row of X at once, for rows the caller
+    knows to be finite and of length `cone.dim`."""
     xnorm = np.sqrt(np.add.reduce(X * X, axis=1))
     if cone.kind == ORTHANT:
-        thr = np.maximum(DEFAULT_TOL * np.maximum(1.0, xnorm), ABS_FLOOR)
+        thr = np.maximum(tol * np.maximum(1.0, xnorm), ABS_FLOOR)
         return np.logical_and.reduce(X >= -thr[:, None], axis=1)
-    thr = np.maximum(DEFAULT_TOL * cone.normal_norms * xnorm[:, None], ABS_FLOOR)
+    thr = np.maximum(tol * cone.normal_norms * xnorm[:, None], ABS_FLOOR)
     return np.logical_and.reduce(X @ cone.normals.T >= -thr, axis=1)
+
+
+def _membership_violation(cone, y):
+    """How far y lies outside the cone: the largest -<a_i, y> / |a_i| over
+    its normals a_i, and 0 for y in the cone."""
+    slack = (cone.normals @ y) / cone.normal_norms
+    return max(0.0, -float(slack.min(initial=0.0)))
 
 
 _DUAL_KIND = {GENERATED: INEQUALITIES, INEQUALITIES: GENERATED}
@@ -401,13 +406,11 @@ def require_interior(cone, what):
 
 def strictly_contains(cone, x):
     """Whether x lies in the topological interior of the cone."""
-    x = _check_dim(cone, x)
-    scale = max(1.0, float(np.linalg.norm(x)))
-    return bool((cone.normals @ x > ABS_FLOOR * cone.normal_norms * scale).all())
+    return bool(_strictly_contains_rows(cone, _check_dim(cone, x)[None])[0])
 
 
 def _strictly_contains_rows(cone, X):
-    """`strictly_contains` on every row of X at once, as `_contains_rows`."""
+    """The interior rule on every row of X at once, as `_contains_rows`."""
     scale = np.maximum(1.0, np.sqrt(np.add.reduce(X * X, axis=1)))
     return np.logical_and.reduce(X @ cone.normals.T > ABS_FLOOR * cone.normal_norms * scale[:, None],
                                  axis=1)

@@ -208,7 +208,7 @@ class CountSeries:
         lv = self.log_value(n)
         if lv is None:
             return 0.0
-        if lv > 700.0:
+        if lv > steps_mod.MAX_EXPONENT:
             return math.inf
         return math.exp(lv)
 

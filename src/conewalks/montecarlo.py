@@ -152,10 +152,8 @@ def _simulate(m, start, cone, config, checkpoints, statistic):
     start = np.asarray(start)
     if start.shape != (m.dim,):
         raise ValueError(f"start must have length {m.dim}, got shape {start.shape}")
-    A = cone.normals
     # an absolute tolerance: a far start must not excuse a coordinate outside
-    x = cones._check_dim(cone, start)
-    if np.any(A @ x < -cones.DEFAULT_TOL * cone.normal_norms):
+    if cones._membership_violation(cone, cones._check_dim(cone, start)) > cones.DEFAULT_TOL:
         raise ValueError("start lies outside the cone")
     wanted = set(checkpoints)
     if not all(isinstance(k, numbers.Integral) and 1 <= k <= config.n for k in wanted):

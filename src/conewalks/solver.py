@@ -358,13 +358,6 @@ def _default_init(model, dual_cone):
         return np.zeros(R.shape[0])
 
 
-def _membership_violation(cone, y):
-    """How far y is from the cone, measured on its normals."""
-    A = cone.normals
-    slack = (A @ y) / cone.normal_norms
-    return max(0.0, -float(slack.min(initial=0.0)))
-
-
 def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Minimize the Laplace transform over the dual of the confining cone.
 
@@ -415,7 +408,7 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         x_star=x_star,
         rho=at.value,
         grad=grad,
-        kkt_membership_residual=_membership_violation(cone, grad),
+        kkt_membership_residual=cones._membership_violation(cone, grad),
         kkt_orthogonality=float(grad @ x_star),
         active_set=tuple(int(i) for i in np.flatnonzero(t * _reach(R) <= ACTIVE_EPS)),
         iterations=iterations,

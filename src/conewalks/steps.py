@@ -11,7 +11,9 @@ The half-space test needs an LP only when no step lies strictly inside the
 cone: a step whose products with every ray of the dual cone, on rows scaled
 into [1, 2), exceed INTERIOR_MARGIN already proves it (Gordan's
 alternative). The lattice search expands one breadth-first level per numpy
-pass, visiting points in the order of a point-by-point search.
+pass, visiting points in the order of a point-by-point search and testing
+them with `cones._contains_rows` and `cones._strictly_contains_rows`. A level
+whose int64 points could reach 2**63 is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -246,7 +248,8 @@ def _interior_path(steps, cone, shift, max_depth):
     Returns the walk's steps (None when there is none) and whether the depth
     cap cut the search off. The search runs on steps / g for the gcd g of
     their coordinates, with shift / g: a cone is closed under scaling. A
-    search that visits more than MAX_SEARCH_POINTS points raises ValueError.
+    search that visits more than MAX_SEARCH_POINTS points raises ValueError,
+    as does a level where max |frontier| + max |step| reaches 2**63 on an axis.
 
     It expands one level at a time, in the order of a point-by-point search:
     the candidates are frontier x steps, in (frontier, step) order; the first
@@ -263,6 +266,8 @@ def _interior_path(steps, cone, shift, max_depth):
     if g > 1:
         steps, shift = steps // g, shift / g
     k, d = steps.shape
+    reach = [max(map(abs, axis)) for axis in zip(*steps.tolist())]  # abs(-2**63) wraps in int64
+    may_wrap = max_depth * max(reach) >= 2**63  # else no level can reach 2**63
     frontier = np.zeros((1, d), dtype=np.int64)
     seen = {(0,) * d}  # every point met; one the cone refused it refuses again
     admitted = 1
@@ -270,6 +275,9 @@ def _interior_path(steps, cone, shift, max_depth):
     for _ in range(max_depth):
         if not len(frontier):
             break
+        if may_wrap and any(f + r >= 2**63
+                            for f, r in zip(np.abs(frontier).max(axis=0).tolist(), reach)):
+            raise ValueError("the lattice search would reach 2**63 in a coordinate, past int64")
         cand = (frontier[:, None, :] + steps).reshape(-1, d)
         keys = list(map(tuple, cand.tolist()))
         first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))

@@ -115,6 +115,22 @@ class TestEnumerate:
         assert abs(doc["estimate"]["extrapolated"] - math.sqrt(2) / 3) <= 5e-3
         assert doc["estimate"]["period"] == 2
 
+    def test_log_mode_csv_matches_the_report(self, capsys, step_file, tmp_path):
+        path = step_file("hsw.json", 2, HALFSPACE_MODEL, weights=[1 / 3, 1 / 3, 1 / 3])
+        csv_path = tmp_path / "series.csv"
+        code, doc, _ = run_json(capsys, "enumerate", "--steps", path, "--start", "1,1",
+                                "--n", "20", "--csv", str(csv_path))
+        assert code == 0 and doc["value_kind"] == "log_value"
+        values, p = doc["values"], doc["estimate"]["period"]
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "n,count_or_logprob,ratio,extrapolated_rate" and len(lines) == 22
+        for n, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert cells[0] == str(n) and float(cells[1]) == values[n]
+            ratio = float(np.exp((values[n] - values[n - p]) / p)) if n >= p else None
+            assert cells[2] == ("" if ratio is None else str(ratio))
+            assert float(cells[3]) == doc["estimate"]["extrapolated"]
+
     def test_unwritable_csv_exits_1(self, capsys, step_file, tmp_path):
         path = step_file("nsew.json", 2, NSEW)
         code, out, err = run(capsys, "enumerate", "--steps", path, "--start", "1,1", "--n", "5",

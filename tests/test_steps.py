@@ -95,6 +95,16 @@ class TestH1:
         assert cw.check_h1_via_covariance(cw.from_step_set([(1, 0), (0, 1)]))
         assert not cw.check_h1_via_covariance(cw.from_step_set([(1, 1), (-1, -1)]))
 
+    @pytest.mark.parametrize("steps, spans", [
+        ([(0, 0)], False),                  # all zero
+        ([(1,)], True),                     # zero covariance, dim 1
+        ([(1, 1)], False),                  # zero covariance, dim 2
+        ([(1, 0, 0), (2, 0, 0)], False),    # covariance kernel of dimension 2
+    ])
+    def test_routes_agree_on_degenerate_sets(self, steps, spans):
+        m = cw.from_step_set(steps)
+        assert cw.check_h1(m) == cw.check_h1_via_covariance(m) == spans
+
     def test_routes_agree_on_corpus(self, proper_2d_corpus, improper_2d_corpus, proper_3d_corpus):
         for steps in proper_2d_corpus + improper_2d_corpus + proper_3d_corpus:
             m = cw.from_step_set(steps)
@@ -284,6 +294,27 @@ class TestInteriorPathMatchesReference:
         flat = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, -1)]
         with pytest.raises(ValueError, match="budget"):
             cw.check_h3(flat, 3000)
+
+
+class TestSearchOverflow:
+    # a = (2**62, 0) and b: the walk (a, a, b) ends inside Q, but a + a is
+    # 2**63, which wrapped to -2**63 in int64; Q refused that point, and both
+    # searches once answered a definitive no
+    WRAPS = [(2**62, 0), (-2**62 - 2**61 + 1, 2**62)]
+
+    def test_check_h3_refuses(self):
+        with pytest.raises(ValueError, match="would reach 2"):
+            cw.check_h3(self.WRAPS, 6)
+
+    def test_find_delta_refuses(self):
+        with pytest.raises(ValueError, match="would reach 2"):
+            counting.find_delta(self.WRAPS, cw.orthant(2))
+
+    def test_large_steps_inside_the_range(self):
+        # max |frontier| + max |step| stays at 2**62 on each axis
+        steps = [(2**61, 0), (0, 2**61), (-1, -1)]
+        assert sorted(cw.check_h3(steps, 4).path) == [(0, 2**61), (2**61, 0)]
+        assert counting.find_delta(steps, cw.orthant(2)).found
 
 
 # each wrapped or slipped through an unchecked cast to int64
