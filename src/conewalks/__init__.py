@@ -50,6 +50,7 @@ from .laplace import (
     gradient,
     has_global_min_on_cone,
     hessian,
+    tilt,
     value,
 )
 from .montecarlo import (
@@ -88,7 +89,6 @@ from .steps import (
     from_step_set,
     mean,
     probability_measure,
-    tilt,
 )
 
 __version__ = "0.1.0"

@@ -57,6 +57,8 @@ def _load_measure(path):
         raise InputError(f'step file {path} must be {{"dim": d, "steps": [[..],..], "weights"?: [..]}}')
     steps = doc["steps"]
     try:
+        if np.asarray(steps).dtype.kind in "US":  # numpy would parse the strings
+            raise TypeError
         arr = np.asarray(steps, dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"step file {path}: steps must be numeric vectors")
@@ -161,7 +163,7 @@ def cmd_enumerate(args, report):
                         "weights": None if weights is None else _floats(weights),
                         "start": list(start), "n": args.n, "mode": args.mode,
                         "csv": args.csv, "threads": 1, "seed": 0}
-    series = counting.count_walks(measure.steps, start, args.n, weights=weights, mode=mode)
+    series = counting.count_walks(doc["steps"], start, args.n, weights=weights, mode=mode)
     estimate = counting.estimate_rate(series)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -191,7 +193,7 @@ def cmd_verify(args, report):
                         "trials": args.trials, "cone": "orthant", "threads": 1}
 
     def dp_extrapolated(x, horizon):
-        series = counting.count_walks(measure.steps, x, horizon, weights=measure.weights)
+        series = counting.count_walks(doc["steps"], x, horizon, weights=measure.weights)
         return counting.estimate_rate(series).extrapolated
 
     try:
@@ -210,7 +212,7 @@ def cmd_verify(args, report):
         return EXIT_HYPOTHESIS
 
     # one DP run to the larger horizon serves both (prefix refuses a negative one)
-    series = counting.count_walks(measure.steps, start, max(args.n, mc_n), weights=measure.weights)
+    series = counting.count_walks(doc["steps"], start, max(args.n, mc_n), weights=measure.weights)
     dp_rate = counting.estimate_rate(series.prefix(args.n)).extrapolated
     dp_survival = series.prefix(mc_n).float_value(mc_n)
     config = montecarlo.SimConfig(seed=args.seed, trials=args.trials, n=mc_n)
@@ -253,11 +255,11 @@ def cmd_check(args, report):
         # H3'' is the orthant's hypothesis; on another cone the delta search
         # at delta = 0 asks the same question
         if cone.kind == cones.ORTHANT:
-            h3 = steps_mod.check_h3(measure.steps, args.depth)
+            h3 = steps_mod.check_h3(doc["steps"], args.depth)
             report["h3"] = {"ok": h3.ok,
                             "path": None if h3.path is None else [list(s) for s in h3.path],
                             "exhausted": h3.exhausted}
-        fd = counting.find_delta(measure.steps, cone, n_max=args.depth)
+        fd = counting.find_delta(doc["steps"], cone, n_max=args.depth)
         report["find_delta"] = {
             "found": fd.found, "delta": fd.delta, "n0": fd.n0,
             "path": None if fd.path is None else [list(s) for s in fd.path],

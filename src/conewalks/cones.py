@@ -59,7 +59,8 @@ INEQUALITIES = "inequalities"
 ABS_FLOOR = 1e-12
 DEFAULT_TOL = 1e-9
 
-# Relative rank threshold; `_generators` takes a cosine this small as zero.
+# Relative rank threshold: `_generators` takes a cosine this small as zero, and
+# the span tests of `steps` cut singular values and eigenvalues at it.
 RANK_TOL = 1e-10
 
 # Budget of one facet enumeration, checked before any work: the (d - 1)-
@@ -147,30 +148,29 @@ def orthant(dim):
 
 
 def halfspace(u):
-    u = _finite(np.array(u, dtype=float), "half-space normal")
-    if u.ndim != 1 or u.shape[0] < 1:
+    if np.ndim(u) != 1:
         raise ConeError("half-space normal must be a vector")
-    if not np.any(u != 0.0):
-        raise ConeError("half-space normal must be nonzero")
-    return Cone(u.shape[0], INEQUALITIES, _read_only(u.reshape(1, -1)))
+    return inequalities([u])
+
+
+def _cone_vectors(vectors, what):
+    """The rows as a read-only float copy: finite, at least one, none zero."""
+    V = _finite(np.atleast_2d(np.array(vectors, dtype=float)), f"every {what}")
+    if V.shape[0] < 1:
+        raise ConeError(f"cone needs at least one {what}")
+    if not V.any(axis=1).all():
+        raise ConeError(f"every {what} must be nonzero")
+    return _read_only(V)
 
 
 def generated(rays):
-    R = _finite(np.atleast_2d(np.array(rays, dtype=float)), "every ray")
-    if R.shape[0] < 1:
-        raise ConeError("generated cone needs at least one ray")
-    if np.any(~np.any(R != 0.0, axis=1)):
-        raise ConeError("every ray must be nonzero")
-    return Cone(R.shape[1], GENERATED, _read_only(R))
+    R = _cone_vectors(rays, "ray")
+    return Cone(R.shape[1], GENERATED, R)
 
 
 def inequalities(normals):
-    A = _finite(np.atleast_2d(np.array(normals, dtype=float)), "every inequality normal")
-    if A.shape[0] < 1:
-        raise ConeError("inequality cone needs at least one normal")
-    if np.any(~np.any(A != 0.0, axis=1)):
-        raise ConeError("every inequality normal must be nonzero")
-    return Cone(A.shape[1], INEQUALITIES, _read_only(A))
+    A = _cone_vectors(normals, "inequality normal")
+    return Cone(A.shape[1], INEQUALITIES, A)
 
 
 def _dets(M):

@@ -759,7 +759,7 @@ def cramer_identity_check(m, z, start, n):
     if n > 30:
         raise ValueError("identity check supports n <= 30 (dense double layers)")
     z = np.asarray(z, dtype=float)
-    tilted = steps_mod.tilt(m, z)
+    tilted = laplace.tilt(m, z)
     lz = laplace.value(laplace.FiniteLaplace(m), z)
     base = end_point_counts(m.steps, start, n, weights=m.weights)
     moved = end_point_counts(m.steps, start, n, weights=tilted.weights)

@@ -32,12 +32,7 @@ def halfspace_weights(p):
 
 def halfspace_rate(p, N):
     """Decay rate 2 q cos(pi / (2N + 2)) on the diagonal i + j = 2N."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    q = (1.0 - p) / 2.0
-    return 2.0 * q * math.cos(math.pi / (2 * N + 2))
+    return float(2.0 * halfspace_weights(p)[0] * segment_rate(N))
 
 
 def segment_rate(N):

@@ -1,5 +1,5 @@
 """Laplace transforms of increment laws: values, derivatives, behavior at
-infinity, and existence of a constrained global minimum.
+infinity, existence of a constrained global minimum, and the tilted law.
 
 Two transform variants are supported: the finite-support empirical transform
 L(x) = sum_s w_s e^{<x,s>} and the analytic identity-covariance Gaussian
@@ -12,7 +12,8 @@ one e = exp(S x) (one L(x) for the Gaussian), from which w @ e, (w e) @ S
 and ((w e) S)^T S are formed on request, w e once for both. The public
 functions wrap it; the solvers keep it per trial point, so an iterate forms
 its exponentials once. Terms read later have the bits of a fresh
-evaluation, since the same S x gives the same e.
+evaluation, since the same S x gives the same e. The law tilted at z, with
+weights w_s e^{<z,s>} / L(z), is read from these terms and guard (`tilt`).
 
 Whether the minimum exists on a cone is decided by one min-max LP over the
 cone's rays, solved by the package's dense simplex (`_simplex.simplex_min`)
@@ -148,6 +149,12 @@ def _checked_terms(model, x):
     if terms is None:
         raise OverflowError(_OVERFLOW)
     return terms
+
+
+def tilt(m, z):
+    """Exponential change of measure: weights w_s e^{<z,s>} / L(z)."""
+    w = _checked_terms(FiniteLaplace(m), z)._weighted()
+    return steps_mod.StepMeasure(m.dim, m.steps, w / w.sum())
 
 
 def value(model, x):

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cones, steps as steps_mod
+from . import cones, laplace, steps as steps_mod
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def tilted_survival(m, cert, start, cone, config):
     estimator unbiased for the original law.
     """
     x_star = np.asarray(cert.x_star, dtype=float)
-    tilted = steps_mod.tilt(m, x_star)
+    tilted = laplace.tilt(m, x_star)
     log_rho = math.log(cert.rho)
     base = float(x_star @ np.asarray(start, dtype=float))
 

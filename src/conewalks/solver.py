@@ -358,6 +358,15 @@ def _default_init(model, dual_cone):
         return np.zeros(R.shape[0])
 
 
+def _require_proper(m, dual_cone):
+    """ValueError unless m has H1; ImproperModelError unless H2' on K* = dual_cone."""
+    if not steps_mod.check_h1(m):
+        raise ValueError("step set violates H1: support lies in a hyperplane")
+    witness = steps_mod.halfspace_witness(m, dual_cone)
+    if witness is not None:
+        raise ImproperModelError(witness)
+
+
 def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Minimize the Laplace transform over the dual of the confining cone.
 
@@ -381,11 +390,7 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     dual_cone = cones.dual(cone)
     # a Gaussian transform is full-dimensional and coercive on every cone
     if isinstance(model, laplace.FiniteLaplace):
-        if not steps_mod.check_h1(model.measure):
-            raise ValueError("measure violates H1: support lies in a hyperplane")
-        witness = steps_mod.halfspace_witness(model.measure, dual_cone)
-        if witness is not None:
-            raise ImproperModelError(witness)
+        _require_proper(model.measure, dual_cone)
 
     # t: the coefficients of x* on the dual cone's rays (on the orthant, x*)
     R = dual_cone.rays
@@ -476,11 +481,7 @@ def hyperplane_scan(steps, angular_grid=721):
     if m.dim > 1 and angular_grid * m.support_size > SCAN_MAX_EXPONENTS:
         raise ValueError(f"angular grid {angular_grid} with {m.support_size} steps passes "
                          f"the scan budget of {SCAN_MAX_EXPONENTS} exponents")
-    if not steps_mod.check_h1(m):
-        raise ValueError("step set violates H1: support lies in a hyperplane")
-    witness = steps_mod.halfspace_witness(m, cones.orthant(m.dim))
-    if witness is not None:
-        raise ImproperModelError(witness)
+    _require_proper(m, cones.orthant(m.dim))
     model = laplace.FiniteLaplace(m)
     directions = _scan_directions(m.dim, angular_grid)
     t, converged, _ = _ray_minima(model, directions, 1e-12, DEFAULT_MAX_ITER)

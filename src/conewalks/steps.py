@@ -33,10 +33,6 @@ MAX_EXPONENT = 700.0
 # counting DP's MAX_BOX_CELLS, a search that would pass it raises ValueError.
 MAX_SEARCH_POINTS = 1 << 15
 
-# Relative singular-value cutoff for the span test, and eigenvalue cutoff for
-# the covariance-kernel route; both routes must agree.
-RANK_TOL = 1e-10
-
 # A step whose products with the dual cone's rays, both scaled into [1, 2),
 # all exceed this lies inside the cone and settles H2' without the LP; it
 # sits far above the rounding of such O(1) products.
@@ -91,10 +87,7 @@ def probability_measure(steps, weights):
 def from_step_set(steps):
     """Uniform probability law on a finite step set."""
     steps = np.atleast_2d(np.asarray(steps, dtype=float))
-    k = steps.shape[0]
-    if k == 0:
-        raise ValueError("step set must be non-empty")
-    return probability_measure(steps, np.full(k, 1.0 / k))
+    return probability_measure(steps, np.full(len(steps), 1.0 / max(len(steps), 1)))
 
 
 def mean(m):
@@ -111,7 +104,7 @@ def check_h1(m):
     sv = np.linalg.svd(m.steps, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return False
-    return int(np.sum(sv > RANK_TOL * sv[0])) == m.dim
+    return int(np.sum(sv > cones.RANK_TOL * sv[0])) == m.dim
 
 
 def check_h1_via_covariance(m):
@@ -126,7 +119,7 @@ def check_h1_via_covariance(m):
     if top <= 0.0:
         # zero covariance: a point mass, spans only when dim == 1 and mean != 0
         return m.dim == 1 and abs(float(mean(m)[0])) > 0.0
-    kernel = eigvals < RANK_TOL * top
+    kernel = eigvals < cones.RANK_TOL * top
     kdim = int(np.sum(kernel))
     if kdim == 0:
         return True
@@ -134,7 +127,7 @@ def check_h1_via_covariance(m):
         return False
     kvec = eigvecs[:, 0]
     # mean must have a component along the kernel direction
-    return abs(float(mean(m) @ kvec)) > RANK_TOL * max(1.0, float(np.linalg.norm(mean(m))))
+    return abs(float(mean(m) @ kvec)) > cones.RANK_TOL * max(1.0, float(np.linalg.norm(mean(m))))
 
 
 @dataclass(frozen=True)
@@ -319,15 +312,3 @@ def check_h3(steps, search_depth=None):
     path, truncated = _interior_path(steps, cones.orthant(d), np.zeros(d), search_depth)
     return H3Result(ok=path is not None, path=path, exhausted=not truncated)
 
-
-def tilt(m, z):
-    """Exponential change of measure: weights w_s e^{<z,s>} / L(z)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (m.dim,):
-        raise ValueError(f"tilt point must have length {m.dim}")
-    dots = m.steps @ z
-    if float(np.abs(dots).max()) > MAX_EXPONENT:
-        raise OverflowError("tilt exponent exceeds the overflow guard (700)")
-    w = m.weights * np.exp(dots)
-    w = w / w.sum()
-    return StepMeasure(m.dim, m.steps, w)

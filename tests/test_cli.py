@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conewalks import cli, counting, solver
 
@@ -73,6 +76,23 @@ class TestRate:
         bad.write_text("{not json")
         code, out, err = run(capsys, "rate", "--steps", str(bad))
         assert code == 1 and "malformed" in err
+
+    @pytest.mark.parametrize("doc", [
+        [[1, 0], [0, 1]],
+        {"steps": [[1, 0], [-1, -1]]},
+        {"dim": 2},
+        {"dim": 2, "steps": [["a", "b"], [0, 1]]},
+        {"dim": 2, "steps": [["1", "0"], [-1, -1]]},
+        {"dim": 2, "steps": [[1, 0], [0]]},
+        {"dim": 3, "steps": [[1, 0], [-1, -1]]},
+        {"dim": 2, "steps": [1, 0]},
+    ], ids=["not-an-object", "no-dim", "no-steps", "non-numeric", "numeric-strings",
+            "ragged", "wrong-length", "not-vectors"])
+    def test_malformed_step_document_exits_1(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "rate", "--steps", str(path), "--json")
+        assert code == 1 and out == "" and f"step file {path}" in err
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "rate", "--steps", "/nonexistent/steps.json")
@@ -339,6 +359,14 @@ class TestCheck:
             code, out, err = run(capsys, "check", "--steps", path, "--cone", cone, "--json")
             assert code == 1 and out == "" and "2**63" in err
 
+    def test_steps_past_2_53_read_exactly(self, capsys, step_file):
+        # read through doubles, the second step rounded to -2**62 - 2**61, the
+        # steps shared the factor 2**61, and the search on (2, 0), (-3, 2)
+        # reported a path through that step, which is not in the file
+        path = step_file("big.json", 2, [(2**62, 0), (-2**62 - 2**61 + 1, 2**62)])
+        code, out, err = run(capsys, "check", "--steps", path, "--json")
+        assert code == 1 and out == "" and "2**63" in err
+
     def test_search_past_its_budget_exits_1(self, capsys, step_file):
         # {+-e1, +-e2, -e3} never reaches the interior, so by depth 3000 the
         # search would visit the 4.5 million points of a triangle in z = 0
@@ -444,6 +472,10 @@ class TestBrownian:
     def test_non_finite_drift_exits_1(self, capsys):
         code, out, err = run(capsys, "brownian", "--drift=nan,1", "--json")
         assert code == 1 and out == "" and "finite" in err
+
+    def test_non_numeric_drift_exits_1(self, capsys):
+        code, out, err = run(capsys, "brownian", "--drift=a,b", "--json")
+        assert code == 1 and out == "" and "bad drift" in err
 
     def test_dual_ray_far_out(self, capsys):
         # 0.5 t^2 |u|^2 = 5000 at t = 1; the minimum lies at t = 0.01
@@ -551,6 +583,56 @@ class TestExitContract:
         code, out, err = run(capsys, "scan", "--steps", path, "--grid", "1000000000000000",
                              "--json")
         assert code == 1 and out == "" and "scan budget" in err
+
+
+# tokens spliced into fuzzed command lines: flags without values, values
+# without flags, out-of-range numbers and malformed literals
+FUZZ_TOKENS = ("--n", "-1", "nan", "1e400", "--cone", "wedge:1", "halfspace:", "ineq:[[1]]",
+               "--start", "a,b", "--grid", "0", "--trials", "0", "--depth", "--steps",
+               "/nonexistent/steps.json", "--mode", "--bogus", "rate", "")
+
+
+@st.composite
+def fuzzed_argv(draw, directory):
+    """A rate/check/enumerate/verify/scan command line on steps from
+    {-2..2}^d, d = 1..3, scaled by c, sometimes with one token dropped or
+    one spliced in."""
+    d = draw(st.integers(1, 3))
+    c = draw(st.sampled_from([1e-9, 1e-3, 1, 1000, 10**9]))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=7,
+                         unique=True))
+    path = directory / f"steps{draw(st.integers(0, 10**9))}.json"
+    path.write_text(json.dumps({"dim": d, "steps": [[c * v for v in row] for row in rows]}))
+    cone = draw(st.sampled_from(["orthant", "halfspace"]))
+    if cone == "halfspace":
+        cone += ":" + ",".join(str(draw(st.integers(-2, 2))) for _ in range(d))
+    start = ",".join(str(draw(st.integers(0, 3))) for _ in range(d))
+    n = str(draw(st.integers(0, 30)))
+    command = draw(st.sampled_from(["rate", "check", "enumerate", "verify", "scan"]))
+    argv = [command, "--steps", str(path)] + {
+        "rate": ["--cone", cone],
+        "check": ["--cone", cone] + draw(st.sampled_from([[], ["--depth", n]])),
+        "enumerate": ["--start", start, "--n", n, "--mode", draw(st.sampled_from(["exact", "log"]))],
+        "verify": ["--start", start, "--n", n, "--trials", str(draw(st.integers(1, 200)))],
+        "scan": ["--grid", str(draw(st.integers(1, 51)))],
+    }[command] + draw(st.sampled_from([[], ["--json"]]))
+    edit = draw(st.sampled_from(["none", "none", "drop", "splice"]))
+    at = draw(st.integers(0, len(argv) - 1))
+    if edit == "drop":
+        del argv[at]
+    elif edit == "splice":
+        argv.insert(at, draw(st.sampled_from(FUZZ_TOKENS)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_code_of_the_contract(tmp_path_factory, data):
+    # no exception escapes cli.main, and every exit code is one of 0..3
+    argv = data.draw(fuzzed_argv(tmp_path_factory.getbasetemp()))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
 
 
 def test_module_entry_point_reports_non_convergence(step_file):

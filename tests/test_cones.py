@@ -62,6 +62,27 @@ class TestFiniteData:
         with pytest.raises(cw.ConeError, match="finite"):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cw.generated(np.zeros((0, 2))), "at least one ray"),
+        (lambda: cw.inequalities(np.zeros((0, 2))), "at least one inequality normal"),
+        (lambda: cw.generated([[1.0, 0.0], [0.0, 0.0]]), "every ray must be nonzero"),
+        (lambda: cw.inequalities([[0.0, -0.0]]), "every inequality normal must be nonzero"),
+        (lambda: cw.halfspace([0.0, 0.0]), "every inequality normal must be nonzero"),
+        (lambda: cw.halfspace([]), "every inequality normal must be nonzero"),
+        (lambda: cw.halfspace([[1.0, 0.0]]), "must be a vector"),
+        (lambda: cw.halfspace(1.0), "must be a vector"),
+    ], ids=["no-rays", "no-normals", "zero-ray", "zero-normal", "zero-halfspace",
+            "empty-halfspace", "matrix-halfspace", "scalar-halfspace"])
+    def test_empty_or_zero_vectors_refused(self, build, message):
+        # one helper checks the vectors of every constructor; a half-space is
+        # the inequality cone of its one normal
+        with pytest.raises(cw.ConeError, match=message):
+            build()
+
+    def test_interior_vector_of_a_flat_cone_refused(self):
+        with pytest.raises(cw.ConeError, match="empty interior"):
+            cw.interior_vector(cw.generated([[1.0, 0.0], [2.0, 0.0]]))
+
     @pytest.mark.parametrize("dim", [2.5, 2.0, 0, -1, True, "2", None])
     def test_orthant_dimension_must_be_a_positive_integer(self, dim):
         with pytest.raises(cw.ConeError, match="integer >= 1"):

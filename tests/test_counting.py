@@ -195,6 +195,22 @@ def test_bad_dp_inputs_raise(case):
         cw.end_point_counts(steps, start, n, weights=weights)
 
 
+def test_unknown_mode_and_start_of_another_length_raise():
+    with pytest.raises(ValueError, match="unknown mode"):
+        cw.count_walks(NSEW, (1, 1), 3, mode="float")
+    with pytest.raises(ValueError, match="start must have length 2"):
+        cw.count_walks(NSEW, (1, 1, 1), 3)
+
+
+def test_float_value_past_the_overflow_guard_is_infinite():
+    # log 4^600 = 831.8 passes the guard (700): the total is reported as inf,
+    # never as an overflowing exp
+    for series in (counting.CountSeries(0, counting.EXACT, (4**600,)),
+                   counting.CountSeries(0, counting.LOG_SCALED, ((1.5, 831.0),))):
+        assert series.float_value(0) == math.inf
+    assert counting.CountSeries(0, counting.EXACT, (0,)).float_value(0) == 0.0
+
+
 def test_large_finite_weights_scale_out():
     # the weights are divided by their maximum and its log is added back per
     # layer, so 1e308 weights neither overflow nor lose the unit-weight layers
@@ -1114,6 +1130,10 @@ class TestFindDelta:
         res = cw.find_delta(NSEW, cw.orthant(2))
         assert res.found and res.delta == 0.0 and res.n0 == 2
         assert sorted(res.path) == [(0, 1), (1, 0)]
+
+    def test_cone_of_another_dimension_raises(self):
+        with pytest.raises(ValueError, match="cone dimension"):
+            cw.find_delta(NSEW, cw.orthant(3))
 
     def test_diagonal_singleton(self):
         res = cw.find_delta([(1, 1)], cw.orthant(2))

@@ -155,6 +155,15 @@ class TestBandSurvival:
                                 cw.SimConfig(seed=0, trials=20000, n=400))
         assert fit.per_step_decay >= 0.99
 
+    def test_zero_estimate_reports_zero_decay(self):
+        # {(1,0),(0,1)} ends on x = y only at even horizons, so the alpha = 0
+        # band is empty at horizon 3
+        m = cw.from_step_set([(1, 0), (0, 1)])
+        fit = cw.band_decay_fit(m, (0, 0), Q2, (1, -1), 0.0, (2, 3),
+                                cw.SimConfig(seed=0, trials=100, n=3))
+        assert fit.per_step_decay == 0.0
+        assert fit.series[0][1] > 0.0 and fit.series[1][1] == 0.0
+
     def test_band_statistic_matches_exact_law(self):
         # {(1,0),(0,1)} never leaves the orthant, so the band probability at
         # k is the endpoint mass of |x - y| <= sqrt(k), about 0.7 at alpha = 1

@@ -302,6 +302,25 @@ class TestHyperplaneScan:
         with pytest.raises(ValueError, match="angular grid"):
             cw.hyperplane_scan(steps, grid)
 
+    def test_four_dimensions_refused_after_the_hypotheses(self):
+        # a proper 4-D set passes H1 and H2'; only the grid is refused
+        steps = [tuple(int(i == j) for j in range(4)) for i in range(4)] + [(-1, -1, -1, -1)]
+        with pytest.raises(ValueError, match="dimensions 1 to 3"):
+            cw.hyperplane_scan(steps, 51)
+
+    def test_hypotheses_refused_alike_by_scan_and_minimizer(self):
+        flat = [(1, 0), (-1, 0)]
+        for call in (lambda: cw.hyperplane_scan(flat, 51),
+                     lambda: cw.minimize_on_dual(cw.FiniteLaplace(cw.from_step_set(flat)),
+                                                 cw.orthant(2))):
+            with pytest.raises(ValueError, match="violates H1: support lies in a hyperplane"):
+                call()
+        with pytest.raises(cw.ImproperModelError) as scan:
+            cw.hyperplane_scan(HALFSPACE_MODEL, 51)
+        with pytest.raises(cw.ImproperModelError) as rate:
+            cw.minimize_on_dual(cw.FiniteLaplace(cw.from_step_set(HALFSPACE_MODEL)), cw.orthant(2))
+        assert scan.value.witness.tolist() == rate.value.witness.tolist() == [0.5, 0.5]
+
     def test_numpy_integer_grid_accepted(self):
         assert cw.hyperplane_scan(NSEW_SW, np.int64(51)).k_min == cw.hyperplane_scan(NSEW_SW, 51).k_min
 

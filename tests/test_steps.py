@@ -387,6 +387,17 @@ class TestTilt:
         m = cw.probability_measure([(1,), (-1,)], [0.5, 0.5])
         with pytest.raises(OverflowError):
             cw.tilt(m, [800.0])
+        with pytest.raises(ValueError, match="length 1"):
+            cw.tilt(m, [0.0, 0.0])
+
+    def test_weights_are_the_transform_terms(self, proper_2d_corpus):
+        # w e^{S z} / sum, bit for bit, from the terms the transform reads
+        rng = np.random.default_rng(5)
+        for steps in proper_2d_corpus[:10]:
+            m = cw.from_step_set(steps)
+            z = rng.normal(size=2)
+            w = m.weights * np.exp(m.steps @ z)
+            assert cw.tilt(m, z).weights.tobytes() == (w / w.sum()).tobytes()
 
     def test_preserves_support_and_positivity(self, proper_2d_corpus):
         rng = np.random.default_rng(4)
