@@ -6,10 +6,13 @@ document that is byte-identical across repeated runs. Each ``cmd_*`` fills in
 the report that ``main`` hands it and returns an exit code; ``main`` alone
 maps library errors to exit codes and prints the report. Exit codes:
 0 success; 1 input error (a message on stderr, no report); 2 hypothesis
-failure (status "improper" with the witness; `verify` reports "inapplicable"
-with per-start rates); 3 numerical non-convergence (status
+failure (status "improper" with the witness; `check` reports "h1-failed" when
+H2' holds but the support lies in a hyperplane; `verify` reports
+"inapplicable" with per-start rates); 3 numerical non-convergence (status
 "non-convergence" with the message and the config) or a failed `verify`
-check (status "check-failed"; the report keeps every figure).
+check (status "check-failed"; the report keeps every figure). A reader of
+stdout that leaves early, as `| head` does, ends no command with a traceback:
+the command keeps its exit code.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -244,8 +248,8 @@ def cmd_check(args, report):
                         "weights": _floats(measure.weights), "cone": args.cone,
                         "depth": args.depth, "threads": 1, "seed": 0}
     h2 = steps_mod.check_h2prime(measure, cone)
-    report["status"] = "ok" if h2.proper else "improper"
     report["h1"] = steps_mod.check_h1(measure)
+    report["status"] = "improper" if not h2.proper else "ok" if report["h1"] else "h1-failed"
     report["h1_via_covariance"] = steps_mod.check_h1_via_covariance(measure)
     report["h2prime"] = {"proper": h2.proper,
                          "witness": None if h2.witness is None else _floats(h2.witness)}
@@ -265,7 +269,7 @@ def cmd_check(args, report):
             "path": None if fd.path is None else [list(s) for s in fd.path],
             "h2_witness": None if fd.h2_witness is None else _floats(fd.h2_witness),
         }
-    return EXIT_OK if h2.proper else EXIT_HYPOTHESIS
+    return EXIT_OK if report["status"] == "ok" else EXIT_HYPOTHESIS
 
 
 def cmd_halfspace(args, report):
@@ -398,7 +402,15 @@ def main(argv=None):
         # that cannot be written: no report
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(report, args.json)
+    try:
+        _emit(report, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to os.devnull, as the
+        # Python docs advise, so the flush at exit cannot raise it again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -38,6 +38,8 @@ MAX_SEARCH_POINTS = 1 << 15
 # sits far above the rounding of such O(1) products.
 INTERIOR_MARGIN = 1e-9
 
+_NO_STEPS = "need at least one step, each a vector of length >= 1"
+
 
 @dataclass(frozen=True, eq=False)
 class StepMeasure:
@@ -62,8 +64,8 @@ def probability_measure(steps, weights):
     weights must be finite, strictly positive and sum to 1 (to 1e-12)."""
     steps = np.atleast_2d(np.asarray(steps, dtype=float))
     k, d = steps.shape
-    if k == 0:
-        raise ValueError("step set must be non-empty")
+    if k == 0 or d == 0:
+        raise ValueError(_NO_STEPS)
     if not np.all(np.isfinite(steps)):
         raise ValueError("steps must be finite")
     seen = set()
@@ -214,7 +216,7 @@ def as_lattice_steps(steps):
     of every lattice entry point (`check_h3`, `find_delta`, the DP)."""
     steps = np.atleast_2d(np.asarray(steps))
     if steps.ndim != 2 or 0 in steps.shape:
-        raise ValueError("need at least one step, each a vector of length >= 1")
+        raise ValueError(_NO_STEPS)
     return as_int64(steps, "lattice steps must be integers below 2**63 in absolute value")
 
 

@@ -31,13 +31,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def run_python(*argv):
+def run_python(*argv, stdout=subprocess.PIPE):
     """A fresh interpreter that imports conewalks from this checkout."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
 
 
 class TestRate:
@@ -93,6 +93,16 @@ class TestRate:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "rate", "--steps", str(path), "--json")
         assert code == 1 and out == "" and f"step file {path}" in err
+
+    @pytest.mark.parametrize("command", ["rate", "check"])
+    def test_step_of_length_0_exits_1(self, capsys, tmp_path, command):
+        # the step reached the cone parser, which refused dimension 0
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"dim": 0, "steps": [[]]}))
+        code, out, err = run(capsys, command, "--steps", str(path), "--json")
+        assert code == 1 and out == ""
+        assert err == (f"error: step file {path}: "
+                       "need at least one step, each a vector of length >= 1\n")
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "rate", "--steps", "/nonexistent/steps.json")
@@ -350,6 +360,25 @@ class TestCheck:
         assert doc["h2prime"]["witness"] == [0.5, 0.5]
         assert not doc["h3"]["ok"]
         assert not doc["find_delta"]["found"]
+
+    def test_failed_h1_shows_in_status_and_exit_code(self, capsys, step_file):
+        # steps on one line satisfy H2' and reach the interior, yet `rate`
+        # refuses them; `check` said "ok" and exited 0
+        path = step_file("line.json", 2, [(1, 1), (-1, -1), (2, 2)])
+        code, doc, _ = run_json(capsys, "check", "--steps", path)
+        assert code == 2 and doc["status"] == "h1-failed"
+        assert not doc["h1"] and not doc["h1_via_covariance"] and doc["h2prime"]["proper"]
+        # every field of a passing report is still there
+        assert set(doc) == {"command", "config", "status", "h1", "h1_via_covariance",
+                            "h2prime", "h3", "find_delta"}
+        assert doc["h3"]["ok"] and doc["find_delta"]["found"]
+        code, _, err = run(capsys, "rate", "--steps", path)
+        assert code == 1 and "H1" in err
+
+    def test_failed_h1_and_h2prime_report_improper(self, capsys, step_file):
+        path = step_file("ray.json", 2, [(-1, -1), (-2, -2)])
+        code, doc, _ = run_json(capsys, "check", "--steps", path)
+        assert code == 2 and doc["status"] == "improper" and not doc["h1"]
 
     def test_steps_past_int64_exit_1(self, capsys, step_file):
         # a cast to int64 wrapped 1e19, and the delta search reported a
@@ -644,6 +673,53 @@ def test_module_entry_point_reports_non_convergence(step_file):
     assert proc.returncode == 3
     doc = json.loads(proc.stdout)
     assert doc["status"] == "non-convergence" and doc["config"]["grid"] == 51
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has left: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    """`conewalks ... | head -1`: a reader that leaves early ends no command
+    with a traceback, and the command keeps its exit code."""
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    @pytest.mark.parametrize("steps, want", [(NSEW, 0), ([(1, 1), (-1, -1), (2, 2)], 2)],
+                             ids=["ok", "h1-failed"])
+    def test_broken_pipe_sends_stdout_to_devnull(self, step_file, tmp_path, monkeypatch,
+                                                 steps, want, as_json):
+        path = step_file("steps.json", 2, steps)
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+            code = cli.main(["check", "--steps", path] + ["--json"] * as_json)
+            # the flush at exit writes to os.devnull, not to the closed pipe
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == want
+
+    def test_module_entry_point_on_a_closed_pipe(self, step_file):
+        path = step_file("nsew.json", 2, NSEW)
+        # a pipe whose read end is closed before the command starts
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_python("-m", "conewalks.cli", "check", "--steps", path, "--json",
+                              stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 0 and proc.stderr == ""
 
 
 class TestDeterminism:

@@ -643,10 +643,11 @@ class TestFlatLayoutMatchesBoxLayout:
     def test_bench_1d_shapes(self, start, trim):
         # the 1-D walks of the `enumerate` benchmark, whose one-cell faces
         # are tested by their truth value, and the exact 1-D walk, whose
-        # faces hold limbs and keep count_nonzero
+        # faces hold limbs and keep count_nonzero's C function
         steps_arr, start_arr, w, _ = counting._dp_inputs([(1,), (-1,)], (start,), 0, None, False)
         assert counting._LayerDP(steps_arr, w, start_arr, exact=False)._occupied is bool
-        assert counting._LayerDP(steps_arr, None, start_arr, exact=True)._occupied is np.count_nonzero
+        assert (counting._LayerDP(steps_arr, None, start_arr, exact=True)._occupied
+                is counting._count_nonzero)
         _layouts_agree([(1,), (-1,)], (start,), 2000, (0.25, 0.75), False, trim)
         _layouts_agree([(1,), (-1,)], (start,), 200, None, True, trim)
 
@@ -761,6 +762,56 @@ class TestPlanReplay:
         assert dp._plans.replayed == replayed
         assert len(plans) == built
 
+
+class TestTrimBounds:
+    """After every step the trim's bounds equal the bounding box of the
+    untrimmed box's nonzero cells (``np.nonzero``), whether the plan and its
+    face views were built for that layer, replayed, or built again after a
+    relayout."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("steps, start, n, weights, replays", [
+        # checkerboard walks, whose faces empty by lattice parity
+        (NSEW, (1, 1), 120, None, ()),
+        (HS_STEPS, (2, 2), 200, _hs_weights(0.4), (False, True)),
+        (HS_STEPS, (0, 3), 200, _hs_weights(1 / 3), (False, True)),
+        (D3, (1, 1, 1), 24, None, ()),
+        # the cut leaves a face of a replayed plan zero in one layer, not in
+        # another, so a kept face must see each layer's cells
+        ([(2, 0), (-1, 0), (-2, 0), (1, 0), (0, 1), (0, -1)], (5, 0), 120,
+         (0.01, 0.25, 1.0, 0.1, 0.05, 0.3), (False,)),
+        # a 1-D float face is a scalar copy, which a kept face would freeze;
+        # the float box is held small by the FLOAT_TRIM cut, the exact one grows
+        ([(1,), (-1,)], (2,), 200, (0.25, 0.75), (False,)),
+    ], ids=["nsew", "halfspace-0.4", "halfspace-1/3", "d3", "two-trim-outcomes", "d1"])
+    def test_bounds_are_the_nonzero_box(self, steps, start, n, weights, replays, exact,
+                                        monkeypatch):
+        trim, relayout = counting._LayerDP._trim, counting._LayerDP._relayout
+        plans, relayouts = [], []
+
+        def checked(dp, plan):
+            bounds = trim(dp, plan)
+            cells = np.any(plan.box, axis=0) if dp.exact else plan.box
+            nonzero = [(int(i.min()), int(i.max())) for i in np.nonzero(cells)]
+            assert bounds == (tuple(itertools.chain(*nonzero)) if nonzero[0] else None)
+            plans.append(plan)
+            return bounds
+
+        monkeypatch.setattr(counting._LayerDP, "_trim", checked)
+        monkeypatch.setattr(counting._LayerDP, "_relayout",
+                            lambda dp, *args: relayouts.append(args) or relayout(dp, *args))
+        steps, start, w, _ = counting._dp_inputs(steps, start, n, None if exact else weights,
+                                                  exact)
+        dp = counting._LayerDP(steps, w, start, exact=exact)
+        for _ in range(n):
+            dp.advance()
+        assert len(plans) == n
+        if exact in replays:
+            assert n - len(set(map(id, plans))) > n // 4
+        else:
+            # a growing box outgrows its padding or its buffer and is laid
+            # out anew, which drops every plan (the first layout is the DP's)
+            assert len(relayouts) > 2
 
 
 def _advance_loop(steps, start, n, weights):

@@ -33,6 +33,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cw.from_step_set(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("steps", [[], [[]], [[], []]],
+                             ids=["empty-list", "one-empty-step", "two-empty-steps"])
+    def test_steps_of_length_0_rejected(self, steps):
+        # they were one step of length 0, a StepMeasure of dimension 0
+        message = "need at least one step, each a vector of length >= 1"
+        with pytest.raises(ValueError, match=message):
+            cw.from_step_set(steps)
+        with pytest.raises(ValueError, match=message):
+            cw.probability_measure(steps, [1.0] * len(steps))
+
     def test_probability_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             cw.probability_measure([(1,), (-1,)], [0.25, 0.5])
