@@ -57,15 +57,11 @@ transpose that puts axis k first. Building a plan and replaying it make the
 same numpy calls on the same operands in the same order, so no bit depends on
 whether a layer was replayed. A face is tested for a nonzero cell by the C
 function behind ``np.count_nonzero``, one call without the Python wrapper
-that costs about three times as much on a small face. A plan that replays
-keeps the view of each face it tests, built the first time it tests that
-face, so a replayed layer builds no view; a plan run once, as a growing
-box's, keeps none. A 1-D float box is the exception: there a face is one
-cell, which numpy returns as a scalar copy, not a view, so it is never kept
-(a kept copy would not see the next layer), and its truth value decides the
-same as count_nonzero at a small part of the cost (no cell is -0.0, and -0.0
-would count as zero in both). A small box that never repeats a layer, such
-as the 1-D walk's, thus costs a fixed few numpy calls per layer.
+that costs about three times as much on a small face, except in a 1-D float
+box: there a face is one cell, which numpy returns as a scalar, and its truth
+value decides the same at a small part of the cost (no cell is -0.0, and
+-0.0 would count as zero in both). A small box that never repeats a layer,
+such as the 1-D walk's, thus costs a fixed few numpy calls per layer.
 
 Exact counts use radix 2^r with r = 63 - bit_length(|S|), so |S| 2^r < 2^63.
 Layer k holds L = ceil(bit_length(|S|^k) / r) limbs: |S|^k bounds every
@@ -137,14 +133,11 @@ from . import cones, laplace, steps as steps_mod
 
 # np.count_nonzero(a) with no axis calls this C function from a Python
 # wrapper that costs about three times the test of a small face; numpy 2
-# moved its module, and a numpy without either name keeps the wrapper
+# moved its module from numpy.core to numpy._core
 try:
     from numpy._core.multiarray import count_nonzero as _count_nonzero
 except ImportError:
-    try:
-        from numpy.core.multiarray import count_nonzero as _count_nonzero
-    except ImportError:
-        _count_nonzero = np.count_nonzero
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
 
 EXACT = "exact"
 LOG_SCALED = "log_scaled"
@@ -284,21 +277,6 @@ def _dp_inputs(steps, start, n, weights, exact):
     return steps, start, w, lift
 
 
-class _Faces(dict):
-    """The faces of a box along one axis, given as the box with that axis
-    first: face i is ``self[i]``, a view built the first time it is asked for
-    and kept."""
-
-    __slots__ = ("box",)
-
-    def __init__(self, box):
-        self.box = box
-
-    def __missing__(self, i):
-        face = self[i] = self.box[i]
-        return face
-
-
 class _Plan:
     """One step of the layer DP from one layout: the numpy calls of its adds
     and zeroing on views built once, the untrimmed box they leave, and the
@@ -309,7 +287,7 @@ class _Plan:
     def __init__(self, ops, box, faces, extent, lo):
         self.ops = ops  # (function, arguments) pairs in the order they run
         self.box = box
-        self.faces = faces  # per axis (faces, index of the last face): face i is faces[i]
+        self.faces = faces  # per axis, box with that axis first: face i is faces[axis][i]
         self.extent = extent
         self.lo = lo
         self.trims = {}  # trim outcome -> state of the trimmed layer
@@ -343,9 +321,7 @@ class _LayerDP:
     by lattice parity a layout recurs two layers later, and keeps the plan
     built then), and caches the state (``_state``) that each trim outcome
     leaves. ``_relayout`` clears both, as plans hold views of the buffers it
-    frees. ``_occupied`` is the trim's test of a face for a nonzero cell,
-    and ``_cached`` says whether a plan that replays keeps the views of its
-    faces (``_Faces``).
+    frees. ``_occupied`` is the trim's test of a face for a nonzero cell.
     """
 
     def __init__(self, steps, weights, start, exact, trim_threshold=FLOAT_TRIM):
@@ -379,10 +355,8 @@ class _LayerDP:
         self._face_orders = [(lead + ax,) + tuple(i for i in range(lead + d) if i != lead + ax)
                              for ax in range(d)]
         # a face of a 1-D float box is one cell, which numpy returns as a
-        # scalar copy; its truth value decides what count_nonzero would, for
-        # less, and a copy is never kept, as it would not see the next layer
-        self._cached = d > 1 or exact
-        self._occupied = _count_nonzero if self._cached else bool
+        # scalar; its truth value decides what count_nonzero would, for less
+        self._occupied = bool if d == 1 and not exact else _count_nonzero
         self._plans, self._seen, self._parity = {}, deque(maxlen=2), 0
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
@@ -512,9 +486,6 @@ class _LayerDP:
         outgrows its padding, its buffer or its limbs."""
         for seen, plan in self._seen:
             if seen == key:
-                if self._cached:
-                    # a plan that replays keeps the views of the faces it tests
-                    plan.faces = [(_Faces(box), last) for box, last in plan.faces]
                 self._plans[key] = plan
                 return plan
         lo, n = self.lo, self._view.shape[-self.d:]
@@ -579,7 +550,7 @@ class _LayerDP:
                 # cells the orthant cuts on axis k landed in its pads
                 pads = padded[self._lead + (slice(None),) * k + (slice(box[k], None),)]
                 ops.append((pads.fill, (0,)))
-        faces = [(untrimmed.transpose(order), k - 1) for order, k in zip(self._face_orders, box)]
+        faces = [untrimmed.transpose(order) for order in self._face_orders]
         plan = _Plan(ops, untrimmed, faces, box, new_lo)
         # under the layout it was built from, which a relayout changes
         self._seen.append((self._key + (limbs,) if self.exact else self._key, plan))
@@ -646,8 +617,8 @@ class _LayerDP:
         A face of the untrimmed box is nonzero exactly when its part inside
         the box trimmed on the other axes is, as only zero cells are cut."""
         bounds, occupied = (), self._occupied
-        for faces, last in plan.faces:
-            first = 0
+        for faces in plan.faces:
+            first, last = 0, len(faces) - 1
             while first <= last and not occupied(faces[first]):
                 first += 1
             if first > last:

@@ -375,6 +375,15 @@ class TestCheck:
         code, _, err = run(capsys, "rate", "--steps", path)
         assert code == 1 and "H1" in err
 
+    def test_known_h1_false_negative_exits_2(self, capsys, step_file):
+        # these steps span R^2 (determinant 2^36), but both float rank tests
+        # miss the second singular value, so `check` exits 2 as `rate` refuses;
+        # an exact H1 test (ROADMAP item 18) should make this exit 0
+        path = step_file("wide.json", 2, [(2**36, 0), (-3 * 2**35, 1)])
+        code, doc, _ = run_json(capsys, "check", "--steps", path)
+        assert code == 2 and doc["status"] == "h1-failed"
+        assert not doc["h1"] and doc["h2prime"]["proper"]
+
     def test_failed_h1_and_h2prime_report_improper(self, capsys, step_file):
         path = step_file("ray.json", 2, [(-1, -1), (-2, -2)])
         code, doc, _ = run_json(capsys, "check", "--steps", path)

@@ -765,9 +765,8 @@ class TestPlanReplay:
 
 class TestTrimBounds:
     """After every step the trim's bounds equal the bounding box of the
-    untrimmed box's nonzero cells (``np.nonzero``), whether the plan and its
-    face views were built for that layer, replayed, or built again after a
-    relayout."""
+    untrimmed box's nonzero cells (``np.nonzero``), whether the plan was built
+    for that layer, replayed, or built again after a relayout."""
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("steps, start, n, weights, replays", [
@@ -777,11 +776,11 @@ class TestTrimBounds:
         (HS_STEPS, (0, 3), 200, _hs_weights(1 / 3), (False, True)),
         (D3, (1, 1, 1), 24, None, ()),
         # the cut leaves a face of a replayed plan zero in one layer, not in
-        # another, so a kept face must see each layer's cells
+        # another, so a replayed face must see each layer's cells
         ([(2, 0), (-1, 0), (-2, 0), (1, 0), (0, 1), (0, -1)], (5, 0), 120,
          (0.01, 0.25, 1.0, 0.1, 0.05, 0.3), (False,)),
-        # a 1-D float face is a scalar copy, which a kept face would freeze;
-        # the float box is held small by the FLOAT_TRIM cut, the exact one grows
+        # a 1-D float face is a scalar copy, tested by its truth value; the
+        # float box is held small by the FLOAT_TRIM cut, the exact one grows
         ([(1,), (-1,)], (2,), 200, (0.25, 0.75), (False,)),
     ], ids=["nsew", "halfspace-0.4", "halfspace-1/3", "d3", "two-trim-outcomes", "d1"])
     def test_bounds_are_the_nonzero_box(self, steps, start, n, weights, replays, exact,
