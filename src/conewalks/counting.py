@@ -314,13 +314,12 @@ class _LayerDP:
 
     A layer's layout is ``_key``: buffer parity (``_parity``), ``lo``,
     shape, ``_first``, ``_end`` and the held limbs, to which exact mode adds
-    the next layer's limbs. Every step looks its plan up in ``_plans`` or
-    has ``_plan`` build it, then runs it; there is no other path. A plan is
-    kept when its layout was met by one of the last two layers that built a
-    plan since the last relayout (``_seen`` holds their layouts and plans:
-    by lattice parity a layout recurs two layers later, and keeps the plan
-    built then), and caches the state (``_state``) that each trim outcome
-    leaves. ``_relayout`` clears both, as plans hold views of the buffers it
+    the next layer's limbs. Every step has ``_plan`` find or build its plan,
+    then runs it; there is no other path. ``_seen`` holds the layouts and
+    plans of the last two plans built since the last relayout: by lattice
+    parity a layout recurs two layers later, and replays the plan built then.
+    A plan caches the state (``_state``) that each trim outcome leaves.
+    ``_relayout`` clears ``_seen``, as plans hold views of the buffers it
     frees. ``_occupied`` is the trim's test of a face for a nonzero cell.
     """
 
@@ -357,7 +356,7 @@ class _LayerDP:
         # a face of a 1-D float box is one cell, which numpy returns as a
         # scalar; its truth value decides what count_nonzero would, for less
         self._occupied = bool if d == 1 and not exact else _count_nonzero
-        self._plans, self._seen, self._parity = {}, deque(maxlen=2), 0
+        self._seen, self._parity = deque(maxlen=2), 0
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
         # the float layer's maximum before it was divided by it
@@ -437,7 +436,6 @@ class _LayerDP:
         limbs. A buffer is freed before a larger one replaces it, so no more
         than two layer-sized arrays are ever alive."""
         # plans and state views keep the buffers they view alive
-        self._plans.clear()
         self._seen.clear()
         self._cells = self._total = self._carry = None
         n, dtype = self.layer.shape, self._view.dtype
@@ -486,7 +484,6 @@ class _LayerDP:
         outgrows its padding, its buffer or its limbs."""
         for seen, plan in self._seen:
             if seen == key:
-                self._plans[key] = plan
                 return plan
         lo, n = self.lo, self._view.shape[-self.d:]
         new_lo = [a + m if a + m > 0 else 0 for a, m in zip(lo, self.step_min)]
@@ -564,12 +561,10 @@ class _LayerDP:
             self._bound *= len(self.shifts)
             limbs = -(-self._bound.bit_length() // self._radix)
             key += (limbs,)
-        plan = self._plans.get(key)
+        plan = self._plan(key, limbs)
         if plan is None:
-            plan = self._plan(key, limbs)
-            if plan is None:
-                self._kill(self.lo)
-                return
+            self._kill(self.lo)
+            return
         for op, args in plan.ops:
             op(*args)
         self._limbs = limbs

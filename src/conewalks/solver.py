@@ -28,12 +28,19 @@ The ray solver serves the single-ray dual cone of a half-space, as a batch of
 one, and the hyperplane scan, as a batch of every grid direction. Each
 direction is solved in a lane of its own whose bits do not depend on the
 other lanes, so the scan equals the loop of one-direction solves.
+
+Scaling the steps by c > 0 leaves rho unchanged and divides x* by c. The
+loops never see the caller's scale: `minimize_on_dual` and `hyperplane_scan`
+hand them the steps times the power of two 2^-e that puts max|s| in [1, 2)
+(`_unit_steps`), and x* is mapped back by 2^-e. Both maps are exact unless
+an entry lies 2^1022 below max|s|, so steps times 2^k give the same
+iterates, rho and active set, and x* and grad scaled exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -141,15 +148,20 @@ def _armijo_projected(model, x, f, g, d):
     return None
 
 
-def _step_scale(model):
-    """max|s|, the scale of grad L (1 for the Gaussian transform)."""
+def _unit_steps(model):
+    """(the model with its steps times 2^-e, e), for the e that puts
+    max|s| 2^-e in [1, 2); the model itself when e = 0 or it is Gaussian.
+    Its minimizer is x* 2^e."""
     if isinstance(model, laplace.GaussianLaplace):
-        return 1.0
-    return float(np.abs(model.measure.steps).max())
+        return model, 0
+    m = model.measure
+    e = math.frexp(float(np.abs(m.steps).max()))[1] - 1
+    if e == 0:
+        return model, 0
+    return laplace.FiniteLaplace(replace(m, steps=np.ldexp(m.steps, -e))), e
 
 
 def _minimize_orthant(model, tol, max_iter, x0):
-    tol = tol * min(1.0, _step_scale(model))
     x = np.maximum(np.asarray(x0, dtype=float), 0.0)
     at = laplace._terms(model, x)
     if at is None:
@@ -182,7 +194,7 @@ def _ray_minima(model, U, tol, max_iter):
     finite lane with phi'(0) >= 0 has t = 0. Any other lane brackets a sign
     change of phi', from t = 1 or from just inside the overflow guard (see
     BRACKET_MARGIN), doubling until phi' > 0, then runs safeguarded Newton on
-    phi' inside the bracket until |phi'| / |u| <= tol min(1, max|s|). The
+    phi' inside the bracket until |phi'| / |u| <= tol. The
     exponents t <u, s> are formed row by row (einsum, not BLAS), so a lane
     has the same bits alone or in any batch.
 
@@ -197,7 +209,6 @@ def _ray_minima(model, U, tol, max_iter):
         t = np.maximum(0.0, -np.einsum("ij,j->i", U, model.drift)) / np.einsum("ij,ij->i", U, U)
         return t, np.ones(n, dtype=bool), np.ones(n, dtype=int)
     S, w = model.measure.steps, model.measure.weights
-    tol = tol * min(1.0, _step_scale(model))
     P = np.einsum("ij,kj->ik", U, S)
     t = np.zeros(n)
     converged = np.ones(n, dtype=bool)
@@ -286,12 +297,13 @@ def _minimize_rays(model, R, tol, max_iter, t0):
     certify descent the iteration falls back to the safeguard step
     1 / lambda_max(R H R^T), which contracts for a smooth convex objective
     without consulting function values. The gradient in t is R grad L, of
-    scale max|s| max|r|. A coefficient t_i counts as free when t_i max|r_i|,
-    its contribution to x, passes ACTIVE_EPS, as x_i does on the orthant.
+    scale max|s| max|r|, and is tested against tol min(1, max|r|), for
+    steps that `minimize_on_dual` hands in with max|s| in [1, 2). A
+    coefficient t_i counts as free when t_i max|r_i|, its contribution to x,
+    passes ACTIVE_EPS, as x_i does on the orthant.
     """
-    reach = _reach(R)
-    tol = tol * min(1.0, _step_scale(model) * float(reach.max(initial=0.0)))
-    reach = reach.tolist()
+    reach = _reach(R).tolist()
+    tol = tol * min(1.0, max(reach, default=0.0))
     RT = R.T
     t = np.maximum(np.asarray(t0, dtype=float), 0.0)
     x = RT @ t
@@ -377,10 +389,10 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     past the iteration budget; a tol that is not a finite number > 0 or a
     max_iter < 1 is a ValueError.
 
-    `tol` bounds the projected gradient of the loop that runs, times
-    min(1, sigma) for sigma the scale of that gradient: max|s| on the orthant
-    and a single ray, max|s| max|r| over the rays r of K* otherwise. It never
-    loosens, and data scaled below 1 is solved to the accuracy of scale 1.
+    `tol` bounds the projected gradient of the loop that runs, on the steps
+    scaled by a power of two into [1, 2) (see the module docstring); on a
+    dual cone of several rays r it is multiplied by min(1, max|r|). The
+    certificate is evaluated on the given model at the mapped-back x*.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
@@ -392,21 +404,24 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     if isinstance(model, laplace.FiniteLaplace):
         _require_proper(model.measure, dual_cone)
 
-    # t: the coefficients of x* on the dual cone's rays (on the orthant, x*)
+    # the loops run on steps of size [1, 2); t: the coefficients of their
+    # minimizer on the dual cone's rays (on the orthant, the minimizer)
+    unit, e = _unit_steps(model)
     R = dual_cone.rays
     if dual_cone.kind == cones.ORTHANT:
-        start = _default_init(model, dual_cone)
-        x_star, iterations, _ = _minimize_orthant(model, tol, max_iter, start)
-        t = x_star
+        start = _default_init(unit, dual_cone)
+        x_unit, iterations, _ = _minimize_orthant(unit, tol, max_iter, start)
+        t = x_unit
     elif R.shape[0] == 1:
-        t, converged, counts = _ray_minima(model, R, tol, max_iter)
+        t, converged, counts = _ray_minima(unit, R, tol, max_iter)
         if not converged[0]:
             raise _unconverged_ray(R[0])
-        x_star, iterations = t[0] * R[0], int(counts[0])
+        x_unit, iterations = t[0] * R[0], int(counts[0])
     else:
-        start = _default_init(model, dual_cone)
-        x_star, t, iterations, _ = _minimize_rays(model, R, tol, max_iter, start)
+        start = _default_init(unit, dual_cone)
+        x_unit, t, iterations, _ = _minimize_rays(unit, R, tol, max_iter, start)
 
+    x_star = np.ldexp(x_unit, -e)
     at = laplace._checked_terms(model, x_star)
     grad = at.gradient()
     return RateCertificate(
@@ -471,8 +486,9 @@ def hyperplane_scan(steps, angular_grid=721):
 
     Scanning the hyperplanes through the origin that avoid the open orthant
     reproduces the growth constant up to grid resolution; the argmin
-    direction identifies the binding hyperplane. Each direction is solved to
-    |phi'| / |u| <= 1e-12 min(1, max|s|) (`_ray_minima`).
+    direction identifies the binding hyperplane. The scan runs on the steps
+    scaled by a power of two into [1, 2), where each direction is solved to
+    |phi'| / |u| <= 1e-12 (`_ray_minima`) and ranked.
     """
     if (isinstance(angular_grid, bool) or not isinstance(angular_grid, (int, np.integer))
             or angular_grid < 1):
@@ -482,14 +498,14 @@ def hyperplane_scan(steps, angular_grid=721):
         raise ValueError(f"angular grid {angular_grid} with {m.support_size} steps passes "
                          f"the scan budget of {SCAN_MAX_EXPONENTS} exponents")
     _require_proper(m, cones.orthant(m.dim))
-    model = laplace.FiniteLaplace(m)
+    model, _ = _unit_steps(laplace.FiniteLaplace(m))
     directions = _scan_directions(m.dim, angular_grid)
     t, converged, _ = _ray_minima(model, directions, 1e-12, DEFAULT_MAX_ITER)
     if not converged.all():
         raise _unconverged_ray(directions[np.argmin(converged)])
     # rank the lanes by their values in lane arithmetic; the first minimal
     # lane wins and reports its value from the transform itself
-    P = np.einsum("ij,kj->ik", directions, m.steps)
+    P = np.einsum("ij,kj->ik", directions, model.measure.steps)
     j = int(np.argmin(np.einsum("ij,j->i", np.exp(t[:, None] * P), m.weights)))
     k_min = m.support_size * laplace.value(model, t[j] * directions[j])
     return ScanResult(k_min=k_min, direction=directions[j], grid_size=len(directions))

@@ -543,16 +543,17 @@ class TestScan:
         assert code == 2 and doc["status"] == "improper"
 
     def test_steps_past_the_overflow_guard_are_batched(self, capsys, step_file):
-        # 366 of the 721 directions pass the guard at t = 1; the batch must
-        # decide them, since the scalar solver needs about 15 ms for each
+        # the batch decides all 721 directions at once, on the steps scaled
+        # by 2^-9; the scalar solver needs about 15 ms for each
         path = step_file("far.json", 2, [(1000, 2), (-500, 2), (-1000, 1)])
         seconds = []
         for _ in range(3):
             t0 = time.perf_counter()
             code, doc, _ = run_json(capsys, "scan", "--steps", path)
             seconds.append(time.perf_counter() - t0)
-        assert code == 0 and doc["gap"] == 0.0
-        assert doc["scan_minimum"].hex() == "0x1.78e2ef2a7f78ep+1"
+        assert code == 0
+        assert doc["growth_constant"].hex() == "0x1.78e2ef2a7f78ep+1"
+        assert doc["scan_minimum"].hex() == "0x1.78e2ef2a7f78fp+1"
         assert doc["argmin_direction"] == [1.0, 0.0]
         assert min(seconds) < 0.2
 
@@ -673,10 +674,24 @@ def test_fuzzed_argv_exits_with_a_code_of_the_contract(tmp_path_factory, data):
     assert code in (0, 1, 2, 3), argv
 
 
+@pytest.mark.parametrize("command, field", [("rate", "certificate"), ("scan", "scan_minimum")])
+def test_steps_of_size_1e9_in_1d(capsys, step_file, command, field):
+    # the solver reads the steps scaled into [1, 2), so they certify at
+    # once with the rate of the steps divided by 1e9
+    reports = []
+    for name, c in (("unit.json", 1.0), ("1e9.json", 1e9)):
+        path = step_file(name, 1, [(c,), (0,), (-c,), (-2 * c,)])
+        code, doc, _ = run_json(capsys, command, "--steps", path)
+        assert code == 0 and doc["status"] == "ok"
+        reports.append(doc[field]["rho"] if command == "rate" else doc[field])
+    assert abs(reports[1] - reports[0]) <= 1e-12 * reports[0]
+
+
 def test_module_entry_point_reports_non_convergence(step_file):
-    # {E,N,W,S,SW} scaled by 1e9 has the rate of the unscaled set, but the
-    # orthant Newton cannot reach its absolute gradient tolerance there
-    path = step_file("five_1e9.json", 2, [(1e9 * a, 1e9 * b) for a, b in NSEW_SW])
+    # the orthant Newton stalls on this set at scale 1, though its minimum
+    # exists: the line search finds no descent above the tolerance
+    path = step_file("stall.json", 2, [(0, -1), (-1, -2), (2, 2), (-2, -1), (-1, -1), (-2, -2),
+                                       (-1, 2)])
     proc = run_python("-m", "conewalks.cli", "scan", "--steps", path, "--grid", "51", "--json")
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 3

@@ -496,26 +496,31 @@ class _BoxLayerDP:
         return [(tuple(p), v) for p, v in zip((cells + self.lo).tolist(), values)]
 
 
-class _CountedPlans(dict):
-    """A plan dict that counts the layers that replayed a stored plan."""
+def _count_replays(dp):
+    """Wrap ``dp._plan`` so that ``dp.replayed`` counts the layers that
+    replayed a plan: the layers that ran one, less the plans built."""
+    built, find = {}, dp._plan  # the plans built, kept alive so that no id recurs
+    dp.replayed = 0
 
-    replayed = 0
+    def plan(key, limbs):
+        found = find(key, limbs)
+        if found is not None:
+            dp.replayed += id(found) in built
+            built[id(found)] = found
+        return found
 
-    def get(self, key):
-        plan = super().get(key)
-        self.replayed += plan is not None
-        return plan
+    dp._plan = plan
+    return dp
 
 
 def _layouts_agree(steps, start, n, weights, exact, trim):
     """Run the flat-layout DP and the box-layout reference side by side and
     compare every layer bit for bit: every cell of a float layer, the
     endpoint counts of an exact one, and the endpoint masses of the last
-    layer; returns the flat DP, whose ``_plans`` counts the layers that
+    layer; returns the flat DP, whose ``replayed`` counts the layers that
     replayed a plan."""
     steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, exact)
-    flat = counting._LayerDP(steps, w, start, exact=exact, trim_threshold=trim)
-    flat._plans = _CountedPlans()
+    flat = _count_replays(counting._LayerDP(steps, w, start, exact=exact, trim_threshold=trim))
     ref = _BoxLayerDP(steps, w, start, exact=exact, trim_threshold=trim)
     for k in range(n + 1):
         if k:
@@ -697,7 +702,7 @@ class TestPlanReplay:
         dp = _layouts_agree(steps, start, n, weights, False, trim)
         # without the cut the 1-D box grows until its tail underflows
         if len(steps[0]) == 2 or trim:
-            assert dp._plans.replayed > n // 2
+            assert dp.replayed > n // 2
 
     @pytest.mark.parametrize("steps, start, n, weights, trim", [
         # the cut can leave zero faces, so one layout meets two trim outcomes
@@ -706,13 +711,13 @@ class TestPlanReplay:
         ([(2, 0), (-2, -1), (2, 2)], (0, 0), 150, (0.1, 0.25, 0.01), 1e-3),
     ], ids=["two-trim-outcomes", "two-first-cells"])
     def test_layouts_alike_in_part(self, steps, start, n, weights, trim):
-        assert _layouts_agree(steps, start, n, weights, False, trim)._plans.replayed
+        assert _layouts_agree(steps, start, n, weights, False, trim).replayed
 
     @pytest.mark.parametrize("start", [(1, 1), (2, 2), (0, 3)])
     def test_exact(self, start):
         # the limbs grow every 38 or so layers, each time with a new layout
         dp = _layouts_agree(HS_STEPS, start, 200, None, True, counting.FLOAT_TRIM)
-        assert dp._plans.replayed > 150
+        assert dp.replayed > 150
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_apex_cases())
@@ -721,14 +726,13 @@ class TestPlanReplay:
 
     def test_plans_stay_few_on_a_growing_box(self):
         # the S5 box grows nearly every step, and every few steps a relayout
-        # clears the layouts seen and their plans
+        # clears the layouts seen and their plans: 15 of 400 layers replay one
         steps, start, w, _ = counting._dp_inputs(S5, (0, 0), 400, None, False)
-        dp = counting._LayerDP(steps, w, start, exact=False)
-        dp._plans = _CountedPlans()
+        dp = _count_replays(counting._LayerDP(steps, w, start, exact=False))
         for _ in range(400):
             dp.advance()
-            assert len(dp._plans) + len(dp._seen) <= 8
-        assert dp._plans.replayed == 0
+            assert len(dp._seen) <= 2
+        assert dp.replayed == 15
 
     def test_seen_layouts_stay_two_on_a_growing_1d_box(self):
         # the 1-D box relayouts only when it outgrows its buffer; the layouts
@@ -740,12 +744,12 @@ class TestPlanReplay:
             assert len(dp._seen) <= 2
 
     @pytest.mark.parametrize("steps, start, n, weights, replayed, built", [
-        ([(1,), (-1,)], (2,), 2000, (0.25, 0.75), 1814, 124),
-        (HS_STEPS, (1, 1), 1500, _hs_weights(1 / 3), 1495, 3),
-        (HS_STEPS, (4, 0), 1500, _hs_weights(0.4), 1492, 6),
-        (HS_STEPS, (3, 1), 1500, _hs_weights(0.3), 1493, 5),
+        ([(1,), (-1,)], (2,), 2000, (0.25, 0.75), 1876, 124),
+        (HS_STEPS, (1, 1), 1500, _hs_weights(1 / 3), 1497, 3),
+        (HS_STEPS, (4, 0), 1500, _hs_weights(0.4), 1494, 6),
+        (HS_STEPS, (3, 1), 1500, _hs_weights(0.3), 1495, 5),
         # the DP of `verify` on {E,N,W,S,SW} at n = 300
-        ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], (1, 1), 300, (0.2,) * 5, 43, 174),
+        ([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)], (1, 1), 300, (0.2,) * 5, 126, 174),
     ], ids=["d1-from-2", "halfspace-1/3", "halfspace-0.4", "halfspace-0.3", "ensws"])
     def test_replays_with_two_seen_layouts(self, steps, start, n, weights, replayed, built,
                                            monkeypatch):
@@ -755,11 +759,10 @@ class TestPlanReplay:
         plans, plan = [], counting._Plan
         monkeypatch.setattr(counting, "_Plan", lambda *args: plans.append(plan(*args)) or plans[-1])
         steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, False)
-        dp = counting._LayerDP(steps, w, start, exact=False)
-        dp._plans = _CountedPlans()
+        dp = _count_replays(counting._LayerDP(steps, w, start, exact=False))
         for _ in range(n):
             dp.advance()
-        assert dp._plans.replayed == replayed
+        assert dp.replayed == replayed
         assert len(plans) == built
 
 

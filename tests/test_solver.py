@@ -283,13 +283,19 @@ class TestHyperplaneScan:
 
     @pytest.mark.parametrize("scale", [1e6, 1e9])
     def test_scaled_steps_overflow_without_warnings(self, scale):
-        # phi' = sum w e^{t <u, s>} <u, s> passes the largest double inside
-        # the guard; the lane is left unconverged and nothing warns
+        # on the steps as given, phi' = sum w e^{t <u, s>} <u, s> passes the
+        # largest double inside the guard; those lanes are left unconverged
+        # and nothing warns
         steps = [(scale * a, scale * b) for a, b in NSEW_SW]
+        model = cw.FiniteLaplace(cw.from_step_set(steps))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(cw.NonConvergenceError, match="no convergence on the ray"):
-                cw.hyperplane_scan(steps, 51)
+            _, converged, _ = solver._ray_minima(model, solver._scan_directions(2, 51), 1e-12,
+                                                 solver.DEFAULT_MAX_ITER)
+            assert not converged.all()
+            # the scan reads the steps scaled into [1, 2)
+            got, want = cw.hyperplane_scan(steps, 51), cw.hyperplane_scan(NSEW_SW, 51)
+        assert got.k_min == want.k_min and np.array_equal(got.direction, want.direction)
 
     def test_grid_past_the_budget_refused_before_allocating(self):
         # 10^15 directions would need 8 PB per array
@@ -486,9 +492,9 @@ def nsew_sw_rate(cone, scale=1.0):
 
 class TestScaledInputs:
     """Scaling the steps or the cone's vectors by c > 0 changes neither H2'
-    nor rho. Both LPs read rows scaled into [1, 2) and the solver's
-    tolerances follow the scale below 1, so small scales give the unscaled
-    rho; large ones may still raise, but never return a wrong rate."""
+    nor rho. Both LPs read rows scaled into [1, 2), and the solver reads the
+    steps scaled into [1, 2) by a power of two, so every step scale gives
+    the unscaled rho."""
 
     @pytest.mark.parametrize("cone", sorted(ROADMAP_CONES))
     @pytest.mark.parametrize("c", [1e-13, 1e-9, 1e-6])
@@ -497,13 +503,10 @@ class TestScaledInputs:
         assert abs(nsew_sw_rate(ROADMAP_CONES[cone], c) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("cone", sorted(ROADMAP_CONES))
-    def test_large_step_scale_raises_or_is_right(self, cone):
+    @pytest.mark.parametrize("c", [1e9, 1e12, 1e13, 2.0 ** 40, 1e15])
+    def test_large_step_scales(self, cone, c):
         want = nsew_sw_rate(ROADMAP_CONES[cone])
-        try:
-            rho = nsew_sw_rate(ROADMAP_CONES[cone], 1e9)
-        except cw.NonConvergenceError:
-            return
-        assert abs(rho - want) <= 1e-12 * want
+        assert abs(nsew_sw_rate(ROADMAP_CONES[cone], c) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("c", [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6])
     def test_inequality_cone_scales(self, c):
@@ -521,6 +524,59 @@ class TestScaledInputs:
         got = cw.hyperplane_scan(c * np.array(NSEW_SW), 721)
         assert abs(got.k_min - want.k_min) <= 1e-12 * want.k_min
         assert np.array_equal(got.direction, want.direction)
+
+
+@st.composite
+def power_of_two_cases(draw):
+    """A step set from {-2..2}^2 or {-1,0,1}^3, one of the orthant, a
+    half-space, an inequality cone and a generated cone, and k in [-40, 40]."""
+    d = draw(st.sampled_from([2, 3]))
+    points = list(itertools.product(range(-2, 3) if d == 2 else range(-1, 2), repeat=d))
+    steps = draw(st.lists(st.sampled_from(points), min_size=3, max_size=7, unique=True))
+    cones = [cw.orthant(d), cw.halfspace(np.arange(1.0, d + 1)), cw.inequalities(INEQ_ROWS[d]),
+             cw.generated(np.tril(np.ones((d, d))))]
+    return np.array(steps, dtype=float), draw(st.sampled_from(cones)), draw(st.integers(-40, 40))
+
+
+def result_or_raised(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, type(exc)
+
+
+class TestPowerOfTwoSteps:
+    """Steps times 2^k reach the solver's loops as the same steps scaled into
+    [1, 2): the same exception, or a certificate whose x*, grad and
+    membership residual scale exactly and whose other fields keep their
+    bits; the scan keeps its minimum and direction."""
+
+    @given(power_of_two_cases())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_certificate(self, case):
+        steps, cone, k = case
+        rate = lambda s: cw.minimize_on_dual(cw.FiniteLaplace(cw.from_step_set(s)), cone)
+        want, want_raised = result_or_raised(rate, steps)
+        got, got_raised = result_or_raised(rate, np.ldexp(steps, k))
+        assert got_raised is want_raised
+        if want is None:
+            return
+        assert bits((got.rho, got.iterations, got.active_set, got.kkt_orthogonality)) == bits(
+            (want.rho, want.iterations, want.active_set, want.kkt_orthogonality))
+        assert bits(np.ldexp(got.x_star, k)) == bits(want.x_star)
+        assert bits(np.ldexp(got.grad, -k)) == bits(want.grad)
+        assert bits(np.ldexp(got.kkt_membership_residual, -k)) == bits(
+            want.kkt_membership_residual)
+
+    @given(power_of_two_cases())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_scan(self, case):
+        steps, _, k = case
+        want, want_raised = result_or_raised(cw.hyperplane_scan, steps, 31)
+        got, got_raised = result_or_raised(cw.hyperplane_scan, np.ldexp(steps, k), 31)
+        assert got_raised is want_raised
+        if want is not None:
+            assert bits((got.k_min, got.direction)) == bits((want.k_min, want.direction))
 
 
 class TestBrownianRate:
@@ -614,6 +670,14 @@ def certificate(law, cone, tol, max_iter):
     return cert.x_star, cert.rho, cert.grad, cert.iterations, cert.active_set
 
 
+def reference_certificate(law, cone, tol, max_iter):
+    """The frozen minimize_on_dual on the steps the package's loops read,
+    scaled into [1, 2) by 2^-e, with x* and grad mapped back to the law."""
+    unit, e = solver._unit_steps(law)
+    x_star, rho, grad, iterations, active = ref.minimize_on_dual(unit, cone, tol, max_iter)
+    return np.ldexp(x_star, -e), rho, np.ldexp(grad, e), iterations, active
+
+
 def outcome(fn, *args):
     """The bits of fn's result, or its exception: type, message and, for a
     non-convergence, the length of its iterate trace."""
@@ -623,23 +687,20 @@ def outcome(fn, *args):
         return type(exc), str(exc), len(getattr(exc, "trace", ()))
 
 
-def effective_tol(law, dual, tol):
-    """tol times min(1, sigma), sigma the scale of the gradient that the
-    package's loop tests: max|s| on the orthant, max|s| max|r| over the rays
-    r of K* otherwise, 1 for the Gaussian transform."""
-    if isinstance(law, cw.GaussianLaplace):
+def effective_tol(dual, tol):
+    """The tolerance of the package's loop: tol on the orthant, tol times
+    min(1, max|r|) over the rays r of K* otherwise."""
+    if dual.kind == cw.cones.ORTHANT:
         return tol
-    sigma = float(np.abs(law.measure.steps).max())
-    if dual.kind != cw.cones.ORTHANT:
-        sigma *= float(np.abs(dual.rays).max())
-    return tol * min(1.0, sigma)
+    return tol * min(1.0, float(np.abs(dual.rays).max()))
 
 
 class TestSharedTermsMatchReference:
     """The minimizers evaluate exp(S x) once per point and read the accepted
     trial's terms at the next iterate; every result must keep the bits of
     the frozen one-exponential-per-call loops in reference_minimizers.py,
-    run at the package's effective tolerance (`effective_tol`)."""
+    run on the steps the package's loops read (`solver._unit_steps`) at
+    their tolerance (`effective_tol`)."""
 
     @given(minimizer_cases())
     @example((("finite", SLOWEST_RAYS, [1.0] * 6), "ineq", solver.DEFAULT_MAX_ITER, None))
@@ -649,7 +710,7 @@ class TestSharedTermsMatchReference:
     @example((("finite", [(-1000, 0), (1, 0), (0, 1), (0, -1)], [1.0] * 4), "orthant",
               solver.DEFAULT_MAX_ITER, [1.0, 1.0]))
     @example((("gaussian", [0.18393728253711747, -0.37069182622019753]), "ineq", 400, None))
-    # steps below scale 1: the loops' tolerance is tol times min(1, sigma)
+    # steps below scale 1, which the loops read scaled into [1, 2)
     @example((("finite", 0.25 * np.array(NSEW_SW), [1.0] * 5), "ineq", solver.DEFAULT_MAX_ITER,
               None))
     @example((("finite", 1e-3 * np.array(NSEW_SW), [1.0] * 5), "orthant",
@@ -660,34 +721,29 @@ class TestSharedTermsMatchReference:
         law, cone = build_case(model, cone)
         dual = cw.dual(cone)
         tol = solver.DEFAULT_TOL
-        ref_tol = effective_tol(law, dual, tol)
-        if ref_tol < np.sqrt(np.finfo(float).tiny):
-            # steps below about 1e-144: the frozen loops stop once
-            # np.linalg.norm(pg) <= tol, and that norm underflows to 0 below
-            # sqrt(tiny), so they stop on any gradient; the package's loops
-            # test max|pg| first
-            return
-        assert bits(solver._default_init(law, dual)) == bits(ref.default_init(law, dual))
+        ref_tol = effective_tol(dual, tol)
+        unit, _ = solver._unit_steps(law)
+        assert bits(solver._default_init(unit, dual)) == bits(ref.default_init(unit, dual))
         if start is None:
-            start = ref.default_init(law, dual)
+            start = ref.default_init(unit, dual)
         start = np.array(start, dtype=float)
         # from a start where L is near the overflow guard, the frozen loops
         # square a gradient past the largest double in its norm (inf, no
         # descent); the package's loops form the norm only once it is small
         if dual.kind == cw.cones.ORTHANT:
-            new = outcome(solver._minimize_orthant, law, tol, max_iter, start)
+            new = outcome(solver._minimize_orthant, unit, tol, max_iter, start)
             with np.errstate(over="ignore"):
-                old = outcome(ref.minimize_orthant, law, ref_tol, max_iter, start)
+                old = outcome(ref.minimize_orthant, unit, ref_tol, max_iter, start)
         else:
-            new = outcome(solver._minimize_rays, law, dual.rays, tol, max_iter, start)
+            new = outcome(solver._minimize_rays, unit, dual.rays, tol, max_iter, start)
             with np.errstate(over="ignore"):
-                old = outcome(ref.minimize_rays, law, dual.rays, ref_tol, max_iter, start)
+                old = outcome(ref.minimize_rays, unit, dual.rays, ref_tol, max_iter, start)
         assert new == old
         new = outcome(certificate, law, cone, tol, max_iter)
         if new[0] in (cw.ImproperModelError, ValueError):
             return  # refused by the hypothesis checks the reference leaves out
         with np.errstate(over="ignore"):
-            old = outcome(ref.minimize_on_dual, law, cone, ref_tol, max_iter)
+            old = outcome(reference_certificate, law, cone, ref_tol, max_iter)
         assert new == old
 
     def test_huge_start_converges_without_overflow(self):
