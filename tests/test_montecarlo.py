@@ -405,8 +405,9 @@ SELECTION_LAWS = [
     [1e-12, 0.5 - 1e-12, 0.5],
     [0.5, 0.5, 1e-13],
     [0.25, 0.75],
+    [1 / 300] * 300,  # a uint16 step index
 ]
-SELECTION_IDS = ["1", "2", "7", "26", "26-unequal", "1e-12-first", "sum-1-early", "quarter"]
+SELECTION_IDS = ["1", "2", "7", "26", "26-unequal", "1e-12-first", "sum-1-early", "quarter", "300"]
 
 
 class TestStepSelection:
@@ -517,6 +518,16 @@ class TestCountingPath:
         want = eye[mc._choose_steps(raw, thresholds)].reshape(3, trials, k).sum(axis=0)
         assert np.array_equal(got[3], want)
 
+    def test_block_counts_do_not_wrap(self):
+        # one walker reaching every threshold at each step: a uint8 count of
+        # the 300-step block would wrap to 44, a uint16 one of a 65536-step
+        # block to 0
+        thresholds = mc._step_thresholds(np.array([0.25, 0.25, 0.5]))
+        words = _Words(np.full(70000, 2**64 - 1, dtype=np.uint64))
+        got = mc._count_steps(np.zeros(3, dtype=np.int64), np.eye(3, dtype=np.int64), thresholds, words, 1,
+                              [300, 70000], lambda _k, pos, _alive: pos.tolist())
+        assert got == {300: [[0, 0, 300]], 70000: [[0, 0, 70000]]}
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_cannot_exit_cases())
     def test_counts_give_the_per_step_positions(self, case):
@@ -531,7 +542,7 @@ class TestCountingPath:
                                 lambda _k, pos, alive: (pos.dtype, pos.tobytes(), alive.all()))
 
         stepwise = positions(cw.inequalities(np.eye(len(start))))
-        for block in (1, 7, 2**20):
+        for block in (1, 7, mc.DRAW_BLOCK, 2**20):
             with mock.patch.object(mc, "DRAW_BLOCK", block), \
                     mock.patch.object(mc, "_count_steps", wraps=mc._count_steps) as counting:
                 assert positions(cw.orthant(len(start))) == stepwise
