@@ -35,7 +35,9 @@ so both rules, and the cosine and rank tests of the enumeration, give the
 same verdicts for vectors scaled by any c > 0 whose derived vectors stay
 normal doubles; an enumeration whose cofactors would not is refused.
 Projections exist only for the cones the rate formulas need (orthant,
-half-space, single ray); everything else raises ``UnsupportedConeError``.
+half-space, single ray), and read the one vector at unit scale, scaled as
+`scale_rows` scales it, so that |u|^2 neither under- nor overflows;
+everything else raises ``UnsupportedConeError``.
 """
 
 from __future__ import annotations
@@ -345,20 +347,17 @@ def dual(cone):
 
 
 def project(cone, a):
-    """Euclidean projection onto the cone (orthant / half-space / single ray)."""
+    """Euclidean projection onto the cone (orthant / half-space / single
+    ray); a half-space's normal or the ray is read scaled into [1, 2)."""
     a = _check_dim(cone, a)
     if cone.kind == ORTHANT:
         return np.maximum(a, 0.0)
-    if cone.kind != GENERATED and len(cone.normals) == 1:
-        u = cone.normals[0]
-        s = u @ a
-        if s >= 0.0:
-            return a.copy()
-        return a - (s / (u @ u)) * u
-    if cone.kind == GENERATED and len(cone.rays) == 1:
-        u = cone.rays[0]
-        t = max(0.0, (u @ a) / (u @ u))
-        return t * u
+    if len(cone.vectors) == 1:
+        u = scale_rows(cone.vectors)[0]
+        t = (u @ a) / (u @ u)
+        if cone.kind == GENERATED:
+            return max(0.0, t) * u
+        return a.copy() if t >= 0.0 else a - t * u
     raise UnsupportedConeError(
         f"projection onto a {cone.kind} cone with {len(cone.vectors)} "
         "defining vectors is not supported"

@@ -29,12 +29,14 @@ one, and the hyperplane scan, as a batch of every grid direction. Each
 direction is solved in a lane of its own whose bits do not depend on the
 other lanes, so the scan equals the loop of one-direction solves.
 
-Scaling the steps by c > 0 leaves rho unchanged and divides x* by c. The
-loops never see the caller's scale: `minimize_on_dual` and `hyperplane_scan`
-hand them the steps times the power of two 2^-e that puts max|s| in [1, 2)
-(`_unit_steps`), and x* is mapped back by 2^-e. Both maps are exact unless
-an entry lies 2^1022 below max|s|, so steps times 2^k give the same
-iterates, rho and active set, and x* and grad scaled exactly.
+Scaling the steps by c > 0 leaves rho unchanged and divides x* by c;
+scaling a single dual ray changes neither. The loops never see the caller's
+scale: `minimize_on_dual` and `hyperplane_scan` hand them the steps times
+the power of two 2^-e that puts max|s| in [1, 2) (`_unit_steps`), and x* is
+mapped back by 2^-e; a single dual ray is read as `scale_rows` scales it,
+into [1, 2). Both maps are exact unless an entry lies 2^1022 below the
+largest, so steps times 2^k give the same iterates, rho and active set, and
+x* and grad scaled exactly, and a half-space normal times 2^k the same bits.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import cones, laplace, steps as steps_mod
+from ._simplex import scale_rows
 
 # Armijo backtracking constants and the Hessian regularization scale are
 # fixed, documented constants of the solver.
@@ -56,11 +59,6 @@ ACTIVE_EPS = 1e-12
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
-
-# A ray bracket starts at t = 1, or, where the lane's exponents pass the
-# overflow guard there, at the t that puts its largest exponent this fraction
-# inside the guard, so that rounding cannot push the start past it.
-BRACKET_MARGIN = 1e-9
 
 # The hyperplane scan holds about (angular grid) x (steps) exponents in each
 # of its work arrays, 8 bytes each; a grid that needs more is refused before
@@ -192,9 +190,10 @@ def _ray_minima(model, U, tol, max_iter):
 
     A Gaussian lane has the explicit minimum t = max(0, -<u, a>) / |u|^2. A
     finite lane with phi'(0) >= 0 has t = 0. Any other lane brackets a sign
-    change of phi', from t = 1 or from just inside the overflow guard (see
-    BRACKET_MARGIN), doubling until phi' > 0, then runs safeguarded Newton on
-    phi' inside the bracket until |phi'| / |u| <= tol. The
+    change of phi' from t = 1, doubling until phi' > 0, then runs safeguarded
+    Newton on phi' inside the bracket until |phi'| / |u| <= tol. Its callers
+    hand in steps and rays scaled into [1, 2), or unit directions, with
+    d <= 32, so every exponent at t = 1 lies below 4d, inside the guard. The
     exponents t <u, s> are formed row by row (einsum, not BLAS), so a lane
     has the same bits alone or in any batch.
 
@@ -228,8 +227,7 @@ def _ray_minima(model, U, tol, max_iter):
             return wp.sum(axis=1), (wp * PL).sum(axis=1), safe
 
     lanes = np.flatnonzero(np.einsum("ij,j->i", U, w @ S) < 0.0)  # phi'(0) < 0
-    start = steps_mod.MAX_EXPONENT * (1.0 - BRACKET_MARGIN)
-    hi = np.minimum(1.0, start / np.abs(P[lanes]).max(axis=1))
+    hi = np.ones(lanes.size)
     open_ = np.ones(lanes.size, dtype=bool)
     for _ in range(200):
         if not open_.any():
@@ -390,9 +388,10 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     max_iter < 1 is a ValueError.
 
     `tol` bounds the projected gradient of the loop that runs, on the steps
-    scaled by a power of two into [1, 2) (see the module docstring); on a
-    dual cone of several rays r it is multiplied by min(1, max|r|). The
-    certificate is evaluated on the given model at the mapped-back x*.
+    scaled by a power of two into [1, 2) (see the module docstring); a single
+    dual ray is read scaled the same way, and on a dual cone of several rays
+    r tol is multiplied by min(1, max|r|). The certificate is evaluated on
+    the given model at the mapped-back x*; a refusal names the given ray.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
@@ -413,9 +412,10 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         x_unit, iterations, _ = _minimize_orthant(unit, tol, max_iter, start)
         t = x_unit
     elif R.shape[0] == 1:
+        given, R = R[0], scale_rows(R)
         t, converged, counts = _ray_minima(unit, R, tol, max_iter)
         if not converged[0]:
-            raise _unconverged_ray(R[0])
+            raise _unconverged_ray(given)
         x_unit, iterations = t[0] * R[0], int(counts[0])
     else:
         start = _default_init(unit, dual_cone)

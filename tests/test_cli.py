@@ -108,6 +108,21 @@ class TestRate:
         code, _, err = run(capsys, "rate", "--steps", "/nonexistent/steps.json")
         assert code == 1 and "cannot read" in err
 
+    @pytest.mark.parametrize("c", ["1e200", "1e-80", "1e-200"])
+    def test_halfspace_normal_far_from_unit_scale(self, capsys, step_file, c):
+        # read at the given scale, 1e200 exited 0 with rho 4.014156019979966e+75
+        # and 1e-80 and 1e-200 exited 3 with no convergence
+        path = step_file("five.json", 2, NSEW_SW)
+        code, doc, _ = run_json(capsys, "rate", "--steps", path, "--cone", f"halfspace:{c},{c}")
+        assert code == 0 and doc["status"] == "ok"
+        assert abs(doc["certificate"]["rho"] - 0.9458063075961862) <= 2.3e-16
+
+    def test_halfspace_normal_past_the_range_of_doubles_exits_1(self, capsys, step_file):
+        path = step_file("five.json", 2, NSEW_SW)
+        code, out, err = run(capsys, "rate", "--steps", path, "--cone", "halfspace:1e-300,1e-300",
+                             "--json")
+        assert code == 1 and out == "" and "range of doubles" in err
+
 
     @pytest.mark.parametrize("scale", ["1", "1e12"])
     def test_scaled_inequality_cone_never_exits_0_with_a_wrong_rate(self, capsys, step_file, scale):
@@ -516,11 +531,21 @@ class TestBrownian:
         assert code == 1 and out == "" and "bad drift" in err
 
     def test_dual_ray_far_out(self, capsys):
-        # 0.5 t^2 |u|^2 = 5000 at t = 1; the minimum lies at t = 0.01
+        # 0.5 t^2 |u|^2 = 5000 at t = 1 along the normal as given, whose
+        # minimum lies at t = 0.01
         code, doc, _ = run_json(capsys, "brownian", "--drift=-1,0", "--cone", "halfspace:100,0")
         assert code == 0 and doc["status"] == "ok"
         assert abs(doc["closed_form"] - math.exp(-0.5)) <= 1e-15
         assert doc["abs_diff"] <= 1e-15
+
+    @pytest.mark.parametrize("c", ["1e200", "1e-200"])
+    def test_halfspace_normal_far_from_unit_scale(self, capsys, c):
+        # read at the given scale, |u|^2 overflowed at 1e200, where both
+        # routes reported 1.0, and underflowed at 1e-200, where both gave NaN
+        code, doc, _ = run_json(capsys, "brownian", "--drift=-1,-0.5", "--cone", f"halfspace:{c},0")
+        assert code == 0 and doc["status"] == "ok"
+        assert doc["solver_rho"] == doc["closed_form"] == 0.6065306597126334
+        assert doc["abs_diff"] == 0.0
 
     def test_unsupported_cone_kind_exits_1(self, capsys):
         code, _, err = run(capsys, "brownian", "--drift", "1,1",

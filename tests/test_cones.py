@@ -221,6 +221,17 @@ class TestProject:
         with pytest.raises(cw.UnsupportedConeError):
             cw.project(cw.generated([[1.0, 0.0], [1.0, 1.0]]), [1.0, 1.0])
 
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_single_vector_far_from_unit_scale(self, k):
+        # |u|^2 of the vector as given under- or overflows at these scales;
+        # the projection reads it times a power of two, so 2^k u gives the
+        # bits of u
+        for u in ([1.0, 0.0], [3.0, -4.0], [-1.5, 0.25]):
+            for make in (cw.halfspace, lambda v: cw.generated([v])):
+                for a in ([-1.0, -0.5], [2.0, 1.0], [0.5, -3.0]):
+                    want = cw.project(make(np.array(u)), a)
+                    assert cw.project(make(np.ldexp(u, k)), a).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("cone", [
         cw.orthant(3),
         cw.halfspace([1.0, -1.0, 0.5]),

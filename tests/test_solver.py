@@ -251,26 +251,24 @@ class TestHyperplaneScan:
             "a76917692d96e23fa66917692d96e23f9ebb39421540e23f")
 
     def test_steps_past_the_overflow_guard(self):
-        # |<s, u>| = 1000 cos(theta) at t = 1: the ray bracket must start
-        # inside the guard, where the minimum (t near 0.007) lies
+        # |<s, u>| = 1000 cos(theta) at t = 1 on the steps as given, whose
+        # minimum lies near t = 0.007; the scan reads them scaled into [1, 2)
         steps = [(-1000, 0), (1, 0), (0, 1), (0, -1)]
         scan = cw.hyperplane_scan(steps, 51)
         assert abs(scan.k_min - cw.growth_constant(steps).k_s) <= 1e-3
 
-    def test_ray_bracket_start_kept_inside_the_guard(self):
-        # the exponent -1000 t passes the guard at t = 1
-        model = cw.FiniteLaplace(cw.from_step_set([(-1000, 0), (1, 0), (0, 1), (0, -1)]))
-        t, converged, _ = solver._ray_minima(model, np.array([[1.0, 0.0]]), 1e-12, 100)
-        assert converged[0] and 0.0 < t[0] < 0.01
-        assert abs(float(cw.gradient(model, [t[0], 0.0])[0])) <= 1e-12
+    def test_scan_with_one_step_past_the_guard(self):
+        # the exponent -1000 t of the steps as given passes the guard at t = 1
+        steps = [(-1000, 0), (1, 0), (0, 1), (0, -1)]
+        scan = cw.hyperplane_scan(steps, 721)
+        assert abs(scan.k_min - cw.growth_constant(steps).k_s) <= 1e-3
 
-    def test_batch_decides_lanes_past_the_guard(self):
-        # exponents pass the guard at t = 1 on 366 of the 721 directions;
-        # each lane's bracket starts inside it, so the batch decides them all
-        model = cw.FiniteLaplace(cw.from_step_set([(1000, 2), (-500, 2), (-1000, 1)]))
-        _, converged, _ = solver._ray_minima(model, solver._scan_directions(2, 721), 1e-12,
-                                             solver.DEFAULT_MAX_ITER)
-        assert converged.all()
+    def test_scan_decides_steps_past_the_guard(self):
+        # exponents of the steps as given pass the guard at t = 1 on 366 of
+        # the 721 directions; the scan reads them scaled into [1, 2)
+        steps = [(1000, 2), (-500, 2), (-1000, 1)]
+        scan = cw.hyperplane_scan(steps, 721)
+        assert abs(scan.k_min - cw.growth_constant(steps).k_s) <= 1e-3
 
     def test_gaussian_ray_bracket_kept_inside_the_guard(self):
         # 0.5 t^2 |u|^2 = 5000 at t = 1, the minimum at t = 0.01
@@ -333,22 +331,24 @@ class TestHyperplaneScan:
 
 def scalar_scan(steps, angular_grid):
     """The per-direction scan: one one-row _ray_minima call per grid
-    direction, ranked by its value in lane arithmetic, the first strict
-    minimum winning. The batched scan must reproduce it bit for bit."""
+    direction, on the steps scaled into [1, 2) (`solver._unit_steps`),
+    ranked by its value in lane arithmetic, the first strict minimum
+    winning. The batched scan must reproduce it bit for bit."""
     m = cw.from_step_set(steps)
     if not cw.check_h1(m):
         raise ValueError("step set violates H1: support lies in a hyperplane")
     witness = steps_mod.halfspace_witness(m, cw.orthant(m.dim))
     if witness is not None:
         raise cw.ImproperModelError(witness)
-    model = cw.FiniteLaplace(m)
+    model, _ = solver._unit_steps(cw.FiniteLaplace(m))
+    S = model.measure.steps
     directions = solver._scan_directions(m.dim, angular_grid)
     best = None
     for u in directions:
         (t,), (converged,), _ = solver._ray_minima(model, u[None], 1e-12, solver.DEFAULT_MAX_ITER)
         if not converged:
             raise solver._unconverged_ray(u)
-        rank = np.einsum("ij,j->i", np.exp(t * np.einsum("ij,kj->ik", u[None], m.steps)),
+        rank = np.einsum("ij,j->i", np.exp(t * np.einsum("ij,kj->ik", u[None], S)),
                          m.weights)[0]
         if best is None or rank < best[0]:
             best = (rank, u, m.support_size * laplace.value(model, t * u))
@@ -411,8 +411,8 @@ class TestScanMatchesScalar:
         ([(-1, -1), (-1, 1), (0, -1), (1, 0)], 2),
         ([(-3, -1), (-3, 2), (-2, -1), (-2, 2), (0, 1), (0, 3), (1, 2), (1, 3), (2, -1),
           (2, 3), (3, -2), (3, 0)], 51),
-        # exponents past the overflow guard at t = 1, on the first direction
-        # and on a later one: every lane starts its bracket inside the guard
+        # exponents of the steps as given past the overflow guard at t = 1,
+        # on the first direction and on a later one
         ([(-1000, 0), (1, 0), (0, 1), (0, -1)], 51),
         ([(0, -1000), (1, 0), (-1, 0), (0, 1)], 51),
     ])
@@ -457,8 +457,8 @@ class TestHalfspaceInvariance:
     and reordering the steps the same law, so rho must not move."""
 
     @given(halfspace_cases(), st.floats(1e-3, 1e3))
-    # exponents reach 1313 at t = 1 along this normal; the bracket starts
-    # just inside the guard, which a lane must be allowed to reach
+    # exponents reach 1313 at t = 1 along this normal as given; the solver
+    # reads it scaled into [1, 2)
     @example(([(2, -2), (-1, -1), (2, 0), (0, -1)],
               np.array([-656.8374851700607, -92.27952885816245]),
               [(0, -1), (2, 0), (-1, -1), (2, -2)]), 1e-3)
@@ -577,6 +577,40 @@ class TestPowerOfTwoSteps:
         assert got_raised is want_raised
         if want is not None:
             assert bits((got.k_min, got.direction)) == bits((want.k_min, want.direction))
+
+
+NORMALS = {d: [v for v in itertools.product(range(-2, 3), repeat=d) if any(v)] for d in (2, 3)}
+
+
+class TestPowerOfTwoNormal:
+    """A half-space is the same cone at every scale of its normal, and the
+    solver and the projection read a single vector times the power of two
+    that puts its largest |entry| in [1, 2): the normal times 2^k gives the
+    certificate, the exception and the projections of the normal itself,
+    bit for bit."""
+
+    @given(st.sampled_from([2, 3]), st.integers(0, 49), st.booleans(), st.data(),
+           st.integers(-60, 60))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_certificate_and_projection(self, proper_2d_corpus, proper_3d_corpus, d, i, gaussian,
+                                        data, k):
+        corpus = proper_2d_corpus if d == 2 else proper_3d_corpus
+        steps = np.array(corpus[i % len(corpus)], dtype=float)
+        m = cw.from_step_set(steps)
+        law = cw.GaussianLaplace(m.weights @ m.steps) if gaussian else cw.FiniteLaplace(m)
+        u = np.array(data.draw(st.sampled_from(NORMALS[d])), dtype=float)
+        cones = cw.halfspace(u), cw.halfspace(np.ldexp(u, k))
+        rate = lambda cone: certificate(law, cone, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
+        assert outcome(rate, cones[1]) == outcome(rate, cones[0])
+        for a in [*steps, -steps.sum(axis=0)]:
+            for project in (cw.project, lambda cone, a: cw.project(cw.dual(cone), a)):
+                assert bits(project(cones[1], a)) == bits(project(cones[0], a))
+
+    def test_normal_past_the_range_of_doubles_still_refused(self):
+        # the cones layer refuses to derive the rays of 1e-300 (1, 1)
+        model = cw.FiniteLaplace(cw.from_step_set(NSEW_SW))
+        with pytest.raises(cw.UnsupportedConeError, match="range of doubles"):
+            cw.minimize_on_dual(model, cw.halfspace([1e-300, 1e-300]))
 
 
 class TestBrownianRate:
