@@ -18,13 +18,23 @@ step span max_k - min_k, the pad cells being zero. A step s then moves every
 cell by one flat offset, o = sum_k (lo_k + s_k - newlo_k) * stride_k, so its
 contributions are one contiguous add on each limb row, dst[..., o+g0 : o+g1]
 += src[..., g0 : g1] over the box's flat range, clipped at the buffer's
-start. The first step that moves any cell writes them instead of adding them
-to zeros, and only the new box's cells before and after its range are zeroed
-(0.0 + x == x and 0 + n == n, so no bit changes). A real cell receives
-exactly the contributions of the box-by-box recurrence, in step order, plus
-zeros from pad cells. A cell the orthant cuts lands in a pad cell, as a row
-has at least as many pad cells as the cut is deep, or before the buffer; the
-pads of each cut axis are zeroed after the adds. When a box outgrows its
+start. The adds run block by block (loop tiling; Wolf and Lam, PLDI 1991):
+the new box's flat range is cut into blocks of PRODUCT_BLOCK cells, and each
+block takes every step's contribution to it, in step order, before the next
+block starts. A block and the cells it reads then stay in the L2 cache over
+all the steps, where a step over the whole of a layer larger than L2 would
+stream it from L3 once per step. The first step that moves any cell writes
+its cells instead of adding them to zeros, and only the rest of the box is
+zeroed. When the first two such steps have unit weight and their ranges
+meet, one add writes src0 + src1 where both reach, and the cells that only
+one of them reaches are copied from it: one pass over the layer fewer than a
+copy followed by an add. No bit changes: every cell gets the same
+contributions in the same order, and 0.0 + x == x and 0 + n == n, as no cell
+is -0.0. A real cell receives exactly the contributions of the box-by-box
+recurrence, in step order, plus zeros from pad cells. A cell the orthant cuts
+lands in a pad cell, as a row has at least as many pad cells as the cut is
+deep, or before the buffer; the pads of each cut axis are zeroed after the
+adds. When a box outgrows its
 padding, its buffer or its limbs, it is copied into the idle buffer with two
 spans of padding; a buffer is replaced only when too small, by one twice the
 size the layer needs, and freed before its successor is allocated, so at most
@@ -33,7 +43,8 @@ anonymous mapping of its own, unmapped when it is freed, so the DP's resident
 size does not depend on the state of malloc's heap or on the host's free huge
 pages. A buffer's pages fault in when a box first reaches them, so a buffer
 doubles: fewer buffers fault in fewer pages. A step with a weight other than 1
-forms its product PRODUCT_BLOCK cells at a time in one block the DP owns.
+forms its product for each block in one block of PRODUCT_BLOCK cells that the
+DP owns.
 
 Every index of a step follows from the layer's layout: the buffer holding
 it, its lowest point, its shape, its flat range, and in exact mode its limbs
@@ -315,7 +326,8 @@ class _LayerDP:
     A layer's layout is ``_key``: buffer parity (``_parity``), ``lo``,
     shape, ``_first``, ``_end`` and the held limbs, to which exact mode adds
     the next layer's limbs. Every step has ``_plan`` find or build its plan,
-    then runs it; there is no other path. ``_seen`` holds the layouts and
+    then runs it; there is no other path. ``_product`` holds a weighted
+    step's product for one block of the plan's adds. ``_seen`` holds the layouts and
     plans of the last two plans built since the last relayout: by lattice
     parity a layout recurs two layers later, and replays the plan built then.
     A plan caches the state (``_state``) that each trim outcome leaves.
@@ -481,7 +493,10 @@ class _LayerDP:
         None when that step leaves the orthant on some axis. A layout that
         one of the last two plans was built from keeps that plan; otherwise
         the plan is built, laying the layer out anew first when the next box
-        outgrows its padding, its buffer or its limbs."""
+        outgrows its padding, its buffer or its limbs. Its calls run block
+        by block over the new box, each block's in step order (see the
+        module docstring), and then zero the pads of the cut axes and, in
+        exact mode, the limbs the layer gains."""
         for seen, plan in self._seen:
             if seen == key:
                 return plan
@@ -496,44 +511,78 @@ class _LayerDP:
                 or any(map(operator.gt, n[1:], self._room))):
             self._relayout(box[0], limbs)
         src, dst = self._buffers
-        old, new = (src[:held], dst[:held]) if self.exact else (src, dst)
+        # exact layers are seen cells first, so a cell range is one slice in both modes
+        old, new = (src[:held].T, dst[:held].T) if self.exact else (src, dst)
         first, end = self._first, self._end
         rows = box[0] * self._strides[0]
         # the layer's cell f lands on the new box's cell f + base + offset,
         # where the new box starts at the start of dst
         base = sum([(a - b) * st for a, b, st in zip(lo, new_lo, self._strides)]) - first
-        ops = []
-        append, block, product = ops.append, PRODUCT_BLOCK, self._product
+        # each step that moves a cell: the new box's cells [a, b) it reaches,
+        # clipped at the buffer's start, its offset and its weight
+        moves = []
         for offset, w in self._offsets:
             offset += base
             g0 = -offset if -offset > first else first
-            if g0 >= end:
-                continue
-            if not ops:
-                # writing the first step's cells saves a pass that zeroes them
-                for v in new[..., :g0 + offset], new[..., end + offset:rows]:
-                    if v.size:
-                        append((v.fill, (0,)))
-                if w is None:
-                    append((operator.setitem, (new[..., g0 + offset:end + offset], ...,
-                                               old[..., g0:end])))
+            if g0 < end:
+                moves.append((g0 + offset, end + offset, offset, w))
+        # the parts of the new box that the writers fill, each with the
+        # offsets of the writers that reach it: zeros, one step's cells, or
+        # the one add of a unit pair whose ranges meet
+        writes, adds, w0 = [(0, rows, ())], moves[1:], None
+        if moves:
+            a0, b0, o0, w0 = moves[0]
+            writes = [(0, a0, ()), (a0, b0, (o0,)), (b0, rows, ())]
+        if len(moves) > 1 and w0 is None and moves[1][3] is None:
+            a1, b1, o1, _ = moves[1]
+            # the pair's starts a <= c and ends b <= e, with the offsets of
+            # the steps that start first (p) and end last (q)
+            (a, p), c = ((a0, o0), a1) if a0 < a1 else ((a1, o1), a0)
+            b, (e, q) = (b0, (b1, o1)) if b0 < b1 else (b1, (b0, o0))
+            if c < b:
+                adds = moves[2:]
+                writes = [(0, a, ()), (a, c, (p,)), (c, b, (o0, o1)), (b, e, (q,)), (e, rows, ())]
+        ops = []
+        append, block, product = ops.append, PRODUCT_BLOCK, self._product
+        # block by block, so that a block and its sources stay in cache over
+        # all the steps; each block's cells get the steps in step order
+        for x in range(0, rows, block):
+            y = x + block if x + block < rows else rows
+            for a, b, froms in writes:
+                if a < x:
+                    a = x
+                if b > y:
+                    b = y
+                if a >= b:
+                    continue
+                to = new[a:b]
+                if not froms:
+                    append((to.fill, (0,)))
+                elif len(froms) == 2:
+                    o, r = froms
+                    append((np.add, (old[a - o:b - o], old[a - r:b - r], to)))
+                elif w0 is None:
+                    o, = froms
+                    append((operator.setitem, (to, ..., old[a - o:b - o])))
                 else:
-                    for a in range(g0, end, block):
-                        b = a + block if a + block < end else end
-                        append((np.multiply, (old[a:b], w, new[a + offset:b + offset])))
-            elif w is None:
-                to = new[..., g0 + offset:end + offset]
-                append((np.add, (to, old[..., g0:end], to)))
-            else:
-                # the product is formed a block at a time in one block of
-                # its own, so no temporary is layer-sized and each stays in cache
-                for a in range(g0, end, block):
-                    b = a + block if a + block < end else end
-                    part, to = product[:b - a], new[a + offset:b + offset]
-                    append((np.multiply, (old[a:b], w, part)))
+                    o, = froms
+                    append((np.multiply, (old[a - o:b - o], w0, to)))
+            for a, b, o, w in adds:
+                if a < x:
+                    a = x
+                if b > y:
+                    b = y
+                if a >= b:
+                    continue
+                to = new[a:b]
+                if w is None:
+                    append((np.add, (to, old[a - o:b - o], to)))
+                else:
+                    # the product is formed in one block of its own, so no
+                    # temporary is layer-sized and each stays in cache
+                    part = product[:b - a]
+                    append((np.multiply, (old[a - o:b - o], w, part)))
                     append((np.add, (to, part, to)))
-        if not ops:
-            ops.append((new[..., :rows].fill, (0,)))
         head = ()
         if self.exact:
             if limbs > held:
@@ -633,8 +682,16 @@ class _LayerDP:
             values = [sum(v << (self._radix * j) for j, v in enumerate(cell)) for cell in limbs]
         else:
             cells = np.argwhere(self.layer > 0.0)
-            scale = math.exp(self.log_scale)
-            values = [v * scale for v in self.layer[tuple(cells.T)].tolist()]
+            values = self.layer[tuple(cells.T)].tolist()
+            try:
+                scale = math.exp(self.log_scale)
+            except OverflowError:
+                # past the double range each mass is given as float_value
+                # gives a total: inf past the overflow guard
+                values = [math.inf if (lv := math.log(v) + self.log_scale) > steps_mod.MAX_EXPONENT
+                          else math.exp(lv) for v in values]
+            else:
+                values = [v * scale for v in values]
         return [(tuple(p), v) for p, v in zip((cells + self.lo).tolist(), values)]
 
 

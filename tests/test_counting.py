@@ -224,6 +224,39 @@ def test_large_finite_weights_scale_out():
         assert abs(big.log_value(n) - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("n, weight", [(5, 1e308), (3, 1e200), (10, math.exp(70.6))])
+def test_endpoint_masses_past_the_double_range_are_infinite(n, weight):
+    # the layer's scale passes the double range, so exp(log_scale) would
+    # overflow; each mass is count * weight^n, whose log passes the guard
+    # (700), and reads inf as float_value reads such a total (at e^70.6 the
+    # masses with counts 1, 9, 35 and 42 are finite doubles, but past the guard)
+    masses = cw.end_point_counts([(1,), (-1,)], (0,), n, weights=[weight] * 2)
+    counts = cw.end_point_counts([(1,), (-1,)], (0,), n)
+    assert masses.keys() == counts.keys()
+    for z, c in counts.items():
+        assert math.log(c) + n * math.log(weight) > cw.steps.MAX_EXPONENT
+        assert masses[z] == math.inf
+
+
+def test_endpoint_masses_below_the_guard_stay_finite_past_the_layer_scale():
+    # weights e^71 and 1e-8 e^71: the layer's scale is about e^710, past the
+    # double range; the all-up endpoint passes the guard and reads inf, and
+    # every other mass is exp(log v + scale), within rounding of the true one
+    w = math.exp(71.0)
+    masses = cw.end_point_counts([(1,), (-1,)], (0,), 10, weights=[w, 1e-8 * w])
+    counts = cw.end_point_counts([(1,), (-1,)], (0,), 10)
+    assert masses.keys() == counts.keys()
+    finite = 0
+    for (z,), c in counts.items():
+        log_mass = math.log(c) + 10 * 71.0 + (10 - z) // 2 * math.log(1e-8)
+        if log_mass > cw.steps.MAX_EXPONENT:
+            assert masses[(z,)] == math.inf
+        else:
+            finite += 1
+            assert abs(masses[(z,)] / math.exp(log_mass) - 1.0) <= 1e-12
+    assert finite == 5
+
+
 def test_weights_at_the_double_range_apart_scale_out():
     # the quotient by the largest weight is still a normal double
     tiny = np.finfo(float).tiny
@@ -662,6 +695,39 @@ class TestFlatLayoutMatchesBoxLayout:
         monkeypatch.setattr(counting, "PRODUCT_BLOCK", block)
         _layouts_agree(S5, (0, 2), 40, (1.0, 0.3, 0.5, 1.0, 0.05), False, 0.0)
         _layouts_agree(D3, (0, 1, 0), 16, (0.1, 1.0, 0.3, 0.4), False, counting.FLOAT_TRIM)
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("steps, start, n", [
+        (S5, (0, 0), 40),
+        (S5, (3, 1), 30),
+        (D3, (0, 1, 0), 16),
+        (NSEW, (1, 1), 40),
+        # boxes that outgrow their padding, laid out anew many times
+        ([(2, 0), (0, 2), (-1, -1), (1, 2)], (0, 3), 40),
+        ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (-1, -1, -1)], (1, 0, 2), 14),
+        # layers against the axis-0 wall, with more rows than their next box
+        ([(-1, 1), (-2, -1), (-2, 0), (-1, -2)], (18, 7), 40),
+        ([(-1, 2, -1), (-2, -1, 2), (-1, 0, 0)], (20, 2, 2), 14),
+        # the pair's second step is clipped at the buffer's start
+        ([(1,), (-1,), (2,)], (0,), 40),
+        ([(0, 1), (-1, -1), (1, 0), (0, -1)], (0, 0), 30),
+        # the first step moves no cell, on a one-row box or from the apex;
+        # from (5,), the pair's one-cell ranges do not meet at the first step
+        ([(-1, 0), (0, 1), (0, -1)], (0, 3), 40),
+        ([(-1,), (1,), (-2,)], (0,), 40),
+        ([(-1,), (1,), (3,)], (5,), 40),
+    ], ids=["s5", "s5-inside", "d3", "nsew", "2d-relayout", "3d-relayout", "2d-wall", "3d-wall",
+            "1d-clipped", "2d-clipped", "2d-one-row", "1d-apex", "1d-apart"])
+    def test_unit_steps_in_small_blocks(self, steps, start, n, exact, block, monkeypatch):
+        # a block of 7 or 64 cells splits every multi-cell layer into many
+        # blocks, each of them cut by the ranges of the steps, so the first
+        # two unit steps' one add, the cells only one of them reaches and the
+        # zeroed rest meet every block boundary
+        monkeypatch.setattr(counting, "PRODUCT_BLOCK", block)
+        _layouts_agree(steps, start, n, None, exact, counting.FLOAT_TRIM)
+        if not exact:
+            _layouts_agree(steps, start, n, None, exact, 0.0)
 
 
 @st.composite
