@@ -23,18 +23,15 @@ the new box's flat range is cut into blocks of PRODUCT_BLOCK cells, and each
 block takes every step's contribution to it, in step order, before the next
 block starts. A block and the cells it reads then stay in the L2 cache over
 all the steps, where a step over the whole of a layer larger than L2 would
-stream it from L3 once per step. The first step that moves any cell writes
-its cells instead of adding them to zeros, and only the rest of the box is
-zeroed. When the first two such steps have unit weight and their ranges
-meet, one add writes src0 + src1 where both reach, and the cells that only
-one of them reaches are copied from it: one pass over the layer fewer than a
-copy followed by an add. No bit changes: every cell gets the same
-contributions in the same order, and 0.0 + x == x and 0 + n == n, as no cell
-is -0.0. A real cell receives exactly the contributions of the box-by-box
-recurrence, in step order, plus zeros from pad cells. A cell the orthant cuts
-lands in a pad cell, as a row has at least as many pad cells as the cut is
-deep, or before the buffer; the pads of each cut axis are zeroed after the
-adds. When a box outgrows its
+stream it from L3 once per step. In each block one step writes: the first
+step that reaches the block copies its cells there (times its weight), the
+rest of the block is zeroed, and every later step adds; a block that no step
+reaches is zeroed. No bit changes against adding every step to zeros: 0.0 +
+x == x and 0 + n == n, as no cell is -0.0. A real cell receives exactly the
+contributions of the box-by-box recurrence, in step order, plus zeros from
+pad cells. A cell the orthant cuts lands in a pad cell, as a row has at least
+as many pad cells as the cut is deep, or before the buffer; the pads of each
+cut axis are zeroed after the adds. When a box outgrows its
 padding, its buffer or its limbs, it is copied into the idle buffer with two
 spans of padding; a buffer is replaced only when too small, by one twice the
 size the layer needs, and freed before its successor is allocated, so at most
@@ -42,9 +39,9 @@ two layer-sized arrays are alive. A buffer of MAPPED_BYTES or more is an
 anonymous mapping of its own, unmapped when it is freed, so the DP's resident
 size does not depend on the state of malloc's heap or on the host's free huge
 pages. A buffer's pages fault in when a box first reaches them, so a buffer
-doubles: fewer buffers fault in fewer pages. A step with a weight other than 1
-forms its product for each block in one block of PRODUCT_BLOCK cells that the
-DP owns.
+doubles: fewer buffers fault in fewer pages. A step that adds with a weight
+other than 1 forms its product for each block in one block of PRODUCT_BLOCK
+cells that the DP owns.
 
 Every index of a step follows from the layer's layout: the buffer holding
 it, its lowest point, its shape, its flat range, and in exact mode its limbs
@@ -494,9 +491,10 @@ class _LayerDP:
         one of the last two plans was built from keeps that plan; otherwise
         the plan is built, laying the layer out anew first when the next box
         outgrows its padding, its buffer or its limbs. Its calls run block
-        by block over the new box, each block's in step order (see the
-        module docstring), and then zero the pads of the cut axes and, in
-        exact mode, the limbs the layer gains."""
+        by block over the new box, each block's in step order: the first
+        step to reach the block writes it and zeroes the rest, later steps
+        add (see the module docstring). Then they zero the pads of the cut
+        axes and, in exact mode, the limbs the layer gains."""
         for seen, plan in self._seen:
             if seen == key:
                 return plan
@@ -526,63 +524,43 @@ class _LayerDP:
             g0 = -offset if -offset > first else first
             if g0 < end:
                 moves.append((g0 + offset, end + offset, offset, w))
-        # the parts of the new box that the writers fill, each with the
-        # offsets of the writers that reach it: zeros, one step's cells, or
-        # the one add of a unit pair whose ranges meet
-        writes, adds, w0 = [(0, rows, ())], moves[1:], None
-        if moves:
-            a0, b0, o0, w0 = moves[0]
-            writes = [(0, a0, ()), (a0, b0, (o0,)), (b0, rows, ())]
-        if len(moves) > 1 and w0 is None and moves[1][3] is None:
-            a1, b1, o1, _ = moves[1]
-            # the pair's starts a <= c and ends b <= e, with the offsets of
-            # the steps that start first (p) and end last (q)
-            (a, p), c = ((a0, o0), a1) if a0 < a1 else ((a1, o1), a0)
-            b, (e, q) = (b0, (b1, o1)) if b0 < b1 else (b1, (b0, o0))
-            if c < b:
-                adds = moves[2:]
-                writes = [(0, a, ()), (a, c, (p,)), (c, b, (o0, o1)), (b, e, (q,)), (e, rows, ())]
         ops = []
         append, block, product = ops.append, PRODUCT_BLOCK, self._product
         # block by block, so that a block and its sources stay in cache over
         # all the steps; each block's cells get the steps in step order
         for x in range(0, rows, block):
             y = x + block if x + block < rows else rows
-            for a, b, froms in writes:
+            written = False
+            for a, b, o, w in moves:
                 if a < x:
                     a = x
                 if b > y:
                     b = y
                 if a >= b:
                     continue
-                to = new[a:b]
-                if not froms:
-                    append((to.fill, (0,)))
-                elif len(froms) == 2:
-                    o, r = froms
-                    append((np.add, (old[a - o:b - o], old[a - r:b - r], to)))
-                elif w0 is None:
-                    o, = froms
-                    append((operator.setitem, (to, ..., old[a - o:b - o])))
-                else:
-                    o, = froms
-                    append((np.multiply, (old[a - o:b - o], w0, to)))
-            for a, b, o, w in adds:
-                if a < x:
-                    a = x
-                if b > y:
-                    b = y
-                if a >= b:
+                to, part = new[a:b], old[a - o:b - o]
+                if not written:
+                    # the first step to reach the block writes its cells,
+                    # and the rest of the block is zeroed
+                    written = True
+                    if w is None:
+                        append((operator.setitem, (to, ..., part)))
+                    else:
+                        append((np.multiply, (part, w, to)))
+                    if x < a:
+                        append((new[x:a].fill, (0,)))
+                    if b < y:
+                        append((new[b:y].fill, (0,)))
                     continue
-                to = new[a:b]
-                if w is None:
-                    append((np.add, (to, old[a - o:b - o], to)))
-                else:
+                if w is not None:
                     # the product is formed in one block of its own, so no
                     # temporary is layer-sized and each stays in cache
-                    part = product[:b - a]
-                    append((np.multiply, (old[a - o:b - o], w, part)))
-                    append((np.add, (to, part, to)))
+                    weighted = product[:b - a]
+                    append((np.multiply, (part, w, weighted)))
+                    part = weighted
+                append((np.add, (to, part, to)))
+            if not written:
+                append((new[x:y].fill, (0,)))
         head = ()
         if self.exact:
             if limbs > held:

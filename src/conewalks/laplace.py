@@ -152,8 +152,13 @@ def _checked_terms(model, x):
 
 
 def tilt(m, z):
-    """Exponential change of measure: weights w_s e^{<z,s>} / L(z)."""
-    w = _checked_terms(FiniteLaplace(m), z)._weighted()
+    """Exponential change of measure: weights w_s e^{<z,s>} / L(z). A
+    non-finite z, whose weights would be NaN, raises ValueError."""
+    model = FiniteLaplace(m)
+    z = _checked_point(model, z)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"cannot tilt at the non-finite point {z.tolist()}")
+    w = _checked_terms(model, z)._weighted()
     return steps_mod.StepMeasure(m.dim, m.steps, w / w.sum())
 
 

@@ -709,21 +709,24 @@ class TestFlatLayoutMatchesBoxLayout:
         # layers against the axis-0 wall, with more rows than their next box
         ([(-1, 1), (-2, -1), (-2, 0), (-1, -2)], (18, 7), 40),
         ([(-1, 2, -1), (-2, -1, 2), (-1, 0, 0)], (20, 2, 2), 14),
-        # the pair's second step is clipped at the buffer's start
+        # the second step, clipped at the buffer's start, adds to the cells
+        # before the first writer's range, which the writer zeroed
         ([(1,), (-1,), (2,)], (0,), 40),
         ([(0, 1), (-1, -1), (1, 0), (0, -1)], (0, 0), 30),
-        # the first step moves no cell, on a one-row box or from the apex;
-        # from (5,), the pair's one-cell ranges do not meet at the first step
+        # the first step moves no cell, on a one-row box or from the apex, so
+        # the second writes; from (5,), the later steps' one-cell ranges lie
+        # after the first writer's one cell, in the cells it zeroed
         ([(-1, 0), (0, 1), (0, -1)], (0, 3), 40),
         ([(-1,), (1,), (-2,)], (0,), 40),
         ([(-1,), (1,), (3,)], (5,), 40),
     ], ids=["s5", "s5-inside", "d3", "nsew", "2d-relayout", "3d-relayout", "2d-wall", "3d-wall",
-            "1d-clipped", "2d-clipped", "2d-one-row", "1d-apex", "1d-apart"])
+            "1d-add-before-writer", "2d-add-before-writer", "2d-one-row", "1d-apex",
+            "1d-add-after-writer"])
     def test_unit_steps_in_small_blocks(self, steps, start, n, exact, block, monkeypatch):
         # a block of 7 or 64 cells splits every multi-cell layer into many
-        # blocks, each of them cut by the ranges of the steps, so the first
-        # two unit steps' one add, the cells only one of them reaches and the
-        # zeroed rest meet every block boundary
+        # blocks, each of them cut by the ranges of the steps, so the step
+        # that first reaches a block and writes it, the zeroed rest of the
+        # block and the blocks that no step reaches meet every block boundary
         monkeypatch.setattr(counting, "PRODUCT_BLOCK", block)
         _layouts_agree(steps, start, n, None, exact, counting.FLOAT_TRIM)
         if not exact:
@@ -1033,6 +1036,22 @@ class TestExactLimbs:
         # (r = 59) at n = 59, 118 and 177, and 64^n (r = 56) at every n = 28k
         series = cw.count_walks([(0,)] * copies, (0,), 200, mode="exact")
         assert series.values == tuple(copies**k for k in range(201))
+
+    def test_past_one_block_at_the_exact_cap(self):
+        # at n = 200 the S5 layer spans 41,001 cells of its flat range on 8
+        # limbs, past one block, so every block after the first is written
+        # by the step that first reaches it
+        steps, start, _, _ = counting._dp_inputs(S5, (0, 0), 200, None, True)
+        dp = counting._LayerDP(steps, None, start, exact=True)
+        for _ in range(200):
+            dp.advance()
+        assert dp._end - dp._first > counting.PRODUCT_BLOCK and dp._limbs == 8
+        exact = cw.count_walks(S5, (0, 0), 200, mode="exact")
+        logs = cw.count_walks(S5, (0, 0), 200)
+        assert exact.values[-1] == dp.total()
+        for m in range(201):
+            le, ll = exact.log_value(m), logs.log_value(m)
+            assert abs(le - ll) <= 1e-12 * max(1.0, abs(le))
 
     def test_values_are_python_ints(self):
         series = cw.count_walks(S5, (0, 0), 60, mode="exact")

@@ -399,6 +399,13 @@ class TestTilt:
             cw.tilt(m, [800.0])
         with pytest.raises(ValueError, match="length 1"):
             cw.tilt(m, [0.0, 0.0])
+        # a non-finite point is refused by name, not passed on as NaN weights
+        s5 = cw.probability_measure([(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1)], [0.2] * 5)
+        for z in ([np.nan, 0.1], [np.inf, 0.1], [-np.inf, 0.1], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="non-finite point"):
+                cw.tilt(s5, z)
+        with pytest.raises(ValueError, match="non-finite point"):
+            cw.cramer_identity_check(s5, [np.nan, 0.1], (1, 1), 3)
 
     def test_weights_are_the_transform_terms(self, proper_2d_corpus):
         # w e^{S z} / sum, bit for bit, from the terms the transform reads
