@@ -8,12 +8,18 @@ exponents exceed 700 are rejected outright so downstream certificates are
 never built from saturated arithmetic.
 
 Value, gradient and Hessian at a point come from one evaluation, `_terms`:
-one e = exp(S x) (one L(x) for the Gaussian), from which w @ e, (w e) @ S
-and ((w e) S)^T S are formed on request, w e once for both. The public
-functions wrap it; the solvers keep it per trial point, so an iterate forms
+one e = exp(S x) (one L(x) for the Gaussian), from which w.e, (w e) S and
+((w e) S)^T S are formed on request, w e once for both. The public
+functions wrap it, and refuse a point with a non-finite coordinate
+(`_checked_point`); the solvers keep it per trial point, so an iterate forms
 its exponentials once. Terms read later have the bits of a fresh
 evaluation, since the same S x gives the same e. The law tilted at z, with
 weights w_s e^{<z,s>} / L(z), is read from these terms and guard (`tilt`).
+
+These products go through `ndarray.dot`, which calls the BLAS routine that
+`@` calls for float64 operands (ddot, dgemv or dgemm) without matmul's ufunc
+dispatch, so they have its bits (see the solver module) and an overflow in
+one warns "overflow encountered in dot".
 
 Whether the minimum exists on a cone is decided by one min-max LP over the
 cone's rays, solved by the package's dense simplex (`_simplex.simplex_min`)
@@ -68,9 +74,13 @@ class GaussianLaplace:
 
 
 def _checked_point(model, x):
+    """x as a float point of the model's dimension; a non-finite coordinate,
+    whose terms would be NaN, raises ValueError."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(f"expected a point of length {model.dim}")
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"cannot evaluate the transform at the non-finite point {x.tolist()}")
     return x
 
 
@@ -80,7 +90,7 @@ def _exponents(model, x):
     NaN exponent passes. The test runs on Python floats, whose max and min
     may skip a NaN: a range test that holds passes the point, and one that
     fails refuses it unless an exponent is NaN."""
-    dots = model.measure.steps @ x
+    dots = model.measure.steps.dot(x)
     values = dots.tolist()
     bound = steps_mod.MAX_EXPONENT
     if (values and not (max(values) <= bound and min(values) >= -bound)
@@ -97,7 +107,7 @@ class _FiniteTerms:
 
     def __init__(self, measure, e):
         self.measure, self.e = measure, e
-        self.value = float(measure.weights @ e)
+        self.value = float(measure.weights.dot(e))
         self._we = None
 
     def _weighted(self):
@@ -106,11 +116,11 @@ class _FiniteTerms:
         return self._we
 
     def gradient(self):
-        return self._weighted() @ self.measure.steps
+        return self._weighted().dot(self.measure.steps)
 
     def hessian(self):
         w = self._weighted()
-        return (w[:, None] * self.measure.steps).T @ self.measure.steps
+        return (w[:, None] * self.measure.steps).T.dot(self.measure.steps)
 
 
 class _GaussianTerms:
@@ -137,7 +147,7 @@ def _terms(model, x):
     if isinstance(model, FiniteLaplace):
         dots = _exponents(model, x)
         return None if dots is None else _FiniteTerms(model.measure, np.exp(dots))
-    expo = 0.5 * float(x @ x) + float(x @ model.drift)
+    expo = 0.5 * float(x.dot(x)) + float(x.dot(model.drift))
     if expo > steps_mod.MAX_EXPONENT:
         return None
     return _GaussianTerms(x + model.drift, float(np.exp(expo)))
@@ -152,13 +162,8 @@ def _checked_terms(model, x):
 
 
 def tilt(m, z):
-    """Exponential change of measure: weights w_s e^{<z,s>} / L(z). A
-    non-finite z, whose weights would be NaN, raises ValueError."""
-    model = FiniteLaplace(m)
-    z = _checked_point(model, z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"cannot tilt at the non-finite point {z.tolist()}")
-    w = _checked_terms(model, z)._weighted()
+    """Exponential change of measure: weights w_s e^{<z,s>} / L(z)."""
+    w = _checked_terms(FiniteLaplace(m), z)._weighted()
     return steps_mod.StepMeasure(m.dim, m.steps, w / w.sum())
 
 
@@ -192,9 +197,9 @@ def classify_direction(model, u, x=None):
         raise ValueError(f"direction must have length {model.dim}")
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
+    x = np.zeros(model.dim) if x is None else _checked_point(model, x)
     if isinstance(model, GaussianLaplace):
         return DirectionBehavior(diverges=True)
-    x = np.zeros(model.dim) if x is None else _checked_point(model, x)
     dots = model.measure.steps @ u
     if float(dots.max()) > BOUNDARY_TOL:
         return DirectionBehavior(diverges=True)

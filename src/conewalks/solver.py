@@ -13,7 +13,7 @@ point: the line search keeps the terms (`laplace._terms`) of the trial it
 accepts, and the next iterate reads its gradient and Hessian from them
 instead of forming S x again. That gives the bits of evaluating the point
 afresh, because every number that feeds a result comes from the same numpy
-call on the same operands: S @ (R^T t), never (S R^T) t; w @ e for the value;
+call on the same operands: S (R^T t), never (S R^T) t; w.e for the value;
 and lambda_max(R H R^T) from `_top_eigenvalue`, which calls the LAPACK gufunc
 behind np.linalg.eigvalsh (`_umath_linalg.eigvalsh_lo`, 'd->d') on the same
 float64 matrix. np.linalg.eigvalsh adds only argument checks, an error state
@@ -23,6 +23,15 @@ NaN or an infinity, where LAPACK can fail, it calls np.linalg.eigvalsh
 itself, and so raises where that raises. The multi-ray loop's stopping test
 runs on Python floats, whose products and comparisons are the IEEE ones
 numpy makes elementwise.
+
+The loops' matrix products go through `ndarray.dot`, not `@`: for float64
+operands both call the same BLAS routine (ddot, dgemv or dgemm) on the same
+operands, so they give the same bits, and .dot skips matmul's ufunc
+dispatch, which costs about as much as the arithmetic on these arrays of 2
+to 8 entries. A contraction of length 1, one lone product, is the
+exception: `@` adds it to +0.0, so a -0.0 product comes back as +0.0. The
+loops read such a zero only through exp, sums and comparisons, which do not
+see its sign.
 
 The ray solver serves the single-ray dual cone of a half-space, as a batch of
 one, and the hyperplane scan, as a batch of every grid direction. Each
@@ -137,7 +146,7 @@ def _armijo_projected(model, x, f, g, d):
         xn = np.maximum(x + alpha * d, 0.0)
         at = laplace._terms(model, xn)
         if at is not None:
-            gain = float(g @ (xn - x))
+            gain = float(g.dot(xn - x))
             if at.value <= f + ARMIJO_SLOPE * gain and (gain < 0.0 or at.value <= f):
                 if np.array_equal(xn, x):
                     return None
@@ -304,22 +313,22 @@ def _minimize_rays(model, R, tol, max_iter, t0):
     tol = tol * min(1.0, max(reach, default=0.0))
     RT = R.T
     t = np.maximum(np.asarray(t0, dtype=float), 0.0)
-    x = RT @ t
+    x = RT.dot(t)
     at = laplace._terms(model, x)
     if at is None:
         t = np.zeros(R.shape[0])
-        x = RT @ t
+        x = RT.dot(t)
         at = laplace._terms(model, x)
     alpha = 1.0
     # no iterate is written to after it is made, so the trace holds them all
     trace = [t]
     for it in range(1, max_iter + 1):
-        g = R @ at.gradient()
+        g = R.dot(at.gradient())
         pg = [gi if ti * ri > ACTIVE_EPS else min(gi, 0.0)
               for gi, ti, ri in zip(g.tolist(), t.tolist(), reach)]
         if max(map(abs, pg), default=0.0) <= tol and float(np.linalg.norm(pg)) <= tol:
             return x, t, it, trace
-        curv = _top_eigenvalue(R @ at.hessian() @ RT)
+        curv = _top_eigenvalue(R.dot(at.hessian()).dot(RT))
         alpha_safe = 1.0 / max(curv, 1e-300)
         alpha = max(alpha * 2.0, alpha_safe)
         moved = False
@@ -327,16 +336,16 @@ def _minimize_rays(model, R, tol, max_iter, t0):
             if alpha < 0.25 * alpha_safe:
                 break
             tn = np.maximum(t - alpha * g, 0.0)
-            xn = RT @ tn
+            xn = RT.dot(tn)
             an = laplace._terms(model, xn)
-            if an is not None and an.value <= at.value + ARMIJO_SLOPE * float(g @ (tn - t)):
+            if an is not None and an.value <= at.value + ARMIJO_SLOPE * float(g.dot(tn - t)):
                 moved = True
                 break
             alpha *= ARMIJO_FACTOR
         if not moved:
             alpha = alpha_safe
             tn = np.maximum(t - alpha * g, 0.0)
-            xn = RT @ tn
+            xn = RT.dot(tn)
             an = laplace._terms(model, xn)
             if an is None or np.array_equal(tn, t):
                 raise NonConvergenceError("projected gradient stalled", trace)

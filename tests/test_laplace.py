@@ -78,6 +78,25 @@ class TestValue:
             assert (laplace._exponents(model, x) is None) == refused
 
 
+class TestNonFinitePoint:
+    """A point with a NaN or an infinite coordinate is refused by name, as
+    tilt refuses it, before any exponential is formed: no NaN result and no
+    RuntimeWarning (an error under the tier-1 filter)."""
+
+    MODELS = [cw.FiniteLaplace(cw.from_step_set([(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1)])),
+              cw.GaussianLaplace([-1.0, 0.5])]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["finite", "gaussian"])
+    @pytest.mark.parametrize("x", [[np.nan, 0.1], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_refused(self, model, x):
+        for fn in (cw.value, cw.gradient, cw.hessian):
+            with pytest.raises(ValueError, match="non-finite point"):
+                fn(model, x)
+        u = np.array([-1.0, -1.0]) / np.sqrt(2.0)
+        with pytest.raises(ValueError, match="non-finite point"):
+            cw.classify_direction(model, u, x=x)
+
+
 class TestGradient:
     def test_gradient_at_origin_is_mean(self, models):
         for model in models:

@@ -850,3 +850,65 @@ class TestTopEigenvalue:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_nonfinite_entries_as_eigvalsh(self, M):
         assert outcome(solver._top_eigenvalue, M) == outcome(lambda: np.linalg.eigvalsh(M)[-1])
+
+
+@st.composite
+def product_operands(draw):
+    """Operands shaped as the loops' products: k steps S in R^d, m rays R, a
+    point x, weights w and coefficients t >= 0, with S and R C- or
+    F-ordered. Lattice entries hold zeros, whose products carry a sign; near
+    the guard, x is scaled so that max|S x| is about 699 to 700."""
+    k, d, m = draw(st.integers(1, 64)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        S, R = (rng.integers(-2, 3, size=(n, d)).astype(float) for n in (k, m))
+    else:
+        S, R = rng.normal(size=(k, d)), rng.normal(size=(m, d))
+    S, R = (np.asfortranarray(A) if draw(st.booleans()) else A for A in (S, R))
+    x = rng.normal(size=d)
+    top = float(np.abs(S @ x).max())
+    if draw(st.booleans()) and top > 0.0:
+        x *= draw(st.floats(699.0, 700.0)) / top
+    w = rng.random(k) + 0.01
+    return S, R, x, w / w.sum(), np.maximum(rng.normal(size=m), 0.0)
+
+
+class TestDotMatchesMatmul:
+    """The loops write their small products with ndarray.dot, which calls the
+    BLAS routine (ddot, dgemv or dgemm) that @ calls for float64 operands:
+    each form gives the bytes of @. A contraction of length 1 is a lone
+    product, which .dot returns as it is and @ adds to +0.0, so there the
+    bytes are those of the .dot result plus 0.0."""
+
+    @given(product_operands())
+    @example((np.zeros((1, 1)), -np.ones((2, 1)), -np.ones(1), np.ones(1), np.zeros(2)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_loop_products(self, operands):
+        S, R, x, w, t = operands
+        (k, d), m = S.shape, R.shape[0]
+        # products past the largest double overflow alike on both sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(S @ x)
+            we = w * e
+            wS = (we[:, None] * S).T
+            grad = we @ S
+            H = wS @ S
+            g = R @ grad
+            tn = np.maximum(t - g, 0.0)
+            forms = [  # (contracted length, .dot, @)
+                (d, S.dot(x), S @ x),                 # exponents S x
+                (k, w.dot(e), w @ e),                 # L = w . e
+                (k, we.dot(S), we @ S),               # grad L = (w e) S
+                (k, wS.dot(S), wS @ S),               # Hessian ((w e) S)^T S
+                (m, R.T.dot(t), R.T @ t),             # x = R^T t
+                (d, R.dot(grad), R @ grad),           # R grad L
+                (d, R.dot(H).dot(R.T), R @ H @ R.T),  # R H R^T
+                (m, g.dot(tn - t), g @ (tn - t)),     # ray gain g . (t' - t)
+                (d, x.dot(S[0]), x @ S[0]),           # orthant gain, Gaussian <x, a>
+                (d, x.dot(x), x @ x),                 # Gaussian |x|^2
+            ]
+        for length, dot, matmul in forms:
+            dot = np.asarray(dot)
+            if length == 1:
+                dot = dot + 0.0
+            assert dot.tobytes() == np.asarray(matmul).tobytes()
