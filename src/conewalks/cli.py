@@ -2,9 +2,12 @@
 
 Every command echoes its full resolved configuration, so a report alone
 suffices to reproduce the run; with ``--json`` the output is a schema-stable
-document that is byte-identical across repeated runs. Each ``cmd_*`` fills in
-the report that ``main`` hands it and returns an exit code; ``main`` alone
-maps library errors to exit codes and prints the report. Exit codes:
+document that is byte-identical across repeated runs. Each ``cmd_*`` puts the
+library's results (dataclasses and arrays) unchanged into the report that
+``main`` hands it, and returns an exit code; ``_emit`` alone encodes a report,
+a dataclass as its fields and an array as a flat list of floats. ``main``
+alone maps library errors to exit codes, sets status "ok" where the command
+set none, and prints the report. Exit codes:
 0 success; 1 input error (a message on stderr, no report); 2 hypothesis
 failure (status "improper" with the witness; `check` reports "h1-failed" when
 H2' holds but the support lies in a hyperplane; `verify` reports
@@ -18,6 +21,7 @@ the command keeps its exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -116,10 +120,22 @@ def _parse_lattice_point(text):
     return tuple(steps_mod.as_int64(coords, message).tolist())
 
 
+def _plain(obj):
+    """A result dataclass as the dict of its fields, an array as a flat list
+    of floats; anything else is a TypeError, as ``json.dumps`` expects."""
+    if isinstance(obj, np.ndarray):
+        return obj.astype(float).ravel().tolist()
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _emit(report, as_json):
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2, default=_plain))
         return
+    # the same encoding, read back; the keys of a dict inside a list keep
+    # their order, as the walk sorts only the keys it descends into
+    report = json.loads(json.dumps(report, default=_plain))
+
     def walk(prefix, obj):
         if isinstance(obj, dict):
             for k in sorted(obj):
@@ -131,31 +147,20 @@ def _emit(report, as_json):
     walk("", report)
 
 
-def _floats(vec):
-    return [float(v) for v in np.asarray(vec).ravel()]
+def _certificate(cert):
+    # a certificate exists only where H1 and H2' hold; H3 is not checked
+    return {**_plain(cert), "hypothesis_flags": {"h1": True, "h2prime": True, "h3": None}}
 
 
 def cmd_rate(args, report):
     measure, doc = _load_measure(args.steps)
     cone = _parse_cone(args.cone, measure.dim)
     report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
-                        "weights": _floats(measure.weights), "dim": measure.dim,
+                        "weights": measure.weights, "dim": measure.dim,
                         "cone": args.cone, "tol": args.tol, "threads": 1, "seed": 0}
     cert = solver.minimize_on_dual(laplace.FiniteLaplace(measure), cone, tol=args.tol)
-    report["status"] = "ok"
-    report["certificate"] = cert.to_dict()
+    report["certificate"] = _certificate(cert)
     return EXIT_OK
-
-
-def _series_rows(series, estimate):
-    p, logs = estimate.period, [series.log_value(n) for n in range(series.n_max + 1)]
-    rows = []
-    for n, ln in enumerate(logs):
-        lp = logs[n - p] if n >= p else None
-        ratio = None if ln is None or lp is None else float(np.exp((ln - lp) / p))
-        rows.append((n, series.values[n] if series.mode == counting.EXACT else ln, ratio,
-                     estimate.extrapolated))
-    return rows
 
 
 def cmd_enumerate(args, report):
@@ -164,24 +169,26 @@ def cmd_enumerate(args, report):
     weights = None if "weights" not in doc or doc["weights"] is None else measure.weights
     mode = counting.EXACT if args.mode == "exact" else counting.LOG_SCALED
     report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
-                        "weights": None if weights is None else _floats(weights),
-                        "start": list(start), "n": args.n, "mode": args.mode,
-                        "csv": args.csv, "threads": 1, "seed": 0}
+                        "weights": weights, "start": list(start), "n": args.n,
+                        "mode": args.mode, "csv": args.csv, "threads": 1, "seed": 0}
     series = counting.count_walks(doc["steps"], start, args.n, weights=weights, mode=mode)
     estimate = counting.estimate_rate(series)
+    exact = series.mode == counting.EXACT
+    logs = [series.log_value(n) for n in range(series.n_max + 1)]
     if args.csv:
+        p = estimate.period
         with open(args.csv, "w") as fh:
             fh.write("n,count_or_logprob,ratio,extrapolated_rate\n")
-            for n, value, ratio, extrap in _series_rows(series, estimate):
-                fh.write(f"{n},{'' if value is None else value},"
-                         f"{'' if ratio is None else ratio},{extrap}\n")
-    report["status"] = "ok"
-    report["values"] = [None if (v := series.log_value(n)) is None else
-                        (series.values[n] if series.mode == counting.EXACT else v)
-                        for n in range(series.n_max + 1)]
-    report["value_kind"] = "exact_count" if series.mode == counting.EXACT else "log_value"
-    report["estimate"] = {"raw_ratio": estimate.raw_ratio, "period": estimate.period,
-                          "extrapolated": estimate.extrapolated}
+            for n, ln in enumerate(logs):
+                # an exact series writes its zero counts, a log series leaves them empty
+                value = series.values[n] if exact else "" if ln is None else ln
+                lp = logs[n - p] if n >= p else None
+                ratio = "" if ln is None or lp is None else float(np.exp((ln - lp) / p))
+                fh.write(f"{n},{value},{ratio},{estimate.extrapolated}\n")
+    report["values"] = [None if ln is None else series.values[n] if exact else ln
+                        for n, ln in enumerate(logs)]
+    report["value_kind"] = "exact_count" if exact else "log_value"
+    report["estimate"] = estimate
     return EXIT_OK
 
 
@@ -192,7 +199,7 @@ def cmd_verify(args, report):
     start = _parse_lattice_point(args.start)
     mc_n = args.mc_n if args.mc_n is not None else min(args.n, 60)
     report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
-                        "weights": _floats(measure.weights), "start": list(start),
+                        "weights": measure.weights, "start": list(start),
                         "n": args.n, "mc_n": mc_n, "seed": args.seed,
                         "trials": args.trials, "cone": "orthant", "threads": 1}
 
@@ -206,7 +213,7 @@ def cmd_verify(args, report):
         # rate limit inapplicable: decay may depend on the start; show it
         report["status"] = "inapplicable"
         report["message"] = "rate theorem inapplicable (support in a dual half-space)"
-        report["witness"] = _floats(exc.witness)
+        report["witness"] = exc.witness
         shift = np.ones(measure.dim, dtype=np.int64)
         starts = [np.array(start), np.array(start) + shift, np.array(start) + 2 * shift]
         report["per_start_rates"] = [
@@ -234,7 +241,7 @@ def cmd_verify(args, report):
     }
     passed = checks["rate_pass"] and checks["mc_pass"]
     report["status"] = "ok" if passed else "check-failed"
-    report["certificate"] = cert.to_dict()
+    report["certificate"] = _certificate(cert)
     report["dp"] = {"extrapolated_rate": dp_rate, "survival_at_mc_n": dp_survival}
     report["mc"] = {"tilted_estimate": mc.estimate, "stderr": mc.stderr}
     report["checks"] = checks
@@ -245,30 +252,21 @@ def cmd_check(args, report):
     measure, doc = _load_measure(args.steps)
     cone = _parse_cone(args.cone, measure.dim)
     report["config"] = {"steps_file": args.steps, "steps": doc["steps"],
-                        "weights": _floats(measure.weights), "cone": args.cone,
+                        "weights": measure.weights, "cone": args.cone,
                         "depth": args.depth, "threads": 1, "seed": 0}
     h2 = steps_mod.check_h2prime(measure, cone)
     report["h1"] = steps_mod.check_h1(measure)
     report["status"] = "improper" if not h2.proper else "ok" if report["h1"] else "h1-failed"
     report["h1_via_covariance"] = steps_mod.check_h1_via_covariance(measure)
-    report["h2prime"] = {"proper": h2.proper,
-                         "witness": None if h2.witness is None else _floats(h2.witness)}
+    report["h2prime"] = h2
     report["h3"] = None
     report["find_delta"] = None
     if measure.is_lattice():
         # H3'' is the orthant's hypothesis; on another cone the delta search
         # at delta = 0 asks the same question
         if cone.kind == cones.ORTHANT:
-            h3 = steps_mod.check_h3(doc["steps"], args.depth)
-            report["h3"] = {"ok": h3.ok,
-                            "path": None if h3.path is None else [list(s) for s in h3.path],
-                            "exhausted": h3.exhausted}
-        fd = counting.find_delta(doc["steps"], cone, n_max=args.depth)
-        report["find_delta"] = {
-            "found": fd.found, "delta": fd.delta, "n0": fd.n0,
-            "path": None if fd.path is None else [list(s) for s in fd.path],
-            "h2_witness": None if fd.h2_witness is None else _floats(fd.h2_witness),
-        }
+            report["h3"] = steps_mod.check_h3(doc["steps"], args.depth)
+        report["find_delta"] = counting.find_delta(doc["steps"], cone, n_max=args.depth)
     return EXIT_OK if report["status"] == "ok" else EXIT_HYPOTHESIS
 
 
@@ -279,27 +277,20 @@ def cmd_halfspace(args, report):
         start = _parse_lattice_point(args.start)
     report["config"] = {"p": args.p, "N": args.N, "n": args.n, "start": list(start),
                         "threads": 1, "seed": 0}
-    check = families.halfspace_verify(args.p, args.N, start, args.n)
-    report["status"] = "ok"
-    report["closed_form"] = check.closed_form
-    report["dp_estimate"] = check.dp_estimate
-    report["abs_error"] = check.abs_error
-    report["alt_start"] = list(check.alt_start)
-    report["alt_estimate"] = check.alt_estimate
+    report.update(_plain(families.halfspace_verify(args.p, args.N, start, args.n)))
     return EXIT_OK
 
 
 def cmd_brownian(args, report):
     drift = np.array(_parse_point(args.drift, "drift"))
     cone = _parse_cone(args.cone, drift.shape[0])
-    report["config"] = {"drift": _floats(drift), "cone": args.cone, "threads": 1, "seed": 0}
+    report["config"] = {"drift": drift, "cone": args.cone, "threads": 1, "seed": 0}
     closed = solver.brownian_rate(drift, cone)
     cert = solver.minimize_on_dual(laplace.GaussianLaplace(drift), cone)
-    report["status"] = "ok"
     report["closed_form"] = closed
     report["solver_rho"] = cert.rho
     report["abs_diff"] = abs(closed - cert.rho)
-    report["x_star"] = _floats(cert.x_star)
+    report["x_star"] = cert.x_star
     return EXIT_OK
 
 
@@ -309,11 +300,10 @@ def cmd_scan(args, report):
                         "grid": args.grid, "threads": 1, "seed": 0}
     growth = solver.growth_constant(measure.steps)
     scan = solver.hyperplane_scan(measure.steps, args.grid)
-    report["status"] = "ok"
     report["growth_constant"] = growth.k_s
     report["scan_minimum"] = scan.k_min
     report["gap"] = scan.k_min - growth.k_s
-    report["argmin_direction"] = _floats(scan.direction)
+    report["argmin_direction"] = scan.direction
     return EXIT_OK
 
 
@@ -389,9 +379,10 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         report["command"] = args.subcommand
         code = args.func(args, report)
+        report.setdefault("status", "ok")
     except solver.ImproperModelError as exc:
         report["status"] = "improper"
-        report["witness"] = _floats(exc.witness)
+        report["witness"] = exc.witness
         code = EXIT_HYPOTHESIS
     except solver.NonConvergenceError as exc:
         report["status"] = "non-convergence"

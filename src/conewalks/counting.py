@@ -223,11 +223,15 @@ class CountSeries:
 
     def float_value(self, n):
         lv = self.log_value(n)
-        if lv is None:
-            return 0.0
-        if lv > steps_mod.MAX_EXPONENT:
-            return math.inf
+        return 0.0 if lv is None else _exp(lv)
+
+
+def _exp(lv):
+    """e^lv, or inf past the double range."""
+    try:
         return math.exp(lv)
+    except OverflowError:
+        return math.inf
 
 
 def _dp_inputs(steps, start, n, weights, exact):
@@ -374,7 +378,6 @@ class _LayerDP:
         self._view = np.ones((1,) * (len(self._lead) + d), dtype=dtype)
         self._buffers = [np.empty((1, 0) if exact else (0,), dtype=dtype)] * 2
         self._relayout(1, 1)
-        self._set_state(self._state(self._view, [1] * d, self.lo, (0, 0) * d))
 
     @property
     def layer(self):
@@ -428,15 +431,12 @@ class _LayerDP:
             copy = True
             total = idle[:math.prod(extent)].reshape(extent)[
                 tuple(slice(c, c + k) for c, k in zip(bounds[0::2], view.shape))]
-        key = self._layout(lo, view.shape[-self.d:], first, end)
+        key = (self._parity, tuple(lo), view.shape[-self.d:], first, end, self._limbs)
         return view, lo, first, end, cells, total, copy, carry, key
 
     def _set_state(self, state):
         (self._view, self.lo, self._first, self._end,
          self._cells, self._total, self._copy, self._carry, self._key) = state
-
-    def _layout(self, lo, shape, first, end):
-        return (self._parity, tuple(lo), shape, first, end, self._limbs)
 
     def _relayout(self, rows, limbs):
         """Copy the layer to the start of the idle buffer, padding each axis
@@ -481,9 +481,8 @@ class _LayerDP:
         # the strides in bytes of a box at the start of a buffer, limbs first
         self._byte_strides = self._buffers[0].strides[:-1] + tuple(
             st * self._buffers[0].itemsize for st in self._strides)
-        self._first = 0
-        self._end = sum((k - 1) * st for k, st in zip(n, self._strides)) + 1
-        self._key = self._layout(self.lo, n, self._first, self._end)
+        self._set_state(self._state(self._view, list(n), self.lo,
+                                    tuple(v for k in n for v in (0, k - 1))))
 
     def _plan(self, key, limbs):
         """The plan of the next step from the layer's layout ``key``, or
@@ -498,6 +497,8 @@ class _LayerDP:
         for seen, plan in self._seen:
             if seen == key:
                 return plan
+        # a plan left bound here would keep the buffers a relayout frees alive
+        seen = plan = None
         lo, n = self.lo, self._view.shape[-self.d:]
         new_lo = [a + m if a + m > 0 else 0 for a, m in zip(lo, self.step_min)]
         box = [a + k - b + m for a, k, b, m in zip(lo, n, new_lo, self.step_max)]
@@ -665,9 +666,8 @@ class _LayerDP:
                 scale = math.exp(self.log_scale)
             except OverflowError:
                 # past the double range each mass is given as float_value
-                # gives a total: inf past the overflow guard
-                values = [math.inf if (lv := math.log(v) + self.log_scale) > steps_mod.MAX_EXPONENT
-                          else math.exp(lv) for v in values]
+                # gives a total: inf only where the mass itself passes it
+                values = [_exp(math.log(v) + self.log_scale) for v in values]
             else:
                 values = [v * scale for v in values]
         return [(tuple(p), v) for p, v in zip((cells + self.lo).tolist(), values)]

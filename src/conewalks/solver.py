@@ -105,19 +105,6 @@ class RateCertificate:
     active_set: tuple
     iterations: int
 
-    def to_dict(self):
-        # a certificate exists only where H1 and H2' hold; H3 is not checked
-        return {
-            "x_star": [float(v) for v in self.x_star],
-            "rho": float(self.rho),
-            "grad": [float(v) for v in self.grad],
-            "kkt_membership_residual": float(self.kkt_membership_residual),
-            "kkt_orthogonality": float(self.kkt_orthogonality),
-            "active_set": list(self.active_set),
-            "iterations": int(self.iterations),
-            "hypothesis_flags": {"h1": True, "h2prime": True, "h3": None},
-        }
-
 
 def _newton_direction(H, g, free):
     """Newton step on the free variables, gradient step on the rest."""

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -48,6 +49,14 @@ class TestRate:
         cert = doc["certificate"]
         assert abs(cert["rho"] - 0.8660254) <= 1e-6
         assert abs(cert["x_star"][0] - 0.5493061) <= 1e-6
+
+    def test_certificate_holds_every_field_and_the_hypothesis_flags(self, capsys, step_file):
+        path = step_file("five.json", 2, NSEW_SW)
+        code, doc, _ = run_json(capsys, "rate", "--steps", path)
+        assert code == 0
+        fields = {f.name for f in dataclasses.fields(solver.RateCertificate)}
+        assert set(doc["certificate"]) == fields | {"hypothesis_flags"}
+        assert doc["certificate"]["hypothesis_flags"] == {"h1": True, "h2prime": True, "h3": None}
 
     def test_drift_in_cone(self, capsys, step_file):
         path = step_file("nsew.json", 2, NSEW)
@@ -356,6 +365,47 @@ class TestTextReports:
         lines = out.splitlines()
         assert "h2prime.proper: False" in lines and "h2prime.witness: [0.5, 0.5]" in lines
         assert "status: improper" in lines
+
+    def test_verify_prints_per_start_rates_in_insertion_order(self, capsys, step_file):
+        # a list of dicts prints as one line, each dict's keys in the order
+        # the command set them, not sorted as the --json report has them
+        path = step_file("hs.json", 2, HALFSPACE_MODEL)
+        argv = ("verify", "--steps", path, "--start", "1,1", "--n", "60", "--trials", "2000")
+        code, out, _ = run(capsys, *argv)
+        json_code, doc, _ = run_json(capsys, *argv)
+        assert code == json_code == 2
+        rates = [{"start": r["start"], "extrapolated": r["extrapolated"]}
+                 for r in doc["per_start_rates"]]
+        assert [r["start"] for r in rates] == [[1, 1], [2, 2], [3, 3]]
+        assert f"per_start_rates: {rates}" in out.splitlines()
+
+    @pytest.mark.parametrize("command", ["rate", "enumerate", "verify", "verify-improper",
+                                         "check", "halfspace", "brownian", "scan"])
+    def test_text_keys_are_the_flattened_json_keys(self, capsys, step_file, command):
+        five = step_file("five.json", 2, NSEW_SW)
+        argv = {
+            "rate": ["rate", "--steps", five],
+            "enumerate": ["enumerate", "--steps", five, "--start", "1,1", "--n", "20"],
+            "verify": ["verify", "--steps", five, "--start", "1,1", "--n", "8", "--mc-n", "8",
+                       "--trials", "50"],
+            "verify-improper": ["verify", "--steps", step_file("hs.json", 2, HALFSPACE_MODEL),
+                                "--start", "1,1", "--n", "20", "--trials", "50"],
+            "check": ["check", "--steps", five],
+            "halfspace": ["halfspace", "--p", "0.4", "--N", "2", "--n", "200"],
+            "brownian": ["brownian", "--drift=-1,-0.5"],
+            "scan": ["scan", "--steps", five, "--grid", "51"],
+        }[command]
+        code, out, _ = run(capsys, *argv)
+        json_code, doc, _ = run_json(capsys, *argv)
+        assert code == json_code
+
+        def dotted(obj, prefix=""):
+            # the leaves in the order the text walk prints them
+            if not isinstance(obj, dict):
+                return [prefix[:-1]]
+            return [key for k in sorted(obj) for key in dotted(obj[k], f"{prefix}{k}.")]
+
+        assert [line.split(": ", 1)[0] for line in out.splitlines()] == dotted(doc)
 
 
 class TestCheck:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import mmap
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +22,8 @@ S5 = [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1)]
 D3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 # {E,N,W,S,SW} in the step order of the `verify` benchmark's step file
 ENSWS = [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)]
+# the log of the largest double: a mass or total past it reads inf
+LOG_MAX = math.log(sys.float_info.max)
 
 
 def brute_totals(steps, start, n, weights=None):
@@ -211,6 +214,16 @@ def test_float_value_past_the_overflow_guard_is_infinite():
     assert counting.CountSeries(0, counting.EXACT, (0,)).float_value(0) == 0.0
 
 
+def test_float_value_past_the_laplace_guard_is_finite_in_the_double_range():
+    # log totals near 705 pass the Laplace guard (700) but not the double
+    # range: the total is the finite double, not inf
+    for series, want in ((counting.CountSeries(0, counting.EXACT, (4**508,)), 2.0**1016),
+                         (counting.CountSeries(0, counting.LOG_SCALED, ((1.0, 705.0),)),
+                          math.exp(705.0))):
+        assert math.isfinite(series.float_value(0))
+        assert abs(series.float_value(0) / want - 1.0) <= 1e-12
+
+
 def test_large_finite_weights_scale_out():
     # the weights are divided by their maximum and its log is added back per
     # layer, so 1e308 weights neither overflow nor lose the unit-weight layers
@@ -227,20 +240,27 @@ def test_large_finite_weights_scale_out():
 @pytest.mark.parametrize("n, weight", [(5, 1e308), (3, 1e200), (10, math.exp(70.6))])
 def test_endpoint_masses_past_the_double_range_are_infinite(n, weight):
     # the layer's scale passes the double range, so exp(log_scale) would
-    # overflow; each mass is count * weight^n, whose log passes the guard
-    # (700), and reads inf as float_value reads such a total (at e^70.6 the
-    # masses with counts 1, 9, 35 and 42 are finite doubles, but past the guard)
+    # overflow; each mass is count * weight^n, inf where that passes the
+    # double range, as float_value reads such a total, and finite otherwise:
+    # at e^70.6 the masses with counts 1, 9, 35 and 42 are finite doubles,
+    # though past the Laplace guard (e^700)
     masses = cw.end_point_counts([(1,), (-1,)], (0,), n, weights=[weight] * 2)
     counts = cw.end_point_counts([(1,), (-1,)], (0,), n)
     assert masses.keys() == counts.keys()
+    finite = 0
     for z, c in counts.items():
-        assert math.log(c) + n * math.log(weight) > cw.steps.MAX_EXPONENT
-        assert masses[z] == math.inf
+        log_mass = math.log(c) + n * math.log(weight)
+        if log_mass > LOG_MAX:
+            assert masses[z] == math.inf
+        else:
+            finite += 1
+            assert abs(masses[z] / math.exp(log_mass) - 1.0) <= 1e-12
+    assert finite == (4 if n == 10 else 0)
 
 
 def test_endpoint_masses_below_the_guard_stay_finite_past_the_layer_scale():
     # weights e^71 and 1e-8 e^71: the layer's scale is about e^710, past the
-    # double range; the all-up endpoint passes the guard and reads inf, and
+    # double range; the all-up endpoint passes it too and reads inf, and
     # every other mass is exp(log v + scale), within rounding of the true one
     w = math.exp(71.0)
     masses = cw.end_point_counts([(1,), (-1,)], (0,), 10, weights=[w, 1e-8 * w])
@@ -249,7 +269,7 @@ def test_endpoint_masses_below_the_guard_stay_finite_past_the_layer_scale():
     finite = 0
     for (z,), c in counts.items():
         log_mass = math.log(c) + 10 * 71.0 + (10 - z) // 2 * math.log(1e-8)
-        if log_mass > cw.steps.MAX_EXPONENT:
+        if log_mass > LOG_MAX:
             assert masses[(z,)] == math.inf
         else:
             finite += 1
