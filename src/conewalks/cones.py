@@ -156,8 +156,10 @@ def halfspace(u):
 
 
 def _cone_vectors(vectors, what):
-    """The rows as a read-only float copy: finite, at least one, none zero."""
+    """The rows as a read-only float copy: vectors, finite, at least one, none zero."""
     V = _finite(np.atleast_2d(np.array(vectors, dtype=float)), f"every {what}")
+    if V.ndim != 2:
+        raise ConeError(f"every {what} must be a vector, got an array of shape {V.shape}")
     if V.shape[0] < 1:
         raise ConeError(f"cone needs at least one {what}")
     if not V.any(axis=1).all():
@@ -300,6 +302,12 @@ def _generators(V):
     Z = np.vstack([Z[(lo >= -RANK_TOL) & (hi > RANK_TOL)], -Z[(hi <= RANK_TOL) & (lo < -RANK_TOL)]])
     rays = _first_along(Z, np.asarray)
     return np.vstack([K, -K, rays]) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+def require_dim(cone, dim):
+    """Refuse a cone that does not live in R^dim, the model's space."""
+    if cone.dim != dim:
+        raise ConeError(f"cone dimension {cone.dim} differs from the model's dimension {dim}")
 
 
 def _check_dim(cone, x):

@@ -31,17 +31,15 @@ x == x and 0 + n == n, as no cell is -0.0. A real cell receives exactly the
 contributions of the box-by-box recurrence, in step order, plus zeros from
 pad cells. A cell the orthant cuts lands in a pad cell, as a row has at least
 as many pad cells as the cut is deep, or before the buffer; the pads of each
-cut axis are zeroed after the adds. When a box outgrows its
-padding, its buffer or its limbs, it is copied into the idle buffer with two
-spans of padding; a buffer is replaced only when too small, by one twice the
-size the layer needs, and freed before its successor is allocated, so at most
-two layer-sized arrays are alive. A buffer of MAPPED_BYTES or more is an
-anonymous mapping of its own, unmapped when it is freed, so the DP's resident
-size does not depend on the state of malloc's heap or on the host's free huge
-pages. A buffer's pages fault in when a box first reaches them, so a buffer
-doubles: fewer buffers fault in fewer pages. A step that adds with a weight
-other than 1 forms its product for each block in one block of PRODUCT_BLOCK
-cells that the DP owns.
+cut axis are zeroed after the adds. Both buffers are allocated once, at the
+size ``_box_bound`` gives for the horizon: no padded box up to it needs more.
+A buffer of MAPPED_BYTES or more is an anonymous mapping of its own, so the
+DP's resident size does not depend on the state of malloc's heap or on the
+host's free huge pages, and its pages fault in when a box first reaches them.
+When a layer's rows outgrow their padding, the layer is copied into the idle
+buffer with two spans of padding (a relayout); it only re-pads. A step that
+adds with a weight other than 1 forms its product for each block in one block
+of PRODUCT_BLOCK cells that the DP owns.
 
 Every index of a step follows from the layer's layout: the buffer holding
 it, its lowest point, its shape, its flat range, and in exact mode its limbs
@@ -51,24 +49,22 @@ cut axes, the new box seen along each axis, whose rows are the faces that the
 trim tests, and for each trim outcome met so far the trimmed layer with the
 views that its normalisation, carry and total read. A box held small by a wall
 or by the FLOAT_TRIM cut repeats its layouts, mostly with period 2 from
-lattice parity, so a layout met again two layers after it was planned keeps
-the plan built that first time, and later layers of that layout replay it
-with no index arithmetic in Python. Only the layouts of the last two planned
-layers and their plans are remembered, so a growing box holds two of them,
-not one per layer. A relayout drops every
-plan, as plans hold views of the buffers it frees; a growing box, whose
-layouts do not repeat, keeps none. Such a layer builds its plan and runs it
-once, so building is kept to few Python calls: the new box and its padded rows
-are made by the ``np.ndarray`` constructor from the buffer and the padded
-strides, not by reshaping and slicing, and the box is seen along axis k by one
-transpose that puts axis k first. Building a plan and replaying it make the
-same numpy calls on the same operands in the same order, so no bit depends on
-whether a layer was replayed. A face is tested for a nonzero cell by the C
-function behind ``np.count_nonzero``, one call without the Python wrapper
-that costs about three times as much on a small face, except in a 1-D float
-box: there a face is one cell, which numpy returns as a scalar, and its truth
-value decides the same at a small part of the cost (no cell is -0.0, and
--0.0 would count as zero in both). A small box that never repeats a layer,
+lattice parity, so each buffer keeps the last plan built from it, and a
+layout met again there two layers after it was planned replays that plan
+with no index arithmetic in Python. A relayout drops both plans, as they hold
+the old strides; a growing box, whose layouts do not repeat, replays none.
+Such a layer builds its plan and runs it once, so building is kept to few
+Python calls: the new box and its padded rows are made by the ``np.ndarray``
+constructor from the buffer and the padded strides, not by reshaping and
+slicing, and the box is seen along axis k by one transpose that puts axis k
+first. Building a plan and replaying it make the same numpy calls on the same
+operands in the same order, so no bit depends on whether a layer was
+replayed. A face is tested for a nonzero cell by the C function behind
+``np.count_nonzero``, one call without the Python wrapper that costs about
+three times as much on a small face, except in a 1-D float box: there a face
+is one cell, which numpy returns as a scalar, and its truth value decides the
+same at a small part of the cost (no cell is -0.0, and -0.0 would count as
+zero in both). A small box that never repeats a layer,
 such as the 1-D walk's, thus costs a fixed few numpy calls per layer.
 
 Exact counts use radix 2^r with r = 63 - bit_length(|S|), so |S| 2^r < 2^63.
@@ -234,6 +230,18 @@ def _exp(lv):
         return math.inf
 
 
+def _box_bound(steps, start, n, exact):
+    """The most cells a box of the DP run to horizon ``n`` spans on each
+    axis, and the limbs of layer n (1 in float mode). On axis k the box spans
+    at most n span_k + 1 cells and reaches no further than
+    start_k + n max(step_max_k, 0); an exact layer n holds its cells on as
+    many limbs as |S|^n needs (see _LayerDP)."""
+    n, k = int(n), len(steps)
+    bound = [min(n * (b - a) + 1, s + n * max(b, 0) + 1) for a, b, s in zip(
+        steps.min(axis=0).tolist(), steps.max(axis=0).tolist(), start.tolist())]
+    return bound, -(-(k ** n).bit_length() // (63 - k.bit_length())) if exact else 1
+
+
 def _dp_inputs(steps, start, n, weights, exact):
     """Checked steps, start and weights (None in exact mode) for a layer DP
     run to horizon ``n``; every malformed input, and a run whose box could
@@ -267,13 +275,8 @@ def _dp_inputs(steps, start, n, weights, exact):
             raise ValueError("exact mode counts walks and requires unit weights")
         if n > MAX_HORIZON_EXACT:
             raise ValueError(f"exact mode capped at n <= {MAX_HORIZON_EXACT}")
-    # on axis k the box spans at most n span_k + 1 cells and reaches no
-    # further than start_k + n max(step_max_k, 0); an exact layer n holds
-    # its cells on as many limbs as |S|^n needs (see _LayerDP)
-    n = int(n)
-    cells = math.prod(min(n * (b - a) + 1, s + n * max(b, 0) + 1) for a, b, s in zip(
-        steps.min(axis=0).tolist(), steps.max(axis=0).tolist(), start.tolist()))
-    limbs = -(-(k ** n).bit_length() // (63 - k.bit_length())) if exact else 1
+    bound, limbs = _box_bound(steps, start, n, exact)
+    cells = math.prod(bound)
     if cells * limbs > MAX_BOX_CELLS:
         raise ValueError(f"the DP box can reach {cells * limbs} cells by horizon {n}, "
                          f"above the budget of {MAX_BOX_CELLS}")
@@ -294,9 +297,10 @@ class _Plan:
     and zeroing on views built once, the untrimmed box they leave, and the
     states its trim outcomes lead to (see ``_LayerDP``)."""
 
-    __slots__ = ("ops", "box", "faces", "extent", "lo", "trims")
+    __slots__ = ("key", "ops", "box", "faces", "extent", "lo", "trims")
 
-    def __init__(self, ops, box, faces, extent, lo):
+    def __init__(self, key, ops, box, faces, extent, lo):
+        self.key = key  # the layout it was built from
         self.ops = ops  # (function, arguments) pairs in the order they run
         self.box = box
         self.faces = faces  # per axis, box with that axis first: face i is faces[axis][i]
@@ -324,19 +328,20 @@ class _LayerDP:
     of the limb sums. In exact mode ``_bound`` is |S|^k at layer k, which
     bounds every cell, and ``_radix`` is r.
 
-    A layer's layout is ``_key``: buffer parity (``_parity``), ``lo``,
-    shape, ``_first``, ``_end`` and the held limbs, to which exact mode adds
-    the next layer's limbs. Every step has ``_plan`` find or build its plan,
-    then runs it; there is no other path. ``_product`` holds a weighted
-    step's product for one block of the plan's adds. ``_seen`` holds the layouts and
-    plans of the last two plans built since the last relayout: by lattice
-    parity a layout recurs two layers later, and replays the plan built then.
-    A plan caches the state (``_state``) that each trim outcome leaves.
-    ``_relayout`` clears ``_seen``, as plans hold views of the buffers it
-    frees. ``_occupied`` is the trim's test of a face for a nonzero cell.
+    A layer's layout is ``_key``: ``lo``, shape, ``_first``, ``_end`` and
+    the held limbs, to which exact mode adds the next layer's limbs. Every
+    step has ``_plan`` find or build its plan, then runs it; there is no
+    other path. ``_product`` holds a weighted step's product for one block of
+    the plan's adds. ``_plans[_parity]`` is the last plan built from the
+    buffer that holds the layer, under its key: by lattice parity a layout
+    recurs two layers later, in the same buffer, and replays the plan built
+    then. A plan caches the state (``_state``) that each trim outcome leaves.
+    ``_relayout`` clears ``_plans``, as they hold the old strides. The
+    buffers are sized for horizon ``n``, past which the DP must not advance.
+    ``_occupied`` is the trim's test of a face for a nonzero cell.
     """
 
-    def __init__(self, steps, weights, start, exact, trim_threshold=FLOAT_TRIM):
+    def __init__(self, steps, weights, start, n, exact, trim_threshold=FLOAT_TRIM):
         self.exact = exact
         self.d = d = steps.shape[1]
         self.trim_threshold = trim_threshold
@@ -369,15 +374,19 @@ class _LayerDP:
         # a face of a 1-D float box is one cell, which numpy returns as a
         # scalar; its truth value decides what count_nonzero would, for less
         self._occupied = bool if d == 1 and not exact else _count_nonzero
-        self._seen, self._parity = deque(maxlen=2), 0
+        self._parity = 0
         self.lo = [int(v) for v in start]
         self.log_scale = 0.0
         # the float layer's maximum before it was divided by it
         self.layer_max = 1.0
         dtype = np.uint64 if exact else float
         self._view = np.ones((1,) * (len(self._lead) + d), dtype=dtype)
-        self._buffers = [np.empty((1, 0) if exact else (0,), dtype=dtype)] * 2
-        self._relayout(1, 1)
+        # no padded box up to layer n needs more: bound_0 rows of extents
+        # bound_k + 2 span_k, on the limbs of layer n
+        bound, limbs = _box_bound(steps, start, n, exact)
+        cells = bound[0] * math.prod(b + 2 * s for b, s in zip(bound[1:], self.span[1:]))
+        self._buffers = [_buffer((limbs, cells) if exact else (cells,), dtype) for _ in range(2)]
+        self._relayout()
 
     @property
     def layer(self):
@@ -431,41 +440,25 @@ class _LayerDP:
             copy = True
             total = idle[:math.prod(extent)].reshape(extent)[
                 tuple(slice(c, c + k) for c, k in zip(bounds[0::2], view.shape))]
-        key = (self._parity, tuple(lo), view.shape[-self.d:], first, end, self._limbs)
+        key = (tuple(lo), view.shape[-self.d:], first, end, self._limbs)
         return view, lo, first, end, cells, total, copy, carry, key
 
     def _set_state(self, state):
         (self._view, self.lo, self._first, self._end,
          self._cells, self._total, self._copy, self._carry, self._key) = state
 
-    def _relayout(self, rows, limbs):
+    def _relayout(self):
         """Copy the layer to the start of the idle buffer, padding each axis
-        k >= 1 to the layer's extent plus two step spans, with room in both
-        buffers for ``rows`` rows (and for the layer's own) of ``limbs``
-        limbs. A buffer is freed before a larger one replaces it, so no more
-        than two layer-sized arrays are ever alive."""
-        # plans and state views keep the buffers they view alive
-        self._seen.clear()
-        self._cells = self._total = self._carry = None
-        n, dtype = self.layer.shape, self._view.dtype
+        k >= 1 to the layer's extent plus two step spans."""
+        # drop the plans built on the old strides
+        self._plans = [None, None]
+        n = self.layer.shape
         # the widest layer (on axes k >= 1) that still has a span of padding
         self._room = [k + s for k, s in zip(n[1:], self.span[1:])]
         self._extents = [k + s for k, s in zip(self._room, self.span[1:])]
         self._strides = [math.prod(self._extents[k:]) for k in range(self.d)]
         self._offsets = [(sum(s * st for s, st in zip(shift, self._strides)), w)
                          for shift, w in zip(self.shifts, self.weights)]
-        # a layer pressed against the wall on axis 0 may have more rows than
-        # the box it advances to
-        size = max(rows, n[0]) * self._strides[0]
-        shape = self._buffers[1].shape
-        want = (shape[-1] if shape[-1] >= size else 2 * size,)
-        if self.exact:
-            want = (shape[0] if shape[0] >= limbs else 2 * limbs,) + want
-        grow = want != shape
-        if grow:
-            # spare rows and limbs stay unmapped until a box reaches them
-            self._buffers[1] = None
-            self._buffers[1] = _buffer(want, dtype)
         idle = self._buffers[1][:self._limbs] if self.exact else self._buffers[1]
         padded = idle[..., :n[0] * self._strides[0]].reshape(
             *idle.shape[:-1], n[0], *self._extents)
@@ -475,9 +468,6 @@ class _LayerDP:
         self._view = padded[index]
         self._buffers.reverse()
         self._parity ^= 1
-        if grow:
-            self._buffers[1] = None
-            self._buffers[1] = _buffer(want, dtype)
         # the strides in bytes of a box at the start of a buffer, limbs first
         self._byte_strides = self._buffers[0].strides[:-1] + tuple(
             st * self._buffers[0].itemsize for st in self._strides)
@@ -486,29 +476,25 @@ class _LayerDP:
 
     def _plan(self, key, limbs):
         """The plan of the next step from the layer's layout ``key``, or
-        None when that step leaves the orthant on some axis. A layout that
-        one of the last two plans was built from keeps that plan; otherwise
-        the plan is built, laying the layer out anew first when the next box
-        outgrows its padding, its buffer or its limbs. Its calls run block
+        None when that step leaves the orthant on some axis. The last plan
+        built from the layer's buffer is kept when it was built from ``key``;
+        otherwise the plan is built, laying the layer out anew first when its
+        rows outgrow their padding. Its calls run block
         by block over the new box, each block's in step order: the first
         step to reach the block writes it and zeroes the rest, later steps
         add (see the module docstring). Then they zero the pads of the cut
         axes and, in exact mode, the limbs the layer gains."""
-        for seen, plan in self._seen:
-            if seen == key:
-                return plan
-        # a plan left bound here would keep the buffers a relayout frees alive
-        seen = plan = None
+        plan = self._plans[self._parity]
+        if plan is not None and plan.key == key:
+            return plan
         lo, n = self.lo, self._view.shape[-self.d:]
         new_lo = [a + m if a + m > 0 else 0 for a, m in zip(lo, self.step_min)]
         box = [a + k - b + m for a, k, b, m in zip(lo, n, new_lo, self.step_max)]
         if min(box) <= 0:
             return None
         held = self._limbs
-        if (box[0] * self._strides[0] > self._buffers[1].shape[-1]
-                or self.exact and limbs > len(self._buffers[1])
-                or any(map(operator.gt, n[1:], self._room))):
-            self._relayout(box[0], limbs)
+        if any(map(operator.gt, n[1:], self._room)):
+            self._relayout()
         src, dst = self._buffers
         # exact layers are seen cells first, so a cell range is one slice in both modes
         old, new = (src[:held].T, dst[:held].T) if self.exact else (src, dst)
@@ -576,9 +562,9 @@ class _LayerDP:
                 pads = padded[self._lead + (slice(None),) * k + (slice(box[k], None),)]
                 ops.append((pads.fill, (0,)))
         faces = [untrimmed.transpose(order) for order in self._face_orders]
-        plan = _Plan(ops, untrimmed, faces, box, new_lo)
         # under the layout it was built from, which a relayout changes
-        self._seen.append((self._key + (limbs,) if self.exact else self._key, plan))
+        plan = self._plans[self._parity] = _Plan(
+            self._key + (limbs,) if self.exact else self._key, ops, untrimmed, faces, box, new_lo)
         return plan
 
     def advance(self):
@@ -683,7 +669,7 @@ def count_walks(steps, start, n_max, weights=None, mode=LOG_SCALED):
         raise ValueError(f"unknown mode {mode!r}")
     exact = mode == EXACT
     steps, start, w, _ = _dp_inputs(steps, start, n_max, weights, exact)
-    dp = _LayerDP(steps, w, start, exact=exact)
+    dp = _LayerDP(steps, w, start, n_max, exact=exact)
     values = [dp.total()]
     # total mantissa, max before normalisation, and layout key and cells of
     # the last two float layers; the cells are taken only when the total
@@ -719,7 +705,7 @@ def end_point_counts(steps, start, n, weights=None):
     exact = weights is None
     steps, start, w, lift = _dp_inputs(steps, start, n, weights, exact)
     # no threshold trim here: endpoint masses are compared cell by cell
-    dp = _LayerDP(steps, w, start, exact=exact, trim_threshold=0.0)
+    dp = _LayerDP(steps, w, start, n, exact=exact, trim_threshold=0.0)
     for _ in range(n):
         dp.advance()
     return {lift(z): v for z, v in dp.endpoint_items()}
@@ -748,16 +734,14 @@ def estimate_rate(series):
     sequence, modelling a polynomial prefactor. A series whose tail died out
     reports rate zero.
     """
-    # the logs of log_value (an exact count as a mantissa with scale 0), NaN
-    # where a total is zero
-    values = ((v, 0.0) for v in series.values) if series.mode == EXACT else series.values
-    logs = np.array([math.log(m) + s if m > 0 else math.nan for m, s in values])
+    # NaN where a total is zero
+    logs = np.array([math.nan if (lv := series.log_value(n)) is None else lv
+                     for n in range(series.n_max + 1)])
     if math.isnan(logs[-1]):
         # zeros are absorbing for confined walks: the walk died out
         return RateEstimate(raw_ratio=0.0, period=1, extrapolated=0.0)
 
     best = None
-    chosen = None
     for p in _PERIODS:
         # the p-lag ratios of the lengths m >= p where both totals are nonzero
         ratio_logs = (logs[p:] - logs[:-p]) / p
@@ -770,13 +754,13 @@ def estimate_rate(series):
         if best is None or spread < best[0]:
             best = (spread, p, ms, ratio_logs)
         if spread <= STABLE_SPREAD:
-            chosen = best = (spread, p, ms, ratio_logs)
+            # every lag before had a larger spread, so best is this one
             break
     if best is None:
         return RateEstimate(raw_ratio=0.0, period=1, extrapolated=0.0)
-    _, period, ms, ratio_logs = best
+    spread, period, ms, ratio_logs = best
     raw = math.exp(ratio_logs[-1])
-    if chosen is None or len(ms) < 3:
+    if spread > STABLE_SPREAD or len(ms) < 3:
         # no lag in {1,2,3,4,6} stabilizes the tail: report raw ratios only
         return RateEstimate(raw_ratio=raw, period=period, extrapolated=raw)
 
@@ -833,9 +817,7 @@ def find_delta(steps, cone, n_max=None):
     witness skips the other shifts (see the module docstring).
     """
     steps = steps_mod.as_lattice_steps(steps)
-    d = steps.shape[1]
-    if cone.dim != d:
-        raise ValueError("cone dimension does not match the steps")
+    cones.require_dim(cone, steps.shape[1])
     cones.require_interior(cone, "find_delta")
     v = cones.interior_vector(cone)
     if n_max is None:

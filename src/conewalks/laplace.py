@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import steps as steps_mod
+from . import cones, steps as steps_mod
 from ._simplex import scale_rows, simplex_min
 
 # Absolute tolerance classifying a step as lying on the hyperplane u-perp;
@@ -192,9 +192,7 @@ def classify_direction(model, u, x=None):
     u) or it converges to the partial sum over the steps lying on u-perp.
     The Gaussian transform diverges in every direction.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (model.dim,):
-        raise ValueError(f"direction must have length {model.dim}")
+    u = _checked_point(model, u)
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     x = np.zeros(model.dim) if x is None else _checked_point(model, x)
@@ -254,6 +252,7 @@ def has_global_min_on_cone(model, cone):
     """
     if isinstance(model, GaussianLaplace):
         raise TypeError("global-minimum dichotomy applies to finite-support transforms")
+    cones.require_dim(cone, model.dim)
     m = model.measure
     if not steps_mod.check_h1(m):
         raise ValueError("global-minimum test requires a full-dimensional support (H1)")

@@ -378,10 +378,10 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
     Returns a RateCertificate holding the minimizer, the rate rho = L(x*),
     and the first-order residuals (gradient back in the cone, orthogonal to
-    x*). Raises ConeError for a cone without interior, ImproperModelError with
-    a witness direction when the minimum cannot exist, and NonConvergenceError
-    past the iteration budget; a tol that is not a finite number > 0 or a
-    max_iter < 1 is a ValueError.
+    x*). Raises ConeError for a cone of another dimension or without
+    interior, ImproperModelError with a witness direction when the minimum
+    cannot exist, and NonConvergenceError past the iteration budget; a tol
+    that is not a finite number > 0 or a max_iter < 1 is a ValueError.
 
     `tol` bounds the projected gradient of the loop that runs, on the steps
     scaled by a power of two into [1, 2) (see the module docstring); a single
@@ -393,6 +393,7 @@ def minimize_on_dual(model, cone, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    cones.require_dim(cone, model.dim)
     cones.require_interior(cone, "the rate")
     dual_cone = cones.dual(cone)
     # a Gaussian transform is full-dimensional and coercive on every cone

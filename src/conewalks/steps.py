@@ -152,6 +152,7 @@ def halfspace_witness(m, cone):
     some t != 0 has G t <= 0 and 1 otherwise, so it is compared with 1/2.
     The witness R^T t, nonzero as K* is pointed, is returned at unit l1 norm.
     """
+    cones.require_dim(cone, m.dim)
     S, R = scale_rows(m.steps), scale_rows(cone.rays)
     G = S @ R.T
     if _has_interior_step(G):

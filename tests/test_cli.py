@@ -644,6 +644,16 @@ class TestExitContract:
     """`cli.main` alone maps library errors to exit codes and prints the
     report, so every command follows one error path."""
 
+    @pytest.mark.parametrize("command", ["rate", "check"])
+    @pytest.mark.parametrize("cone", ["halfspace:1,1,1", "rays:[[1,0,0],[0,1,0],[0,0,1]]",
+                                      "ineq:[[1]]"])
+    def test_cone_of_another_dimension_exits_1(self, capsys, step_file, command, cone):
+        # each ended in numpy's matmul error
+        path = step_file("interior.json", 2, [(1, 1), (-1, 0), (0, -1)])
+        code, out, err = run(capsys, command, "--steps", path, "--cone", cone, "--json")
+        assert code == 1 and out == ""
+        assert "cone dimension" in err and "matmul" not in err
+
     @pytest.mark.parametrize("command, target", [
         ("rate", "minimize_on_dual"), ("verify", "minimize_on_dual"),
         ("scan", "hyperplane_scan"), ("brownian", "minimize_on_dual")])

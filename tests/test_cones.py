@@ -72,8 +72,12 @@ class TestFiniteData:
         (lambda: cw.halfspace([]), "every inequality normal must be nonzero"),
         (lambda: cw.halfspace([[1.0, 0.0]]), "must be a vector"),
         (lambda: cw.halfspace(1.0), "must be a vector"),
+        # a list of matrices is no list of rays, whatever the shape of each
+        (lambda: cw.generated([[[1, 0], [0, 1]]]), "every ray must be a vector"),
+        (lambda: cw.generated([[[1, 0]], [[0, 1]]]), "every ray must be a vector"),
     ], ids=["no-rays", "no-normals", "zero-ray", "zero-normal", "zero-halfspace",
-            "empty-halfspace", "matrix-halfspace", "scalar-halfspace"])
+            "empty-halfspace", "matrix-halfspace", "scalar-halfspace", "one-matrix-of-rays",
+            "two-matrices-of-rays"])
     def test_empty_or_zero_vectors_refused(self, build, message):
         # one helper checks the vectors of every constructor; a half-space is
         # the inequality cone of its one normal
@@ -97,6 +101,29 @@ class TestFiniteData:
         for cone in (cw.orthant(2), cw.halfspace([1.0, 1.0]), cw.generated([[1.0, 0.0], [1.0, 1.0]])):
             with pytest.raises(cw.ConeError, match="finite"):
                 cw.contains(cone, x)
+
+
+class TestConeOfAnotherDimension:
+    """A cone whose dimension differs from the steps' is refused by name at
+    every entry point that pairs the two, where each failed inside numpy's
+    matmul ("mismatch in its core dimension")."""
+
+    STEPS = [(1, 1), (-1, 0), (0, -1)]
+    CONES = [cw.halfspace([1.0, 1.0, 1.0]), cw.generated(np.eye(3)), cw.inequalities([[1.0]])]
+
+    @pytest.mark.parametrize("cone", CONES, ids=["halfspace-3d", "rays-3d", "ineq-1d"])
+    @pytest.mark.parametrize("call", [
+        lambda m, cone: cw.minimize_on_dual(cw.FiniteLaplace(m), cone),
+        lambda m, cone: cw.minimize_on_dual(cw.GaussianLaplace([-1.0, -0.5]), cone),
+        lambda m, cone: cw.check_h2prime(m, cone),
+        lambda m, cone: cw.steps.halfspace_witness(m, cone),
+        lambda m, cone: cw.has_global_min_on_cone(cw.FiniteLaplace(m), cone),
+        lambda m, cone: cw.find_delta(TestConeOfAnotherDimension.STEPS, cone),
+    ], ids=["minimize-finite", "minimize-gaussian", "h2prime", "witness", "global-min",
+            "find-delta"])
+    def test_refused(self, call, cone):
+        with pytest.raises(cw.ConeError, match=rf"cone dimension {cone.dim} differs .* 2"):
+            call(cw.from_step_set(self.STEPS), cone)
 
 
 class TestDescriptions:

@@ -332,7 +332,7 @@ class TestDPProperties:
         # maximum (at most 6^12 walks), so the float box is tight as well
         steps, start, n = case
         steps, start, w, _ = counting._dp_inputs(steps, start, n, None, exact)
-        dp = counting._LayerDP(steps, w, start, exact=exact)
+        dp = counting._LayerDP(steps, w, start, n, exact=exact)
         for _ in range(n):
             dp.advance()
             if dp.dead:
@@ -573,7 +573,7 @@ def _layouts_agree(steps, start, n, weights, exact, trim):
     layer; returns the flat DP, whose ``replayed`` counts the layers that
     replayed a plan."""
     steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, exact)
-    flat = _count_replays(counting._LayerDP(steps, w, start, exact=exact, trim_threshold=trim))
+    flat = _count_replays(counting._LayerDP(steps, w, start, n, exact=exact, trim_threshold=trim))
     ref = _BoxLayerDP(steps, w, start, exact=exact, trim_threshold=trim)
     for k in range(n + 1):
         if k:
@@ -638,7 +638,7 @@ class TestFlatLayoutMatchesBoxLayout:
         # boxes that widen by two cells a step on every axis outrun the
         # padding of each layout, so the layers are laid out anew many times
         steps_arr, start_arr, w, _ = counting._dp_inputs(steps, start, n, None, exact)
-        dp = counting._LayerDP(steps_arr, w, start_arr, exact=exact)
+        dp = counting._LayerDP(steps_arr, w, start_arr, n, exact=exact)
         layouts = set()
         for _ in range(n):
             dp.advance()
@@ -662,11 +662,12 @@ class TestFlatLayoutMatchesBoxLayout:
         # a large buffer, float or uint64 limbs, never comes from malloc's
         # heap; a small one does
         monkeypatch.setattr(counting, "MAPPED_BYTES", 4096)
-        steps_arr, start_arr, w, _ = counting._dp_inputs(S5, (0, 0), 30, None, exact)
-        dp = counting._LayerDP(steps_arr, w, start_arr, exact=exact)
         kinds = set()
-        for _ in range(30):
-            dp.advance()
+        # the buffers are sized once, for horizon 2 below 4096 bytes and for
+        # horizon 30 above
+        for n in (2, 30):
+            steps_arr, start_arr, w, _ = counting._dp_inputs(S5, (0, 0), n, None, exact)
+            dp = counting._LayerDP(steps_arr, w, start_arr, n, exact=exact)
             for buf in dp._buffers:
                 mapped = isinstance(buf.base, mmap.mmap)
                 assert mapped == (buf.nbytes >= 4096)
@@ -676,21 +677,21 @@ class TestFlatLayoutMatchesBoxLayout:
         _layouts_agree(S5, (0, 0), 30, None, exact, counting.FLOAT_TRIM)
 
     @pytest.mark.parametrize("steps, start, n, weights, relayouts", [
-        (ENSWS, (1, 1), 300, (0.2,) * 5, 40),
-        (D3, (1, 1, 1), 60, (0.25,) * 4, 22),
-        (NSEW, (1, 1), 200, None, 41),
+        (ENSWS, (1, 1), 300, (0.2,) * 5, 38),
+        (D3, (1, 1, 1), 60, (0.25,) * 4, 20),
+        (NSEW, (1, 1), 200, None, 39),
     ], ids=["ensws", "d3", "nsew"])
     def test_verify_shapes_at_their_horizons(self, steps, start, n, weights, relayouts,
                                              monkeypatch):
         # the DPs of `verify` and `enumerate` on growing boxes; a box lays
-        # its layer out anew when it outgrows its padding or its buffer, whose
-        # size doubles each time (counted with the layout of the first layer)
+        # its layer out anew when its rows outgrow their padding (counted
+        # with the layout of the first layer)
         calls = []
         relayout = counting._LayerDP._relayout
 
-        def counted(dp, rows, limbs):
-            calls.append(rows)
-            relayout(dp, rows, limbs)
+        def counted(dp):
+            calls.append(dp.lo)
+            relayout(dp)
 
         monkeypatch.setattr(counting._LayerDP, "_relayout", counted)
         _layouts_agree(steps, start, n, weights, False, counting.FLOAT_TRIM)
@@ -703,8 +704,8 @@ class TestFlatLayoutMatchesBoxLayout:
         # are tested by their truth value, and the exact 1-D walk, whose
         # faces hold limbs and keep count_nonzero's C function
         steps_arr, start_arr, w, _ = counting._dp_inputs([(1,), (-1,)], (start,), 0, None, False)
-        assert counting._LayerDP(steps_arr, w, start_arr, exact=False)._occupied is bool
-        assert (counting._LayerDP(steps_arr, None, start_arr, exact=True)._occupied
+        assert counting._LayerDP(steps_arr, w, start_arr, 0, exact=False)._occupied is bool
+        assert (counting._LayerDP(steps_arr, None, start_arr, 0, exact=True)._occupied
                 is counting._count_nonzero)
         _layouts_agree([(1,), (-1,)], (start,), 2000, (0.25, 0.75), False, trim)
         _layouts_agree([(1,), (-1,)], (start,), 200, None, True, trim)
@@ -815,25 +816,26 @@ class TestPlanReplay:
 
     def test_plans_stay_few_on_a_growing_box(self):
         # the S5 box grows nearly every step, and every few steps a relayout
-        # clears the layouts seen and their plans: 15 of 400 layers replay one
+        # clears the plans: 15 of 400 layers replay one
         steps, start, w, _ = counting._dp_inputs(S5, (0, 0), 400, None, False)
-        dp = _count_replays(counting._LayerDP(steps, w, start, exact=False))
+        dp = _count_replays(counting._LayerDP(steps, w, start, 400, exact=False))
         for _ in range(400):
             dp.advance()
-            assert len(dp._seen) <= 2
+            # the last plan built from each buffer
+            assert len(dp._plans) == 2
         assert dp.replayed == 15
 
     def test_seen_layouts_stay_two_on_a_growing_1d_box(self):
-        # the 1-D box relayouts only when it outgrows its buffer; the layouts
-        # seen were once one per layer (546 at once by n = 2000)
+        # the 1-D box is never laid out anew; the layouts seen were once one
+        # per layer (546 at once by n = 2000), and each buffer keeps one plan
         steps, start, w, _ = counting._dp_inputs([(1,), (2,), (-1,)], (0,), 2000, None, False)
-        dp = counting._LayerDP(steps, w, start, exact=False)
+        dp = counting._LayerDP(steps, w, start, 2000, exact=False)
         for _ in range(2000):
             dp.advance()
-            assert len(dp._seen) <= 2
+            assert len(dp._plans) == 2
 
     @pytest.mark.parametrize("steps, start, n, weights, replayed, built", [
-        ([(1,), (-1,)], (2,), 2000, (0.25, 0.75), 1876, 124),
+        ([(1,), (-1,)], (2,), 2000, (0.25, 0.75), 1878, 122),
         (HS_STEPS, (1, 1), 1500, _hs_weights(1 / 3), 1497, 3),
         (HS_STEPS, (4, 0), 1500, _hs_weights(0.4), 1494, 6),
         (HS_STEPS, (3, 1), 1500, _hs_weights(0.3), 1495, 5),
@@ -848,7 +850,7 @@ class TestPlanReplay:
         plans, plan = [], counting._Plan
         monkeypatch.setattr(counting, "_Plan", lambda *args: plans.append(plan(*args)) or plans[-1])
         steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, False)
-        dp = _count_replays(counting._LayerDP(steps, w, start, exact=False))
+        dp = _count_replays(counting._LayerDP(steps, w, start, n, exact=False))
         for _ in range(n):
             dp.advance()
         assert dp.replayed == replayed
@@ -893,23 +895,52 @@ class TestTrimBounds:
                             lambda dp, *args: relayouts.append(args) or relayout(dp, *args))
         steps, start, w, _ = counting._dp_inputs(steps, start, n, None if exact else weights,
                                                   exact)
-        dp = counting._LayerDP(steps, w, start, exact=exact)
+        dp = counting._LayerDP(steps, w, start, n, exact=exact)
         for _ in range(n):
             dp.advance()
         assert len(plans) == n
         if exact in replays:
             assert n - len(set(map(id, plans))) > n // 4
         else:
-            # a growing box outgrows its padding or its buffer and is laid
-            # out anew, which drops every plan (the first layout is the DP's)
-            assert len(relayouts) > 2
+            # a growing box outgrows its padding and is laid out anew, which
+            # drops every plan (the first layout is the DP's); a 1-D box has
+            # no padded axis, so it keeps its first layout
+            assert len(relayouts) == 1 if dp.d == 1 else len(relayouts) > 2
+
+
+class TestBuffersSizedOnce:
+    """The DP allocates its two buffers once, at ``_box_bound``'s size, and
+    keeps them to its horizon; a relayout only re-pads a layer."""
+
+    @pytest.mark.parametrize("steps, start, n, exact", [
+        (S5, (0, 0), 400, False), (D3, (0, 0, 0), 120, False), (S5, (0, 0), 200, True),
+    ], ids=["s5", "d3", "s5-exact"])
+    def test_buffers_are_the_same_arrays_to_the_horizon(self, steps, start, n, exact):
+        steps, start, w, _ = counting._dp_inputs(steps, start, n, None, exact)
+        dp = counting._LayerDP(steps, w, start, n, exact=exact)
+        first = list(dp._buffers)
+        for _ in range(n):
+            dp.advance()
+            assert {id(b) for b in dp._buffers} == {id(b) for b in first}
+        assert not dp.dead
+
+    @pytest.mark.parametrize("n, exact", [(2000, False), (200, True)], ids=["float", "exact"])
+    def test_1d_box_keeps_its_first_layout(self, n, exact, monkeypatch):
+        relayouts, relayout = [], counting._LayerDP._relayout
+        monkeypatch.setattr(counting._LayerDP, "_relayout",
+                            lambda dp: relayouts.append(dp.lo) or relayout(dp))
+        steps, start, w, _ = counting._dp_inputs([(1,), (2,), (-1,)], (0,), n, None, exact)
+        dp = counting._LayerDP(steps, w, start, n, exact=exact)
+        for _ in range(n):
+            dp.advance()
+        assert len(relayouts) == 1 and not dp.dead
 
 
 def _advance_loop(steps, start, n, weights):
     """The float series of one ``advance`` and ``total`` per layer, as the
     hex of each mantissa and log scale."""
     steps, start, w, _ = counting._dp_inputs(steps, start, n, weights, False)
-    dp = counting._LayerDP(steps, w, start, exact=False)
+    dp = counting._LayerDP(steps, w, start, n, exact=False)
     values = [dp.total()]
     for _ in range(n):
         dp.advance()
@@ -980,7 +1011,7 @@ class TestLayerCycle:
         # found when a snapshot equals one taken two layers back, at most
         # three layers later
         steps, start_arr, w, _ = counting._dp_inputs(HS_STEPS, start, 1500, _hs_weights(p), False)
-        dp = counting._LayerDP(steps, w, start_arr, exact=False)
+        dp = counting._LayerDP(steps, w, start_arr, 1500, exact=False)
         layers = [(dp.lo, dp.layer.shape, dp.snapshot())]
         while len(layers) < 3 or layers[-1] != layers[-3]:
             dp.advance()
@@ -1062,7 +1093,7 @@ class TestExactLimbs:
         # limbs, past one block, so every block after the first is written
         # by the step that first reaches it
         steps, start, _, _ = counting._dp_inputs(S5, (0, 0), 200, None, True)
-        dp = counting._LayerDP(steps, None, start, exact=True)
+        dp = counting._LayerDP(steps, None, start, 200, exact=True)
         for _ in range(200):
             dp.advance()
         assert dp._end - dp._first > counting.PRODUCT_BLOCK and dp._limbs == 8

@@ -96,6 +96,14 @@ class TestNonFinitePoint:
         with pytest.raises(ValueError, match="non-finite point"):
             cw.classify_direction(model, u, x=x)
 
+    @pytest.mark.parametrize("model", MODELS, ids=["finite", "gaussian"])
+    @pytest.mark.parametrize("u", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_direction_refused(self, model, u):
+        # a NaN direction passed the unit-norm test, as |NaN - 1| > 1e-9 is
+        # False, and was classified as convergent with limit 0
+        with pytest.raises(ValueError, match="non-finite point"):
+            cw.classify_direction(model, u)
+
 
 class TestGradient:
     def test_gradient_at_origin_is_mean(self, models):
